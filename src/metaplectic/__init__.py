@@ -6,7 +6,6 @@ from .rootdata import (
     Character,
     Cocharacter,
     ParabolicSubset,
-    RootDatumCn,
     antidominant_above,
     antidominant_rep,
     coroot,
@@ -65,7 +64,6 @@ from .hecke import (
 )
 from .oracle import (
     CosetCountResult,
-    PadicApprox,
     PadicMatrix,
     count_cosets,
     reductive_satake_row,

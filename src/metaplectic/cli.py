@@ -415,13 +415,34 @@ def _parse_ints(text: str, n) -> tuple[int, ...]:
     return vals
 
 
+def _json_ints(value, what: str) -> list[int]:
+    if not (isinstance(value, list) and all(isinstance(x, int) for x in value)):
+        raise UsageError(f"{what} must be a list of integers")
+    return value
+
+
+_JSON_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _json_field(data: dict, key: str, kind: type, default):
+    value = data.get(key, default)
+    if not isinstance(value, kind):
+        raise UsageError(f"{key!r} must be {_JSON_TYPE_NAMES[kind]}")
+    return value
+
+
+def _parse_flags(data: dict) -> dict:
+    flags = _json_field(data, "flags", dict, {})
+    return {int(k): bool(v) for k, v in flags.items()}
+
+
 def _parse_torus_character(data: dict, config: RunConfig) -> GenuineTorusCharacter:
     xi = []
-    for pair in data["xi"]:
-        if not (isinstance(pair, list) and len(pair) == 2):
+    for pair in _json_field(data, "xi", list, None):
+        if len(_json_ints(pair, "xi entries")) != 2:
             raise UsageError("xi entries are [unit_exp, pi_val] pairs")
-        xi.append(SmoothCharacterFx(config.q, config.N, int(pair[0]), int(pair[1])))
-    psi = SquareClass.from_name(data.get("psi_class", "1"))
+        xi.append(SmoothCharacterFx(config.q, config.N, pair[0], pair[1]))
+    psi = SquareClass.from_name(_json_field(data, "psi_class", str, "1"))
     return GenuineTorusCharacter(tuple(xi), psi)
 
 
@@ -455,11 +476,10 @@ def cmd_classify(args) -> int:
         for key in ("P", "flags", "Q"):
             if key not in data:
                 raise UsageError(f"siegel input needs {key!r}")
-        P = ParabolicSubset(n, frozenset(int(x) for x in data["P"]))
-        Q = ParabolicSubset(n, frozenset(int(x) for x in data["Q"]))
-        flags = {int(k): bool(v) for k, v in data["flags"].items()}
+        P = ParabolicSubset(n, frozenset(_json_ints(data["P"], "'P'")))
+        Q = ParabolicSubset(n, frozenset(_json_ints(data["Q"], "'Q'")))
         triple = classify.siegel_lift(
-            P, flags, Q, n, label=data.get("label", "rho")
+            P, _parse_flags(data), Q, n, label=_json_field(data, "label", str, "rho")
         )
         payload["triples"] = [_triple_payload(triple)]
     elif "xi" in data:
@@ -472,10 +492,9 @@ def cmd_classify(args) -> int:
         payload["length"] = classify.ps_length(sigma)
         payload["irreducible"] = classify.ps_irreducible(sigma)
     elif "levi" in data:
-        levi = ParabolicSubset(n, frozenset(int(x) for x in data["levi"]))
-        flags = {int(k): bool(v) for k, v in data.get("flags", {}).items()}
+        levi = ParabolicSubset(n, frozenset(_json_ints(data["levi"], "'levi'")))
         datum = classify.SupersingularDatum(
-            levi, flags, label=data.get("label", "sigma")
+            levi, _parse_flags(data), label=_json_field(data, "label", str, "sigma")
         )
         report = classify.enumerate_classification(n, [datum], config.field)
         payload["triples"] = [_triple_payload(t) for t in report.triples]

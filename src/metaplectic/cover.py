@@ -139,16 +139,6 @@ class LocalFieldDescriptor:
         return SquareClass(val % 2, nonsq)
 
 
-@dataclass(frozen=True)
-class QuadraticFormQ:
-    """The cover-classifying quadratic form on the similitude cocharacters."""
-
-    n: int
-
-    def __call__(self, lam: Cocharacter) -> int:
-        return eval_Q(lam)
-
-
 def eval_Q(lam: Cocharacter) -> int:
     """Q(sum a_i lambda_i + a_{n+1} lambda_{n+1}) = sum (a_i^2 + a_i a_{n+1})."""
     return sum(a * a + a * lam.gsp for a in lam.coords)

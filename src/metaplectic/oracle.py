@@ -11,9 +11,14 @@ Cosets are parametrized by negative-root coordinates in a fixed order,
 realized as the designated matrix entries of the canonical (greedily
 left-reduced) representative, running over p^{-depth} O / O; membership
 in the Cartan cell is decided through elementary divisor valuations of
-the matrix u mu(pi), computed by Smith-style pivoting over
-precision-tracked p-adic approximations.  Two groups are realized, SL_2
-and Sp_4 with the antidiagonal symplectic form
+the matrix u mu(pi), computed by Smith-style pivoting over Z_(p).
+
+All arithmetic is exact.  Every coordinate is a fraction a / p^w, so
+every matrix here has entries in Z[1/p] and is carried as an integer
+matrix m together with a known shift k, standing for p^(-k) m; a
+valuation of the represented matrix is a p-adic valuation of an integer
+entry minus k.  Two groups are realized, SL_2 and Sp_4 with the
+antidiagonal symplectic form
 
     J = [[0,0,0,1],[0,0,1,0],[0,-1,0,0],[-1,0,0,0]],
 
@@ -28,15 +33,11 @@ which is what the stabilization flag reports.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .hecke import TorusHeckeElement, metaplectic_satake_T2lambda, parity_filter, t2lambda_base
 from .rootdata import Cocharacter, antidominant_above, is_antidominant
-
-
-class PrecisionError(ArithmeticError):
-    """An arithmetic or pivoting step needed digits that were lost."""
 
 
 class OracleError(ValueError):
@@ -45,157 +46,6 @@ class OracleError(ValueError):
 
 class StabilizationError(RuntimeError):
     """A coset count failed to agree between successive depths."""
-
-
-_ZERO, _KNOWN, _BIGO = 0, 1, 2
-
-
-class PadicApprox:
-    """Element of Q_p tracked as p^val * unit + O(p^(val + rel)).
-
-    Three states: exact zero; known (valuation exact, unit a unit mod
-    p^rel); and indeterminate O(p^obound) after full cancellation, when
-    only an upper bound on the size remains.  Asking an indeterminate
-    element for its valuation raises PrecisionError rather than guessing.
-    """
-
-    __slots__ = ("p", "kind", "val", "unit", "rel", "obound")
-
-    def __init__(self, p, kind, val=0, unit=0, rel=0, obound=0):
-        self.p = p
-        self.kind = kind
-        self.val = val
-        self.unit = unit
-        self.rel = rel
-        self.obound = obound
-
-    # -- constructors -------------------------------------------------
-    @staticmethod
-    def zero(p: int) -> "PadicApprox":
-        return PadicApprox(p, _ZERO)
-
-    @staticmethod
-    def big_o(p: int, bound: int) -> "PadicApprox":
-        return PadicApprox(p, _BIGO, obound=bound)
-
-    @staticmethod
-    def from_rational(num: int, den_exp: int, p: int, rel: int) -> "PadicApprox":
-        """The element num / p^den_exp known to relative precision rel."""
-        if rel < 1:
-            raise PrecisionError("need at least one significant digit")
-        if num == 0:
-            return PadicApprox.zero(p)
-        v = 0
-        while num % p == 0:
-            num //= p
-            v += 1
-        return PadicApprox(p, _KNOWN, val=v - den_exp, unit=num % p**rel, rel=rel)
-
-    @staticmethod
-    def one(p: int, rel: int) -> "PadicApprox":
-        return PadicApprox.from_rational(1, 0, p, rel)
-
-    # -- predicates ----------------------------------------------------
-    @property
-    def is_exact_zero(self) -> bool:
-        return self.kind == _ZERO
-
-    @property
-    def is_indeterminate(self) -> bool:
-        return self.kind == _BIGO
-
-    def is_zero_to_precision(self) -> bool:
-        return self.kind in (_ZERO, _BIGO)
-
-    def valuation(self) -> int:
-        if self.kind == _KNOWN:
-            return self.val
-        if self.kind == _ZERO:
-            raise ZeroDivisionError("exact zero has no finite valuation")
-        raise PrecisionError(
-            f"valuation undecidable: element is O(p^{self.obound})"
-        )
-
-    # -- arithmetic ----------------------------------------------------
-    def shift(self, k: int) -> "PadicApprox":
-        """Multiply by p^k exactly."""
-        if self.kind == _ZERO:
-            return self
-        if self.kind == _BIGO:
-            return PadicApprox.big_o(self.p, self.obound + k)
-        return PadicApprox(self.p, _KNOWN, self.val + k, self.unit, self.rel)
-
-    def __neg__(self) -> "PadicApprox":
-        if self.kind != _KNOWN:
-            return self
-        return PadicApprox(
-            self.p, _KNOWN, self.val, (-self.unit) % self.p**self.rel, self.rel
-        )
-
-    def __mul__(self, other: "PadicApprox") -> "PadicApprox":
-        p = self.p
-        if self.kind == _ZERO or other.kind == _ZERO:
-            return PadicApprox.zero(p)
-        if self.kind == _BIGO or other.kind == _BIGO:
-            b1 = self.obound if self.kind == _BIGO else self.val
-            b2 = other.obound if other.kind == _BIGO else other.val
-            return PadicApprox.big_o(p, b1 + b2)
-        rel = min(self.rel, other.rel)
-        return PadicApprox(
-            p, _KNOWN, self.val + other.val, (self.unit * other.unit) % p**rel, rel
-        )
-
-    def __add__(self, other: "PadicApprox") -> "PadicApprox":
-        p = self.p
-        if self.kind == _ZERO:
-            return other
-        if other.kind == _ZERO:
-            return self
-        if self.kind == _BIGO or other.kind == _BIGO:
-            if self.kind == _BIGO and other.kind == _BIGO:
-                return PadicApprox.big_o(p, min(self.obound, other.obound))
-            known, bound = (self, other.obound) if self.kind == _KNOWN else (other, self.obound)
-            if known.val >= bound:
-                return PadicApprox.big_o(p, bound)
-            rel = min(known.rel, bound - known.val)
-            return PadicApprox(p, _KNOWN, known.val, known.unit % p**rel, rel)
-        a, b = (self, other) if self.val <= other.val else (other, self)
-        abs_prec = min(a.val + a.rel, b.val + b.rel)
-        window = abs_prec - a.val
-        s = (a.unit + b.unit * p ** (b.val - a.val)) % p**window
-        if s == 0:
-            return PadicApprox.big_o(p, abs_prec)
-        t = 0
-        while s % p == 0:
-            s //= p
-            t += 1
-        return PadicApprox(p, _KNOWN, a.val + t, s % p ** (window - t), window - t)
-
-    def __sub__(self, other: "PadicApprox") -> "PadicApprox":
-        return self + (-other)
-
-    def __truediv__(self, other: "PadicApprox") -> "PadicApprox":
-        p = self.p
-        if other.kind == _ZERO:
-            raise ZeroDivisionError("division by exact zero")
-        if other.kind == _BIGO:
-            raise PrecisionError("division by an indeterminate element")
-        if self.kind == _ZERO:
-            return self
-        if self.kind == _BIGO:
-            return PadicApprox.big_o(p, self.obound - other.val)
-        rel = min(self.rel, other.rel)
-        inv = pow(other.unit, -1, p**rel)
-        return PadicApprox(
-            p, _KNOWN, self.val - other.val, (self.unit * inv) % p**rel, rel
-        )
-
-    def __repr__(self):
-        if self.kind == _ZERO:
-            return "PadicApprox(0)"
-        if self.kind == _BIGO:
-            return f"PadicApprox(O({self.p}^{self.obound}))"
-        return f"PadicApprox({self.p}^{self.val} * {self.unit} + O({self.p}^{self.val + self.rel}))"
 
 
 # ---------------------------------------------------------------------
@@ -281,121 +131,68 @@ class ChevalleyRealization:
         return J
 
     # -- matrix builders ----------------------------------------------
-    def identity(self, p: int, rel: int):
-        return [
-            [
-                PadicApprox.one(p, rel) if i == j else PadicApprox.zero(p)
-                for j in range(self.size)
-            ]
-            for i in range(self.size)
-        ]
+    def identity(self, scale: int = 1):
+        """scale times the identity matrix."""
+        return [[scale if i == j else 0 for j in range(self.size)] for i in range(self.size)]
 
-    def torus_matrix(self, mu: Cocharacter, p: int, rel: int):
+    def torus_matrix(self, mu: Cocharacter, p: int):
+        """mu(pi) as a pair (m, k) with mu(pi) = p^(-k) m: the diagonal
+        p^(e_i - min e) with k = -min e."""
         exps = self.torus_exponents(mu)
-        m = self.identity(p, rel)
+        low = min(exps)
+        m = self.identity()
         for i, e in enumerate(exps):
-            m[i][i] = m[i][i].shift(e)
-        return m
+            m[i][i] = p ** (e - low)
+        return m, -low
 
-    def right_multiply_generator(self, m, units, x: PadicApprox):
-        """m <- m * (I + x * sum sign E_ab): column b += sign * x * column a."""
-        if x.is_exact_zero:
+    def right_multiply_generator(self, m, units, num: int, den: int):
+        """m <- m * (I + (num / den) * sum sign E_ab): column b += sign *
+        num * column a / den, where den divides every entry of column a."""
+        if num == 0:
             return
         for (a, b), sign in units:
-            sx = x if sign == 1 else -x
-            for i in range(self.size):
-                mia = m[i][a]
-                if not mia.is_exact_zero:
-                    m[i][b] = m[i][b] + mia * sx
+            for row in m:
+                if row[a]:
+                    row[b] += sign * num * (row[a] // den)
 
-    def left_multiply_generator(self, units, x: PadicApprox, m):
-        """m <- (I + x * sum sign E_ab) * m: row a += sign * x * row b."""
-        if x.is_exact_zero:
-            return
-        for (a, b), sign in units:
-            sx = x if sign == 1 else -x
-            for j in range(self.size):
-                mbj = m[b][j]
-                if not mbj.is_exact_zero:
-                    m[a][j] = m[a][j] + sx * mbj
+    def coordinate(self, k: int, xs, q: int) -> int:
+        """q times the group coordinate of generator k: the entry xs[k] / q
+        plus the stored correction in earlier entries.  Each entry is a
+        canonical fraction given by its numerator over q, and q is a
+        multiple of the square of every entry denominator, so the
+        correction products are again integers over q."""
+        c = xs[k]
+        for sign, k1, k2 in self.neg[k].correction:
+            c += sign * (xs[k1] * xs[k2] // q)
+        return c
 
-    def unipotent_from_coords(self, coords, p: int, rel: int):
-        """Product of the negative root generators in the fixed order,
-        from group coordinates."""
-        m = self.identity(p, rel)
-        for gen, x in zip(self.neg, coords):
-            self.right_multiply_generator(m, gen.units, x)
-        return m
+    def unipotent_from_entries(self, xs, q: int):
+        """q^len(neg) u, for the unipotent element u whose designated matrix
+        entries are xs[k] / q (see `coordinate` for the condition on q).
 
-    def unipotent_from_entries(self, pairs, p: int, rel: int):
-        """The unipotent element whose designated matrix entries are the
-        given canonical fractions, each a (numerator, p-power) pair.
-
-        Group coordinates are recovered from the entry values by the
-        stored corrections, in exact integer arithmetic, before taking
-        the product of root generators.
+        Every group coordinate is an integer over q, and the product of the
+        first j root generators has entries in q^(-j) Z, so with the scale
+        q^len(neg) fixed up front every column update divides exactly.
         """
-        coords = []
-        for gen, (num, den) in zip(self.neg, pairs):
-            cnum, cden = num, den
-            for sign, k1, k2 in gen.correction:
-                n1, d1 = pairs[k1]
-                n2, d2 = pairs[k2]
-                w = max(cden, d1 + d2)
-                cnum = cnum * p ** (w - cden) + sign * n1 * n2 * p ** (w - d1 - d2)
-                cden = w
-            coords.append(PadicApprox.from_rational(cnum, cden, p, rel))
-        return self.unipotent_from_coords(coords, p, rel)
-
-    def u_neg(self, k: int, x: PadicApprox, rel: int):
-        m = self.identity(x.p, rel)
-        self.right_multiply_generator(m, self.neg[k].units, x)
-        return m
-
-    def u_pos(self, label: str, x: PadicApprox, rel: int):
-        m = self.identity(x.p, rel)
-        self.right_multiply_generator(m, self.pos_units[label], x)
-        return m
-
-    def w_long(self, p: int, rel: int):
-        """The representative u_a(1) u_{-a}(-1) u_a(1) of the reflection in
-        the last simple root."""
-        one = PadicApprox.one(p, rel)
-        label = "a1" if self.tag == "sl2" else "a2"
-        neg_idx = 0 if self.tag == "sl2" else 1
-        m = self.u_pos(label, one, rel)
-        self.right_multiply_generator(m, self.neg[neg_idx].units, -one)
-        self.right_multiply_generator(m, self.pos_units[label], one)
+        m = self.identity(q ** len(self.neg))
+        for k, gen in enumerate(self.neg):
+            self.right_multiply_generator(m, gen.units, self.coordinate(k, xs, q), q)
         return m
 
 
 def matrix_product(a, b):
-    size = len(a)
-    p = next(x.p for row in a for x in row)
-    out = [[PadicApprox.zero(p) for _ in range(size)] for _ in range(size)]
-    for i in range(size):
-        for k in range(size):
-            aik = a[i][k]
-            if aik.is_exact_zero:
-                continue
-            for j in range(size):
-                bkj = b[k][j]
-                if not bkj.is_exact_zero:
-                    out[i][j] = out[i][j] + aik * bkj
-    return out
-
-
-def matrix_transpose(a):
-    size = len(a)
-    return [[a[j][i] for j in range(size)] for i in range(size)]
+    """Exact product of integer matrices; the shifts of the factors add."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 @dataclass
 class PadicMatrix:
-    """Square matrix over PadicApprox with a group tag; membership in the
-    tagged group is verified to working precision at construction."""
+    """The matrix p^(-shift) entries, for an integer matrix `entries`, with
+    a group tag; membership in the tagged group is verified exactly at
+    construction."""
 
     entries: list
+    shift: int
     group: ChevalleyRealization
     p: int
 
@@ -404,107 +201,92 @@ class PadicMatrix:
             raise OracleError("size mismatch with group tag")
         self.verify_membership()
 
-    @staticmethod
-    def from_entries(entries, tag: str, p: int) -> "PadicMatrix":
-        return PadicMatrix(entries, ChevalleyRealization(tag), p)
-
     def verify_membership(self):
         g = self.entries
+        # g^T J g = J and det g = 1 for the represented matrix p^(-shift) g
+        scale = Fraction(self.p) ** (2 * self.shift)
         if self.group.tag == "sl2":
-            det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-            diff = det - PadicApprox.one(self.p, 1)
-            if not diff.is_zero_to_precision():
-                raise OracleError("matrix is not in SL_2 to working precision")
+            if g[0][0] * g[1][1] - g[0][1] * g[1][0] != scale:
+                raise OracleError("matrix is not in SL_2")
             return
         J = self.group.form_matrix()
-        jmat = [
-            [
-                PadicApprox.from_rational(J[i][j], 0, self.p, 8)
-                if J[i][j]
-                else PadicApprox.zero(self.p)
-                for j in range(4)
-            ]
-            for i in range(4)
-        ]
-        gt = matrix_transpose(g)
-        prod = matrix_product(matrix_product(gt, jmat), g)
+        prod = matrix_product(matrix_product([list(col) for col in zip(*g)], J), g)
         for i in range(4):
             for j in range(4):
-                target = jmat[i][j]
-                diff = prod[i][j] - target
-                if not diff.is_zero_to_precision():
+                if prod[i][j] != scale * J[i][j]:
                     raise OracleError(
-                        "matrix does not preserve the symplectic form "
-                        f"to working precision at ({i}, {j})"
+                        f"matrix does not preserve the symplectic form at ({i}, {j})"
                     )
 
     def cartan_invariant(self) -> Cocharacter:
-        return cartan_invariant_of_entries(self.entries, self.group)
+        return cartan_invariant_of_entries(self.entries, self.group, self.p, self.shift)
 
 
-def smith_valuations(entries, size: int, stop_after=None, expect=None):
-    """Valuations of the elementary divisors by pivoting on the minimal
-    valuation entry; they come out in nondecreasing order.
+def smith_valuations(entries, p: int, shift: int, stop_after=None, expect=None):
+    """Valuations of the elementary divisors of p^(-shift) entries, for an
+    integer matrix `entries`; they come out in nondecreasing order.
 
-    A pivot decision that would rest on an indeterminate entry raises
-    PrecisionError.  With `expect` given, returns None as soon as a pivot
-    valuation deviates from the expected ascending list.
+    Works over Z_(p): pivot on the first entry of minimal valuation v and
+    clear its column by row_i <- unit * row_i - (fac / p^v) * row_pivot,
+    where unit = pivot / p^v is prime to p, so each step is invertible
+    over Z_(p) and stays in the integers.  No remaining entry can fall
+    below the last pivot's valuation, so the next search stops at the
+    first entry that reaches it.  With `expect` given, returns None as
+    soon as a pivot valuation deviates from the expected ascending list.
     """
     m = [row[:] for row in entries]
-    active_rows = list(range(size))
-    active_cols = list(range(size))
+    active_rows = list(range(len(m)))
+    active_cols = list(range(len(m)))
     vals = []
-    steps = size if stop_after is None else stop_after
+    low = 0  # every remaining entry has valuation >= low
+    steps = len(m) if stop_after is None else stop_after
     for step in range(steps):
         best = None
-        best_pos = None
-        obound_min = None
         for i in active_rows:
             mi = m[i]
             for j in active_cols:
-                e = mi[j]
-                if e.kind == _KNOWN:
-                    if best is None or e.val < best:
-                        best, best_pos = e.val, (i, j)
-                elif e.kind == _BIGO:
-                    if obound_min is None or e.obound < obound_min:
-                        obound_min = e.obound
+                x = mi[j]
+                if x and (best is None or x % pbest):  # v(x) < best
+                    best, pi, pj = _vp(x, p), i, j
+                    pbest = p**best
+                    if best == low:
+                        break
+            else:
+                continue
+            break
         if best is None:
-            if obound_min is not None:
-                raise PrecisionError("all remaining entries are indeterminate")
             raise OracleError("matrix is singular; no Cartan cell")
-        if obound_min is not None and obound_min <= best:
-            raise PrecisionError(
-                f"pivot at valuation {best} contested by an O(p^{obound_min}) entry"
-            )
-        if expect is not None and best != expect[step]:
+        if expect is not None and best - shift != expect[step]:
             return None
-        vals.append(best)
-        pi, pj = best_pos
-        pivot = m[pi][pj]
+        vals.append(best - shift)
+        if step + 1 == steps:
+            break
+        low = best
         active_rows.remove(pi)
         active_cols.remove(pj)
+        unit = m[pi][pj] // pbest
+        mpi = m[pi]
         for i in active_rows:
-            fac = m[i][pj]
-            if fac.is_exact_zero:
-                continue
-            ratio = fac / pivot
-            mi, mpi = m[i], m[pi]
-            for j in active_cols:
-                if not mpi[j].is_exact_zero:
-                    mi[j] = mi[j] - ratio * mpi[j]
+            mi = m[i]
+            if mi[pj]:
+                ratio = mi[pj] // pbest
+                for j in active_cols:
+                    mi[j] = unit * mi[j] - ratio * mpi[j]
     return vals
 
 
-def cartan_invariant_of_entries(entries, group: ChevalleyRealization) -> Cocharacter:
-    """The antidominant cocharacter lam with g in K lam(pi) K.
+def cartan_invariant_of_entries(
+    entries, group: ChevalleyRealization, p: int, shift: int
+) -> Cocharacter:
+    """The antidominant cocharacter lam with p^(-shift) entries in
+    K lam(pi) K.
 
     All elementary divisor valuations are computed; for the symplectic
     realizations they must pair as (d, -d) and the first half, ascending,
     is the invariant.
     """
     size = group.size
-    vals = smith_valuations(entries, size)
+    vals = smith_valuations(entries, p, shift)
     vals.sort()
     for k in range(size // 2):
         if vals[k] != -vals[size - 1 - k]:
@@ -546,35 +328,59 @@ def _coordinate_windows(group: ChevalleyRealization, mu: Cocharacter, lam: Cocha
     return tuple(windows)
 
 
-def _count_in_cell(group, mu, lam, depth, p, rel) -> int:
+def _count_in_cell(group, mu, lam, depth, p) -> int:
     windows = _coordinate_windows(group, mu, lam, depth)
-    exps = group.torus_exponents(mu)
+    width = max(windows)
+    n, size = len(group.neg), group.size
     floor = min(lam.coords)
     expect = sorted(lam.coords)
-    entry_reps = [
-        [(a, w) for a in range(p**w)]
-        for w in windows
-    ]
-    count = 0
-    size = group.size
-    for pairs in itertools.product(*entry_reps):
-        u = group.unipotent_from_entries(pairs, p, rel)
-        ok = True
-        for i in range(size):
-            row = u[i]
-            for j in range(size):
-                e = row[j].shift(exps[j])
-                row[j] = e
-                if e.kind == _KNOWN and e.val < floor:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        if smith_valuations(u, size, stop_after=group.rank, expect=expect) is not None:
-            count += 1
-    return count
+    # Entries are canonical fractions a / p^w with w <= width, carried as
+    # numerators over q = p^(2 width).  With U = q^n u as built by
+    # unipotent_from_entries and mu(pi) = p^(-k) T, the matrix u mu(pi)
+    # is p^(-2 width n - k) U T.  Its entries all have valuation >= floor
+    # exactly when h = p^(-floor) u mu(pi) = p^(-e) U T is integral; the
+    # Smith step then runs on the small integers of h.
+    q = p ** (2 * width)
+    t, k = group.torus_matrix(mu, p)
+    e = 2 * width * n + k + floor
+    scale = [t[j][j] * p ** max(0, -e) for j in range(size)]
+    base = p ** max(0, e)
+    # Generators only ever add to the columns b of their units, so a
+    # column is final once the last generator writing it is applied.  The
+    # enumeration walks the coordinates in order, sharing each prefix
+    # product, and fills in and checks h column by column as they close,
+    # which prunes whole subtrees.  Every column of h that a leaf reads
+    # was written by the node of its own path at the column's closing step.
+    last_write = {}
+    for step, gen in enumerate(group.neg, 1):
+        for (_, b), _ in gen.units:
+            last_write[b] = step
+    closing = [[] for _ in range(n + 1)]
+    for j in range(size):
+        closing[last_write.get(j, 0)].append(j)
+    h = [[0] * size for _ in range(size)]
+    xs = []
+
+    def walk(step, m) -> int:
+        for j in closing[step]:
+            for i in range(size):
+                h[i][j], r = divmod(m[i][j] * scale[j], base)
+                if r:
+                    return 0
+        if step == n:
+            vals = smith_valuations(h, p, -floor, stop_after=group.rank, expect=expect)
+            return int(vals is not None)
+        hits = 0
+        units = group.neg[step].units
+        for x in range(0, q, p ** (2 * width - windows[step])):
+            xs.append(x)
+            nxt = [row[:] for row in m]
+            group.right_multiply_generator(nxt, units, group.coordinate(step, xs, q), q)
+            hits += walk(step + 1, nxt)
+            xs.pop()
+        return hits
+
+    return walk(0, group.identity(q**n))
 
 
 def count_cosets(
@@ -583,7 +389,6 @@ def count_cosets(
     depth: int,
     group: str,
     p: int,
-    rel: int = None,
     check_stabilization: bool = True,
 ) -> CosetCountResult:
     """|S_{mu, lam}| at the given enumeration depth, with its mod-p class.
@@ -600,34 +405,15 @@ def count_cosets(
         raise OracleError("target cell must be antidominant")
     if mu not in antidominant_above(lam):
         raise OracleError("mu must be antidominant and >= lam")
-    if rel is None:
-        rel = depth + max(abs(c) for c in lam.coords) + 2
-    raw = _count_in_cell(realization, mu, lam, depth, p, rel)
+    raw = _count_in_cell(realization, mu, lam, depth, p)
     stabilized = True
     if check_stabilization:
         w_now = _coordinate_windows(realization, mu, lam, depth)
         w_next = _coordinate_windows(realization, mu, lam, depth + 1)
         if w_now != w_next:
-            raw_next = _count_in_cell(realization, mu, lam, depth + 1, p, rel + 1)
+            raw_next = _count_in_cell(realization, mu, lam, depth + 1, p)
             stabilized = raw_next == raw
     return CosetCountResult(mu, lam, raw, raw % p, depth, stabilized)
-
-
-def reductive_satake_row(
-    lam: Cocharacter, depth: int, group: str, p: int
-) -> TorusHeckeElement:
-    """The trivial-weight Satake row of T_lam: mod-p coset counts against
-    every antidominant mu >= lam.  Raises StabilizationError if any count
-    has not stabilized at this depth."""
-    coeffs = {}
-    for mu in sorted(antidominant_above(lam), key=lambda m: m.coords):
-        res = count_cosets(mu, lam, depth, group, p)
-        if not res.stabilized:
-            raise StabilizationError(
-                f"count at mu={mu.coords} changed between depths {depth} and {depth + 1}"
-            )
-        coeffs[mu.coords] = res.count_mod_p
-    return TorusHeckeElement(p, coeffs)
 
 
 def oracle_rows(lam: Cocharacter, depth: int, group: str, p: int):
@@ -637,6 +423,22 @@ def oracle_rows(lam: Cocharacter, depth: int, group: str, p: int):
         res = count_cosets(mu, lam, depth, group, p)
         rows.append(res)
     return rows
+
+
+def reductive_satake_row(
+    lam: Cocharacter, depth: int, group: str, p: int
+) -> TorusHeckeElement:
+    """The trivial-weight Satake row of T_lam: mod-p coset counts against
+    every antidominant mu >= lam.  Raises StabilizationError if any count
+    has not stabilized at this depth."""
+    coeffs = {}
+    for res in oracle_rows(lam, depth, group, p):
+        if not res.stabilized:
+            raise StabilizationError(
+                f"count at mu={res.mu.coords} changed between depths {depth} and {depth + 1}"
+            )
+        coeffs[res.mu.coords] = res.count_mod_p
+    return TorusHeckeElement(p, coeffs)
 
 
 def verify_metaplectic_pipeline(i: int, n: int, p: int, depth: int = 4) -> bool:

@@ -238,25 +238,25 @@ def cartan_matrix(n: int) -> list[list[int]]:
     ]
 
 
-def _invert_fraction_matrix(rows):
-    """Gauss-Jordan inverse over Fraction; raises on singular input."""
-    m = len(rows)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(m)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if aug[r][col] != 0), None)
+def row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q, by Gauss-Jordan elimination, with
+    the list of pivot columns.  The one exact linear solver of the
+    package: inverses, kernels and solvability are all read off it."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((k for k in range(r, len(m)) if m[k][c] != 0), None)
         if piv is None:
-            raise RootDatumError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1, 1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[m:] for row in aug]
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for k in range(len(m)):
+            if k != r and m[k][c] != 0:
+                f = m[k][c]
+                m[k] = [x - f * y for x, y in zip(m[k], m[r])]
+        pivots.append(c)
+    return m, pivots
 
 
 def cartan_inverse(n: int, J=None) -> list[list[Fraction]]:
@@ -266,8 +266,15 @@ def cartan_inverse(n: int, J=None) -> list[list[Fraction]]:
     enumeration bounds below finite.
     """
     idx = sorted(_as_indices(J, n))
-    rows = [[pairing(simple_root(j, n), coroot(k, n)) for k in idx] for j in idx]
-    return _invert_fraction_matrix(rows)
+    m = len(idx)
+    rows = [
+        [pairing(simple_root(j, n), coroot(k, n)) for k in idx] + [int(j == k) for k in idx]
+        for j in idx
+    ]
+    reduced, pivots = row_reduce(rows)
+    if pivots != list(range(m)):
+        raise RootDatumError("singular matrix")
+    return [row[m:] for row in reduced]
 
 
 def leq(lam: Cocharacter, mu: Cocharacter, J=None) -> bool:
@@ -415,42 +422,6 @@ def root_string_data(beta: Character, gamma: Character) -> RootStringData:
     down = 1 + max(k for k in (0, 1, 2) if k == 0 or (-1 * (k * beta) - gamma) in roots)
     magnitudes = [down] + [1] * (ell - 1)
     return RootStringData(exists=True, ell=ell, magnitudes=tuple(magnitudes))
-
-
-@dataclass(frozen=True)
-class RootDatumCn:
-    """The rank-n root datum of the symplectic group, bundling the
-    module's operations behind one handle."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise RootDatumError("rank must be positive")
-
-    def simple_root(self, i: int) -> Character:
-        return simple_root(i, self.n)
-
-    def coroot(self, i: int) -> Cocharacter:
-        return coroot(i, self.n)
-
-    def fundamental_weight(self, i: int) -> Character:
-        return fundamental_weight(i, self.n)
-
-    def cartan_matrix(self) -> list[list[int]]:
-        return cartan_matrix(self.n)
-
-    def cartan_inverse(self, J=None):
-        return cartan_inverse(self.n, J)
-
-    def positive_roots(self) -> list[Character]:
-        return positive_roots(self.n)
-
-    def full_subset(self) -> ParabolicSubset:
-        return ParabolicSubset.full(self.n)
-
-    def siegel_subset(self) -> ParabolicSubset:
-        return ParabolicSubset.siegel(self.n)
 
 
 def signed_permutations(n: int):

@@ -20,6 +20,7 @@ from .rootdata import (
     coroot,
     fundamental_weight,
     pairing,
+    row_reduce,
 )
 
 
@@ -89,25 +90,9 @@ def x0_lattice_basis(n: int) -> list[tuple[Fraction, ...]]:
     nondegenerately, so this comes out empty; the computation is kept
     general regardless.
     """
-    rows = [[Fraction(c) for c in coroot(i, n).coords] for i in range(1, n + 1)]
-    cols = list(range(n))
-    pivots = []
-    r = 0
-    for c in cols:
-        piv = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in cols if c not in pivots]
+    rows, pivots = row_reduce([coroot(i, n).coords for i in range(1, n + 1)])
     basis = []
-    for fcol in free:
+    for fcol in (c for c in range(n) if c not in pivots):
         vec = [Fraction(0)] * n
         vec[fcol] = Fraction(1)
         for rr, pc in enumerate(pivots):
@@ -129,29 +114,12 @@ def same_weight_class(w: QRestrictedWeight, w2: QRestrictedWeight) -> bool:
         return diff.coords == tuple(0 for _ in range(w.rank))
     # membership of diff/(q-1) in the span: solve with Fractions, then
     # demand integral coefficients
-    target = [Fraction(c, w.q - 1) for c in diff.coords]
-    cols = [list(b) for b in basis]
-    m, k = w.rank, len(cols)
-    aug = [[cols[j][i] for j in range(k)] + [target[i]] for i in range(m)]
-    r = 0
-    pivots = []
-    for c in range(k):
-        piv = next((x for x in range(r, m) if aug[x][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        aug[r] = [v / aug[r][c] for v in aug[r]]
-        for x in range(m):
-            if x != r and aug[x][c] != 0:
-                f = aug[x][c]
-                aug[x] = [v - f * y for v, y in zip(aug[x], aug[r])]
-        pivots.append(c)
-        r += 1
-    for x in range(r, m):
-        if aug[x][k] != 0:
-            return False
-    coeffs = [aug[rr][k] for rr in range(r)]
-    return all(c.denominator == 1 for c in coeffs)
+    k = len(basis)
+    aug = [[b[i] for b in basis] + [Fraction(c, w.q - 1)] for i, c in enumerate(diff.coords)]
+    rows, pivots = row_reduce(aug)
+    if k in pivots:
+        return False
+    return all(rows[rr][k].denominator == 1 for rr in range(len(pivots)))
 
 
 def restrict_weight_to_levi(w: QRestrictedWeight, J: ParabolicSubset) -> QRestrictedWeight:

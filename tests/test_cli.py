@@ -1,4 +1,11 @@
+import contextlib
+import io
 import json
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaplectic.cli import main
 
@@ -159,3 +166,77 @@ def test_selftest_command(capsys):
     assert payload["all_pass"] is True
     assert [c["number"] for c in payload["criteria"]] == list(range(1, 9))
     assert "criterion 8 PASS" in err
+
+
+def run_stdin(argv, stdin):
+    """main() on a JSON document read from stdin; returns (exit code, stderr)."""
+    err = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        sys.stdin = saved
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (("classify",), {"xi": 5}),
+        (("classify",), {"xi": [[0, None]]}),
+        (("classify",), {"levi": 5}),
+        (("classify",), {"levi": [1], "flags": []}),
+        (("classify", "--siegel", "--n", "3"), {"P": [], "flags": [], "Q": []}),
+        (("classify", "--siegel", "--n", "3"), {"P": 3, "flags": {}, "Q": []}),
+    ],
+)
+def test_classify_rejects_mistyped_json(argv, doc):
+    code, err = run_stdin(argv, json.dumps(doc))
+    assert code == 2
+    assert any(line.startswith("error:") for line in err.splitlines())
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+_SMALL_INTS = st.lists(st.integers(-1, 4), max_size=4)
+_FLAGS = st.dictionaries(st.sampled_from(["1", "2", "3", "x"]), _JSON, max_size=3)
+
+
+def _field(plausible):
+    return plausible | _JSON
+
+
+_DOCS = {
+    "xi": st.fixed_dictionaries(
+        {"xi": _field(st.lists(_SMALL_INTS, max_size=3))},
+        optional={"psi_class": _field(st.sampled_from(["1", "u", "pi", "upi"]))},
+    ),
+    "levi": st.fixed_dictionaries(
+        {"levi": _field(_SMALL_INTS)},
+        optional={"flags": _field(_FLAGS), "label": _JSON},
+    ),
+    "siegel": st.fixed_dictionaries(
+        {"P": _field(_SMALL_INTS), "flags": _field(_FLAGS), "Q": _field(_SMALL_INTS)},
+        optional={"label": _JSON},
+    ),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    form=st.sampled_from(sorted(_DOCS)),
+    n=st.integers(1, 3),
+    data=st.data(),
+)
+def test_classify_json_fuzz_exits_cleanly(form, n, data):
+    doc = data.draw(_DOCS[form])
+    argv = ["classify", "--n", str(n)] + (["--siegel"] if form == "siegel" else [])
+    code, err = run_stdin(argv, json.dumps(doc))
+    assert code in (0, 2)
+    assert "Traceback" not in err

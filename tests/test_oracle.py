@@ -8,9 +8,7 @@ from metaplectic.hecke import TorusHeckeElement, t2lambda_base
 from metaplectic.oracle import (
     ChevalleyRealization,
     OracleError,
-    PadicApprox,
     PadicMatrix,
-    PrecisionError,
     StabilizationError,
     cartan_invariant_of_entries,
     count_cosets,
@@ -22,58 +20,15 @@ from metaplectic.oracle import (
 )
 from metaplectic.rootdata import Cocharacter, antidominant_rep, pairing
 
-P, REL = 3, 8
+P = 3
 
 
-def pa(num, den_exp=0, p=P, rel=REL):
-    return PadicApprox.from_rational(num, den_exp, p, rel)
-
-
-# ---------------------------------------------------------------------
-# p-adic approximations
-
-
-def test_padic_from_rational():
-    x = pa(18)  # 2 * 3^2
-    assert x.valuation() == 2 and x.unit % 3 == 2
-    y = pa(5, 3)  # 5 / 27
-    assert y.valuation() == -3
-    assert pa(0).is_exact_zero
-
-
-def test_padic_mul_div():
-    x, y = pa(6), pa(2)
-    assert (x * y).valuation() == 1
-    assert (x / y).valuation() == 1
-    z = x / y
-    assert (z * y - x).is_zero_to_precision()
-    with pytest.raises(ZeroDivisionError):
-        x / pa(0)
-
-
-def test_padic_add_cancellation():
-    x = pa(7)
-    s = x - x
-    assert s.is_indeterminate
-    with pytest.raises(PrecisionError):
-        s.valuation()
-    # partial cancellation: 1 + 2 = 3 gains a valuation
-    assert (pa(1) + pa(2)).valuation() == 1
-    assert (pa(1) + pa(0)).valuation() == 0
-
-
-def test_padic_add_with_big_o():
-    x = pa(1)
-    o = PadicApprox.big_o(P, 5)
-    s = x + o
-    assert s.valuation() == 0 and s.rel == 5
-    swallowed = pa(3**6) + o
-    assert swallowed.is_indeterminate and swallowed.obound == 5
-
-
-def test_padic_shift():
-    assert pa(1).shift(-2).valuation() == -2
-    assert pa(0).shift(3).is_exact_zero
+def _vp(x, p=P):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
 
 
 # ---------------------------------------------------------------------
@@ -83,52 +38,46 @@ SL2 = ChevalleyRealization("sl2")
 SP4 = ChevalleyRealization("sp4")
 
 
-def _symplectic_defect(entries, realization, p=P, rel=REL):
+def _root_element(realization, units, num, den):
+    """p^den (I + (num / p^den) sum sign E_ab), an integer matrix of shift den."""
+    m = realization.identity(P**den)
+    realization.right_multiply_generator(m, units, num, P**den)
+    return m
+
+
+def _symplectic_defect(entries, shift, realization):
+    """g^T J g - J for g = p^(-shift) entries, scaled by p^(2 shift)."""
     J = realization.form_matrix()
-    jm = [
-        [
-            PadicApprox.from_rational(J[i][j], 0, p, rel)
-            if J[i][j]
-            else PadicApprox.zero(p)
-            for j in range(4)
-        ]
-        for i in range(4)
-    ]
-    gt = [[entries[j][i] for j in range(4)] for i in range(4)]
-    prod = matrix_product(matrix_product(gt, jm), entries)
-    return [
-        [prod[i][j] - jm[i][j] for j in range(4)] for i in range(4)
-    ]
+    gt = [list(col) for col in zip(*entries)]
+    prod = matrix_product(matrix_product(gt, J), entries)
+    return [[prod[i][j] - P ** (2 * shift) * J[i][j] for j in range(4)] for i in range(4)]
 
 
 def test_generators_preserve_form():
-    x = pa(5, 1)
-    for label in SP4.pos_units:
-        m = SP4.u_pos(label, x, REL)
-        defect = _symplectic_defect(m, SP4)
-        assert all(e.is_zero_to_precision() for row in defect for e in row)
-    for k in range(4):
-        m = SP4.u_neg(k, x, REL)
-        defect = _symplectic_defect(m, SP4)
-        assert all(e.is_zero_to_precision() for row in defect for e in row)
-    t = SP4.torus_matrix(Cocharacter((-2, 1)), P, REL)
-    defect = _symplectic_defect(t, SP4)
-    assert all(e.is_zero_to_precision() for row in defect for e in row)
+    zero = [[0] * 4 for _ in range(4)]
+    for units in list(SP4.pos_units.values()) + [gen.units for gen in SP4.neg]:
+        m = _root_element(SP4, units, 5, 1)
+        assert _symplectic_defect(m, 1, SP4) == zero
+    t, k = SP4.torus_matrix(Cocharacter((-2, 1)), P)
+    assert _symplectic_defect(t, k, SP4) == zero
 
 
 def test_padic_matrix_membership_check():
-    good = SP4.torus_matrix(Cocharacter((-1, 0)), P, REL)
-    PadicMatrix(good, SP4, P)  # passes
-    bad = SP4.identity(P, REL)
-    bad[0][0] = pa(2)
+    good, k = SP4.torus_matrix(Cocharacter((-1, 0)), P)
+    PadicMatrix(good, k, SP4, P)  # passes
+    bad = SP4.identity()
+    bad[0][0] = 2
     with pytest.raises(OracleError):
-        PadicMatrix(bad, SP4, P)
-    good2 = SL2.torus_matrix(Cocharacter((-3,)), P, REL)
-    PadicMatrix(good2, SL2, P)
-    bad2 = SL2.identity(P, REL)
-    bad2[0][0] = pa(3)
+        PadicMatrix(bad, 0, SP4, P)
+    good2, k2 = SL2.torus_matrix(Cocharacter((-3,)), P)
+    PadicMatrix(good2, k2, SL2, P)
+    bad2 = SL2.identity()
+    bad2[0][0] = 3
     with pytest.raises(OracleError):
-        PadicMatrix(bad2, SL2, P)
+        PadicMatrix(bad2, 0, SL2, P)
+    # the right entries under the wrong shift are not in the group
+    with pytest.raises(OracleError):
+        PadicMatrix(good, k + 1, SP4, P)
 
 
 def test_torus_conjugation_scales_root_coordinates():
@@ -137,27 +86,32 @@ def test_torus_conjugation_scales_root_coordinates():
 
     positive_betas = {0: (1, -1), 1: (0, 2), 2: (1, 1), 3: (2, 0)}
     for mu in (Cocharacter((1, -2)), Cocharacter((0, 3))):
-        t = SP4.torus_matrix(mu, P, REL)
-        tinv = SP4.torus_matrix(-1 * mu, P, REL)
+        t, kt = SP4.torus_matrix(mu, P)
+        tinv, kinv = SP4.torus_matrix(-1 * mu, P)
         for k, gen in enumerate(SP4.neg):
-            x = pa(2, 1)
-            u = SP4.u_neg(k, x, REL)
+            u = _root_element(SP4, gen.units, 2, 1)  # x = 2 / p
             conj = matrix_product(matrix_product(t, u), tinv)
+            shift = kt + 1 + kinv
             i, j = gen.entry
             drop = pairing(Character(positive_betas[k]), mu)
-            assert conj[i][j].valuation() == x.valuation() - drop
+            assert _vp(conj[i][j]) - shift == -1 - drop
+            # exactly p^(-drop) x, as a fraction
+            assert Fraction(conj[i][j], P**shift) == Fraction(2, P) * Fraction(P) ** -drop
 
 
 def test_unipotent_direct_entry_property():
     # every enumerated coordinate appears bare at its designated entry
     rng = random.Random(4)
+    width = 2
+    q = P ** (2 * width)
     for _ in range(40):
-        pairs = [(rng.randrange(1, 27), rng.randint(0, 2)) for _ in range(4)]
-        u = SP4.unipotent_from_entries(pairs, P, REL)
+        pairs = [(rng.randrange(1, 27), rng.randint(0, width)) for _ in range(4)]
+        xs = [num * P ** (2 * width - den) for num, den in pairs]
+        u = SP4.unipotent_from_entries(xs, q)
         for gen, (num, den) in zip(SP4.neg, pairs):
             i, j = gen.entry
-            want = PadicApprox.from_rational(num, den, P, REL)
-            assert (u[i][j] - want).is_zero_to_precision()
+            assert Fraction(u[i][j], q ** len(SP4.neg)) == Fraction(num, P**den)
+        PadicMatrix(u, 2 * width * len(SP4.neg), SP4, P)  # and the product lies in Sp_4
 
 
 # ---------------------------------------------------------------------
@@ -258,87 +212,84 @@ def test_coset_parametrization_bijective_sl2():
 
 def test_cartan_invariant_of_torus_points():
     for mu in ((-2,), (0,), (-5,)):
-        t = SL2.torus_matrix(Cocharacter(mu), P, REL)
-        assert cartan_invariant_of_entries(t, SL2).coords == antidominant_rep(
+        t, k = SL2.torus_matrix(Cocharacter(mu), P)
+        assert cartan_invariant_of_entries(t, SL2, P, k).coords == antidominant_rep(
             Cocharacter(mu)
         ).coords
     for mu in ((-2, -1), (0, 0), (-3, -3), (2, -1)):
-        t = SP4.torus_matrix(Cocharacter(mu), P, REL)
+        t, k = SP4.torus_matrix(Cocharacter(mu), P)
         assert (
-            cartan_invariant_of_entries(t, SP4)
+            cartan_invariant_of_entries(t, SP4, P, k)
             == antidominant_rep(Cocharacter(mu))
         )
 
 
 def test_cartan_invariant_sl2_example():
-    # [[1,0],[p^{-1},1]] diag(p^{-1}, p): divisors (p^{-2}, p^2)
+    # [[1,0],[p^{-1},1]] diag(p^{-1}, p): divisors (p^{-2}, p^2), as
+    # p^(-2) [[p, 0], [1, p^3]]
     g = [
-        [pa(1, 1), PadicApprox.zero(P)],
-        [pa(1, 2), pa(1, -1)],
+        [P, 0],
+        [1, P**3],
     ]
-    assert cartan_invariant_of_entries(g, SL2).coords == (-2,)
+    assert cartan_invariant_of_entries(g, SL2, P, 2).coords == (-2,)
+    assert PadicMatrix(g, 2, SL2, P).cartan_invariant().coords == (-2,)
 
 
 def test_cartan_invariant_identity():
-    assert cartan_invariant_of_entries(SL2.identity(P, REL), SL2).coords == (0,)
-    assert cartan_invariant_of_entries(SP4.identity(P, REL), SP4).coords == (0, 0)
+    assert cartan_invariant_of_entries(SL2.identity(), SL2, P, 0).coords == (0,)
+    assert cartan_invariant_of_entries(SP4.identity(), SP4, P, 0).coords == (0, 0)
+    # the shift is carried exactly: p^(-3) (p^3 I) is still the identity
+    assert cartan_invariant_of_entries(SP4.identity(P**3), SP4, P, 3).coords == (0, 0)
 
 
-def _random_integral_element(realization, rng, p, rel):
-    m = realization.identity(p, rel)
+def _random_integral_element(realization, rng, p):
+    m = realization.identity()
     labels = list(realization.pos_units)
     for _ in range(6):
         if rng.random() < 0.5:
-            x = pa(rng.randrange(1, p**2), 0, p, rel)
-            realization.right_multiply_generator(
-                m, realization.pos_units[rng.choice(labels)], x
-            )
+            units = realization.pos_units[rng.choice(labels)]
         else:
-            x = pa(rng.randrange(1, p**2), 0, p, rel)
-            gen = realization.neg[rng.randrange(len(realization.neg))]
-            realization.right_multiply_generator(m, gen.units, x)
+            units = realization.neg[rng.randrange(len(realization.neg))].units
+        realization.right_multiply_generator(m, units, rng.randrange(1, p**2), 1)
     return m
 
 
 def test_cartan_invariant_bi_K_invariance():
     rng = random.Random(13)
     for realization, mu in ((SL2, (-2,)), (SP4, (-2, -1)), (SP4, (-1, 0))):
-        t = realization.torus_matrix(Cocharacter(mu), P, REL)
+        t, k = realization.torus_matrix(Cocharacter(mu), P)
         lam = antidominant_rep(Cocharacter(mu))
         for _ in range(8):
-            k1 = _random_integral_element(realization, rng, P, REL)
-            k2 = _random_integral_element(realization, rng, P, REL)
+            k1 = _random_integral_element(realization, rng, P)
+            k2 = _random_integral_element(realization, rng, P)
             g = matrix_product(matrix_product(k1, t), k2)
-            assert cartan_invariant_of_entries(g, realization) == lam
+            assert cartan_invariant_of_entries(g, realization, P, k) == lam
 
 
 def test_cartan_invariant_of_inverse_on_diagonals():
     for mu in itertools.product(range(-2, 3), repeat=2):
-        lam = cartan_invariant_of_entries(
-            SP4.torus_matrix(Cocharacter(mu), P, REL), SP4
-        )
-        inv = cartan_invariant_of_entries(
-            SP4.torus_matrix(-1 * Cocharacter(mu), P, REL), SP4
-        )
+        t, k = SP4.torus_matrix(Cocharacter(mu), P)
+        lam = cartan_invariant_of_entries(t, SP4, P, k)
+        tinv, kinv = SP4.torus_matrix(-1 * Cocharacter(mu), P)
+        inv = cartan_invariant_of_entries(tinv, SP4, P, kinv)
         assert inv == antidominant_rep(-1 * lam)
 
 
-def test_smith_precision_error_on_contested_pivot():
-    entries = [
-        [PadicApprox.big_o(P, 0), pa(1)],
-        [pa(1), pa(1)],
-    ]
-    with pytest.raises(PrecisionError):
-        smith_valuations(entries, 2)
+def test_smith_valuations_exact_under_cancellation():
+    # the elimination cancels the leading digits exactly: 1 + p^3 - 1 = p^3
+    assert smith_valuations([[1, 1], [1, 1 + P**3]], P, 0) == [0, 3]
+    assert smith_valuations([[P, P], [P, P + P**5]], P, 1) == [0, 4]
+    with pytest.raises(OracleError):
+        smith_valuations([[2, 2], [2, 2]], P, 0)  # cancels to exact zero
 
 
 def test_smith_rejects_unpaired_divisors():
     g = [
-        [pa(1, 1), PadicApprox.zero(P)],
-        [PadicApprox.zero(P), pa(1, 1)],
+        [1, 0],
+        [0, 1],
     ]
     with pytest.raises(OracleError):
-        cartan_invariant_of_entries(g, SL2)
+        cartan_invariant_of_entries(g, SL2, P, 1)  # p^(-1) I is not in SL_2
 
 
 # ---------------------------------------------------------------------
@@ -401,12 +352,14 @@ def test_pruning_is_lossless_sp4_small_depth():
         exps = SP4.torus_exponents(mu)
         expect = sorted(lam.coords)
         count = 0
+        shift = 2 * 2 * len(SP4.neg) - min(exps)
         for nums in itertools.product(range(9), repeat=4):
-            u = SP4.unipotent_from_entries([(a, 2) for a in nums], 3, 8)
+            # entries a / 3^2 as numerators over q = 3^4
+            u = SP4.unipotent_from_entries([9 * a for a in nums], 3**4)
             for i in range(4):
                 for j in range(4):
-                    u[i][j] = u[i][j].shift(exps[j])
-            if smith_valuations(u, 4, stop_after=2, expect=expect) is not None:
+                    u[i][j] *= 3 ** (exps[j] - min(exps))
+            if smith_valuations(u, 3, shift, stop_after=2, expect=expect) is not None:
                 count += 1
         assert pruned.raw_count == count
 

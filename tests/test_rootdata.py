@@ -23,6 +23,7 @@ from metaplectic.rootdata import (
     parabolic_from_cochar,
     positive_roots,
     root_string_data,
+    row_reduce,
     signed_permutations,
     simple_root,
 )
@@ -77,6 +78,13 @@ def test_cartan_matrix_shape():
                 assert C[j][k] == -1
             elif j != k and not (j == n - 1 or k == n - 1):
                 assert C[j][k] == 0
+
+
+def test_row_reduce():
+    rows, pivots = row_reduce([[2, 4, 2], [1, 2, 3], [3, 6, 5]])
+    assert pivots == [0, 2]
+    assert rows == [[1, 2, 0], [0, 0, 1], [0, 0, 0]]
+    assert row_reduce([]) == ([], [])
 
 
 def test_cartan_inverse_nonnegative():
@@ -282,16 +290,3 @@ def test_parabolic_subset_validation():
         ParabolicSubset(2, frozenset({3}))
     assert ParabolicSubset.siegel(3).roots == {1, 2}
     assert ParabolicSubset.full(2).is_full()
-
-
-def test_root_datum_handle():
-    from metaplectic.rootdata import RootDatumCn
-
-    rd = RootDatumCn(3)
-    assert rd.simple_root(3) == simple_root(3, 3)
-    assert rd.coroot(1) == coroot(1, 3)
-    assert rd.cartan_matrix() == cartan_matrix(3)
-    assert rd.siegel_subset() == ParabolicSubset.siegel(3)
-    assert len(rd.positive_roots()) == 9
-    with pytest.raises(RootDatumError):
-        RootDatumCn(0)
