@@ -166,10 +166,15 @@ class ASet:
         return self.base.rank
 
     def mu_of(self, a) -> Cocharacter:
-        mu = 2 * self.base
-        for k, ak in enumerate(a):
-            mu = mu + int(ak) * coroot(k + 1, self.n)
-        return mu
+        """2 lam + a . alpha^vee, whose k-th e coordinate is
+        2 lam_k + a_k - a_{k-1} (with a_0 = 0)."""
+        a = (0,) + tuple(int(ak) for ak in a)
+        if len(a) != self.n + 1:
+            raise HeckeError(f"need {self.n} exponents, got {len(a) - 1}")
+        return Cocharacter(
+            tuple(2 * x + a[k + 1] - a[k] for k, x in enumerate(self.base.coords)),
+            2 * self.base.gsp,
+        )
 
     def sorted_elements(self) -> list[tuple[int, ...]]:
         return sorted(self.elements)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hecke import TorusHeckeElement, metaplectic_satake_T2lambda, parity_filter, t2lambda_base
-from .rootdata import Cocharacter, antidominant_above, is_antidominant
+from .rootdata import Cocharacter, RootDatumError, antidominant_above, is_antidominant, leq
 
 
 class OracleError(ValueError):
@@ -403,7 +403,11 @@ def count_cosets(
         raise OracleError("depth must be >= 1")
     if not is_antidominant(lam):
         raise OracleError("target cell must be antidominant")
-    if mu not in antidominant_above(lam):
+    try:
+        above = leq(lam, mu)
+    except RootDatumError:  # rank mismatch, or a similitude part in mu - lam
+        above = False
+    if not (above and is_antidominant(mu)):
         raise OracleError("mu must be antidominant and >= lam")
     raw = _count_in_cell(realization, mu, lam, depth, p)
     stabilized = True

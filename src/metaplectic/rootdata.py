@@ -27,6 +27,7 @@ root datum operations here ignore it (it pairs to zero with X^*(T)).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -301,31 +302,45 @@ def is_antidominant(lam: Cocharacter, J=None) -> bool:
 def antidominant_above(lam: Cocharacter, J=None) -> set[Cocharacter]:
     """The finite set {mu J-antidominant : mu >=_J lam}.
 
-    Writing mu = lam + sum_{j in J} a_j alpha_j^vee, antidominance reads
-    C_J a <= b with b_j = <alpha_j, -lam>; since every entry of C_J^{-1}
-    is nonnegative this forces a <= C_J^{-1} b componentwise, so the
-    search box is finite.
+    Write mu = lam + sum_{j in J} a_j alpha_j^vee with a_j >= 0, and set
+    a_k = 0 for k outside J and a_0 = 0.  In e coordinates
+    mu_k = lam_k + a_k - a_{k-1}, so row k < n of C_J a <= b, with
+    b_j = <alpha_j, -lam>, is mu_k <= mu_{k+1}: a lower bound
+    a_{k+1} >= 2 a_k - a_{k-1} + lam_k - lam_{k+1} that involves no later
+    coordinate.  The search is a depth-first walk over a_1, ..., a_n that
+    starts each a_{k+1} at the least value row k allows (for k in J) and
+    checks the long-root row mu_n <= 0 at the leaf (for n in J).  Every
+    entry of C_J^{-1} is nonnegative, so C_J a <= b forces
+    a <= C_J^{-1} b componentwise; these caps bound every coordinate and
+    make the walk finite for every J.
     """
     n = lam.rank
-    idx = sorted(_as_indices(J, n))
+    J = _as_indices(J, n)
+    idx = sorted(J)
     if not is_antidominant(lam, idx):
         raise RootDatumError("base point must be antidominant for J")
     if not idx:
         return {lam}
     b = [pairing(simple_root(j, n), -1 * lam) for j in idx]
-    cinv = cartan_inverse(n, idx)
-    bounds = []
-    for row in cinv:
-        v = sum(f * bb for f, bb in zip(row, b))
-        bounds.append(int(v) if v.denominator == 1 else int(v) + 1)
+    caps = [0] * (n + 1)  # caps[k] = 0 pins a_k = 0 for k outside J
+    for j, row in zip(idx, cartan_inverse(n, idx)):
+        caps[j] = math.floor(sum(f * bb for f, bb in zip(row, b)))
+    x = (0,) + lam.coords  # x[k] = lam_k, 1-based
+    a = [0] * (n + 1)  # a[k] = a_k on the current branch; a[0] = 0
     out = set()
-    cors = [coroot(j, n) for j in idx]
-    for a in itertools.product(*(range(bb + 1) for bb in bounds)):
-        mu = lam
-        for ak, cv in zip(a, cors):
-            mu = mu + ak * cv
-        if is_antidominant(mu, idx):
-            out.add(mu)
+
+    def walk(k: int) -> None:
+        if k > n:
+            if n not in J or x[n] + a[n] - a[n - 1] <= 0:
+                mu = tuple(x[i] + a[i] - a[i - 1] for i in range(1, n + 1))
+                out.add(Cocharacter(mu, lam.gsp))
+            return
+        lo = max(0, 2 * a[k - 1] - a[k - 2] + x[k - 1] - x[k]) if k - 1 in J else 0
+        for v in range(lo, caps[k] + 1):
+            a[k] = v
+            walk(k + 1)
+
+    walk(1)
     return out
 
 

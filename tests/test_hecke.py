@@ -22,6 +22,7 @@ from metaplectic.hecke import (
 from metaplectic.rootdata import (
     Cocharacter,
     antidominant_above,
+    coroot,
     is_antidominant,
     leq,
 )
@@ -129,12 +130,26 @@ def test_enumerate_A_examples():
 
 def test_enumerate_A_matches_antidominant_above():
     # mu = 2 lam + a . alpha^vee is a bijection onto the cell support
-    for coords in ((-1,), (-2,), (-1, 0), (-1, -1), (-2, -1), (-1, -1, -1)):
-        lam = Cocharacter(coords)
+    bases = [Cocharacter(c) for c in ((-1,), (-2,), (-1, 0), (-1, -1), (-2, -1), (-1, -1, -1))]
+    bases += [t2lambda_base(i, n) for n in range(1, 6) for i in range(1, n + 1)]
+    for lam in bases:
         A = enumerate_A(lam)
         mus = {A.mu_of(a) for a in A.elements}
         assert len(mus) == len(A.elements)
         assert mus == antidominant_above(2 * lam)
+
+
+def test_mu_of_matches_coroot_sum():
+    for n in range(1, 6):
+        for i in range(1, n + 1):
+            A = enumerate_A(t2lambda_base(i, n))
+            for a in A.elements:
+                mu = 2 * A.base
+                for k, ak in enumerate(a):
+                    mu = mu + ak * coroot(k + 1, n)
+                assert A.mu_of(a) == mu
+    with pytest.raises(HeckeError):
+        enumerate_A(t2lambda_base(1, 2)).mu_of((0, 0, 0))
 
 
 def test_A_fiber():

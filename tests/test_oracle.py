@@ -315,6 +315,12 @@ def test_count_cosets_validation():
         count_cosets(lam2, Cocharacter((1,)), 2, "sl2", 3)  # lam not antidominant
     with pytest.raises(OracleError):
         count_cosets(lam2, lam2, 0, "sl2", 3)
+    with pytest.raises(OracleError):
+        count_cosets(Cocharacter((-1, 0)), lam2, 2, "sl2", 3)  # rank mismatch
+    with pytest.raises(OracleError):
+        count_cosets(Cocharacter((-1,), gsp=1), lam2, 2, "sl2", 3)  # mu has a gsp part
+    with pytest.raises(OracleError):
+        count_cosets(Cocharacter((-1,)), Cocharacter((-2,), gsp=1), 2, "sl2", 3)
 
 
 def test_sp4_shifted_cell_count_hand_value():

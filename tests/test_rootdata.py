@@ -145,11 +145,17 @@ def test_is_antidominant():
 
 
 def _brute_antidominant_above(lam, J=None):
-    """Independent oracle: box scan plus the leq predicate."""
+    """Independent oracle: box scan plus the leq predicate.
+
+    Every coordinate of a J-antidominant mu >=_J lam lies between
+    min(lam, 0) and max(lam, 0): on a maximal run s..t of J the moved
+    coordinates ascend from mu_s >= lam_s to mu_{t+1} <= lam_{t+1}, or to
+    mu_n <= 0 when t = n; the other coordinates stay those of lam.
+    """
     n = lam.rank
-    lo = min(lam.coords)
+    lo, hi = min(lam.coords + (0,)), max(lam.coords + (0,))
     out = set()
-    for coords in itertools.product(range(lo, -lo + 1), repeat=n):
+    for coords in itertools.product(range(lo, hi + 1), repeat=n):
         mu = Cocharacter(coords)
         if is_antidominant(mu, J) and leq(lam, mu, J):
             out.add(mu)
@@ -176,12 +182,17 @@ def test_antidominant_above_sp4_cell():
 
 
 def test_antidominant_above_matches_bruteforce_sweep():
+    # every J, including bases that are J-antidominant but not antidominant
     for n in (1, 2, 3):
-        for coords in itertools.product(range(-2, 1), repeat=n):
-            lam = Cocharacter(coords)
-            if not is_antidominant(lam):
-                continue
-            assert antidominant_above(lam) == _brute_antidominant_above(lam)
+        for r in range(n + 1):
+            for J in itertools.combinations(range(1, n + 1), r):
+                for coords in itertools.product(range(-3, 2), repeat=n):
+                    lam = Cocharacter(coords)
+                    if not is_antidominant(lam, J):
+                        with pytest.raises(RootDatumError):
+                            antidominant_above(lam, J)
+                        continue
+                    assert antidominant_above(lam, J) == _brute_antidominant_above(lam, J)
 
 
 def test_antidominant_above_restricted():
