@@ -145,7 +145,8 @@ def restrict_short_coroot(sigma: GenuineTorusCharacter, i: int) -> SmoothCharact
         raise CharacterError(
             f"short coroot index must satisfy 1 <= i <= {n - 1}, got {i}"
         )
-    return sigma.xi[i - 1] * sigma.xi[i].inverse()
+    a, b = sigma.xi[i - 1], sigma.xi[i]
+    return SmoothCharacterFx(a.q, a.N, a.unit_exp - b.unit_exp, a.pi_exp - b.pi_exp)
 
 
 def genuine_equal(
@@ -166,8 +167,10 @@ def genuine_equal(
 
 def supersingular_flags_from_character(sigma: GenuineTorusCharacter) -> dict[int, bool]:
     """Triviality flags on the short simple roots: flag[i] says whether the
-    short-coroot restriction at i is trivial.  The long root never flags
+    short-coroot restriction xi_i * xi_{i+1}^{-1} is trivial, which is
+    exactly xi_i == xi_{i+1} (both exponents are normalised and the torus
+    character has a single (q, N)).  The long root never flags
     (genuineness forbids it) and is therefore omitted here; datum builders
     add the forced False entry when the long root is eligible."""
-    n = sigma.rank
-    return {i: restrict_short_coroot(sigma, i).is_trivial for i in range(1, n)}
+    xi = sigma.xi
+    return {i: xi[i - 1] == xi[i] for i in range(1, len(xi))}

@@ -21,13 +21,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .characters import (
-    GenuineTorusCharacter,
-    restrict_short_coroot,
-    supersingular_flags_from_character,
-)
+from .characters import GenuineTorusCharacter, supersingular_flags_from_character
 from .cover import LocalFieldDescriptor
-from .rootdata import ParabolicSubset, coroot, pairing, simple_root
+from .rootdata import ParabolicSubset
 
 
 class ClassifyError(ValueError):
@@ -35,14 +31,19 @@ class ClassifyError(ValueError):
 
 
 def eligible_flag_roots(levi: ParabolicSubset) -> frozenset[int]:
-    """Simple roots orthogonal to the Levi: {alpha : <Pi_M, alpha^vee> = 0}."""
-    n = levi.n
-    out = set()
-    for i in range(1, n + 1):
-        cv = coroot(i, n)
-        if all(pairing(simple_root(j, n), cv) == 0 for j in levi):
-            out.add(i)
-    return frozenset(out)
+    """Simple roots orthogonal to the Levi: {alpha : <Pi_M, alpha^vee> = 0}.
+
+    The Cartan matrix of type C_n is tridiagonal with nonzero
+    off-diagonal entries, so <alpha_j, alpha_i^vee> != 0 exactly when
+    |i - j| <= 1, and alpha_i is eligible exactly when none of
+    alpha_{i-1}, alpha_i, alpha_{i+1} lies in the Levi.
+    """
+    roots = levi.roots
+    return frozenset(
+        i
+        for i in range(1, levi.n + 1)
+        if i not in roots and i - 1 not in roots and i + 1 not in roots
+    )
 
 
 @dataclass(frozen=True)
@@ -191,12 +192,11 @@ def triples_equivalent(
 
 def ps_length(sigma: GenuineTorusCharacter) -> int:
     """Length of the principal series attached to sigma:
-    2^(number of trivial short-coroot restrictions), at most 2^(n-1)."""
-    n = sigma.rank
-    trivial = sum(
-        1 for i in range(1, n) if restrict_short_coroot(sigma, i).is_trivial
-    )
-    return 2**trivial
+    2^(number of trivial short-coroot restrictions), at most 2^(n-1).
+    The restriction at alpha_i is trivial exactly when the adjacent
+    coordinates xi_i and xi_{i+1} are equal, so this counts equal
+    adjacent pairs."""
+    return 2 ** sum(supersingular_flags_from_character(sigma).values())
 
 
 def ps_irreducible(sigma: GenuineTorusCharacter) -> bool:
@@ -281,11 +281,9 @@ def siegel_lift(
     if not (P.issubset(siegel) and Q.issubset(siegel)):
         raise ClassifyError("a Siegel-Levi triple has P, Q inside the short roots")
     rho_flags = {int(k): bool(v) for k, v in rho_flags.items()}
-    eligible_in_gl = frozenset(
-        i
-        for i in range(1, n)
-        if all(pairing(simple_root(j, n), coroot(i, n)) == 0 for j in P)
-    )
+    # the short-root block of the type C_n Cartan matrix is the GL_n one
+    eligible_meta = eligible_flag_roots(P)
+    eligible_in_gl = eligible_meta - {n}
     if set(rho_flags) != set(eligible_in_gl):
         raise ClassifyError(
             f"reductive flags must sit exactly on {sorted(eligible_in_gl)}"
@@ -294,7 +292,6 @@ def siegel_lift(
     if not (P.roots <= Q.roots <= (P.roots | pi_rho)):
         raise ClassifyError("invalid reductive triple: need P <= Q <= P + Pi(rho)")
     flags = dict(rho_flags)
-    eligible_meta = eligible_flag_roots(P)
     if n in eligible_meta:
         flags[n] = False
     datum = SupersingularDatum(

@@ -14,6 +14,7 @@ Environment variables are not consulted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -23,7 +24,15 @@ import jsonschema
 from . import classify, cover, hecke, oracle, selftest, weights
 from .characters import GenuineTorusCharacter, SmoothCharacterFx
 from .cover import LocalFieldDescriptor, SquareClass
-from .rootdata import Character, Cocharacter, ParabolicSubset, coroot, pairing
+from .rootdata import (
+    Character,
+    Cocharacter,
+    ParabolicSubset,
+    antidominant_above,
+    coroot,
+    is_antidominant,
+    pairing,
+)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -356,7 +365,15 @@ def cmd_aset(args) -> int:
             raise UsageError(f"i must lie in 1..{n}")
         base = hecke.t2lambda_base(args.i, n)
         i = args.i
-    A = hecke.enumerate_A(base)
+    if not is_antidominant(base):
+        raise hecke.HeckeError("base point must be antidominant")
+    # the A-set is the up-set of 2 base in coroot coordinates; the brute
+    # box of hecke.enumerate_A stays the reference the tests compare with
+    two = 2 * base
+    A = hecke.ASet(
+        base,
+        frozenset((mu - two).coroot_coordinates() for mu in antidominant_above(two)),
+    )
     payload = {
         "base": list(base.coords),
         "n": n,
@@ -580,7 +597,10 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if payload["all_pass"] else EXIT_MISMATCH
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every call of `main` can share it."""
     parser = argparse.ArgumentParser(
         prog="metaplectic",
         description="symbolic and counting tools for the metaplectic cover of Sp_2n",

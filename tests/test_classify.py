@@ -1,8 +1,14 @@
 import itertools
+import random
 
 import pytest
 
-from metaplectic.characters import GenuineTorusCharacter, SmoothCharacterFx
+from metaplectic.characters import (
+    GenuineTorusCharacter,
+    SmoothCharacterFx,
+    restrict_short_coroot,
+    supersingular_flags_from_character,
+)
 from metaplectic.classify import (
     ClassifyError,
     LeviShape,
@@ -24,7 +30,7 @@ from metaplectic.classify import (
     triples_equivalent,
 )
 from metaplectic.cover import ALL_CLASSES, LocalFieldDescriptor, ONE_CLASS, UNIT_CLASS
-from metaplectic.rootdata import ParabolicSubset
+from metaplectic.rootdata import ParabolicSubset, coroot, pairing, simple_root
 
 F3 = LocalFieldDescriptor(3)
 Q, N = 3, 4
@@ -45,6 +51,23 @@ def test_eligible_flag_roots():
         assert eligible_flag_roots(ParabolicSubset.siegel(n)) == frozenset()
     assert eligible_flag_roots(ParabolicSubset(3, frozenset({1}))) == {3}
     assert eligible_flag_roots(ParabolicSubset.full(3)) == frozenset()
+    # the closed form against the pairing definition, on every Levi at n <= 7;
+    # a Levi inside the Siegel subset also fixes where siegel_lift puts flags
+    for n in range(1, 8):
+        for r in range(n + 1):
+            for roots in itertools.combinations(range(1, n + 1), r):
+                levi = ParabolicSubset(n, frozenset(roots))
+                want = {
+                    i
+                    for i in range(1, n + 1)
+                    if all(pairing(simple_root(j, n), coroot(i, n)) == 0 for j in roots)
+                }
+                assert eligible_flag_roots(levi) == want
+                if n not in roots and n <= 5:
+                    rho_flags = {i: False for i in want if i != n}
+                    siegel_lift(levi, rho_flags, levi, n)
+                    with pytest.raises(ClassifyError):
+                        siegel_lift(levi, {**rho_flags, n: False}, levi, n)
 
 
 def test_datum_validation():
@@ -154,6 +177,30 @@ def test_ps_length_and_irreducibility():
     assert ps_length(generic) == 1 and ps_irreducible(generic)
     mixed = GenuineTorusCharacter((chi(1, 1), chi(1, 1), chi(0, 0)), ONE_CLASS)
     assert ps_length(mixed) == 2
+
+
+def test_flags_and_length_match_restriction_definition():
+    """Flags and lengths read off adjacent-coordinate equality agree with
+    the definition through the character group operations: every rank-4
+    character at (q, N) = (3, 4) and a seeded sample at (5, 8)."""
+    small = [chi(u, t) for u in range(Q - 1) for t in range(N)]
+    sample = list(itertools.product(small, repeat=4))
+    big = [SmoothCharacterFx(5, 8, u, t) for u in range(4) for t in range(8)]
+    rng = random.Random(8)
+    for _ in range(3000):
+        # repeat the previous coordinate half the time, so flags do occur
+        xi = [rng.choice(big)]
+        for _ in range(3):
+            xi.append(xi[-1] if rng.random() < 0.5 else rng.choice(big))
+        sample.append(tuple(xi))
+    for xi in sample:
+        sigma = GenuineTorusCharacter(xi, rng.choice(ALL_CLASSES))
+        restrictions = {i: xi[i - 1] * xi[i].inverse() for i in range(1, 4)}
+        want = {i: r.is_trivial for i, r in restrictions.items()}
+        assert supersingular_flags_from_character(sigma) == want
+        assert ps_length(sigma) == 2 ** sum(want.values())
+        for i, r in restrictions.items():
+            assert restrict_short_coroot(sigma, i) == r
 
 
 def test_ps_equivalent():

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaplectic.cli import main
+from metaplectic import hecke
+from metaplectic.cli import build_parser, main
+from metaplectic.rootdata import Cocharacter
 
 
 def run(capsys, *argv):
@@ -62,6 +64,26 @@ def test_oracle_command(capsys):
     assert payload["target"] == [-2, -2][0:1]
 
 
+def _aset_reference(base, i):
+    """The stdout of `aset`, built from the brute box of hecke.enumerate_A."""
+    A = hecke.enumerate_A(base)
+    payload = {
+        "base": list(base.coords),
+        "n": base.rank,
+        "elements": [list(a) for a in A.sorted_elements()],
+    }
+    if i is not None:
+        payload["i"] = i
+        payload["fibers"] = [
+            {
+                "fiber": [list(b) for b in sorted(fib)],
+                "conforms": hecke.A_fiber(A, min(fib), i).conforms,
+            }
+            for fib in hecke.distinct_fibers(A, i)
+        ]
+    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
 def test_aset_command(capsys):
     code, out, _ = run(capsys, "aset", "--i", "2", "--n", "2")
     assert code == 0
@@ -69,6 +91,30 @@ def test_aset_command(capsys):
     assert payload["elements"] == [
         [0, 0], [0, 1], [0, 2], [1, 2], [1, 3], [2, 4]
     ]
+    for n in range(1, 6):
+        for i in range(1, n + 1):
+            code, out, _ = run(capsys, "aset", "--i", str(i), "--n", str(n))
+            assert code == 0
+            assert out == _aset_reference(hecke.t2lambda_base(i, n), i)
+    code, out, _ = run(capsys, "aset", "--lam=-3,-1,0", "--n", "3")
+    assert code == 0 and out == _aset_reference(Cocharacter((-3, -1, 0)), None)
+    code, out, err = run(capsys, "aset", "--lam=0,-1", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: base point must be antidominant\n"
+
+
+def test_parser_reuse_after_usage_error(capsys):
+    """The parser is built once per process; an argparse usage error
+    (exit 2) must not change what the next request prints."""
+    argv = ("aset", "--i", "2", "--n", "3")
+    for bad in (["aset", "--i", "x"], ["aset", "--lam"], ["bogus"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        after = run(capsys, *argv)
+        build_parser.cache_clear()
+        assert after == run(capsys, *argv)
 
 
 def test_weights_command(capsys):
