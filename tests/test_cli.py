@@ -3,12 +3,13 @@ import io
 import json
 import sys
 
+import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaplectic import hecke
-from metaplectic.cli import build_parser, main
+from metaplectic import cover, hecke
+from metaplectic.cli import SCHEMAS, UsageError, build_parser, emit, main
 from metaplectic.rootdata import Cocharacter
 
 
@@ -124,6 +125,9 @@ def test_weights_command(capsys):
     assert payload["pi_nu"] == [1, 2]
     assert payload["companion"]["nu"] == [2, 0]
     assert payload["companion"]["pairings"] == [2, 0]
+    # an explicit --q 0 is checked, not replaced by the configured q
+    code, out, err = run(capsys, "weights", "--nu", "0,0", "--q", "0")
+    assert (code, out, err) == (2, "", "error: q must be at least 2\n")
 
 
 def test_classify_torus_character(capsys, tmp_path):
@@ -214,17 +218,17 @@ def test_selftest_command(capsys):
     assert "criterion 8 PASS" in err
 
 
-def run_stdin(argv, stdin):
-    """main() on a JSON document read from stdin; returns (exit code, stderr)."""
-    err = io.StringIO()
+def run_captured(argv, stdin=""):
+    """main() with stdin given; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(list(argv))
     finally:
         sys.stdin = saved
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -239,7 +243,7 @@ def run_stdin(argv, stdin):
     ],
 )
 def test_classify_rejects_mistyped_json(argv, doc):
-    code, err = run_stdin(argv, json.dumps(doc))
+    code, _, err = run_captured(argv, json.dumps(doc))
     assert code == 2
     assert any(line.startswith("error:") for line in err.splitlines())
 
@@ -283,6 +287,143 @@ _DOCS = {
 def test_classify_json_fuzz_exits_cleanly(form, n, data):
     doc = data.draw(_DOCS[form])
     argv = ["classify", "--n", str(n)] + (["--siegel"] if form == "siegel" else [])
-    code, err = run_stdin(argv, json.dumps(doc))
+    code, _, err = run_captured(argv, json.dumps(doc))
     assert code in (0, 2)
     assert "Traceback" not in err
+
+
+def test_config_checks_field_before_deriving_N(capsys):
+    """N defaults to 2(p^f - 1); p and f are checked first, so p = 0,
+    f = -1 is a usage error rather than a ZeroDivisionError."""
+    code, out, err = run(capsys, "cover", "--p", "0", "--f", "-1")
+    assert (code, out, err) == (2, "", "error: p must be an odd prime, got 0\n")
+    code, out, err = run(capsys, "cover", "--p", "3", "--f", "-1")
+    assert (code, out, err) == (2, "", "error: f must be >= 1\n")
+
+
+def test_emit_rejects_payload_outside_its_schema(capsys, monkeypatch):
+    with pytest.raises(UsageError, match="output failed its schema"):
+        emit({"x": "pi", "y": "pi", "p": 3, "f": 1, "symbol": 2}, "hilbert")
+    assert capsys.readouterr().out == ""
+    monkeypatch.setattr(cover, "hilbert", lambda x, y, field: 2)
+    code, out, err = run(capsys, "hilbert", "pi", "pi", "--p", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: output failed its schema: 2 is not one of [1, -1]\n"
+
+
+# one command line per output schema, and the stdin it reads
+_SCHEMA_SAMPLES = {
+    "hilbert": (["hilbert", "u", "pi", "--p", "3", "--verify"], ""),
+    "cover": (["cover", "--n", "2"], ""),
+    "satake": (["satake", "--i", "1", "--n", "1", "--oracle", "--p", "3"], ""),
+    "aset": (["aset", "--i", "2", "--n", "2"], ""),
+    "weights": (
+        ["weights", "--nu", "0,0", "--q", "3", "--i", "1", "--levi", "1", "--n", "2"],
+        "",
+    ),
+    "classify": (["classify", "--n", "2"], '{"xi": [[0, 0], [0, 0]], "psi_class": "u"}'),
+    "oracle": (["oracle", "satake", "--group", "sl2", "--i", "1", "--p", "3"], ""),
+    "selftest": (["selftest"], ""),
+}
+
+# the keywords the output schemas may use: they mean the same in draft-07,
+# which `emit` validates with, and in 2020-12
+_SHARED_KEYWORDS = {"type", "properties", "required", "additionalProperties", "enum", "items"}
+_WRONG_VALUES = ("bogus", 7, 1.5, True, None, [], {})
+
+
+def _keywords(schema):
+    yield from schema
+    for sub in schema.get("properties", {}).values():
+        yield from _keywords(sub)
+    if "items" in schema:
+        assert isinstance(schema["items"], dict), "items must be a single schema"
+        yield from _keywords(schema["items"])
+
+
+def _variants(schema, value):
+    """Payloads that differ from `value` in one place: this node replaced
+    by a wrong value, a required key dropped, an unknown key added, or
+    the same change made one level down."""
+    yield from _WRONG_VALUES
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            yield {k: v for k, v in value.items() if k != key}
+        yield {**value, "unknown": 0}
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                for v in _variants(sub, value[key]):
+                    yield {**value, key: v}
+    if isinstance(value, list) and value and "items" in schema:
+        for v in _variants(schema["items"], value[0]):
+            yield [v, *value[1:]]
+
+
+def _best_message(validator, payload):
+    err = jsonschema.exceptions.best_match(validator.iter_errors(payload))
+    return None if err is None else err.message
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_output_schemas_mean_the_same_in_draft07_and_2020_12(name):
+    schema = SCHEMAS[name]
+    jsonschema.Draft7Validator.check_schema(schema)
+    jsonschema.Draft202012Validator.check_schema(schema)
+    assert set(_keywords(schema)) <= _SHARED_KEYWORDS
+    argv, stdin = _SCHEMA_SAMPLES[name]
+    code, out, _ = run_captured(argv, stdin)
+    assert code == 0
+    draft7 = jsonschema.Draft7Validator(schema)
+    draft2020 = jsonschema.Draft202012Validator(schema)
+    payload = json.loads(out)
+    assert _best_message(draft7, payload) is None
+    rejected = 0
+    for bad in _variants(schema, payload):
+        message = _best_message(draft7, bad)
+        assert message == _best_message(draft2020, bad), bad
+        rejected += message is not None
+    assert rejected > len(_WRONG_VALUES)
+
+
+def _flag(name, values):
+    # "--lam=-1,0": as a separate word argparse would read "-1,0" as an option
+    return st.one_of(st.just([]), values.map(lambda v: [f"{name}={v}"]))
+
+
+_INT_LIST = st.lists(st.integers(-3, 3), max_size=5).map(lambda xs: ",".join(map(str, xs)))
+_CONFIG_FLAGS = st.tuples(
+    _flag("--p", st.integers(-3, 15)),
+    _flag("--f", st.integers(-1, 3)),
+    _flag("--n", st.integers(0, 4)),
+).map(lambda parts: sum(parts, []))
+_SMALL = st.integers(-3, 4)
+_CLASSES = st.sampled_from(["1", "u", "pi", "upi", "x"])
+# the commands that run no verification, with their own flags
+_COMMANDS = st.one_of(
+    st.tuples(_CLASSES, _CLASSES).map(lambda xy: ["hilbert", *xy]),
+    st.just(["cover"]),
+    _SMALL.map(lambda i: ["satake", f"--i={i}"]),
+    st.tuples(
+        st.just(["aset"]), _flag("--i", _SMALL), _flag("--lam", _INT_LIST)
+    ).map(lambda t: sum(t, [])),
+    st.tuples(
+        st.just(["weights"]),
+        _INT_LIST.map(lambda v: [f"--nu={v}"]),
+        _flag("--q", st.integers(-1, 9)),
+        _flag("--i", _SMALL),
+        _flag("--levi", _INT_LIST),
+    ).map(lambda t: sum(t, [])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=_COMMANDS, config=_CONFIG_FLAGS)
+def test_flag_fuzz_exits_cleanly(command, config):
+    code, out, err = run_captured(command + config)
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+    else:
+        assert out == ""
+        assert any(line.startswith("error:") for line in err.splitlines())
