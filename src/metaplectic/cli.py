@@ -360,11 +360,13 @@ def cmd_aset(args) -> int:
     _require_json(args)
     config = resolve_config(args)
     n = config.n
-    if args.lam:
+    if args.lam is not None:
+        if args.i is not None:
+            raise UsageError("give --lam or --i, not both")
         base = Cocharacter(_parse_ints(args.lam, n))
         i = None
     else:
-        if not 1 <= args.i <= n:
+        if args.i is None or not 1 <= args.i <= n:
             raise UsageError(f"i must lie in 1..{n}")
         base = hecke.t2lambda_base(args.i, n)
         i = args.i
@@ -642,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_satake)
 
     sp = sub.add_parser("aset", help="enumerate the antidominance exponent set")
-    sp.add_argument("--i", type=int, default=0, help="simple root index for the base")
+    sp.add_argument("--i", type=int, help="simple root index for the base")
     sp.add_argument("--lam", help="explicit antidominant base, comma separated")
     add_config_flags(sp)
     sp.set_defaults(func=cmd_aset)

@@ -9,8 +9,10 @@ associated bilinear form.  Commutators of lifted torus points are Hilbert
 symbols raised to B, and the cocycle restricted to the Siegel Levi sees an
 element only through the square class of its GL_n determinant.  For odd
 residue characteristic the quadratic Hilbert symbol factors through
-F^x / (F^x)^2 = {1, u, pi, u*pi} and is computed by the tame formula; an
-independent solvability oracle cross-checks it in the tests.
+F^x / (F^x)^2 = {1, u, pi, u*pi} and is computed by the tame formula.
+`hilbert_solvable` checks it independently (tests, selftest criterion 3
+and `hilbert --verify`): a pure-Python scan of one free coordinate of
+z^2 = x X^2 + y Y^2 mod p^4 against a table of squares.
 """
 
 from __future__ import annotations
@@ -221,35 +223,45 @@ def psi_ratio_character(a: SquareClass, F: LocalFieldDescriptor) -> HilbertChara
     return HilbertCharacter(a, F)
 
 
+SOLVABILITY_MODULUS_LIMIT = 10**6
+
+
 def hilbert_solvable(x: SquareClass, y: SquareClass, F: LocalFieldDescriptor) -> int:
     """Independent oracle for the symbol: (x, y)_F = 1 iff
-    z^2 = x X^2 + y Y^2 has a nontrivial solution over F.
+    z^2 = x X^2 + y Y^2 has a nontrivial solution over F (f = 1).
 
-    Realized by exhausting primitive triples over Z/p^4 (f = 1): a
-    primitive solution mod p^4 Hensel-lifts since some gradient coordinate
-    has valuation <= 1, and conversely a field solution scales to a
-    primitive integral one.  Intended for tests and --verify, not hot paths.
+    A field solution scales to a primitive integral triple, and then
+    (X, Y) is primitive: X = Y = 0 mod p forces z = 0 mod p.  Conversely
+    a solution mod p^4 with X or Y a unit Hensel-lifts, because that
+    gradient coordinate 2xX or 2yY has valuation k <= 1 and 4 >= 2k + 1.
+    So the symbol is 1 iff x X^2 + y Y^2 is a square mod p^4 for some
+    pair with X or Y a unit.  Scaling the pair by the inverse of that unit
+    multiplies the sum by a unit square, so the unit may be taken to be 1
+    and one free coordinate remains: x + y Y^2 for every Y, and
+    x X^2 + y for X divisible by p (a unit X is the first case again).
+
+    Both scans and the table of squares mod p^4 cost O(p^4) time and
+    memory; a modulus over SOLVABILITY_MODULUS_LIMIT is refused before
+    any work.  The nonsquare unit is the least residue outside the
+    table, so no step is shared with the tame formula.
     """
-    import numpy as np
-
     if F.f != 1:
         raise CoverError("solvability oracle runs over Q_p only (f = 1)")
     p = F.p
     mod = p**4
-    xv = pow(p, x.pi_parity) * (F.nonsquare_unit if x.unit_nonsquare else 1)
-    yv = pow(p, y.pi_parity) * (F.nonsquare_unit if y.unit_nonsquare else 1)
-    squares = np.zeros(mod, dtype=bool)
-    z = np.arange(mod, dtype=np.int64)
-    squares[(z * z) % mod] = True
-    X = np.arange(mod, dtype=np.int64)
-    x_sq = (xv * X * X) % mod
-    y_sq = (yv * X * X) % mod
-    primitive = (X % p) != 0
-    # split by which of X, Y is a unit so the pair stays primitive
-    for a_vals, b_vals in ((x_sq[primitive], y_sq), (x_sq[~primitive], y_sq[primitive])):
-        if a_vals.size == 0:
-            continue
-        sums = (np.unique(a_vals)[:, None] + np.unique(b_vals)[None, :]) % mod
-        if squares[sums].any():
-            return 1
+    if mod > SOLVABILITY_MODULUS_LIMIT:
+        raise CoverError(
+            f"solvability oracle at p = {p} would scan p^4 = {mod:,} residues,"
+            f" over its limit of {SOLVABILITY_MODULUS_LIMIT:,}"
+        )
+    squares = bytearray(mod)
+    for z in range(mod // 2 + 1):  # (-z)^2 = z^2
+        squares[z * z % mod] = 1
+    u = next(r for r in range(2, p) if not squares[r])
+    xv = p**x.pi_parity * (u if x.unit_nonsquare else 1)
+    yv = p**y.pi_parity * (u if y.unit_nonsquare else 1)
+    if any(squares[(xv + yv * Y * Y) % mod] for Y in range(mod)):
+        return 1
+    if any(squares[(xv * X * X + yv) % mod] for X in range(0, mod, p)):
+        return 1
     return -1

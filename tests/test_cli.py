@@ -104,6 +104,19 @@ def test_aset_command(capsys):
     assert err == "error: base point must be antidominant\n"
 
 
+def test_aset_refuses_empty_lam_and_lam_with_i(capsys):
+    # an empty --lam= is parsed, not taken for a missing flag
+    code, out, err = run(capsys, "aset", "--lam=", "--n", "2")
+    assert (code, out, err) == (2, "", "error: expected 2 integers, got 0\n")
+    # --lam and --i together are refused, not resolved by dropping --i
+    for argv in (["--lam=", "--i", "1"], ["--lam=-1,0", "--i", "2"], ["--lam=-1,0", "--i", "0"]):
+        code, out, err = run(capsys, "aset", *argv, "--n", "2")
+        assert (code, out, err) == (2, "", "error: give --lam or --i, not both\n")
+    # neither flag: --i is required
+    code, out, err = run(capsys, "aset", "--n", "2")
+    assert (code, out, err) == (2, "", "error: i must lie in 1..2\n")
+
+
 def test_parser_reuse_after_usage_error(capsys):
     """The parser is built once per process; an argparse usage error
     (exit 2) must not change what the next request prints."""
@@ -398,9 +411,10 @@ _CONFIG_FLAGS = st.tuples(
 ).map(lambda parts: sum(parts, []))
 _SMALL = st.integers(-3, 4)
 _CLASSES = st.sampled_from(["1", "u", "pi", "upi", "x"])
-# the commands that run no verification, with their own flags
+_VERIFY = st.sampled_from([[], ["--verify"]])
+# the commands that run no counting oracle, with their own flags
 _COMMANDS = st.one_of(
-    st.tuples(_CLASSES, _CLASSES).map(lambda xy: ["hilbert", *xy]),
+    st.tuples(_CLASSES, _CLASSES, _VERIFY).map(lambda t: ["hilbert", *t[:2], *t[2]]),
     st.just(["cover"]),
     _SMALL.map(lambda i: ["satake", f"--i={i}"]),
     st.tuples(

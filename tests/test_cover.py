@@ -1,5 +1,8 @@
 import itertools
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,10 +117,75 @@ def test_hilbert_structure_exhaustive():
             assert hilbert(x * y, z, F) == hilbert(x, z, F) * hilbert(y, z, F)
 
 
-def test_hilbert_against_solvability_oracle_p3():
-    F = LocalFieldDescriptor(3)
-    for x, y in itertools.product(ALL_CLASSES, repeat=2):
-        assert hilbert(x, y, F) == hilbert_solvable(x, y, F)
+def test_hilbert_against_solvability_oracle():
+    for p in (3, 5, 7, 11, 13):
+        F = LocalFieldDescriptor(p)
+        for x, y in itertools.product(ALL_CLASSES, repeat=2):
+            assert hilbert(x, y, F) == hilbert_solvable(x, y, F), (p, x, y)
+
+
+def _brute_solvable(x, y, F):
+    """(x, y)_F = 1 iff x X^2 + y Y^2 is a square mod p^4 for a primitive
+    pair (X, Y): every such pair is tried, with no scaling to one free
+    coordinate."""
+    p = F.p
+    mod = p**4
+    squares = {z * z % mod for z in range(mod)}
+    xv = p**x.pi_parity * (F.nonsquare_unit if x.unit_nonsquare else 1)
+    yv = p**y.pi_parity * (F.nonsquare_unit if y.unit_nonsquare else 1)
+    xs = [xv * X * X % mod for X in range(mod)]
+    ys = [yv * Y * Y % mod for Y in range(mod)]
+    pairs = itertools.product(range(mod), repeat=2)
+    if any((xs[X] + ys[Y]) % mod in squares for X, Y in pairs if X % p or Y % p):
+        return 1
+    return -1
+
+
+def test_solvability_oracle_against_brute_force():
+    for p in (3, 5):
+        F = LocalFieldDescriptor(p)
+        for x, y in itertools.product(ALL_CLASSES, repeat=2):
+            assert hilbert_solvable(x, y, F) == _brute_solvable(x, y, F), (p, x, y)
+
+
+# On Linux a child's ru_maxrss starts from the RSS of the process that
+# spawned it (here the whole pytest process), so the CLI runs under a small
+# Python parent that reports the peak of its own children (in KiB) as the
+# last line of stderr.
+_REPORT_PEAK = (
+    "import resource, subprocess, sys\n"
+    "code = subprocess.run(sys.argv[1:]).returncode\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _run_cli(*argv):
+    """Run the CLI in a child process; returns (exit code, stdout, stderr,
+    peak RSS of the CLI process in MB)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_PEAK, sys.executable, "-m", "metaplectic.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    *err, peak_kib = proc.stderr.splitlines(keepends=True)
+    return proc.returncode, proc.stdout, "".join(err), int(peak_kib) / 1024
+
+
+def test_verify_at_p13_stays_under_50_mb():
+    code, out, err, peak_mb = _run_cli("hilbert", "u", "pi", "--p", "13", "--verify")
+    assert code == 0, err
+    assert json.loads(out)["verified"] is True
+    assert peak_mb < 50, peak_mb
+
+
+def test_solvability_oracle_refuses_large_modulus():
+    F = LocalFieldDescriptor(37)
+    with pytest.raises(CoverError, match="1,874,161"):
+        hilbert_solvable(UNIT_CLASS, PI_CLASS, F)
+    code, out, err, _ = _run_cli("hilbert", "u", "pi", "--p", "37", "--verify")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: solvability oracle at p = 37"), err
 
 
 def test_commutator_sign():
