@@ -161,11 +161,12 @@ class SupersingularTriple:
     def __post_init__(self):
         if self.P != self.sigma.levi:
             raise ClassifyError("P must be the Levi subset of sigma")
-        top = p_sigma(self.sigma)
-        if not (self.P.issubset(self.Q) and self.Q.issubset(top)):
+        P, Q = self.P.roots, self.Q.roots
+        top = P | {i for i, v in self.sigma.flags.items() if v}
+        if not (self.Q.n == self.P.n and P <= Q <= top):
             raise ClassifyError(
-                f"need P <= Q <= P + Pi(sigma); got P={sorted(self.P.roots)},"
-                f" Q={sorted(self.Q.roots)}, top={sorted(top.roots)}"
+                f"need P <= Q <= P + Pi(sigma); got P={sorted(P)},"
+                f" Q={sorted(Q)}, top={sorted(top)}"
             )
 
 

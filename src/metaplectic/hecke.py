@@ -181,23 +181,36 @@ class ASet:
 
 
 def enumerate_A(lam: Cocharacter) -> ASet:
-    """Full enumeration of the A-set under the componentwise bound
-    a <= C^{-1} b, b_j = 2 <alpha_j, -lam>, valid since C^{-1} >= 0."""
+    """Full enumeration of the A-set {a >= 0 : C a <= b}, with
+    b_j = 2 <alpha_j, -lam>, by a scan of the whole box
+    0 <= a <= ceil(C^{-1} b), which contains the A-set since C^{-1} >= 0.
+
+    Every box point is tested against the rows of C a <= b in order,
+    stopping at the first row that fails; there is no pruning, so this
+    stays an independent reference for `antidominant_above`.  Each row is
+    kept as its nonzero (k, C[j][k]) pairs, read off `cartan_matrix`.
+    """
     n = lam.rank
     if not is_antidominant(lam):
         raise HeckeError("base point must be antidominant")
-    C = cartan_matrix(n)
     b = [2 * pairing(simple_root(j, n), -1 * lam) for j in range(1, n + 1)]
-    cinv = cartan_inverse(n)
+    rows = [
+        (tuple((k, c) for k, c in enumerate(row) if c), bj)
+        for row, bj in zip(cartan_matrix(n), b)
+    ]
     bounds = []
-    for row in cinv:
+    for row in cartan_inverse(n):
         v = sum(f * bb for f, bb in zip(row, b))
         bounds.append(int(v) if v.denominator == 1 else int(v) + 1)
     elems = set()
     for a in itertools.product(*(range(bb + 1) for bb in bounds)):
-        if all(
-            sum(C[j][k] * a[k] for k in range(n)) <= b[j] for j in range(n)
-        ):
+        for row, bj in rows:
+            s = 0
+            for k, c in row:
+                s += c * a[k]
+            if s > bj:
+                break
+        else:
             elems.add(a)
     return ASet(lam, frozenset(elems))
 

@@ -28,7 +28,9 @@ Pruning: each coordinate is a bare entry of the unipotent matrix, and
 every entry of a matrix in the lam-cell has valuation >= min(lam), so
 coordinates may be windowed to p^{-(mu_col - min lam)} O / O with no
 loss.  Counts therefore stop growing once the depth exceeds the window,
-which is what the stabilization flag reports.
+which is what the stabilization flag reports.  Those window boxes are
+known before any walk starts, so a cell whose box exceeds
+ORACLE_BOX_LIMIT is refused with OracleError instead of counted.
 """
 
 from __future__ import annotations
@@ -383,6 +385,48 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
     return walk(0, group.identity(q**n))
 
 
+# Largest box one cell may enumerate.  It admits every Sp_4 cell at p <= 11
+# and depth <= 4 (the largest, mu = (0, 0) at depth 1, is 11^4 + 11^8 with
+# its re-run, about 2.1e8) and refuses p = 13, whose mu = (0, 0) cells
+# need 13^8, about 8.2e8.
+ORACLE_BOX_LIMIT = 3 * 10**8
+
+
+def _walk_boxes(group, mu, lam, depth, p, check_stabilization) -> list[int]:
+    """Tuples enumerated by each walk one cell runs: the box
+    p^(sum of windows) at the depth, then the box at depth + 1 when the
+    stabilization re-run will run (its windows differ)."""
+    now = _coordinate_windows(group, mu, lam, depth)
+    boxes = [p ** sum(now)]
+    if check_stabilization:
+        nxt = _coordinate_windows(group, mu, lam, depth + 1)
+        if nxt != now:
+            boxes.append(p ** sum(nxt))
+    return boxes
+
+
+def box_estimate(
+    mu: Cocharacter,
+    lam: Cocharacter,
+    depth: int,
+    group: str,
+    p: int,
+    check_stabilization: bool = True,
+) -> int:
+    """Tuples the walks of one cell enumerate, known before any walk
+    starts; `count_cosets` refuses a cell over ORACLE_BOX_LIMIT."""
+    realization = ChevalleyRealization(group)
+    return sum(_walk_boxes(realization, mu, lam, depth, p, check_stabilization))
+
+
+def _require_budget(mu: Cocharacter, depth: int, p: int, box: int) -> None:
+    if box > ORACLE_BOX_LIMIT:
+        raise OracleError(
+            f"oracle cell mu={mu.coords} at p = {p}, depth {depth} would enumerate"
+            f" {box:,} tuples, over its limit of {ORACLE_BOX_LIMIT:,}"
+        )
+
+
 def count_cosets(
     mu: Cocharacter,
     lam: Cocharacter,
@@ -396,7 +440,8 @@ def count_cosets(
     Stabilization re-runs the count at depth + 1 and compares; when the
     pruning windows already sit strictly below both depths the two
     enumerations coincide element for element, so the re-run is skipped
-    and the counts are equal by construction.
+    and the counts are equal by construction.  A cell whose walks would
+    enumerate over ORACLE_BOX_LIMIT tuples is refused before any walk.
     """
     realization = ChevalleyRealization(group)
     if depth < 1:
@@ -409,24 +454,22 @@ def count_cosets(
         above = False
     if not (above and is_antidominant(mu)):
         raise OracleError("mu must be antidominant and >= lam")
+    boxes = _walk_boxes(realization, mu, lam, depth, p, check_stabilization)
+    _require_budget(mu, depth, p, sum(boxes))
     raw = _count_in_cell(realization, mu, lam, depth, p)
     stabilized = True
-    if check_stabilization:
-        w_now = _coordinate_windows(realization, mu, lam, depth)
-        w_next = _coordinate_windows(realization, mu, lam, depth + 1)
-        if w_now != w_next:
-            raw_next = _count_in_cell(realization, mu, lam, depth + 1, p)
-            stabilized = raw_next == raw
+    if len(boxes) == 2:
+        stabilized = _count_in_cell(realization, mu, lam, depth + 1, p) == raw
     return CosetCountResult(mu, lam, raw, raw % p, depth, stabilized)
 
 
 def oracle_rows(lam: Cocharacter, depth: int, group: str, p: int):
-    """Raw and mod-p counts for every mu in the support window, for the CLI."""
-    rows = []
-    for mu in sorted(antidominant_above(lam), key=lambda m: m.coords):
-        res = count_cosets(mu, lam, depth, group, p)
-        rows.append(res)
-    return rows
+    """Raw and mod-p counts for every mu in the support window, for the CLI.
+    Every cell's budget is checked before any cell is counted."""
+    mus = sorted(antidominant_above(lam), key=lambda m: m.coords)
+    for mu in mus:
+        _require_budget(mu, depth, p, box_estimate(mu, lam, depth, group, p))
+    return [count_cosets(mu, lam, depth, group, p) for mu in mus]
 
 
 def reductive_satake_row(

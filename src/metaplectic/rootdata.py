@@ -145,8 +145,8 @@ class ParabolicSubset:
     roots: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        roots = frozenset(int(i) for i in self.roots)
-        if not all(1 <= i <= self.n for i in roots):
+        roots = frozenset(map(int, self.roots))
+        if roots and not (1 <= min(roots) and max(roots) <= self.n):
             raise RootDatumError(f"indices out of range 1..{self.n}: {sorted(roots)}")
         object.__setattr__(self, "roots", roots)
 

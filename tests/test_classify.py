@@ -144,6 +144,27 @@ def test_triple_validation():
         SupersingularTriple(ParabolicSubset(2, frozenset({1})), d, d.levi)
 
 
+def test_triple_validation_messages():
+    d = torus_datum(trivial_sigma(2))  # P = {}, Pi(sigma) = {1}
+    with pytest.raises(ClassifyError) as err:
+        SupersingularTriple(d.levi, d, ParabolicSubset(3, frozenset({1})))
+    assert str(err.value) == "need P <= Q <= P + Pi(sigma); got P=[], Q=[1], top=[1]"
+    with pytest.raises(ClassifyError) as err:
+        SupersingularTriple(d.levi, d, ParabolicSubset(2, frozenset({1, 2})))
+    assert str(err.value) == "need P <= Q <= P + Pi(sigma); got P=[], Q=[1, 2], top=[1]"
+    with pytest.raises(ClassifyError) as err:
+        SupersingularTriple(ParabolicSubset(2, frozenset({2})), d, d.levi)
+    assert str(err.value) == "P must be the Levi subset of sigma"
+    # a nonempty Levi: Q must contain P as well as lie under P + Pi(sigma)
+    levi = ParabolicSubset(4, frozenset({1}))
+    sd = SupersingularDatum(levi, {3: True, 4: False})
+    for roots in ({1}, {1, 3}):
+        assert SupersingularTriple(levi, sd, ParabolicSubset(4, frozenset(roots))).Q.roots == roots
+    with pytest.raises(ClassifyError) as err:
+        SupersingularTriple(levi, sd, ParabolicSubset(4, frozenset({3})))
+    assert str(err.value) == "need P <= Q <= P + Pi(sigma); got P=[1], Q=[3], top=[1, 3]"
+
+
 def test_triples_equivalent():
     d = torus_datum(trivial_sigma(2))
     [t0, t1] = composition_factors(d)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -434,6 +435,50 @@ _COMMANDS = st.one_of(
 @given(command=_COMMANDS, config=_CONFIG_FLAGS)
 def test_flag_fuzz_exits_cleanly(command, config):
     code, out, err = run_captured(command + config)
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+    else:
+        assert out == ""
+        assert any(line.startswith("error:") for line in err.splitlines())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "satake", "--group", "sp4", "--i", "2", "--p", "31"],
+        ["satake", "--i", "2", "--n", "2", "--oracle", "--p", "31"],
+    ],
+)
+def test_over_budget_oracle_exits_at_once(argv):
+    start = time.perf_counter()
+    code, out, err = run_captured(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"{31**8:,} tuples" in err
+
+
+# sp4 only at p <= 3 and depth <= 2, so that no example counts for long
+_ORACLE_COMMANDS = st.tuples(
+    st.one_of(
+        st.tuples(st.just("sl2"), st.integers(-3, 15)),
+        st.tuples(st.just("sp4"), st.integers(-3, 3)),
+    ),
+    _SMALL,
+    _flag("--depth", st.integers(-1, 2)),
+    _flag("--f", st.integers(-1, 2)),
+).map(
+    lambda t: ["oracle", "satake", f"--group={t[0][0]}", f"--p={t[0][1]}", f"--i={t[1]}"]
+    + t[2]
+    + t[3]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=_ORACLE_COMMANDS)
+def test_oracle_flag_fuzz_exits_cleanly(command):
+    code, out, err = run_captured(command)
     assert code in (0, 2)
     assert "Traceback" not in err
     if code == 0:

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -22,9 +24,13 @@ from metaplectic.hecke import (
 from metaplectic.rootdata import (
     Cocharacter,
     antidominant_above,
+    cartan_inverse,
+    cartan_matrix,
     coroot,
     is_antidominant,
     leq,
+    pairing,
+    simple_root,
 )
 
 
@@ -137,6 +143,27 @@ def test_enumerate_A_matches_antidominant_above():
         mus = {A.mu_of(a) for a in A.elements}
         assert len(mus) == len(A.elements)
         assert mus == antidominant_above(2 * lam)
+
+
+def _dense_A(lam):
+    """The A-set by its definition: every a in the box 0 <= a <= ceil(C^{-1} b)
+    with sum_k C[j][k] a_k <= b_j for every row j, over the dense matrix."""
+    n = lam.rank
+    C = cartan_matrix(n)
+    b = [2 * pairing(simple_root(j, n), -1 * lam) for j in range(1, n + 1)]
+    caps = [math.ceil(sum(f * bb for f, bb in zip(row, b))) for row in cartan_inverse(n)]
+    return frozenset(
+        a
+        for a in itertools.product(*(range(c + 1) for c in caps))
+        if all(sum(C[j][k] * a[k] for k in range(n)) <= b[j] for j in range(n))
+    )
+
+
+def test_enumerate_A_equals_dense_definition():
+    bases = [t2lambda_base(i, n) for n in range(1, 6) for i in range(1, n + 1)]
+    bases += [Cocharacter(c) for c in ((-3, -1, 0), (-2, -2, -1, 0), (-2, -1), (-3,))]
+    for lam in bases:
+        assert enumerate_A(lam).elements == _dense_A(lam), lam.coords
 
 
 def test_mu_of_matches_coroot_sum():

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from metaplectic import oracle
 from metaplectic.hecke import TorusHeckeElement, t2lambda_base
 from metaplectic.oracle import (
+    ORACLE_BOX_LIMIT,
     ChevalleyRealization,
     OracleError,
     PadicMatrix,
     StabilizationError,
+    box_estimate,
     cartan_invariant_of_entries,
     count_cosets,
     matrix_product,
@@ -18,7 +21,7 @@ from metaplectic.oracle import (
     smith_valuations,
     verify_metaplectic_pipeline,
 )
-from metaplectic.rootdata import Cocharacter, antidominant_rep, pairing
+from metaplectic.rootdata import Cocharacter, antidominant_above, antidominant_rep, pairing
 
 P = 3
 
@@ -321,6 +324,44 @@ def test_count_cosets_validation():
         count_cosets(Cocharacter((-1,), gsp=1), lam2, 2, "sl2", 3)  # mu has a gsp part
     with pytest.raises(OracleError):
         count_cosets(Cocharacter((-1,)), Cocharacter((-2,), gsp=1), 2, "sl2", 3)
+
+
+def test_box_estimate_admits_p11_and_refuses_p13():
+    zero = Cocharacter((0, 0))
+    for i in (1, 2):
+        lam = 2 * t2lambda_base(i, 2)
+        # the mu = (0, 0) cell has windows summing to 4 at depth 1 and to 8
+        # from depth 2 on, so depth 1 adds the re-run's box
+        assert box_estimate(zero, lam, 1, "sp4", 11) == 11**4 + 11**8
+        for depth in (2, 3, 4):
+            assert box_estimate(zero, lam, depth, "sp4", 11) == 11**8
+            assert box_estimate(zero, lam, depth, "sp4", 13) == 13**8
+        for depth in (1, 2, 3, 4):
+            for mu in antidominant_above(lam):
+                assert box_estimate(mu, lam, depth, "sp4", 11) <= ORACLE_BOX_LIMIT
+        assert box_estimate(zero, lam, 4, "sp4", 13) > ORACLE_BOX_LIMIT
+    assert box_estimate(zero, 2 * t2lambda_base(1, 2), 1, "sp4", 11, False) == 11**4
+
+
+def test_over_budget_row_is_refused_before_counting(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("a cell was counted")
+
+    monkeypatch.setattr(oracle, "_count_in_cell", no_walk)
+    lam = 2 * t2lambda_base(2, 2)
+    for p in (13, 31):
+        with pytest.raises(OracleError) as err:
+            oracle_rows(lam, 4, "sp4", p)
+        assert f"{p**8:,} tuples" in str(err.value)
+        with pytest.raises(OracleError):
+            count_cosets(Cocharacter((0, 0)), lam, 4, "sp4", p)
+        with pytest.raises(OracleError):
+            verify_metaplectic_pipeline(2, 2, p)
+    # sl2 boxes are p^2 at most: p = 17,321 is the first prime refused
+    sl2_cell = (Cocharacter((0,)), Cocharacter((-2,)), 4, "sl2")
+    assert box_estimate(*sl2_cell, 17317) <= ORACLE_BOX_LIMIT
+    with pytest.raises(OracleError):
+        count_cosets(*sl2_cell, 17321)
 
 
 def test_sp4_shifted_cell_count_hand_value():

@@ -301,3 +301,18 @@ def test_parabolic_subset_validation():
         ParabolicSubset(2, frozenset({3}))
     assert ParabolicSubset.siegel(3).roots == {1, 2}
     assert ParabolicSubset.full(2).is_full()
+
+
+def test_parabolic_subset_range_messages():
+    for n in (1, 3):
+        for bad in (0, n + 1, -1):
+            with pytest.raises(RootDatumError) as err:
+                ParabolicSubset(n, frozenset({bad}))
+            assert str(err.value) == f"indices out of range 1..{n}: [{bad}]"
+    with pytest.raises(RootDatumError) as err:
+        ParabolicSubset(2, {2, 0, 1})
+    assert str(err.value) == "indices out of range 1..2: [0, 1, 2]"
+    assert ParabolicSubset(2, frozenset()).roots == frozenset()
+    assert ParabolicSubset(0, ()).roots == frozenset()
+    # entries are coerced to int
+    assert ParabolicSubset(3, [True, 3.0]).roots == {1, 3}
