@@ -405,26 +405,26 @@ def _walk_boxes(group, mu, lam, depth, p, check_stabilization) -> list[int]:
     return boxes
 
 
-def box_estimate(
-    mu: Cocharacter,
-    lam: Cocharacter,
-    depth: int,
-    group: str,
-    p: int,
-    check_stabilization: bool = True,
-) -> int:
-    """Tuples the walks of one cell enumerate, known before any walk
-    starts; `count_cosets` refuses a cell over ORACLE_BOX_LIMIT."""
-    realization = ChevalleyRealization(group)
-    return sum(_walk_boxes(realization, mu, lam, depth, p, check_stabilization))
-
-
-def _require_budget(mu: Cocharacter, depth: int, p: int, box: int) -> None:
+def _budgeted_boxes(group, mu, lam, depth, p, check_stabilization) -> list[int]:
+    """The boxes of `_walk_boxes`, refused with OracleError when their sum
+    is over ORACLE_BOX_LIMIT."""
+    boxes = _walk_boxes(group, mu, lam, depth, p, check_stabilization)
+    box = sum(boxes)
     if box > ORACLE_BOX_LIMIT:
         raise OracleError(
             f"oracle cell mu={mu.coords} at p = {p}, depth {depth} would enumerate"
             f" {box:,} tuples, over its limit of {ORACLE_BOX_LIMIT:,}"
         )
+    return boxes
+
+
+def box_estimate(
+    mu: Cocharacter, lam: Cocharacter, depth: int, group: str, p: int
+) -> int:
+    """Tuples the walks of one stabilization-checked cell enumerate, known
+    before any walk starts; `count_cosets` refuses a cell over
+    ORACLE_BOX_LIMIT."""
+    return sum(_walk_boxes(ChevalleyRealization(group), mu, lam, depth, p, True))
 
 
 def count_cosets(
@@ -454,8 +454,7 @@ def count_cosets(
         above = False
     if not (above and is_antidominant(mu)):
         raise OracleError("mu must be antidominant and >= lam")
-    boxes = _walk_boxes(realization, mu, lam, depth, p, check_stabilization)
-    _require_budget(mu, depth, p, sum(boxes))
+    boxes = _budgeted_boxes(realization, mu, lam, depth, p, check_stabilization)
     raw = _count_in_cell(realization, mu, lam, depth, p)
     stabilized = True
     if len(boxes) == 2:
@@ -467,8 +466,9 @@ def oracle_rows(lam: Cocharacter, depth: int, group: str, p: int):
     """Raw and mod-p counts for every mu in the support window, for the CLI.
     Every cell's budget is checked before any cell is counted."""
     mus = sorted(antidominant_above(lam), key=lambda m: m.coords)
+    realization = ChevalleyRealization(group)
     for mu in mus:
-        _require_budget(mu, depth, p, box_estimate(mu, lam, depth, group, p))
+        _budgeted_boxes(realization, mu, lam, depth, p, True)
     return [count_cosets(mu, lam, depth, group, p) for mu in mus]
 
 

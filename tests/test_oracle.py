@@ -340,7 +340,6 @@ def test_box_estimate_admits_p11_and_refuses_p13():
             for mu in antidominant_above(lam):
                 assert box_estimate(mu, lam, depth, "sp4", 11) <= ORACLE_BOX_LIMIT
         assert box_estimate(zero, lam, 4, "sp4", 13) > ORACLE_BOX_LIMIT
-    assert box_estimate(zero, 2 * t2lambda_base(1, 2), 1, "sp4", 11, False) == 11**4
 
 
 def test_over_budget_row_is_refused_before_counting(monkeypatch):
