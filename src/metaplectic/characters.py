@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cover import LocalFieldDescriptor, SquareClass, hilbert, PI_CLASS
 
@@ -123,6 +124,18 @@ class GenuineTorusCharacter:
     def rank(self) -> int:
         return len(self.xi)
 
+    @cached_property
+    def flags(self) -> tuple[tuple[int, bool], ...]:
+        """Triviality flags on the short simple roots, computed once, as
+        pairs (i, flag): the flag says whether the short-coroot restriction
+        xi_i * xi_{i+1}^{-1} is trivial, which is exactly xi_i == xi_{i+1}
+        (both exponents are normalised and the torus character has a single
+        (q, N)).  The long root never flags (genuineness forbids it) and is
+        therefore omitted here; datum builders add the forced False entry
+        when the long root is eligible."""
+        xi = self.xi
+        return tuple((i, xi[i - 1] == xi[i]) for i in range(1, len(xi)))
+
     @staticmethod
     def unramified_trivial(n: int, q: int, N: int, psi_class=None):
         from .cover import ONE_CLASS
@@ -166,11 +179,6 @@ def genuine_equal(
 
 
 def supersingular_flags_from_character(sigma: GenuineTorusCharacter) -> dict[int, bool]:
-    """Triviality flags on the short simple roots: flag[i] says whether the
-    short-coroot restriction xi_i * xi_{i+1}^{-1} is trivial, which is
-    exactly xi_i == xi_{i+1} (both exponents are normalised and the torus
-    character has a single (q, N)).  The long root never flags
-    (genuineness forbids it) and is therefore omitted here; datum builders
-    add the forced False entry when the long root is eligible."""
-    xi = sigma.xi
-    return {i: xi[i - 1] == xi[i] for i in range(1, len(xi))}
+    """The short-root triviality flags of sigma as a fresh dict (see
+    `GenuineTorusCharacter.flags`, computed once per character)."""
+    return dict(sigma.flags)

@@ -84,8 +84,7 @@ class SupersingularDatum:
                 raise ClassifyError("torus characters only parametrize empty-Levi data")
             if self.torus_character.rank != n:
                 raise ClassifyError("torus character rank mismatch")
-            expected = supersingular_flags_from_character(self.torus_character)
-            for i, want in expected.items():
+            for i, want in self.torus_character.flags:
                 if flags.get(i) != want:
                     raise ClassifyError(
                         f"flag at alpha_{i} contradicts the torus character"
@@ -113,7 +112,7 @@ class SupersingularDatum:
 def torus_datum(sigma: GenuineTorusCharacter, label: str = "xi") -> SupersingularDatum:
     """The empty-Levi datum of a genuine torus character."""
     n = sigma.rank
-    flags = dict(supersingular_flags_from_character(sigma))
+    flags = supersingular_flags_from_character(sigma)
     flags[n] = False
     return SupersingularDatum(
         levi=ParabolicSubset.empty(n),
@@ -147,9 +146,15 @@ def pi_sigma(sigma: SupersingularDatum) -> ParabolicSubset:
     )
 
 
+def p_sigma_roots(levi_roots: frozenset, flags) -> frozenset:
+    """The root set Pi_M + Pi(sigma) (a disjoint union): the Levi roots
+    and the flagged eligible roots."""
+    return levi_roots | {i for i, v in flags.items() if v}
+
+
 def p_sigma(sigma: SupersingularDatum) -> ParabolicSubset:
-    """The parabolic subset Pi_M + Pi(sigma) (a disjoint union)."""
-    return sigma.levi.union(pi_sigma(sigma))
+    """The parabolic subset Pi_M + Pi(sigma)."""
+    return ParabolicSubset(sigma.n, p_sigma_roots(sigma.levi.roots, sigma.flags))
 
 
 @dataclass(frozen=True)
@@ -162,7 +167,7 @@ class SupersingularTriple:
         if self.P != self.sigma.levi:
             raise ClassifyError("P must be the Levi subset of sigma")
         P, Q = self.P.roots, self.Q.roots
-        top = P | {i for i, v in self.sigma.flags.items() if v}
+        top = p_sigma_roots(P, self.sigma.flags)
         if not (self.Q.n == self.P.n and P <= Q <= top):
             raise ClassifyError(
                 f"need P <= Q <= P + Pi(sigma); got P={sorted(P)},"
@@ -197,7 +202,7 @@ def ps_length(sigma: GenuineTorusCharacter) -> int:
     The restriction at alpha_i is trivial exactly when the adjacent
     coordinates xi_i and xi_{i+1} are equal, so this counts equal
     adjacent pairs."""
-    return 2 ** sum(supersingular_flags_from_character(sigma).values())
+    return 2 ** sum(flag for _, flag in sigma.flags)
 
 
 def ps_irreducible(sigma: GenuineTorusCharacter) -> bool:
@@ -289,8 +294,7 @@ def siegel_lift(
         raise ClassifyError(
             f"reductive flags must sit exactly on {sorted(eligible_in_gl)}"
         )
-    pi_rho = frozenset(i for i, v in rho_flags.items() if v)
-    if not (P.roots <= Q.roots <= (P.roots | pi_rho)):
+    if not (P.roots <= Q.roots <= p_sigma_roots(P.roots, rho_flags)):
         raise ClassifyError("invalid reductive triple: need P <= Q <= P + Pi(rho)")
     flags = dict(rho_flags)
     if n in eligible_meta:

@@ -149,6 +149,10 @@ def test_supersingular_flags():
     assert supersingular_flags_from_character(mixed) == {1: True, 2: False}
     # the long index never appears
     assert 3 not in supersingular_flags_from_character(trivial)
+    # computed once per character; each caller gets its own dict
+    assert trivial.flags is trivial.flags
+    flags[1] = False
+    assert supersingular_flags_from_character(trivial) == {1: True, 2: True}
 
 
 def test_torus_character_validation():

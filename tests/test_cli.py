@@ -431,10 +431,9 @@ _COMMANDS = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(command=_COMMANDS, config=_CONFIG_FLAGS)
-def test_flag_fuzz_exits_cleanly(command, config):
-    code, out, err = run_captured(command + config)
+def _assert_clean_exit(code, out, err):
+    """Exit 0 with JSON on stdout, or exit 2 with an `error:` line and
+    empty stdout; never a traceback."""
     assert code in (0, 2)
     assert "Traceback" not in err
     if code == 0:
@@ -442,6 +441,12 @@ def test_flag_fuzz_exits_cleanly(command, config):
     else:
         assert out == ""
         assert any(line.startswith("error:") for line in err.splitlines())
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=_COMMANDS, config=_CONFIG_FLAGS)
+def test_flag_fuzz_exits_cleanly(command, config):
+    _assert_clean_exit(*run_captured(command + config))
 
 
 @pytest.mark.parametrize(
@@ -478,11 +483,23 @@ _ORACLE_COMMANDS = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(command=_ORACLE_COMMANDS)
 def test_oracle_flag_fuzz_exits_cleanly(command):
-    code, out, err = run_captured(command)
-    assert code in (0, 2)
-    assert "Traceback" not in err
-    if code == 0:
-        json.loads(out)
-    else:
-        assert out == ""
-        assert any(line.startswith("error:") for line in err.splitlines())
+    _assert_clean_exit(*run_captured(command))
+
+
+# without --sp4, so every valid value runs only the quick criteria
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--p", "0"],
+        ["--p", "9"],
+        ["--p", "-3"],
+        ["--f", "0"],
+        ["--N", "3"],
+        ["--N", "6"],
+        ["--n", "0"],
+        ["--depth", "0"],
+        ["--seed", "-1"],
+    ],
+)
+def test_selftest_flags_exit_cleanly(flags):
+    _assert_clean_exit(*run_captured(["selftest", *flags]))

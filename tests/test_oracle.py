@@ -389,25 +389,48 @@ def test_sp4_row_regression_p3():
     assert all(r.stabilized for r in rows)
 
 
+# fixed points: the p = 7 rows of both Sp_4 targets, typed in from the
+# table recorded in ROADMAP.md, never re-recorded from code
+P7_ROWS = {
+    (-2, 0): {(-2, 0): 1, (-1, -1): 6, (-1, 0): 42, (0, 0): 4116},
+    (-2, -2): {
+        (-2, -2): 1,
+        (-2, -1): 6,
+        (-2, 0): 42,
+        (-1, -1): 546,
+        (-1, 0): 3528,
+        (0, 0): 275772,
+    },
+}
+
+
+@pytest.mark.parametrize("lam_coords", sorted(P7_ROWS))
+def test_sp4_row_fixed_points_p7(lam_coords):
+    rows = oracle_rows(Cocharacter(lam_coords), 4, "sp4", 7)
+    assert {r.mu.coords: r.raw_count for r in rows} == P7_ROWS[lam_coords]
+    assert all(r.stabilized for r in rows)
+
+
 def test_pruning_is_lossless_sp4_small_depth():
-    # brute force with fully open windows agrees with the pruned count
-    lam = Cocharacter((-1, -1))
-    for mu_coords in ((-1, -1), (-1, 0), (0, 0)):
-        mu = Cocharacter(mu_coords)
-        pruned = count_cosets(mu, lam, 2, "sp4", 3, check_stabilization=False)
-        exps = SP4.torus_exponents(mu)
+    # brute force with fully open windows and a full Smith step per tuple
+    # agrees with the pruned count; lam = (-1, 0) has a nonzero second
+    # expected divisor, which the per-node split Smith step scans for
+    for lam in (Cocharacter((-1, -1)), Cocharacter((-1, 0))):
         expect = sorted(lam.coords)
-        count = 0
-        shift = 2 * 2 * len(SP4.neg) - min(exps)
-        for nums in itertools.product(range(9), repeat=4):
-            # entries a / 3^2 as numerators over q = 3^4
-            u = SP4.unipotent_from_entries([9 * a for a in nums], 3**4)
-            for i in range(4):
-                for j in range(4):
-                    u[i][j] *= 3 ** (exps[j] - min(exps))
-            if smith_valuations(u, 3, shift, stop_after=2, expect=expect) is not None:
-                count += 1
-        assert pruned.raw_count == count
+        for mu in antidominant_above(lam):
+            pruned = count_cosets(mu, lam, 2, "sp4", 3, check_stabilization=False)
+            exps = SP4.torus_exponents(mu)
+            count = 0
+            shift = 2 * 2 * len(SP4.neg) - min(exps)
+            for nums in itertools.product(range(9), repeat=4):
+                # entries a / 3^2 as numerators over q = 3^4
+                u = SP4.unipotent_from_entries([9 * a for a in nums], 3**4)
+                for i in range(4):
+                    for j in range(4):
+                        u[i][j] *= 3 ** (exps[j] - min(exps))
+                if smith_valuations(u, 3, shift, stop_after=2, expect=expect) is not None:
+                    count += 1
+            assert pruned.raw_count == count, (lam, mu)
 
 
 def test_stabilization_reported_when_depth_too_small():
