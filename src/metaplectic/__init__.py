@@ -75,9 +75,7 @@ from .classify import (
     SupersingularTriple,
     composition_factors,
     enumerate_classification,
-    is_supercuspidal_class,
     levi_shape,
-    p_sigma,
     pi_sigma,
     ps_equivalent,
     ps_irreducible,

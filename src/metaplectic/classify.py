@@ -152,11 +152,6 @@ def p_sigma_roots(levi_roots: frozenset, flags) -> frozenset:
     return levi_roots | {i for i, v in flags.items() if v}
 
 
-def p_sigma(sigma: SupersingularDatum) -> ParabolicSubset:
-    """The parabolic subset Pi_M + Pi(sigma)."""
-    return ParabolicSubset(sigma.n, p_sigma_roots(sigma.levi.roots, sigma.flags))
-
-
 @dataclass(frozen=True)
 class SupersingularTriple:
     P: ParabolicSubset
@@ -306,11 +301,6 @@ def siegel_lift(
         torus_character=torus_character,
     )
     return SupersingularTriple(P, datum, Q)
-
-
-def is_supercuspidal_class(t: SupersingularTriple) -> bool:
-    """The triple of a supercuspidal: the full-group triple (G, sigma, G)."""
-    return t.P.is_full()
 
 
 @dataclass

@@ -30,17 +30,25 @@ coordinates may be windowed to p^{-(mu_col - min lam)} O / O with no
 loss.  Counts therefore stop growing once the depth exceeds the window,
 which is what the stabilization flag reports.  Those window boxes are
 known before any walk starts, so a cell whose box exceeds
-ORACLE_BOX_LIMIT is refused with OracleError instead of counted.
+ORACLE_BOX_LIMIT is refused with OracleError instead of counted.  Inside
+the box the walk sets the coordinates in order and shares every prefix
+product; a column of the matrix is final once the last generator
+writing it is applied, and it must then be integral after scaling by
+p^(-min lam).  The columns that close below a node are written by the
+node's own generator, so they are affine in the child coordinate y, and
+their integrality is a system of linear congruences in y modulo a power
+of p.  Its solutions are one progression y = y0 mod p^r or none
+(`_progression`), and only those children are walked.
 
-Split Smith step: the walk shares every prefix product, and the leaves
-below one node that sets the last coordinate differ only in the columns
-that coordinate writes, affinely in it.  When that node has a unit of
-the matrix in another column, the first Smith pivot (whose valuation
-must be the floor) is taken there once for all its leaves; the Schur
-complement is again affine in the last coordinate, and each leaf only
-scans the valuations of its moving entries against the second expected
-divisor.  Any other node, and every SL_2 node, runs the full
-`smith_valuations` per leaf.
+Split Smith step: the leaves below one node that sets the last
+coordinate differ only in the columns that coordinate writes, affinely
+in the leaf's place t along the node's progression, with integral
+intercept and slope.  When that node has a unit of the matrix in another
+column, the first Smith pivot (whose valuation must be the floor) is
+taken there once for all its leaves; the Schur complement is again
+affine in t, and each leaf only scans the valuations of its moving
+entries against the second expected divisor.  Any other node, and every
+SL_2 node, runs the full `smith_valuations` per leaf.
 """
 
 from __future__ import annotations
@@ -340,6 +348,35 @@ def _coordinate_windows(group: ChevalleyRealization, mu: Cocharacter, lam: Cocha
     return tuple(windows)
 
 
+def _progression(pairs, p: int, e: int):
+    """The integers y with a + y b = 0 mod p^e for every pair (a, b), as
+    (y0, step) for the progression y = y0 mod step, 0 <= y0 < step, with
+    step a power of p; None when there are none.
+
+    Each pair is solved inside the progression found so far: y = y0 +
+    step t turns it into a' + t b' = 0 with a' = a + y0 b, b' = step b.
+    When p^e divides b' it holds for every t or none; otherwise p^v exactly
+    divides b' for some v < e, p^v must divide a', and t is fixed mod
+    p^(e - v) by the inverse of the unit b' / p^v.  So step b = 0 mod p^e
+    for every pair at the end.
+    """
+    pe = p**e
+    y0, step = 0, 1
+    for a, b in pairs:
+        a, b = (a + y0 * b) % pe, step * b % pe
+        if not b:
+            if a:
+                return None
+            continue
+        pv = p ** _vp(b, p)
+        if a % pv:
+            return None
+        mod = pe // pv
+        y0 += step * (-(a // pv) * pow(b // pv, -1, mod) % mod)
+        step *= mod
+    return y0, step
+
+
 def _count_in_cell(group, mu, lam, depth, p) -> int:
     windows = _coordinate_windows(group, mu, lam, depth)
     width = max(windows)
@@ -356,13 +393,15 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
     t, k = group.torus_matrix(mu, p)
     e = 2 * width * n + k + floor
     scale = [t[j][j] * p ** max(0, -e) for j in range(size)]
-    base = p ** max(0, e)
+    e = max(0, e)
+    base = p**e
     # Generators only ever add to the columns b of their units, so a
     # column is final once the last generator writing it is applied.  The
     # enumeration walks the coordinates in order, sharing each prefix
-    # product, and fills in and checks h column by column as they close,
-    # which prunes whole subtrees.  Every column of h that a leaf reads
-    # was written by the node of its own path at the column's closing step.
+    # product, and fills in h column by column as they close.  The columns
+    # closing below a node are written by its own generator, through the
+    # (source column, sign) pairs in `writes`, so they are affine in the
+    # child index; only the children that keep them integral are walked.
     last_write = {}
     for step, gen in enumerate(group.neg, 1):
         for (_, b), _ in gen.units:
@@ -370,50 +409,44 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
     closing = [[] for _ in range(n + 1)]
     for j in range(size):
         closing[last_write.get(j, 0)].append(j)
+    writes = [
+        [(j, [(a, s) for (a, b), s in gen.units if b == j]) for j in closing[step + 1]]
+        for step, gen in enumerate(group.neg)
+    ]
     h = [[0] * size for _ in range(size)]
-    xs = []
-    last, moving = group.neg[n - 1], closing[n]
+    xs = [0] * n  # entry numerators on the current path; coordinate k reads xs[:k + 1]
+    moving = closing[n]
+    targets = [(i, j) for j in moving for i in range(size)]  # the order of `lines`
     fixed = [j for j in range(size) if j not in moving]
     # On SL_2 the fixed column of h is (0, p^(-mu - floor)), never a unit
     # below a node with more than one leaf, so the split is for rank two.
-    split = windows[n - 1] > 0 and group.rank == 2
+    split = group.rank == 2
 
-    def last_node(m):
-        """Hits among the leaves below the node m that sets the last
-        coordinate, by a Smith step split at the node; None when the split
-        does not apply.
+    def last_node(lines, y0, r, leaves):
+        """Hits among the leaves below a node that sets the last
+        coordinate, by a Smith step split at the node; None when h has no
+        unit in a fixed column.
 
-        Leaf y of the node has coordinate c0 + y dx, so its columns in
-        `moving` are h0 + y dh, affine in y.  With every slope dh integral,
-        integrality is decided once.  The first divisor must have
-        valuation expect[0] - floor = 0, so a unit of h in a fixed column
-        is a valid first pivot for every leaf; the Schur complement
-        u h_ij - h_ij0 h_i0j of that pivot is again affine in y, and its
-        minimum valuation is the second divisor's (e1 above the floor).
-        Each leaf then only scans the moving complement entries mod
-        p^(e1 + 1)."""
+        Leaf t of the node has child index y0 + t r, so its columns in
+        `moving` are h0 + t dh, affine in t, with h0 and dh integral by
+        the choice of (y0, r).  The first divisor must have valuation
+        expect[0] - floor = 0, so a unit of h in a fixed column is a valid
+        first pivot for every leaf; the Schur complement u h_ij - h_ij0
+        h_i0j of that pivot is again affine in t, and its minimum
+        valuation is the second divisor's (e1 above the floor).  Each leaf
+        then only scans the moving complement entries mod p^(e1 + 1)."""
         pivot = next(((i, j) for j in fixed for i in range(size) if h[i][j] % p), None)
         if pivot is None:
             return None
-        dx = p ** (2 * width - windows[n - 1])
-        xs.append(0)
-        c0 = group.coordinate(n - 1, xs, q)
-        xs.pop()
         dh = [[0] * size for _ in range(size)]
-        for j in moving:
-            for i in range(size):
-                g = sum(s * (m[i][a] // q) for (a, b), s in last.units if b == j) * scale[j]
-                dh[i][j], r = divmod(dx * g, base)
-                if r:
-                    return None
-                h[i][j], r = divmod(m[i][j] * scale[j] + c0 * g, base)
-                if r:
-                    return 0
+        for (i, j), (a, b) in zip(targets, lines):
+            h[i][j] = (a + y0 * b) // base
+            dh[i][j] = r * b // base
         i0, j0 = pivot
         u, e1 = h[i0][j0], expect[1] - floor
         pe, pt = p**e1, p ** (e1 + 1)
         exact = False  # a fixed complement entry has valuation exactly e1
-        lines = []
+        slopes = []
         for i in range(size):
             if i == i0:
                 continue
@@ -424,15 +457,15 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
                 a = (u * h[i][j] - f * h[i0][j]) % pt
                 b = (u * dh[i][j] - f * dh[i0][j]) % pt
                 if b:
-                    lines.append((a, b))
+                    slopes.append((a, b))
                 elif a % pe:
                     return 0
                 elif a:
                     exact = True
         hits = 0
-        for y in range(p ** windows[n - 1]):
+        for y in range(leaves):
             hit = exact
-            for a, b in lines:
+            for a, b in slopes:
                 v = (a + y * b) % pt
                 if v % pe:
                     break
@@ -443,33 +476,73 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
 
     def walk(step, m) -> int:
         for j in closing[step]:
+            sj = scale[j]
             for i in range(size):
-                h[i][j], r = divmod(m[i][j] * scale[j], base)
-                if r:
-                    return 0
-        if step == n:
+                h[i][j] = m[i][j] * sj // base
+        if step == n:  # the one leaf of a last-coordinate node
             vals = smith_valuations(h, p, -floor, stop_after=group.rank, expect=expect)
             return int(vals is not None)
-        if split and step == n - 1:
-            hits = last_node(m)
-            if hits is not None:
-                return hits
-        hits = 0
         units = group.neg[step].units
-        for x in range(0, q, p ** (2 * width - windows[step])):
-            xs.append(x)
+        w = windows[step]
+        xs[step] = 0
+        c0 = group.coordinate(step, xs, q)
+        if w == 0:  # one child: build it and check the columns it closes
             nxt = [row[:] for row in m]
-            group.right_multiply_generator(nxt, units, group.coordinate(step, xs, q), q)
-            hits += walk(step + 1, nxt)
-            xs.pop()
+            group.right_multiply_generator(nxt, units, c0, q)
+            for j in closing[step + 1]:
+                sj = scale[j]
+                for row in nxt:
+                    if row[j] * sj % base:
+                        return 0
+            return walk(step + 1, nxt)
+        # Child y has coordinate c0 + y dx, so the columns closing below
+        # this node are h = (A + y B) / base; `lines` holds the pairs (A, B)
+        # and `_progression` the children that keep them integral.
+        dx = p ** (2 * width - w)
+        lines = []
+        for j, sources in writes[step]:
+            sj = scale[j]
+            for row in m:
+                g = 0
+                for a, s in sources:
+                    g += s * (row[a] // q)
+                g *= sj
+                lines.append((row[j] * sj + c0 * g, dx * g))
+        found = _progression(lines, p, e)
+        if found is None:
+            return 0
+        y0, r = found
+        ys = range(y0, p**w, r)
+        hits = 0
+        if step + 1 < n:
+            for y in ys:
+                xs[step] = y * dx
+                nxt = [row[:] for row in m]
+                group.right_multiply_generator(nxt, units, c0 + y * dx, q)
+                hits += walk(step + 1, nxt)
+            return hits
+        if split:
+            split_hits = last_node(lines, y0, r, len(ys))
+            if split_hits is not None:
+                return split_hits
+        # the leaves differ only in the moving columns of h
+        for y in ys:
+            for (i, j), (a, b) in zip(targets, lines):
+                h[i][j] = (a + y * b) // base
+            vals = smith_valuations(h, p, -floor, stop_after=group.rank, expect=expect)
+            hits += vals is not None
         return hits
 
+    # the root q^n I is diagonal: its closed columns are integral when
+    # their diagonal entries are
+    if any(q**n * scale[j] % base for j in closing[0]):
+        return 0
     return walk(0, group.identity(q**n))
 
 
 # Largest box one cell may enumerate.  It admits every Sp_4 cell at p <= 11
 # and depth <= 4 (the largest, mu = (0, 0) at depth 1, is 11^4 + 11^8 with
-# its re-run, about 2.1e8, and counts in 8-10 s on one 2-vCPU Xeon core)
+# its re-run, about 2.1e8, and counts in about 3 s on one 2-vCPU Xeon core)
 # and refuses p = 13, whose mu = (0, 0) cells need 13^8, about 8.2e8.
 ORACLE_BOX_LIMIT = 3 * 10**8
 

@@ -17,9 +17,8 @@ from metaplectic.classify import (
     composition_factors,
     eligible_flag_roots,
     enumerate_classification,
-    is_supercuspidal_class,
     levi_shape,
-    p_sigma,
+    p_sigma_roots,
     pi_sigma,
     ps_equivalent,
     ps_irreducible,
@@ -94,11 +93,11 @@ def test_datum_validation():
 def test_pi_sigma_examples():
     d = torus_datum(trivial_sigma(3))
     assert pi_sigma(d).roots == {1, 2}
-    assert p_sigma(d).roots == {1, 2}
+    assert p_sigma_roots(d.levi.roots, d.flags) == {1, 2}
     # Siegel Levi: no eligible roots at all
     sd = SupersingularDatum(ParabolicSubset.siegel(3), {}, label="sc")
     assert pi_sigma(sd).roots == set()
-    assert p_sigma(sd) == sd.levi
+    assert p_sigma_roots(sd.levi.roots, sd.flags) == sd.levi.roots
     d_false = SupersingularDatum(
         ParabolicSubset.empty(2), {1: False, 2: False}, label="x"
     )
@@ -261,7 +260,6 @@ def test_siegel_lift_supercuspidal():
     assert t.P == siegel and t.Q == siegel
     assert pi_sigma(t.sigma).roots == set()
     assert len(composition_factors(t.sigma)) == 1
-    assert not is_supercuspidal_class(t)
 
 
 def test_siegel_lift_torus_datum():
@@ -300,15 +298,6 @@ def test_siegel_lift_validation():
     with pytest.raises(ClassifyError):
         # Q escapes P + Pi(rho)
         siegel_lift(empty, {1: False}, ParabolicSubset(2, frozenset({1})), 2)
-
-
-def test_is_supercuspidal_class():
-    full = ParabolicSubset.full(2)
-    d = SupersingularDatum(full, {}, label="pi")
-    assert is_supercuspidal_class(SupersingularTriple(full, d, full))
-    partial = torus_datum(trivial_sigma(2))
-    for t in composition_factors(partial):
-        assert not is_supercuspidal_class(t)
 
 
 def test_enumerate_classification():

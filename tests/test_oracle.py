@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metaplectic import oracle
 from metaplectic.hecke import TorusHeckeElement, t2lambda_base
@@ -411,11 +412,44 @@ def test_sp4_row_fixed_points_p7(lam_coords):
     assert all(r.stabilized for r in rows)
 
 
+@given(st.sampled_from((3, 5, 7)), st.integers(0, 4), st.integers(0, 3), st.data())
+@settings(max_examples=300, deadline=None)
+def test_progression_matches_brute_force(p, e, w, data):
+    # numbers u p^v with small v, so that the valuations of a and b vary
+    num = st.builds(lambda u, v: u * p**v, st.integers(-50, 50), st.integers(0, 5))
+    pairs = data.draw(st.lists(st.tuples(num, num), max_size=4))
+    # every y in range(p^w) solving all the congruences, and only those
+    want = {y for y in range(p**w) if all((a + y * b) % p**e == 0 for a, b in pairs)}
+    found = oracle._progression(pairs, p, e)
+    if found is None:
+        assert not want
+    else:
+        y0, step = found
+        assert 0 <= y0 < step and step == p ** _vp(step, p)
+        assert set(range(y0, p**w, step)) == want
+
+
+def test_progression_examples():
+    assert oracle._progression([], 3, 2) == (0, 1)
+    assert oracle._progression([(1, 0)], 3, 0) == (0, 1)  # mod 1 everything holds
+    assert oracle._progression([(1, 3)], 3, 2) is None  # 1 + 3y is never 0 mod 3
+    assert oracle._progression([(3, 3)], 3, 2) == (2, 3)  # 3 + 3y = 0 mod 9
+    assert oracle._progression([(3, 3), (1, 1)], 3, 2) == (8, 9)
+    assert oracle._progression([(3, 3), (0, 1)], 3, 2) is None
+
+
 def test_pruning_is_lossless_sp4_small_depth():
     # brute force with fully open windows and a full Smith step per tuple
     # agrees with the pruned count; lam = (-1, 0) has a nonzero second
-    # expected divisor, which the per-node split Smith step scans for
-    for lam in (Cocharacter((-1, -1)), Cocharacter((-1, 0))):
+    # expected divisor, which the per-node split Smith step scans for, and
+    # the floor -2 targets have many nodes whose children the integrality
+    # congruence rules out all at once
+    for lam in (
+        Cocharacter((-1, -1)),
+        Cocharacter((-1, 0)),
+        Cocharacter((-2, -1)),
+        Cocharacter((-2, -2)),
+    ):
         expect = sorted(lam.coords)
         for mu in antidominant_above(lam):
             pruned = count_cosets(mu, lam, 2, "sp4", 3, check_stabilization=False)
