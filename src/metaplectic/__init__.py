@@ -70,12 +70,10 @@ from .oracle import (
     verify_metaplectic_pipeline,
 )
 from .classify import (
-    LeviShape,
     SupersingularDatum,
     SupersingularTriple,
     composition_factors,
     enumerate_classification,
-    levi_shape,
     pi_sigma,
     ps_equivalent,
     ps_irreducible,

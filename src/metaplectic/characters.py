@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .cover import LocalFieldDescriptor, SquareClass, hilbert, PI_CLASS
 
@@ -107,34 +106,39 @@ def hilbert_smooth_character(
 
 @dataclass(frozen=True)
 class GenuineTorusCharacter:
-    """Genuine character of the covering torus: xi (x) chi_{psi_a}."""
+    """Genuine character of the covering torus: xi (x) chi_{psi_a}.
+
+    `flags` holds the triviality flags on the short simple roots as pairs
+    (i, flag), computed once with the (q, N) check: the flag says whether
+    the short-coroot restriction xi_i * xi_{i+1}^{-1} is trivial, which is
+    exactly xi_i == xi_{i+1} (both exponents are normalised and the torus
+    character has a single (q, N)).  The long root never flags (genuineness
+    forbids it) and is therefore omitted there; datum builders add the
+    forced False entry when the long root is eligible.  `flags` is a plain
+    attribute, not a field, so it takes no part in repr, == or hash.
+    """
 
     xi: tuple[SmoothCharacterFx, ...]
     psi_class: SquareClass
 
     def __post_init__(self):
-        if not self.xi:
+        xi = tuple(self.xi)
+        if not xi:
             raise CharacterError("rank must be >= 1")
-        q, N = self.xi[0].q, self.xi[0].N
-        if any((x.q, x.N) != (q, N) for x in self.xi):
-            raise CharacterError("mixed (q, N) inside one torus character")
-        object.__setattr__(self, "xi", tuple(self.xi))
+        prev = xi[0]
+        q, N = prev.q, prev.N
+        flags = []
+        for i, x in enumerate(xi[1:], 1):
+            if x.q != q or x.N != N:
+                raise CharacterError("mixed (q, N) inside one torus character")
+            flags.append((i, x.unit_exp == prev.unit_exp and x.pi_exp == prev.pi_exp))
+            prev = x
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "flags", tuple(flags))
 
     @property
     def rank(self) -> int:
         return len(self.xi)
-
-    @cached_property
-    def flags(self) -> tuple[tuple[int, bool], ...]:
-        """Triviality flags on the short simple roots, computed once, as
-        pairs (i, flag): the flag says whether the short-coroot restriction
-        xi_i * xi_{i+1}^{-1} is trivial, which is exactly xi_i == xi_{i+1}
-        (both exponents are normalised and the torus character has a single
-        (q, N)).  The long root never flags (genuineness forbids it) and is
-        therefore omitted here; datum builders add the forced False entry
-        when the long root is eligible."""
-        xi = self.xi
-        return tuple((i, xi[i - 1] == xi[i]) for i in range(1, len(xi)))
 
     @staticmethod
     def unramified_trivial(n: int, q: int, N: int, psi_class=None):

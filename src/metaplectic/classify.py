@@ -17,26 +17,30 @@ supercuspidal, identified only by an opaque label.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .characters import GenuineTorusCharacter, supersingular_flags_from_character
+from .characters import GenuineTorusCharacter
 from .cover import LocalFieldDescriptor
-from .rootdata import ParabolicSubset
+from .rootdata import ParabolicSubset, parabolic_subset
 
 
 class ClassifyError(ValueError):
     pass
 
 
+@functools.lru_cache(maxsize=64)
 def eligible_flag_roots(levi: ParabolicSubset) -> frozenset[int]:
     """Simple roots orthogonal to the Levi: {alpha : <Pi_M, alpha^vee> = 0}.
 
     The Cartan matrix of type C_n is tridiagonal with nonzero
     off-diagonal entries, so <alpha_j, alpha_i^vee> != 0 exactly when
     |i - j| <= 1, and alpha_i is eligible exactly when none of
-    alpha_{i-1}, alpha_i, alpha_{i+1} lies in the Levi.
+    alpha_{i-1}, alpha_i, alpha_{i+1} lies in the Levi.  Computed once per
+    Levi (subsets are immutable and hashable) in a cache as small as
+    `parabolic_subset`'s, and for the same reason.
     """
     roots = levi.roots
     return frozenset(
@@ -44,6 +48,12 @@ def eligible_flag_roots(levi: ParabolicSubset) -> frozenset[int]:
         for i in range(1, levi.n + 1)
         if i not in roots and i - 1 not in roots and i + 1 not in roots
     )
+
+
+def p_sigma_roots(levi_roots: frozenset, flags) -> frozenset:
+    """The root set Pi_M + Pi(sigma) (a disjoint union): the Levi roots
+    and the flagged eligible roots."""
+    return levi_roots | {i for i, v in flags.items() if v}
 
 
 @dataclass(frozen=True)
@@ -55,6 +65,10 @@ class SupersingularDatum:
     whenever the long root is eligible.  A torus datum (empty Levi) may
     carry the underlying genuine torus character, in which case the flags
     must agree with the character's short-coroot restrictions.
+
+    `top_roots` is the root set Pi_M + Pi(sigma) that bounds every Q over
+    this datum, computed once here; like `flags` of a torus character it is
+    a plain attribute, not a field.
     """
 
     levi: ParabolicSubset
@@ -70,7 +84,7 @@ class SupersingularDatum:
         if not self.genuine:
             raise ClassifyError("only genuine data occur in this artifact")
         eligible = eligible_flag_roots(self.levi)
-        if set(flags) != set(eligible):
+        if flags.keys() != eligible:
             raise ClassifyError(
                 f"flags must be given exactly on the eligible roots {sorted(eligible)},"
                 f" got {sorted(flags)}"
@@ -89,6 +103,7 @@ class SupersingularDatum:
                     raise ClassifyError(
                         f"flag at alpha_{i} contradicts the torus character"
                     )
+        object.__setattr__(self, "top_roots", p_sigma_roots(self.levi.roots, flags))
 
     def __hash__(self):
         return hash(
@@ -112,7 +127,7 @@ class SupersingularDatum:
 def torus_datum(sigma: GenuineTorusCharacter, label: str = "xi") -> SupersingularDatum:
     """The empty-Levi datum of a genuine torus character."""
     n = sigma.rank
-    flags = supersingular_flags_from_character(sigma)
+    flags = dict(sigma.flags)
     flags[n] = False
     return SupersingularDatum(
         levi=ParabolicSubset.empty(n),
@@ -139,17 +154,10 @@ def sigma_equal(
 
 
 def pi_sigma(sigma: SupersingularDatum) -> ParabolicSubset:
-    """The flagged eligible roots; never contains the long simple root."""
-    n = sigma.n
-    return ParabolicSubset(
-        n, frozenset(i for i, v in sigma.flags.items() if v)
-    )
-
-
-def p_sigma_roots(levi_roots: frozenset, flags) -> frozenset:
-    """The root set Pi_M + Pi(sigma) (a disjoint union): the Levi roots
-    and the flagged eligible roots."""
-    return levi_roots | {i for i, v in flags.items() if v}
+    """The flagged eligible roots; never contains the long simple root.
+    Eligible roots lie outside the Levi, so they are the datum's top set
+    minus its Levi roots."""
+    return parabolic_subset(sigma.n, sigma.top_roots - sigma.levi.roots)
 
 
 @dataclass(frozen=True)
@@ -162,7 +170,7 @@ class SupersingularTriple:
         if self.P != self.sigma.levi:
             raise ClassifyError("P must be the Levi subset of sigma")
         P, Q = self.P.roots, self.Q.roots
-        top = p_sigma_roots(P, self.sigma.flags)
+        top = self.sigma.top_roots
         if not (self.Q.n == self.P.n and P <= Q <= top):
             raise ClassifyError(
                 f"need P <= Q <= P + Pi(sigma); got P={sorted(P)},"
@@ -173,12 +181,13 @@ class SupersingularTriple:
 def composition_factors(sigma: SupersingularDatum) -> list[SupersingularTriple]:
     """The factors of parabolic induction from sigma's parabolic: one
     triple for every subset of Pi(sigma), so 2^{|Pi(sigma)|} in all."""
+    n, levi = sigma.n, sigma.levi
     pis = sorted(pi_sigma(sigma).roots)
     out = []
     for r in range(len(pis) + 1):
         for S in itertools.combinations(pis, r):
-            Q = ParabolicSubset(sigma.n, sigma.levi.roots | set(S))
-            out.append(SupersingularTriple(sigma.levi, sigma, Q))
+            Q = parabolic_subset(n, levi.roots.union(S))
+            out.append(SupersingularTriple(levi, sigma, Q))
     return out
 
 
@@ -215,49 +224,6 @@ def ps_equivalent(
     from .characters import genuine_equal
 
     return genuine_equal(sigma, sigma2, F)
-
-
-@dataclass(frozen=True)
-class LeviShape:
-    """Block shape GL_{n_1} x ... x GL_{n_r} x Sp_{2m} of a standard Levi;
-    size-1 GL blocks are listed explicitly so the shape is lossless."""
-
-    gl_blocks: tuple[int, ...]
-    sp_rank: int
-
-    def total(self) -> int:
-        return sum(self.gl_blocks) + self.sp_rank
-
-
-def levi_shape(J: ParabolicSubset) -> LeviShape:
-    """Decompose J into consecutive runs: a run containing the long root
-    contributes the symplectic factor, a run of k short roots a GL_{k+1}
-    block, and every untouched coordinate slot a GL_1 block."""
-    n = J.n
-    idx = sorted(J.roots)
-    runs = []
-    for i in idx:
-        if runs and runs[-1][-1] == i - 1:
-            runs[-1].append(i)
-        else:
-            runs.append([i])
-    used = [False] * (n + 1)  # coordinate slots 1..n
-    gl = []
-    sp_rank = 0
-    for run in runs:
-        if run[-1] == n:
-            sp_rank = len(run)
-            for s in range(run[0], n + 1):
-                used[s] = True
-        else:
-            gl.append((run[0], len(run) + 1))
-            for s in range(run[0], run[-1] + 2):
-                used[s] = True
-    for s in range(1, n + 1):
-        if not used[s]:
-            gl.append((s, 1))
-    gl.sort()
-    return LeviShape(tuple(size for _, size in gl), sp_rank)
 
 
 def siegel_lift(

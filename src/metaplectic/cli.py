@@ -438,7 +438,8 @@ def _parse_ints(text: str, n) -> tuple[int, ...]:
 
 
 def _json_ints(value, what: str) -> list[int]:
-    if not (isinstance(value, list) and all(isinstance(x, int) for x in value)):
+    # bool is a subclass of int, but JSON true and false are not integers
+    if not (isinstance(value, list) and all(type(x) is int for x in value)):
         raise UsageError(f"{what} must be a list of integers")
     return value
 
@@ -455,7 +456,9 @@ def _json_field(data: dict, key: str, kind: type, default):
 
 def _parse_flags(data: dict) -> dict:
     flags = _json_field(data, "flags", dict, {})
-    return {int(k): bool(v) for k, v in flags.items()}
+    if not all(isinstance(v, bool) for v in flags.values()):
+        raise UsageError("'flags' values must be true or false")
+    return {int(k): v for k, v in flags.items()}
 
 
 def _parse_torus_character(data: dict, config: RunConfig) -> GenuineTorusCharacter:

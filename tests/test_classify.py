@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -11,13 +12,11 @@ from metaplectic.characters import (
 )
 from metaplectic.classify import (
     ClassifyError,
-    LeviShape,
     SupersingularDatum,
     SupersingularTriple,
     composition_factors,
     eligible_flag_roots,
     enumerate_classification,
-    levi_shape,
     p_sigma_roots,
     pi_sigma,
     ps_equivalent,
@@ -104,20 +103,32 @@ def test_pi_sigma_examples():
     assert pi_sigma(d_false).roots == set()
 
 
+def _subsets(items) -> set:
+    items = sorted(items)
+    return {
+        frozenset(c)
+        for r in range(len(items) + 1)
+        for c in itertools.combinations(items, r)
+    }
+
+
+def _every_datum(n):
+    """Every datum at rank n: each Levi with every pattern of short flags."""
+    for roots in sorted(_subsets(range(1, n + 1)), key=sorted):
+        levi = ParabolicSubset(n, roots)
+        eligible = eligible_flag_roots(levi)
+        free = sorted(i for i in eligible if i != n)
+        for bits in itertools.product((False, True), repeat=len(free)):
+            flags = dict(zip(free, bits))
+            if n in eligible:
+                flags[n] = False
+            yield SupersingularDatum(levi, flags)
+
+
 def test_pi_sigma_never_contains_long_root():
     for n in range(1, 6):
-        for roots in itertools.chain.from_iterable(
-            itertools.combinations(range(1, n + 1), r) for r in range(n + 1)
-        ):
-            levi = ParabolicSubset(n, frozenset(roots))
-            eligible = eligible_flag_roots(levi)
-            free = [i for i in eligible if i != n]
-            for bits in itertools.product((False, True), repeat=len(free)):
-                flags = dict(zip(free, bits))
-                if n in eligible:
-                    flags[n] = False
-                d = SupersingularDatum(levi, flags)
-                assert n not in pi_sigma(d)
+        for d in _every_datum(n):
+            assert n not in pi_sigma(d)
 
 
 def test_composition_factors():
@@ -231,28 +242,6 @@ def test_ps_equivalent():
         assert ps_equivalent(s, GenuineTorusCharacter(xi, a), F3) == a.is_square()
 
 
-def test_levi_shape():
-    assert levi_shape(ParabolicSubset.siegel(4)) == LeviShape((4,), 0)
-    assert levi_shape(ParabolicSubset.empty(3)) == LeviShape((1, 1, 1), 0)
-    assert levi_shape(ParabolicSubset.full(3)) == LeviShape((), 3)
-    # {alpha_1, alpha_3} at n = 3: a GL_2 block and the rank-one Sp factor
-    assert levi_shape(ParabolicSubset(3, frozenset({1, 3}))) == LeviShape((2,), 1)
-    assert levi_shape(ParabolicSubset(4, frozenset({1, 3}))) == LeviShape((2, 2), 0)
-    assert levi_shape(ParabolicSubset(5, frozenset({1, 2, 4, 5}))) == LeviShape(
-        (3,), 2
-    )
-
-
-def test_levi_shape_total_is_rank():
-    for n in range(1, 7):
-        for roots in itertools.chain.from_iterable(
-            itertools.combinations(range(1, n + 1), r) for r in range(n + 1)
-        ):
-            shape = levi_shape(ParabolicSubset(n, frozenset(roots)))
-            assert shape.total() == n
-            assert (shape.sp_rank > 0) == (n in roots)
-
-
 def test_siegel_lift_supercuspidal():
     # rho supercuspidal on GL_2 = the full Siegel Levi at n = 2
     siegel = ParabolicSubset.siegel(2)
@@ -314,3 +303,116 @@ def test_enumerate_classification():
     report = enumerate_classification(2, mixed_menu, F3)
     assert len(report.triples) == 3
     assert report.clean
+
+
+def test_torus_factors_are_every_subset_of_equal_adjacent_pairs():
+    """Every character at n <= 4 over (q, N) = (3, 4), 4,680 in all: the
+    (P, Q) pairs of the torus datum's factors are the empty Levi with each
+    subset of {i : xi_i == xi_{i+1}}, read off xi itself, and the length
+    is their number."""
+    small = [chi(u, t) for u in range(Q - 1) for t in range(N)]
+    seen = 0
+    for n in range(1, 5):
+        for k, xi in enumerate(itertools.product(small, repeat=n)):
+            sigma = GenuineTorusCharacter(xi, ALL_CLASSES[k % len(ALL_CLASSES)])
+            equal = {i for i in range(1, n) if xi[i - 1] == xi[i]}
+            pairs = [(t.P.roots, t.Q.roots) for t in composition_factors(torus_datum(sigma))]
+            assert len(set(pairs)) == len(pairs)
+            assert set(pairs) == {(frozenset(), S) for S in _subsets(equal)}
+            assert ps_length(sigma) == len(pairs)
+            seen += 1
+    assert seen == 4680
+
+
+def test_triple_checks_run_for_every_datum():
+    """SupersingularTriple reads the datum's top set, computed once per
+    datum, and still refuses every Q outside [P, P + Pi(sigma)], every P
+    other than sigma's Levi, and a Q of another rank (all data, n <= 4)."""
+    for n in range(1, 5):
+        everything = _subsets(range(1, n + 1))
+        for d in _every_datum(n):
+            P = d.levi.roots
+            top = P | {i for i, v in d.flags.items() if v}
+            for roots in everything:
+                q = ParabolicSubset(n, roots)
+                if P <= roots <= top:
+                    assert SupersingularTriple(d.levi, d, q).Q == q
+                else:
+                    with pytest.raises(ClassifyError, match="need P <= Q"):
+                        SupersingularTriple(d.levi, d, q)
+                if roots != P:
+                    with pytest.raises(ClassifyError, match="P must be the Levi"):
+                        SupersingularTriple(q, d, d.levi)
+            with pytest.raises(ClassifyError, match="need P <= Q"):
+                SupersingularTriple(d.levi, d, ParabolicSubset(n + 1, P))
+
+
+def test_datum_checks_run_for_every_levi_and_character():
+    """Flags off the eligible roots, a long-root flag, and flags that
+    contradict the torus character are refused: every Levi at n <= 4, and
+    both short flags of every character at n = 3 over (3, 4)."""
+    for n in range(1, 5):
+        for roots in _subsets(range(1, n + 1)):
+            levi = ParabolicSubset(n, roots)
+            flags = {i: False for i in eligible_flag_roots(levi)}
+            SupersingularDatum(levi, flags)
+            for i in range(1, n + 1):
+                off = dict(flags)
+                if i in off:
+                    del off[i]
+                else:
+                    off[i] = False
+                with pytest.raises(ClassifyError, match="eligible roots"):
+                    SupersingularDatum(levi, off)
+            if n in flags:
+                with pytest.raises(ClassifyError, match="genuineness"):
+                    SupersingularDatum(levi, {**flags, n: True})
+    small = [chi(u, t) for u in range(Q - 1) for t in range(N)]
+    for xi in itertools.product(small, repeat=3):
+        sigma = GenuineTorusCharacter(xi, ONE_CLASS)
+        d = torus_datum(sigma)
+        assert d.flags == {1: xi[0] == xi[1], 2: xi[1] == xi[2], 3: False}
+        for i in (1, 2):
+            with pytest.raises(ClassifyError, match="contradicts"):
+                SupersingularDatum(
+                    d.levi, {**d.flags, i: not d.flags[i]}, torus_character=sigma
+                )
+
+
+def test_derived_sets_are_not_fields():
+    """Flags of a torus character and the top set of a datum are plain
+    attributes: fields, repr, == and hash are those of the declared
+    fields."""
+    sigma = GenuineTorusCharacter((chi(1, 2), chi(1, 2)), UNIT_CLASS)
+    d = torus_datum(sigma)
+    assert [f.name for f in dataclasses.fields(sigma)] == ["xi", "psi_class"]
+    assert [f.name for f in dataclasses.fields(d)] == [
+        "levi",
+        "flags",
+        "label",
+        "torus_character",
+        "genuine",
+    ]
+    chars = (
+        "GenuineTorusCharacter(xi=(SmoothCharacterFx(q=3, N=4, unit_exp=1, pi_exp=2),"
+        " SmoothCharacterFx(q=3, N=4, unit_exp=1, pi_exp=2)), psi_class=SquareClass(u))"
+    )
+    assert repr(sigma) == chars
+    assert repr(d) == (
+        "SupersingularDatum(levi=ParabolicSubset(n=2, roots=frozenset()),"
+        f" flags={{1: True, 2: False}}, label='xi', torus_character={chars},"
+        " genuine=True)"
+    )
+    twin = GenuineTorusCharacter(list(sigma.xi), UNIT_CLASS)
+    assert twin == sigma and hash(twin) == hash(sigma) and twin.xi == sigma.xi
+    assert sigma.flags == ((1, True),) and d.top_roots == {1}
+
+
+def test_parabolic_subsets_are_shared():
+    n = 4
+    assert ParabolicSubset.empty(n) is ParabolicSubset.empty(n)
+    a = composition_factors(torus_datum(trivial_sigma(n)))
+    b = composition_factors(torus_datum(trivial_sigma(n)))
+    assert all(s.Q is t.Q and s.P is t.P for s, t in zip(a, b))
+    assert pi_sigma(a[0].sigma) is pi_sigma(b[0].sigma)
+    assert pi_sigma(a[0].sigma) == ParabolicSubset(n, frozenset({1, 2, 3}))

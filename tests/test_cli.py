@@ -254,6 +254,14 @@ def run_captured(argv, stdin=""):
         (("classify",), {"levi": [1], "flags": []}),
         (("classify", "--siegel", "--n", "3"), {"P": [], "flags": [], "Q": []}),
         (("classify", "--siegel", "--n", "3"), {"P": 3, "flags": {}, "Q": []}),
+        # JSON booleans are not integers, and flags are not coerced to bool
+        (("classify", "--n", "3"), {"levi": [], "flags": {"1": "false", "2": False, "3": False}}),
+        (("classify", "--n", "3"), {"levi": [], "flags": {"1": 0, "2": False, "3": False}}),
+        (("classify", "--n", "3"), {"levi": [True], "flags": {"3": False}}),
+        (("classify", "--n", "2"), {"xi": [[True, 0], [0, 0]]}),
+        (("classify", "--n", "2"), {"xi": [[0, 0], [0, False]]}),
+        (("classify", "--siegel", "--n", "3"), {"P": [], "flags": {"1": "yes", "2": False}, "Q": []}),
+        (("classify", "--siegel", "--n", "3"), {"P": [], "flags": {"1": True, "2": False}, "Q": [True]}),
     ],
 )
 def test_classify_rejects_mistyped_json(argv, doc):
@@ -457,11 +465,21 @@ def test_flag_fuzz_exits_cleanly(command, config):
     ],
 )
 def test_over_budget_oracle_exits_at_once(argv):
+    _assert_refused_at_once(argv, 31**8)
+
+
+def test_over_budget_sl2_row_exits_at_once():
+    # every SL_2 box tuple is a leaf, so its limit is far below Sp_4's
+    argv = ["oracle", "satake", "--group", "sl2", "--i", "1", "--p", "1009", "--depth", "4"]
+    _assert_refused_at_once(argv, 1009**2)
+
+
+def _assert_refused_at_once(argv, tuples):
     start = time.perf_counter()
     code, out, err = run_captured(argv)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
-    assert err.startswith("error:") and f"{31**8:,} tuples" in err
+    assert err.startswith("error:") and f"{tuples:,} tuples" in err
 
 
 # sp4 only at p <= 3 and depth <= 2, so that no example counts for long

@@ -339,8 +339,8 @@ def test_box_estimate_admits_p11_and_refuses_p13():
             assert box_estimate(zero, lam, depth, "sp4", 13) == 13**8
         for depth in (1, 2, 3, 4):
             for mu in antidominant_above(lam):
-                assert box_estimate(mu, lam, depth, "sp4", 11) <= ORACLE_BOX_LIMIT
-        assert box_estimate(zero, lam, 4, "sp4", 13) > ORACLE_BOX_LIMIT
+                assert box_estimate(mu, lam, depth, "sp4", 11) <= ORACLE_BOX_LIMIT["sp4"]
+        assert box_estimate(zero, lam, 4, "sp4", 13) > ORACLE_BOX_LIMIT["sp4"]
 
 
 def test_over_budget_row_is_refused_before_counting(monkeypatch):
@@ -357,11 +357,13 @@ def test_over_budget_row_is_refused_before_counting(monkeypatch):
             count_cosets(Cocharacter((0, 0)), lam, 4, "sp4", p)
         with pytest.raises(OracleError):
             verify_metaplectic_pipeline(2, 2, p)
-    # sl2 boxes are p^2 at most: p = 17,321 is the first prime refused
+    # sl2 boxes are p^2 at most, and every tuple is a leaf: p = 839 is the
+    # first prime refused, at every depth
     sl2_cell = (Cocharacter((0,)), Cocharacter((-2,)), 4, "sl2")
-    assert box_estimate(*sl2_cell, 17317) <= ORACLE_BOX_LIMIT
-    with pytest.raises(OracleError):
-        count_cosets(*sl2_cell, 17321)
+    assert box_estimate(*sl2_cell, 829) <= ORACLE_BOX_LIMIT["sl2"]
+    for depth in (1, 2, 3, 4):
+        with pytest.raises(OracleError):
+            count_cosets(Cocharacter((0,)), Cocharacter((-2,)), depth, "sl2", 839)
 
 
 def test_sp4_shifted_cell_count_hand_value():
