@@ -12,7 +12,6 @@ from .rootdata import (
     is_antidominant,
     leq,
     pairing,
-    parabolic_from_cochar,
     root_string_data,
     simple_root,
 )

@@ -84,11 +84,6 @@ class SmoothCharacterFx:
         return SmoothCharacterFx(q, N, 0, 0)
 
 
-def default_value_group_order(q: int) -> int:
-    """lcm(q - 1, 2): big enough for residue duals and Hilbert characters."""
-    return math.lcm(q - 1, 2)
-
-
 def hilbert_smooth_character(
     c: SquareClass, F: LocalFieldDescriptor, N: int
 ) -> SmoothCharacterFx:

@@ -181,9 +181,6 @@ class ParabolicSubset:
             raise RootDatumError("rank mismatch")
         return ParabolicSubset(self.n, self.roots | other.roots)
 
-    def is_full(self) -> bool:
-        return len(self.roots) == self.n
-
 
 @functools.lru_cache(maxsize=64)
 def parabolic_subset(n: int, roots: frozenset) -> ParabolicSubset:
@@ -272,13 +269,21 @@ def row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
     return m, pivots
 
 
-def cartan_inverse(n: int, J=None) -> list[list[Fraction]]:
+def cartan_inverse(n: int, J=None) -> tuple[tuple[Fraction, ...], ...]:
     """Inverse of the Cartan matrix restricted to the subset J (default all).
 
     All entries are nonnegative rationals; this is what makes the
     enumeration bounds below finite.
     """
-    idx = sorted(_as_indices(J, n))
+    return _cartan_inverse(n, tuple(sorted(_as_indices(J, n))))
+
+
+@functools.lru_cache(maxsize=64)
+def _cartan_inverse(n: int, idx: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
+    """`cartan_inverse` on sorted indices, row-reduced once per key: the
+    reduction over `Fraction` costs 0.3-1.3 ms at n = 3..6, and callers ask
+    for a few keys many times.  Rows are tuples, so no caller can alter
+    the shared value."""
     m = len(idx)
     rows = [
         [pairing(simple_root(j, n), coroot(k, n)) for k in idx] + [int(j == k) for k in idx]
@@ -287,7 +292,7 @@ def cartan_inverse(n: int, J=None) -> list[list[Fraction]]:
     reduced, pivots = row_reduce(rows)
     if pivots != list(range(m)):
         raise RootDatumError("singular matrix")
-    return [row[m:] for row in reduced]
+    return tuple(tuple(row[m:]) for row in reduced)
 
 
 def leq(lam: Cocharacter, mu: Cocharacter, J=None) -> bool:
@@ -354,16 +359,6 @@ def antidominant_above(lam: Cocharacter, J=None) -> set[Cocharacter]:
 
     walk(1)
     return out
-
-
-def parabolic_from_cochar(lam: Cocharacter) -> ParabolicSubset:
-    """The subset {alpha in Pi : <alpha, lam> = 0} of an antidominant lam."""
-    n = lam.rank
-    if not is_antidominant(lam):
-        raise RootDatumError("cocharacter is not antidominant")
-    return ParabolicSubset(
-        n, frozenset(j for j in range(1, n + 1) if pairing(simple_root(j, n), lam) == 0)
-    )
 
 
 def antidominant_rep(lam: Cocharacter) -> Cocharacter:

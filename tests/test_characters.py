@@ -7,7 +7,6 @@ from metaplectic.characters import (
     CharacterError,
     GenuineTorusCharacter,
     SmoothCharacterFx,
-    default_value_group_order,
     genuine_equal,
     hilbert_smooth_character,
     restrict_short_coroot,
@@ -35,9 +34,6 @@ def test_value_group_constraints():
         SmoothCharacterFx(3, 5, 0, 0)  # odd N cannot see -1
     with pytest.raises(CharacterError):
         SmoothCharacterFx(3, 6, 0, 0)  # N not coprime to p
-    assert default_value_group_order(3) == 2
-    assert default_value_group_order(9) == 8
-    assert default_value_group_order(7) == 6
 
 
 def test_smooth_character_group_ops():
@@ -78,7 +74,7 @@ def test_restrict_short_coroot_ignores_psi_class():
 def test_hilbert_smooth_character_matches_symbol():
     for p in (3, 5, 7):
         F = LocalFieldDescriptor(p)
-        n_ord = default_value_group_order(p)
+        n_ord = p - 1  # lcm(p - 1, 2) for odd p
         for c in ALL_CLASSES:
             smooth = hilbert_smooth_character(c, F, n_ord)
             # value at the uniformizer is the symbol (pi, c)

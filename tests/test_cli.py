@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import sys
@@ -262,12 +263,21 @@ def run_captured(argv, stdin=""):
         (("classify", "--n", "2"), {"xi": [[0, 0], [0, False]]}),
         (("classify", "--siegel", "--n", "3"), {"P": [], "flags": {"1": "yes", "2": False}, "Q": []}),
         (("classify", "--siegel", "--n", "3"), {"P": [], "flags": {"1": True, "2": False}, "Q": [True]}),
+        # flag keys are canonical integers: "01" and " 1" do not stand for root 1
+        (("classify", "--n", "3"), {"levi": [], "flags": {"1": True, "01": False, "2": False, "3": False}}),
+        (("classify", "--n", "3"), {"levi": [], "flags": {" 1": True, "2": False, "3": False}}),
+        (("classify", "--n", "3"), {"levi": [], "flags": {"x": True, "2": False, "3": False}}),
+        (("classify", "--siegel", "--n", "3"), {"P": [], "flags": {"01": True, "2": False}, "Q": []}),
     ],
 )
 def test_classify_rejects_mistyped_json(argv, doc):
     code, _, err = run_captured(argv, json.dumps(doc))
     assert code == 2
     assert any(line.startswith("error:") for line in err.splitlines())
+    flags = doc.get("flags")
+    for key in flags if isinstance(flags, dict) else ():
+        if key not in ("1", "2", "3"):
+            assert f"error: flag key {key!r}" in err
 
 
 _JSON = st.recursive(
@@ -331,6 +341,43 @@ def test_emit_rejects_payload_outside_its_schema(capsys, monkeypatch):
     code, out, err = run(capsys, "hilbert", "pi", "pi", "--p", "3")
     assert (code, out) == (2, "")
     assert err == "error: output failed its schema: 2 is not one of [1, -1]\n"
+
+
+_HILBERT_PAYLOAD = {"x": "pi", "y": "pi", "p": 3, "f": 1, "symbol": -1}
+
+
+def test_emit_refuses_an_invalid_schema_on_first_use(capsys, monkeypatch):
+    monkeypatch.setitem(SCHEMAS, "hilbert", {"type": 5})
+    with pytest.raises(jsonschema.SchemaError):
+        emit(_HILBERT_PAYLOAD, "hilbert")
+    with pytest.raises(jsonschema.SchemaError):
+        emit(_HILBERT_PAYLOAD, "hilbert")
+    assert capsys.readouterr().out == ""
+
+
+def test_emit_checks_each_schema_once_and_every_payload(capsys, monkeypatch):
+    checked = []
+    real = jsonschema.Draft7Validator.check_schema
+    monkeypatch.setattr(
+        jsonschema.Draft7Validator,
+        "check_schema",
+        lambda schema, **kwargs: checked.append(schema) or real(schema, **kwargs),
+    )
+    # fresh schema objects, so earlier emits in this process do not count
+    hilbert, cover_ = copy.deepcopy(SCHEMAS["hilbert"]), copy.deepcopy(SCHEMAS["cover"])
+    monkeypatch.setitem(SCHEMAS, "hilbert", hilbert)
+    monkeypatch.setitem(SCHEMAS, "cover", cover_)
+    for _ in range(3):
+        emit(_HILBERT_PAYLOAD, "hilbert")
+        emit({"n": 1, "Q_coroots": [1], "splits_over_Mprime": {}}, "cover")
+    assert len(checked) == 2
+    assert checked[0] is hilbert and checked[1] is cover_
+    capsys.readouterr()
+    with pytest.raises(UsageError) as bad:
+        emit({**_HILBERT_PAYLOAD, "symbol": 2}, "hilbert")
+    assert str(bad.value) == "output failed its schema: 2 is not one of [1, -1]"
+    assert capsys.readouterr().out == ""
+    assert len(checked) == 2
 
 
 # one command line per output schema, and the stdin it reads

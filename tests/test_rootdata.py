@@ -20,7 +20,6 @@ from metaplectic.rootdata import (
     is_antidominant,
     leq,
     pairing,
-    parabolic_from_cochar,
     positive_roots,
     root_string_data,
     row_reduce,
@@ -202,19 +201,24 @@ def test_antidominant_above_restricted():
     assert all(is_antidominant(mu, J={1}) and leq(lam, mu, J={1}) for mu in got)
 
 
+def test_cartan_inverse_same_for_every_spelling_of_J():
+    for n in range(1, 7):
+        assert cartan_inverse(n) == cartan_inverse(n, None) == cartan_inverse(n, range(1, n + 1))
+        for r in range(n + 1):
+            for idx in itertools.combinations(range(1, n + 1), r):
+                want = cartan_inverse(n, list(idx))
+                assert cartan_inverse(n, list(reversed(idx))) == want
+                assert cartan_inverse(n, set(idx)) == want
+                assert cartan_inverse(n, ParabolicSubset(n, frozenset(idx))) == want
+                assert type(want) is tuple and all(type(row) is tuple for row in want)
+                assert len(want) == r and all(len(row) == r for row in want)
+
+
 def test_antidominant_above_downward_compatible():
     lam = Cocharacter((-2, -1))
     above = antidominant_above(lam)
     for mu in above:
         assert antidominant_above(mu) <= above
-
-
-def test_parabolic_from_cochar():
-    assert parabolic_from_cochar(Cocharacter((0, 0))).roots == {1, 2}
-    assert parabolic_from_cochar(Cocharacter((-1, -1))).roots == {1}
-    assert parabolic_from_cochar(Cocharacter((-1, 0))).roots == {2}
-    with pytest.raises(RootDatumError):
-        parabolic_from_cochar(Cocharacter((0, -1)))
 
 
 def test_antidominant_rep():
@@ -300,7 +304,6 @@ def test_parabolic_subset_validation():
     with pytest.raises(RootDatumError):
         ParabolicSubset(2, frozenset({3}))
     assert ParabolicSubset.siegel(3).roots == {1, 2}
-    assert ParabolicSubset.full(2).is_full()
 
 
 def test_parabolic_subset_range_messages():
