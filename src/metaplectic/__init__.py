@@ -12,7 +12,6 @@ from .rootdata import (
     is_antidominant,
     leq,
     pairing,
-    root_string_data,
     simple_root,
 )
 from .cover import (
@@ -28,8 +27,6 @@ from .cover import (
     eval_Q,
     hilbert,
     hilbert_solvable,
-    psi_ratio_character,
-    rao_siegel_product,
     splits_over_Mprime,
 )
 from .characters import (
@@ -37,14 +34,12 @@ from .characters import (
     SmoothCharacterFx,
     genuine_equal,
     restrict_short_coroot,
-    supersingular_flags_from_character,
 )
 from .weights import (
     QRestrictedWeight,
     change_of_weight_pair,
     is_M_regular,
     pi_nu,
-    restrict_weight_to_levi,
     same_weight_class,
 )
 from .hecke import (
@@ -58,7 +53,6 @@ from .hecke import (
     parity_filter,
     pi_chi,
     t2lambda_base,
-    tau_convolve,
     vanishing_sum_check,
 )
 from .oracle import (

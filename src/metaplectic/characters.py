@@ -175,9 +175,3 @@ def genuine_equal(
     c = sigma.psi_class * sigma2.psi_class
     twist = hilbert_smooth_character(c, F, sigma.xi[0].N)
     return all(x2 == x * twist for x, x2 in zip(sigma.xi, sigma2.xi))
-
-
-def supersingular_flags_from_character(sigma: GenuineTorusCharacter) -> dict[int, bool]:
-    """The short-root triviality flags of sigma as a fresh dict (see
-    `GenuineTorusCharacter.flags`, computed once per character)."""
-    return dict(sigma.flags)

@@ -61,7 +61,7 @@ class SupersingularDatum:
     """A supersingular representation of the Levi indexed by `levi`, seen
     through its triviality flags on the eligible simple roots.
 
-    `genuine` is always True here; it forces the long-root flag to False
+    Every datum is genuine, which forces the long-root flag to False
     whenever the long root is eligible.  A torus datum (empty Levi) may
     carry the underlying genuine torus character, in which case the flags
     must agree with the character's short-coroot restrictions.
@@ -75,14 +75,11 @@ class SupersingularDatum:
     flags: dict
     label: str = "sigma"
     torus_character: Optional[GenuineTorusCharacter] = None
-    genuine: bool = True
 
     def __post_init__(self):
         n = self.levi.n
         flags = {int(k): bool(v) for k, v in self.flags.items()}
         object.__setattr__(self, "flags", flags)
-        if not self.genuine:
-            raise ClassifyError("only genuine data occur in this artifact")
         eligible = eligible_flag_roots(self.levi)
         if flags.keys() != eligible:
             raise ClassifyError(
@@ -295,7 +292,7 @@ def enumerate_classification(
             raise ClassifyError("menu rank mismatch")
         dup = None
         for kidx, other in enumerate(kept):
-            if datum.levi == other.levi and sigma_equal(datum, other, F):
+            if sigma_equal(datum, other, F):
                 dup = kidx
                 break
         if dup is None:

@@ -723,9 +723,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

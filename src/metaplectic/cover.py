@@ -6,10 +6,9 @@ The cover is classified by the quadratic form
 
 on the cocharacter lattice of the ambient similitude torus; B is the
 associated bilinear form.  Commutators of lifted torus points are Hilbert
-symbols raised to B, and the cocycle restricted to the Siegel Levi sees an
-element only through the square class of its GL_n determinant.  For odd
-residue characteristic the quadratic Hilbert symbol factors through
-F^x / (F^x)^2 = {1, u, pi, u*pi} and is computed by the tame formula.
+symbols raised to B.  For odd residue characteristic the quadratic
+Hilbert symbol factors through F^x / (F^x)^2 = {1, u, pi, u*pi} and is
+computed by the tame formula.
 `hilbert_solvable` checks it independently (tests, selftest criterion 3
 and `hilbert --verify`): a pure-Python scan of one free coordinate of
 z^2 = x X^2 + y Y^2 mod p^4 against a table of squares.
@@ -97,12 +96,9 @@ ALL_CLASSES = (ONE_CLASS, UNIT_CLASS, PI_CLASS, UPI_CLASS)
 @dataclass(frozen=True)
 class LocalFieldDescriptor:
     """A nonarchimedean local field with odd residue characteristic p and
-    residue field of size q = p^f, together with a marked uniformizer and
-    a marked nonsquare unit class.
-
-    For f = 1 the nonsquare unit is realized by `nonsquare_unit`, the
-    smallest positive quadratic nonresidue mod p (any choice gives
-    isomorphic data; the symbol only sees the class).
+    residue field of size q = p^f, together with a marked uniformizer.
+    Units are seen only through their square class, so no nonsquare unit
+    is fixed.
     """
 
     p: int
@@ -117,15 +113,6 @@ class LocalFieldDescriptor:
     @property
     def q(self) -> int:
         return self.p**self.f
-
-    @property
-    def nonsquare_unit(self) -> int:
-        if self.f != 1:
-            raise CoverError("explicit nonsquare unit only realized for f = 1")
-        for u in range(2, self.p):
-            if pow(u, (self.p - 1) // 2, self.p) == self.p - 1:
-                return u
-        raise CoverError("no nonresidue found")  # unreachable for odd p
 
     def residue_char_minus_one(self) -> int:
         """Quadratic character of -1: +1 iff q = 1 mod 4."""
@@ -184,43 +171,6 @@ def splits_over_Mprime(i: int, n: int) -> bool:
     if not 1 <= i <= n:
         raise CoverError(f"index {i} out of range 1..{n}")
     return i != n
-
-
-def rao_siegel_product(
-    d: SquareClass, zeta: int, d2: SquareClass, zeta2: int, F
-) -> tuple[SquareClass, int]:
-    """Product in the Siegel-Levi cover, elements seen through
-    (determinant square class, mu_2 part):
-
-        (m, zeta) (m', zeta') = (m m', (det m, det m')_F zeta zeta').
-    """
-    if zeta not in (1, -1) or zeta2 not in (1, -1):
-        raise CoverError("mu_2 components must be +1 or -1")
-    return d * d2, hilbert(d, d2, F) * zeta * zeta2
-
-
-@dataclass(frozen=True)
-class HilbertCharacter:
-    """The character x -> (x, a)_F of F^x, the multiplier by which a change
-    of additive character acts on torus data through the square class a.
-
-    Trivial exactly when a is a square.
-    """
-
-    a: SquareClass
-    F: LocalFieldDescriptor
-
-    def __call__(self, x: SquareClass) -> int:
-        return hilbert(x, self.a, self.F)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.a.is_square()
-
-
-def psi_ratio_character(a: SquareClass, F: LocalFieldDescriptor) -> HilbertCharacter:
-    """Ratio of the genuine characters attached to psi_a and psi."""
-    return HilbertCharacter(a, F)
 
 
 SOLVABILITY_MODULUS_LIMIT = 10**6

@@ -2,9 +2,7 @@
 
 A torus Hecke element is a finitely supported sum  sum_mu c(mu) tau_mu
 with coefficients mod p, where tau_mu is the double-coset function at the
-uniformizer point of the cocharacter mu.  The section mu -> lift of
-mu(pi) is a homomorphism, so convolution is just tau_lam * tau_mu =
-tau_{lam + mu} extended bilinearly.
+uniformizer point of the cocharacter mu.
 
 The module records the two computed Satake values
 
@@ -102,18 +100,6 @@ class TorusHeckeElement:
                 c -= self.p
             out.append((k, c))
         return out
-
-
-def tau_convolve(h: TorusHeckeElement, h2: TorusHeckeElement) -> TorusHeckeElement:
-    """Bilinear extension of tau_lam * tau_mu = tau_{lam + mu}."""
-    if h.p != h2.p:
-        raise HeckeError("mixed moduli")
-    out: dict = {}
-    for a, ca in h.coeffs.items():
-        for b, cb in h2.coeffs.items():
-            key = tuple(x + y for x, y in zip(a, b))
-            out[key] = (out.get(key, 0) + ca * cb) % h.p
-    return TorusHeckeElement(h.p, out)
 
 
 def t2lambda_base(i: int, n: int) -> Cocharacter:

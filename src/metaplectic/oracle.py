@@ -17,12 +17,13 @@ All arithmetic is exact.  Every coordinate is a fraction a / p^w, so
 every matrix here has entries in Z[1/p] and is carried as an integer
 matrix m together with a known shift k, standing for p^(-k) m; a
 valuation of the represented matrix is a p-adic valuation of an integer
-entry minus k.  Two groups are realized, SL_2 and Sp_4 with the
-antidiagonal symplectic form
+entry minus k.  Two groups are realized, SL_2 as Sp_2 and Sp_4, both
+as Sp_2n with the antidiagonal symplectic form of size 2n
 
-    J = [[0,0,0,1],[0,0,1,0],[0,-1,0,0],[-1,0,0,0]],
+    J = antidiag(1, ..., 1, -1, ..., -1)   (n ones, then n minus ones),
 
-torus diag(t_1, t_2, t_2^{-1}, t_1^{-1}).
+and torus diag(t_1, ..., t_n, t_n^{-1}, ..., t_1^{-1}); in size 2,
+g^T J g = det(g) J, so Sp_2 is SL_2.
 
 Pruning: each coordinate is a bare entry of the unipotent matrix, and
 every entry of a matrix in the lam-cell has valuation >= min(lam), so
@@ -102,17 +103,18 @@ class NegativeRootCoordinate:
 
 
 class ChevalleyRealization:
-    """Matrix model of one of the oracle groups over Q_p."""
+    """Matrix model of one of the oracle groups over Q_p, as Sp_2n of
+    size 2n with n the rank: sl2 is Sp_2, sp4 is Sp_4."""
 
     def __init__(self, tag: str):
         if tag == "sl2":
-            self.tag, self.size, self.rank = tag, 2, 1
+            self.rank = 1
             self.neg = (
                 NegativeRootCoordinate("-a1", (((1, 0), 1),), (1, 0), 0),
             )
             self.pos_units = {"a1": (((0, 1), 1),)}
         elif tag == "sp4":
-            self.tag, self.size, self.rank = tag, 4, 2
+            self.rank = 2
             # order by height: -a1, -a2, -(a1+a2), -(2a1+a2)
             self.neg = (
                 NegativeRootCoordinate("-a1", (((1, 0), 1), ((3, 2), -1)), (1, 0), 0),
@@ -130,24 +132,20 @@ class ChevalleyRealization:
             }
         else:
             raise OracleError(f"unknown group tag {tag!r}; use sl2 or sp4")
+        self.tag, self.size = tag, 2 * self.rank
 
     def torus_exponents(self, mu: Cocharacter) -> tuple[int, ...]:
         """Diagonal valuation pattern of mu(pi)."""
         if mu.rank != self.rank:
             raise OracleError(f"{self.tag} expects rank {self.rank}")
-        if self.tag == "sl2":
-            (m,) = mu.coords
-            return (m, -m)
-        m1, m2 = mu.coords
-        return (m1, m2, -m2, -m1)
+        return mu.coords + tuple(-m for m in reversed(mu.coords))
 
     def form_matrix(self):
-        """Gram matrix of the symplectic form (None for sl2, where the
-        form is the determinant)."""
-        if self.tag == "sl2":
-            return None
-        J = [[0] * 4 for _ in range(4)]
-        J[0][3], J[1][2], J[2][1], J[3][0] = 1, 1, -1, -1
+        """Gram matrix antidiag(1..1, -1..-1) of the symplectic form."""
+        size = self.size
+        J = [[0] * size for _ in range(size)]
+        for i in range(size):
+            J[i][size - 1 - i] = 1 if i < self.rank else -1
         return J
 
     # -- matrix builders ----------------------------------------------
@@ -223,16 +221,13 @@ class PadicMatrix:
 
     def verify_membership(self):
         g = self.entries
-        # g^T J g = J and det g = 1 for the represented matrix p^(-shift) g
+        # g^T J g = J for the represented matrix p^(-shift) g
         scale = Fraction(self.p) ** (2 * self.shift)
-        if self.group.tag == "sl2":
-            if g[0][0] * g[1][1] - g[0][1] * g[1][0] != scale:
-                raise OracleError("matrix is not in SL_2")
-            return
         J = self.group.form_matrix()
         prod = matrix_product(matrix_product([list(col) for col in zip(*g)], J), g)
-        for i in range(4):
-            for j in range(4):
+        size = self.group.size
+        for i in range(size):
+            for j in range(size):
                 if prod[i][j] != scale * J[i][j]:
                     raise OracleError(
                         f"matrix does not preserve the symplectic form at ({i}, {j})"
@@ -301,9 +296,8 @@ def cartan_invariant_of_entries(
     """The antidominant cocharacter lam with p^(-shift) entries in
     K lam(pi) K.
 
-    All elementary divisor valuations are computed; for the symplectic
-    realizations they must pair as (d, -d) and the first half, ascending,
-    is the invariant.
+    All elementary divisor valuations are computed; in Sp_2n they must
+    pair as (d, -d) and the first half, ascending, is the invariant.
     """
     size = group.size
     vals = smith_valuations(entries, p, shift)

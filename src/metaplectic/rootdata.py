@@ -388,64 +388,6 @@ def positive_roots(n: int) -> list[Character]:
     return out
 
 
-def all_roots(n: int) -> set[Character]:
-    pos = positive_roots(n)
-    return set(pos) | {-r for r in pos}
-
-
-def is_root(chi: Character) -> bool:
-    return chi in all_roots(chi.rank)
-
-
-def is_positive_root(chi: Character) -> bool:
-    return chi in set(positive_roots(chi.rank))
-
-
-def is_siegel_root(chi: Character) -> bool:
-    """Member of the A_{n-1} subsystem generated by the short simple roots."""
-    nz = [c for c in chi.coords if c != 0]
-    return sorted(nz) == [-1, 1]
-
-
-@dataclass(frozen=True)
-class RootStringData:
-    """beta-string data through -gamma, as used by the support analysis.
-
-    `exists` records whether beta - gamma is a root.  When it is, `ell`
-    counts the j >= 1 with j*beta - gamma a root, and `magnitudes` are the
-    structure-constant magnitudes |c_{beta,-gamma;j,1}| for j = 1..ell.
-    Signs are deliberately not computed: they depend on a Chevalley basis
-    choice that nothing downstream consumes.
-    """
-
-    exists: bool
-    ell: int
-    magnitudes: tuple[int, ...]
-
-
-def root_string_data(beta: Character, gamma: Character) -> RootStringData:
-    """Classify the beta-string through -gamma for beta a positive root of
-    the Siegel subsystem and gamma a positive root.
-
-    The three string shapes are {-gamma, beta-gamma},
-    {-gamma, beta-gamma, 2beta-gamma} and {-beta-gamma, -gamma, beta-gamma};
-    the magnitude is 2 exactly in the last shape, where the string starts
-    one step below -gamma.
-    """
-    _check_rank(beta, gamma)
-    if not (is_positive_root(beta) and is_siegel_root(beta)):
-        raise RootDatumError(f"{beta.coords} is not a positive Siegel-subsystem root")
-    if not is_positive_root(gamma):
-        raise RootDatumError(f"{gamma.coords} is not a positive root")
-    roots = all_roots(beta.rank)
-    if (beta - gamma) not in roots:
-        return RootStringData(exists=False, ell=0, magnitudes=())
-    ell = sum(1 for j in (1, 2) if (j * beta - gamma) in roots)
-    down = 1 + max(k for k in (0, 1, 2) if k == 0 or (-1 * (k * beta) - gamma) in roots)
-    magnitudes = [down] + [1] * (ell - 1)
-    return RootStringData(exists=True, ell=ell, magnitudes=tuple(magnitudes))
-
-
 def signed_permutations(n: int):
     """The Weyl group of C_n as (permutation, signs) pairs, for tests."""
     for perm in itertools.permutations(range(n)):

@@ -10,7 +10,6 @@ from metaplectic.characters import (
     genuine_equal,
     hilbert_smooth_character,
     restrict_short_coroot,
-    supersingular_flags_from_character,
 )
 from metaplectic.cover import (
     ALL_CLASSES,
@@ -137,18 +136,16 @@ def test_genuine_equal_psi_square_collapse():
 
 def test_supersingular_flags():
     trivial = GenuineTorusCharacter.unramified_trivial(3, Q, N)
-    flags = supersingular_flags_from_character(trivial)
-    assert flags == {1: True, 2: True}
+    assert trivial.flags == ((1, True), (2, True))
     distinct = GenuineTorusCharacter((chi(0, 0), chi(0, 1), chi(0, 2)), ONE_CLASS)
-    assert supersingular_flags_from_character(distinct) == {1: False, 2: False}
+    assert distinct.flags == ((1, False), (2, False))
     mixed = GenuineTorusCharacter((chi(1, 1), chi(1, 1), chi(0, 0)), ONE_CLASS)
-    assert supersingular_flags_from_character(mixed) == {1: True, 2: False}
+    assert mixed.flags == ((1, True), (2, False))
     # the long index never appears
-    assert 3 not in supersingular_flags_from_character(trivial)
-    # computed once per character; each caller gets its own dict
+    assert 3 not in dict(trivial.flags)
+    # computed once per character, as an immutable tuple
     assert trivial.flags is trivial.flags
-    flags[1] = False
-    assert supersingular_flags_from_character(trivial) == {1: True, 2: True}
+    assert isinstance(trivial.flags, tuple)
 
 
 def test_torus_character_validation():

@@ -8,7 +8,6 @@ from metaplectic.characters import (
     GenuineTorusCharacter,
     SmoothCharacterFx,
     restrict_short_coroot,
-    supersingular_flags_from_character,
 )
 from metaplectic.classify import (
     ClassifyError,
@@ -228,7 +227,7 @@ def test_flags_and_length_match_restriction_definition():
         sigma = GenuineTorusCharacter(xi, rng.choice(ALL_CLASSES))
         restrictions = {i: xi[i - 1] * xi[i].inverse() for i in range(1, 4)}
         want = {i: r.is_trivial for i, r in restrictions.items()}
-        assert supersingular_flags_from_character(sigma) == want
+        assert dict(sigma.flags) == want
         assert ps_length(sigma) == 2 ** sum(want.values())
         for i, r in restrictions.items():
             assert restrict_short_coroot(sigma, i) == r
@@ -391,7 +390,6 @@ def test_derived_sets_are_not_fields():
         "flags",
         "label",
         "torus_character",
-        "genuine",
     ]
     chars = (
         "GenuineTorusCharacter(xi=(SmoothCharacterFx(q=3, N=4, unit_exp=1, pi_exp=2),"
@@ -400,8 +398,7 @@ def test_derived_sets_are_not_fields():
     assert repr(sigma) == chars
     assert repr(d) == (
         "SupersingularDatum(levi=ParabolicSubset(n=2, roots=frozenset()),"
-        f" flags={{1: True, 2: False}}, label='xi', torus_character={chars},"
-        " genuine=True)"
+        f" flags={{1: True, 2: False}}, label='xi', torus_character={chars})"
     )
     twin = GenuineTorusCharacter(list(sigma.xi), UNIT_CLASS)
     assert twin == sigma and hash(twin) == hash(sigma) and twin.xi == sigma.xi

@@ -21,8 +21,6 @@ from metaplectic.cover import (
     eval_Q,
     hilbert,
     hilbert_solvable,
-    psi_ratio_character,
-    rao_siegel_product,
     splits_over_Mprime,
 )
 from metaplectic.rootdata import Cocharacter, coroot
@@ -76,7 +74,7 @@ def test_local_field_descriptor():
         LocalFieldDescriptor(2)
     with pytest.raises(CoverError):
         LocalFieldDescriptor(9)
-    assert LocalFieldDescriptor(3).nonsquare_unit == 2
+    assert LocalFieldDescriptor(3).square_class_of(2) == UNIT_CLASS
     assert LocalFieldDescriptor(7).q == 7
     assert LocalFieldDescriptor(3, 2).q == 9
     assert LocalFieldDescriptor(3).residue_char_minus_one() == -1
@@ -102,7 +100,7 @@ def test_hilbert_examples():
     assert hilbert(PI_CLASS, PI_CLASS, F3) == -1
     assert hilbert(PI_CLASS, PI_CLASS, F5) == 1
     # u = 2 over Q_3: (2, pi) = Legendre(2 mod 3) = -1
-    assert F3.nonsquare_unit == 2
+    assert F3.square_class_of(2) == UNIT_CLASS
     assert hilbert(UNIT_CLASS, PI_CLASS, F3) == -1
 
 
@@ -124,6 +122,11 @@ def test_hilbert_against_solvability_oracle():
             assert hilbert(x, y, F) == hilbert_solvable(x, y, F), (p, x, y)
 
 
+def _least_nonresidue(p):
+    """The least u with u^((p-1)/2) = -1 mod p (Euler's criterion)."""
+    return next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1)
+
+
 def _brute_solvable(x, y, F):
     """(x, y)_F = 1 iff x X^2 + y Y^2 is a square mod p^4 for a primitive
     pair (X, Y): every such pair is tried, with no scaling to one free
@@ -131,8 +134,9 @@ def _brute_solvable(x, y, F):
     p = F.p
     mod = p**4
     squares = {z * z % mod for z in range(mod)}
-    xv = p**x.pi_parity * (F.nonsquare_unit if x.unit_nonsquare else 1)
-    yv = p**y.pi_parity * (F.nonsquare_unit if y.unit_nonsquare else 1)
+    u = _least_nonresidue(p)
+    xv = p**x.pi_parity * (u if x.unit_nonsquare else 1)
+    yv = p**y.pi_parity * (u if y.unit_nonsquare else 1)
     xs = [xv * X * X % mod for X in range(mod)]
     ys = [yv * Y * Y % mod for Y in range(mod)]
     pairs = itertools.product(range(mod), repeat=2)
@@ -231,32 +235,3 @@ def test_splits_over_Mprime():
             assert splits_over_Mprime(i, n) == (eval_Q(coroot(i, n)) % 2 == 0)
     with pytest.raises(CoverError):
         splits_over_Mprime(0, 2)
-
-
-def test_rao_siegel_product():
-    F = LocalFieldDescriptor(3)
-    # identity element
-    for d in ALL_CLASSES:
-        for z in (1, -1):
-            assert rao_siegel_product(ONE_CLASS, 1, d, z, F) == (d, z)
-    # (pi, 1) squared picks up (pi, pi)_{Q_3} = -1
-    assert rao_siegel_product(PI_CLASS, 1, PI_CLASS, 1, F) == (ONE_CLASS, -1)
-    # group law: associativity and inverses, exhaustively
-    elements = [(d, z) for d in ALL_CLASSES for z in (1, -1)]
-    for (a, za), (b, zb), (c, zc) in itertools.product(elements, repeat=3):
-        left = rao_siegel_product(*rao_siegel_product(a, za, b, zb, F), c, zc, F)
-        right = rao_siegel_product(a, za, *rao_siegel_product(b, zb, c, zc, F), F)
-        assert left == right
-    for d, z in elements:
-        inv = (d, hilbert(d, d, F) * z)
-        assert rao_siegel_product(d, z, *inv, F) == (ONE_CLASS, 1)
-
-
-def test_psi_ratio_character():
-    F = LocalFieldDescriptor(3)
-    assert psi_ratio_character(ONE_CLASS, F).is_trivial
-    chi = psi_ratio_character(PI_CLASS, F)
-    assert not chi.is_trivial
-    assert chi(PI_CLASS) == -1
-    for a in ALL_CLASSES:
-        assert psi_ratio_character(a, F).is_trivial == a.is_square()

@@ -18,7 +18,6 @@ from metaplectic.hecke import (
     parity_filter,
     pi_chi,
     t2lambda_base,
-    tau_convolve,
     vanishing_sum_check,
 )
 from metaplectic.rootdata import (
@@ -46,15 +45,6 @@ def test_element_pruning_and_ops():
     s = tau((0, 1)) + tau((0, 1))
     assert s.coeffs == {(0, 1): 2}
     assert s.terms() == [((0, 1), -1)]  # symmetric representative mod 3
-
-
-def test_tau_convolve():
-    a, b, c = tau((1, 0)), tau((0, 2)), tau((-1, -1))
-    zero = tau((0, 0))
-    assert tau_convolve(a, zero) == a
-    assert tau_convolve(a, b) == tau_convolve(b, a) == tau((1, 2))
-    left = tau_convolve(a + b, c)
-    assert left == tau((0, -1)) + tau((-1, 1))
 
 
 def test_metaplectic_satake_values():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -52,18 +53,36 @@ def _root_element(realization, units, num, den):
 def _symplectic_defect(entries, shift, realization):
     """g^T J g - J for g = p^(-shift) entries, scaled by p^(2 shift)."""
     J = realization.form_matrix()
+    size = realization.size
     gt = [list(col) for col in zip(*entries)]
     prod = matrix_product(matrix_product(gt, J), entries)
-    return [[prod[i][j] - P ** (2 * shift) * J[i][j] for j in range(4)] for i in range(4)]
+    return [[prod[i][j] - P ** (2 * shift) * J[i][j] for j in range(size)] for i in range(size)]
 
 
 def test_generators_preserve_form():
-    zero = [[0] * 4 for _ in range(4)]
-    for units in list(SP4.pos_units.values()) + [gen.units for gen in SP4.neg]:
-        m = _root_element(SP4, units, 5, 1)
-        assert _symplectic_defect(m, 1, SP4) == zero
-    t, k = SP4.torus_matrix(Cocharacter((-2, 1)), P)
-    assert _symplectic_defect(t, k, SP4) == zero
+    assert SL2.form_matrix() == [[0, 1], [-1, 0]]
+    assert SP4.form_matrix() == [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]
+    for realization, mu in ((SL2, (-2,)), (SP4, (-2, 1))):
+        size = realization.size
+        zero = [[0] * size for _ in range(size)]
+        gens = list(realization.pos_units.values()) + [g.units for g in realization.neg]
+        for units in gens:
+            m = _root_element(realization, units, 5, 1)
+            assert _symplectic_defect(m, 1, realization) == zero
+        t, k = realization.torus_matrix(Cocharacter(mu), P)
+        assert _symplectic_defect(t, k, realization) == zero
+
+
+def test_sp2_membership_is_determinant_one():
+    """g^T J g = det(g) J in size 2, so Sp_2 membership is SL_2's."""
+    for g in itertools.product(range(-2, 3), repeat=4):
+        m = [list(g[:2]), list(g[2:])]
+        det = g[0] * g[3] - g[1] * g[2]
+        if det == 1:
+            PadicMatrix(m, 0, SL2, P)
+        else:
+            with pytest.raises(OracleError):
+                PadicMatrix(m, 0, SL2, P)
 
 
 def test_padic_matrix_membership_check():
@@ -431,6 +450,25 @@ def test_progression_matches_brute_force(p, e, w, data):
         assert set(range(y0, p**w, step)) == want
 
 
+@given(st.sampled_from((3, 5, 7)), st.integers(1, 3), st.data())
+@settings(max_examples=300, deadline=None)
+def test_progression_is_the_residue_class_of_all_solutions(p, e, data):
+    """Every residue mod p^e is scanned, so the solutions are exactly one
+    class y0 mod step, or none; slopes are often divisible by p."""
+    pe = p**e
+    num = st.builds(lambda u, v: u * p**v, st.integers(-30, 30), st.integers(0, 3))
+    pairs = data.draw(st.lists(st.tuples(st.integers(-60, 60), num), min_size=1, max_size=4))
+    want = [y for y in range(pe) if all((a + y * b) % pe == 0 for a, b in pairs)]
+    found = oracle._progression(pairs, p, e)
+    if not want:
+        assert found is None
+        return
+    assert found is not None
+    y0, step = found
+    assert 0 <= y0 < step and pe % step == 0
+    assert want == [y for y in range(pe) if y % step == y0]
+
+
 def test_progression_examples():
     assert oracle._progression([], 3, 2) == (0, 1)
     assert oracle._progression([(1, 0)], 3, 0) == (0, 1)  # mod 1 everything holds
@@ -467,6 +505,32 @@ def test_pruning_is_lossless_sp4_small_depth():
                 if smith_valuations(u, 3, shift, stop_after=2, expect=expect) is not None:
                     count += 1
             assert pruned.raw_count == count, (lam, mu)
+
+
+def test_widened_windows_keep_counts_through_the_congruence(monkeypatch):
+    """The real windows leave every child integral, so `_progression`
+    returns step 1 there.  Windowing each coordinate by the largest torus
+    exponent instead lets non-integral children into the box; the walk
+    must then rule them out through (y0, step), with the same counts."""
+    found = []
+
+    def spy(pairs, p, e):
+        res = progression(pairs, p, e)
+        found.append(res)
+        return res
+
+    progression = oracle._progression
+    monkeypatch.setattr(oracle, "_progression", spy)
+    rows = {SL2: [(-2,), (-3,)], SP4: [(-1, -1), (-1, 0), (-2, -1), (-2, -2)]}
+    for real, lams in rows.items():
+        wide = ChevalleyRealization(real.tag)
+        wide.neg = tuple(dataclasses.replace(g, window_col=wide.size - 1) for g in wide.neg)
+        for lam in map(Cocharacter, lams):
+            for mu in antidominant_above(lam):
+                want = oracle._count_in_cell(real, mu, lam, 2, P)
+                assert oracle._count_in_cell(wide, mu, lam, 2, P) == want, (lam, mu)
+    steps = [res for res in found if res is not None]
+    assert any(step > 1 for _, step in steps) and any(y0 > 0 for y0, _ in steps)
 
 
 def test_stabilization_reported_when_depth_too_small():

@@ -9,7 +9,6 @@ from metaplectic.rootdata import (
     Cocharacter,
     ParabolicSubset,
     RootDatumError,
-    all_roots,
     antidominant_above,
     antidominant_rep,
     apply_signed_permutation,
@@ -21,7 +20,6 @@ from metaplectic.rootdata import (
     leq,
     pairing,
     positive_roots,
-    root_string_data,
     row_reduce,
     signed_permutations,
     simple_root,
@@ -238,45 +236,26 @@ def test_antidominant_rep_weyl_invariant():
             assert antidominant_rep(apply_signed_permutation(w, lam)) == rep
 
 
-def test_root_string_data_examples():
-    beta = simple_root(1, 2)
-    long_gamma = Character((2, 0))
-    res = root_string_data(beta, long_gamma)
-    assert res.exists and res.ell == 2 and res.magnitudes == (1, 1)
-
-    # gamma = alpha_n: no Siegel-positive beta has beta - gamma a root
-    for n in (2, 3):
-        gamma = simple_root(n, n)
-        for beta2 in positive_roots(n):
-            if sorted(c for c in beta2.coords if c) == [-1, 1]:
-                assert not root_string_data(beta2, gamma).exists
-
-    middle = Character((1, 1))
-    res = root_string_data(beta, middle)
-    assert res.exists and res.ell == 1 and res.magnitudes == (2,)
-
-
-def test_root_string_data_validation():
-    with pytest.raises(RootDatumError):
-        root_string_data(Character((2, 0)), Character((1, 1)))  # beta not Siegel
-    with pytest.raises(RootDatumError):
-        root_string_data(simple_root(1, 2), Character((3, 0)))  # not a root
-
-
-def test_root_strings_bounded_by_three():
-    for n in range(2, 6):
-        roots = all_roots(n)
+def test_positive_roots_are_the_rho_positive_roots():
+    """n^2 distinct roots, exactly those of +-eps_i +- eps_j (i < j) and
+    +-2 eps_i that pair positively with rho^vee = (n, n-1, ..., 1)."""
+    for n in range(1, 7):
+        roots = set()
+        for i in range(n):
+            for s in (1, -1):
+                long = [0] * n
+                long[i] = 2 * s
+                roots.add(Character(tuple(long)))
+                for j in range(i + 1, n):
+                    for t in (1, -1):
+                        short = [0] * n
+                        short[i], short[j] = s, t
+                        roots.add(Character(tuple(short)))
+        rho = Cocharacter(tuple(range(n, 0, -1)))
         pos = positive_roots(n)
-        for beta in pos:
-            for gamma in roots:
-                if gamma == beta or gamma == -1 * beta:
-                    continue
-                string = sum(
-                    1
-                    for k in range(-4, 5)
-                    if (gamma + k * beta) in roots or k == 0
-                )
-                assert string <= 3
+        assert len(pos) == len(set(pos)) == n * n
+        assert set(pos) == {r for r in roots if pairing(r, rho) > 0}
+        assert all(simple_root(i, n) in pos for i in range(1, n + 1))
 
 
 def test_fundamental_weights_dual_to_coroots():

@@ -8,11 +8,8 @@ from metaplectic.weights import (
     WeightError,
     change_of_weight_pair,
     is_M_regular,
-    is_one_dimensional_over,
     pi_nu,
-    restrict_weight_to_levi,
     same_weight_class,
-    x0_lattice_basis,
 )
 
 
@@ -83,11 +80,6 @@ def test_change_of_weight_exhaustive():
                     assert not same_weight_class(w, w2)
 
 
-def test_x0_lattice_trivial():
-    for n in range(1, 9):
-        assert x0_lattice_basis(n) == []
-
-
 def test_same_weight_class():
     w = QRestrictedWeight(Character((1, 1)), 5)
     w2 = QRestrictedWeight(Character((1, 0)), 5)
@@ -95,25 +87,6 @@ def test_same_weight_class():
     assert not same_weight_class(w, w2)
     with pytest.raises(WeightError):
         same_weight_class(w, QRestrictedWeight(Character((1, 1)), 3))
-
-
-def test_restrict_weight_to_levi():
-    w = QRestrictedWeight(Character((1, 0)), 3)
-    full = ParabolicSubset.full(2)
-    sub = ParabolicSubset(2, frozenset({2}))
-    tagged = restrict_weight_to_levi(w, full)
-    assert tagged.levi == full and tagged.nu == w.nu
-    deeper = restrict_weight_to_levi(tagged, sub)
-    assert deeper.levi == sub
-    # transitivity: going straight to the sub-Levi gives the same data
-    assert restrict_weight_to_levi(w, sub) == deeper
     with pytest.raises(WeightError):
-        restrict_weight_to_levi(deeper, full)  # cannot go back up
+        same_weight_class(w, QRestrictedWeight(Character((1,)), 5))
 
-
-def test_one_dimensionality():
-    w = QRestrictedWeight(Character((1, 1)), 3)  # pairings (0, 1)
-    empty = ParabolicSubset.empty(2)
-    assert is_one_dimensional_over(w, empty)  # torus weights are characters
-    assert is_one_dimensional_over(w, pi_nu(w))
-    assert not is_one_dimensional_over(w, ParabolicSubset.full(2))
