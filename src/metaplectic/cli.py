@@ -90,7 +90,12 @@ def load_config(path: str) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = int(value)
+            if key in out:
+                raise UsageError(f"{path}:{lineno}: key {key!r} is set twice")
+            try:
+                out[key] = int(value)
+            except ValueError:
+                raise UsageError(f"{path}:{lineno}: {key}={value} is not an integer") from None
     return out
 
 
@@ -585,10 +590,8 @@ def _print_classify_csv(triples: list[dict]) -> None:
 def cmd_oracle(args) -> int:
     _require_json(args)
     config = resolve_config(args)
-    if args.action != "satake":
-        raise UsageError("the oracle exposes one action: satake")
     group = args.group
-    n = {"sl2": 1, "sp4": 2}[group]
+    n = oracle.ChevalleyRealization(group).rank
     if not 1 <= args.i <= n:
         raise UsageError(f"i must lie in 1..{n} for {group}")
     if config.f != 1:

@@ -23,7 +23,8 @@ as Sp_2n with the antidiagonal symplectic form of size 2n
     J = antidiag(1, ..., 1, -1, ..., -1)   (n ones, then n minus ones),
 
 and torus diag(t_1, ..., t_n, t_n^{-1}, ..., t_1^{-1}); in size 2,
-g^T J g = det(g) J, so Sp_2 is SL_2.
+g^T J g = det(g) J, so Sp_2 is SL_2.  Both are generated from the type C
+root datum (`_negative_roots`).
 
 Pruning: each coordinate is a bare entry of the unipotent matrix, and
 every entry of a matrix in the lam-cell has valuation >= min(lam), so
@@ -55,10 +56,11 @@ SL_2 node, runs the full `smith_valuations` per leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .hecke import TorusHeckeElement, metaplectic_satake_T2lambda, parity_filter, t2lambda_base
-from .rootdata import Cocharacter, RootDatumError, antidominant_above, is_antidominant, leq
+from .rootdata import (
+    Cocharacter, RootDatumError, antidominant_above, is_antidominant, leq, pairing, positive_roots
+)
 
 
 class OracleError(ValueError):
@@ -88,18 +90,43 @@ class NegativeRootCoordinate:
     Cosets are parametrized by the designated matrix `entry` of each
     root, in the fixed order: the greedy normal form reduces each entry
     to a canonical fraction in turn, so canonical entry tuples biject
-    onto (U^- cap K)\\U^-.  The group coordinate fed to the generator
-    I + x * sum(sign E_ij) is the entry value plus `correction`, a sum of
-    signed products of earlier entry values (the commutator debris of the
-    product order; for the rank-two realization the height-3 coordinate
-    is entry + a*c).  `window_col` is the matrix column whose torus
-    scaling controls the entry's pruning window."""
+    onto (U^- cap K)\\U^-.  The generator is I + x * sum(sign E_ij) over
+    `units`, whose first unit is `entry` with sign 1.  The group
+    coordinate x is the entry value minus that entry in the product of
+    the earlier generators, and no later generator writes the entry.
+    `window_col` is the matrix column whose torus scaling controls the
+    entry's pruning window."""
 
-    label: str
     units: tuple  # (((i, j), sign), ...) 0-indexed positions of E_ij
     entry: tuple  # (i, j) 0-indexed
     window_col: int  # 0-indexed column
-    correction: tuple = ()  # ((sign, k1, k2), ...): + sign * x_{k1} * x_{k2}
+
+
+def _negative_roots(n: int) -> tuple[NegativeRootCoordinate, ...]:
+    """One coordinate per positive root alpha of Sp_2n, stably sorted by
+    the height <alpha, 2 rho^vee>, 2 rho^vee = (2n - 1, 2n - 3, ..., 1).
+    With i' = 2n - 1 - i the root vector of -(eps_i - eps_j) is
+    E_ji - E_i'j', that of -(eps_i + eps_j) is E_j'i + E_i'j, and that of
+    -2 eps_i is E_i'i; each is windowed by column i."""
+    two_rho = Cocharacter(tuple(range(2 * n - 1, 0, -2)))
+    out = []
+    for alpha in sorted(positive_roots(n), key=lambda a: pairing(a, two_rho)):
+        i, *rest = (k for k, c in enumerate(alpha.coords) if c)
+        j = rest[0] if rest else i
+        ip, jp = 2 * n - 1 - i, 2 * n - 1 - j
+        if not rest:
+            units = (((ip, i), 1),)
+        elif alpha.coords[j] < 0:
+            units = (((j, i), 1), ((ip, jp), -1))
+        else:
+            units = (((jp, i), 1), ((ip, j), 1))
+        out.append(NegativeRootCoordinate(units, units[0][0], i))
+    return tuple(out)
+
+
+# (rank, negative root coordinates) by tag, generated at import rather than
+# on first use, so that every traced pass (bench/tracing.py) counts alike
+_GROUPS = {tag: (n, _negative_roots(n)) for tag, n in (("sl2", 1), ("sp4", 2))}
 
 
 class ChevalleyRealization:
@@ -107,31 +134,9 @@ class ChevalleyRealization:
     size 2n with n the rank: sl2 is Sp_2, sp4 is Sp_4."""
 
     def __init__(self, tag: str):
-        if tag == "sl2":
-            self.rank = 1
-            self.neg = (
-                NegativeRootCoordinate("-a1", (((1, 0), 1),), (1, 0), 0),
-            )
-            self.pos_units = {"a1": (((0, 1), 1),)}
-        elif tag == "sp4":
-            self.rank = 2
-            # order by height: -a1, -a2, -(a1+a2), -(2a1+a2)
-            self.neg = (
-                NegativeRootCoordinate("-a1", (((1, 0), 1), ((3, 2), -1)), (1, 0), 0),
-                NegativeRootCoordinate("-a2", (((2, 1), 1),), (2, 1), 1),
-                NegativeRootCoordinate("-a12", (((2, 0), 1), ((3, 1), 1)), (2, 0), 0),
-                NegativeRootCoordinate(
-                    "-a112", (((3, 0), 1),), (3, 0), 0, correction=((1, 0, 2),)
-                ),
-            )
-            self.pos_units = {
-                "a1": (((0, 1), 1), ((2, 3), -1)),
-                "a2": (((1, 2), 1),),
-                "a12": (((0, 2), 1), ((1, 3), 1)),
-                "a112": (((0, 3), 1),),
-            }
-        else:
+        if tag not in _GROUPS:
             raise OracleError(f"unknown group tag {tag!r}; use sl2 or sp4")
+        self.rank, self.neg = _GROUPS[tag]
         self.tag, self.size = tag, 2 * self.rank
 
     def torus_exponents(self, mu: Cocharacter) -> tuple[int, ...]:
@@ -173,28 +178,19 @@ class ChevalleyRealization:
                 if row[a]:
                     row[b] += sign * num * (row[a] // den)
 
-    def coordinate(self, k: int, xs, q: int) -> int:
-        """q times the group coordinate of generator k: the entry xs[k] / q
-        plus the stored correction in earlier entries.  Each entry is a
-        canonical fraction given by its numerator over q, and q is a
-        multiple of the square of every entry denominator, so the
-        correction products are again integers over q."""
-        c = xs[k]
-        for sign, k1, k2 in self.neg[k].correction:
-            c += sign * (xs[k1] * xs[k2] // q)
-        return c
-
     def unipotent_from_entries(self, xs, q: int):
         """q^len(neg) u, for the unipotent element u whose designated matrix
-        entries are xs[k] / q (see `coordinate` for the condition on q).
-
-        Every group coordinate is an integer over q, and the product of the
-        first j root generators has entries in q^(-j) Z, so with the scale
-        q^len(neg) fixed up front every column update divides exactly.
-        """
-        m = self.identity(q ** len(self.neg))
-        for k, gen in enumerate(self.neg):
-            self.right_multiply_generator(m, gen.units, self.coordinate(k, xs, q), q)
+        entries are xs[k] / q, with q a multiple of the square of every
+        entry denominator.  Generator k's group coordinate is xs[k] / q
+        minus its entry in the product so far, at rank <= 2 at most a
+        product of two entries, so an integer over q.  The first j
+        generators then have a product in q^(-j) Z, and with the scale
+        q^len(neg) fixed up front every column update divides exactly."""
+        n = len(self.neg)
+        m = self.identity(q**n)
+        for x, gen in zip(xs, self.neg):
+            a, b = gen.entry
+            self.right_multiply_generator(m, gen.units, x - m[a][b] // q ** (n - 1), q)
         return m
 
 
@@ -222,7 +218,7 @@ class PadicMatrix:
     def verify_membership(self):
         g = self.entries
         # g^T J g = J for the represented matrix p^(-shift) g
-        scale = Fraction(self.p) ** (2 * self.shift)
+        scale = self.p ** (2 * self.shift)
         J = self.group.form_matrix()
         prod = matrix_product(matrix_product([list(col) for col in zip(*g)], J), g)
         size = self.group.size
@@ -382,8 +378,11 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
     # unipotent_from_entries and mu(pi) = p^(-k) T, the matrix u mu(pi)
     # is p^(-2 width n - k) U T.  Its entries all have valuation >= floor
     # exactly when h = p^(-floor) u mu(pi) = p^(-e) U T is integral; the
-    # Smith step then runs on the small integers of h.
+    # Smith step then runs on the small integers of h.  The prefix read
+    # of an entry is at most a product of two entries at rank <= 2, so
+    # an integer over q: its division by q^(n - 1) in `walk` is exact.
     q = p ** (2 * width)
+    qread = q ** (n - 1)
     t, k = group.torus_matrix(mu, p)
     e = 2 * width * n + k + floor
     scale = [t[j][j] * p ** max(0, -e) for j in range(size)]
@@ -408,7 +407,6 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
         for step, gen in enumerate(group.neg)
     ]
     h = [[0] * size for _ in range(size)]
-    xs = [0] * n  # entry numerators on the current path; coordinate k reads xs[:k + 1]
     moving = closing[n]
     targets = [(i, j) for j in moving for i in range(size)]  # the order of `lines`
     fixed = [j for j in range(size) if j not in moving]
@@ -476,10 +474,9 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
         if step == n:  # the one leaf of a last-coordinate node
             vals = smith_valuations(h, p, -floor, stop_after=group.rank, expect=expect)
             return int(vals is not None)
-        units = group.neg[step].units
-        w = windows[step]
-        xs[step] = 0
-        c0 = group.coordinate(step, xs, q)
+        gen = group.neg[step]
+        units, (i, j), w = gen.units, gen.entry, windows[step]
+        c0 = -(m[i][j] // qread)  # the coordinate of the child with entry 0
         if w == 0:  # one child: build it and check the columns it closes
             nxt = [row[:] for row in m]
             group.right_multiply_generator(nxt, units, c0, q)
@@ -510,7 +507,6 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
         hits = 0
         if step + 1 < n:
             for y in ys:
-                xs[step] = y * dx
                 nxt = [row[:] for row in m]
                 group.right_multiply_generator(nxt, units, c0 + y * dx, q)
                 hits += walk(step + 1, nxt)

@@ -213,6 +213,11 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
     cfg.write_text("shrubbery = 1\n")
     code, _, err = run(capsys, "hilbert", "pi", "pi", "--config", str(cfg))
     assert code == 2 and "unknown key" in err
+    # a key set twice, or a value that is not an integer, names its line
+    for text, what in (("p = 3\np = 5\n", "set twice"), ("p = 3\ndepth = x\n", "not an integer")):
+        cfg.write_text(text)
+        code, out, err = run(capsys, "hilbert", "pi", "pi", "--config", str(cfg))
+        assert code == 2 and out == "" and f"{cfg}:2: " in err and what in err
 
 
 def test_byte_stability(capsys):

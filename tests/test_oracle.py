@@ -59,16 +59,65 @@ def _symplectic_defect(entries, shift, realization):
     return [[prod[i][j] - P ** (2 * shift) * J[i][j] for j in range(size)] for i in range(size)]
 
 
+def _transpose(units):
+    """The positive root vector sum(sign E_ba) of a negative one sum(sign E_ab)."""
+    return tuple(((b, a), sign) for (a, b), sign in units)
+
+
+# the sl2 and sp4 tables written out by hand, an independent reference for
+# the generated ones: (units, entry, window_col) in walk order
+HAND_TABLES = {
+    "sl2": [((((1, 0), 1),), (1, 0), 0)],  # -a1
+    "sp4": [
+        ((((1, 0), 1), ((3, 2), -1)), (1, 0), 0),  # -a1
+        ((((2, 1), 1),), (2, 1), 1),  # -a2
+        ((((2, 0), 1), ((3, 1), 1)), (2, 0), 0),  # -(a1 + a2)
+        ((((3, 0), 1),), (3, 0), 0),  # -(2 a1 + a2)
+    ],
+}
+
+
+def test_generated_tables_match_hand_tables():
+    for tag, table in HAND_TABLES.items():
+        neg = ChevalleyRealization(tag).neg
+        assert [(g.units, g.entry, g.window_col) for g in neg] == table
+
+
+def _form(n):
+    """antidiag(1..1, -1..-1) of size 2n."""
+    size = 2 * n
+    return [[(1 if i < n else -1) * (i + j == size - 1) for j in range(size)] for i in range(size)]
+
+
+def test_generated_root_vectors_preserve_form_to_rank_4():
+    for n in (1, 2, 3, 4):
+        neg = oracle._negative_roots(n)
+        assert len(neg) == n * n
+        J = _form(n)
+        for units in [g.units for g in neg] + [_transpose(g.units) for g in neg]:
+            # X^T J + J X = 0 for the root vector X, and X^2 = 0
+            X = [[0] * (2 * n) for _ in range(2 * n)]
+            for (a, b), sign in units:
+                X[a][b] += sign
+            XT = [list(col) for col in zip(*X)]
+            assert all(
+                x + y == 0
+                for r1, r2 in zip(matrix_product(XT, J), matrix_product(J, X))
+                for x, y in zip(r1, r2)
+            )
+            assert not any(map(any, matrix_product(X, X)))
+
+
 def test_generators_preserve_form():
     assert SL2.form_matrix() == [[0, 1], [-1, 0]]
     assert SP4.form_matrix() == [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]
     for realization, mu in ((SL2, (-2,)), (SP4, (-2, 1))):
         size = realization.size
         zero = [[0] * size for _ in range(size)]
-        gens = list(realization.pos_units.values()) + [g.units for g in realization.neg]
-        for units in gens:
-            m = _root_element(realization, units, 5, 1)
-            assert _symplectic_defect(m, 1, realization) == zero
+        for gen in realization.neg:
+            for units in (gen.units, _transpose(gen.units)):
+                m = _root_element(realization, units, 5, 1)
+                assert _symplectic_defect(m, 1, realization) == zero
         t, k = realization.torus_matrix(Cocharacter(mu), P)
         assert _symplectic_defect(t, k, realization) == zero
 
@@ -157,16 +206,45 @@ def _frac_apply_left(units, x, m):
             m[a][j] += sign * x * m[b][j]
 
 
-def _frac_unipotent(realization, entry_coords):
-    """Unipotent element with the given canonical entry coordinates,
-    over exact rationals."""
-    m = _frac_identity(realization.size)
-    for gen, x in zip(realization.neg, entry_coords):
-        coord = x
-        for sign, k1, k2 in gen.correction:
-            coord += sign * entry_coords[k1] * entry_coords[k2]
-        _frac_apply_right(m, gen.units, coord)
+def _frac_unipotent(neg, size, entry_coords):
+    """Unipotent element with the given canonical entry coordinates, over
+    exact rationals: each group coordinate is its entry minus the read of
+    that entry in the product so far."""
+    m = _frac_identity(size)
+    for gen, x in zip(neg, entry_coords):
+        i, j = gen.entry
+        _frac_apply_right(m, gen.units, x - m[i][j])
     return m
+
+
+def _frac_unipotent_hand_sp4(entry_coords):
+    """The same element of Sp_4 from the hand tables and their hand-derived
+    commutator term: the -(2 a1 + a2) coordinate is its entry plus
+    x_{-a1} x_{-(a1 + a2)}."""
+    a, b, c, d = entry_coords
+    m = _frac_identity(4)
+    for (units, _, _), coord in zip(HAND_TABLES["sp4"], (a, b, c, d + a * c)):
+        _frac_apply_right(m, units, coord)
+    return m
+
+
+def test_prefix_read_matches_hand_correction():
+    rng = random.Random(21)
+    for _ in range(200):
+        coords = [Fraction(rng.randint(-40, 40), P ** rng.randint(0, 3)) for _ in range(4)]
+        assert _frac_unipotent(SP4.neg, 4, coords) == _frac_unipotent_hand_sp4(coords)
+
+
+def test_prefix_read_leaves_entries_bare_to_rank_4():
+    rng = random.Random(5)
+    for n in (1, 2, 3, 4):
+        neg = oracle._negative_roots(n)
+        for _ in range(20):
+            coords = [Fraction(rng.randint(-40, 40), P ** rng.randint(0, 2)) for _ in neg]
+            u = _frac_unipotent(neg, 2 * n, coords)
+            assert [u[i][j] for i, j in (g.entry for g in neg)] == coords
+            J = _form(n)
+            assert matrix_product(matrix_product([list(c) for c in zip(*u)], J), u) == J
 
 
 def _canonical_fraction(x: Fraction, p: int) -> Fraction:
@@ -205,7 +283,7 @@ def _depth_tuples(realization, depth, p):
 
 def test_coset_parametrization_bijective_sp4_depth1():
     for coords in _depth_tuples(SP4, 1, P):
-        u = _frac_unipotent(SP4, coords)
+        u = _frac_unipotent(SP4.neg, 4, coords)
         assert _frac_coset_reduce(SP4, u, P) == coords
 
 
@@ -213,7 +291,7 @@ def test_coset_reduction_invariant_under_integral_left_multiplication():
     rng = random.Random(8)
     for _ in range(60):
         coords = tuple(Fraction(rng.randrange(9), 9) for _ in range(4))
-        u = _frac_unipotent(SP4, coords)
+        u = _frac_unipotent(SP4.neg, 4, coords)
         w = [row[:] for row in u]
         for _ in range(4):
             gen = SP4.neg[rng.randrange(4)]
@@ -225,7 +303,7 @@ def test_coset_reduction_invariant_under_integral_left_multiplication():
 def test_coset_parametrization_bijective_sl2():
     for depth in (1, 2):
         for coords in _depth_tuples(SL2, depth, P):
-            u = _frac_unipotent(SL2, coords)
+            u = _frac_unipotent(SL2.neg, 2, coords)
             assert _frac_coset_reduce(SL2, u, P) == coords
 
 
@@ -267,12 +345,10 @@ def test_cartan_invariant_identity():
 
 def _random_integral_element(realization, rng, p):
     m = realization.identity()
-    labels = list(realization.pos_units)
     for _ in range(6):
+        units = realization.neg[rng.randrange(len(realization.neg))].units
         if rng.random() < 0.5:
-            units = realization.pos_units[rng.choice(labels)]
-        else:
-            units = realization.neg[rng.randrange(len(realization.neg))].units
+            units = _transpose(units)
         realization.right_multiply_generator(m, units, rng.randrange(1, p**2), 1)
     return m
 
