@@ -284,7 +284,8 @@ def enumerate_classification(
 ) -> ClassificationReport:
     """All triples over a menu of supersingular data, with a data-level
     injectivity report: distinct (datum, Q) sources must give inequivalent
-    triples.  Duplicate menu entries are merged first."""
+    triples.  Duplicate menu entries are merged first, and only triples
+    with equal (P, Q) can be equivalent."""
     report = ClassificationReport()
     kept: list[SupersingularDatum] = []
     for idx, datum in enumerate(menu):
@@ -299,13 +300,12 @@ def enumerate_classification(
             kept.append(datum)
         else:
             report.merged.append((dup, idx))
-    sources = []
-    for datum in kept:
-        for t in composition_factors(datum):
-            sources.append(t)
+    sources = [t for datum in kept for t in composition_factors(datum)]
     report.triples = sources
-    for a in range(len(sources)):
-        for b in range(a + 1, len(sources)):
-            if triples_equivalent(sources[a], sources[b], F):
-                report.collisions.append((a, b))
+    by_pair: dict = {}
+    for b, t in enumerate(sources):
+        earlier = by_pair.setdefault((t.P, t.Q), [])
+        report.collisions += [(a, b) for a in earlier if triples_equivalent(sources[a], t, F)]
+        earlier.append(b)
+    report.collisions.sort()
     return report

@@ -42,20 +42,18 @@ their integrality is a system of linear congruences in y modulo a power
 of p.  Its solutions are one progression y = y0 mod p^r or none
 (`_progression`), and only those children are walked.
 
-Split Smith step: the leaves below one node that sets the last
-coordinate differ only in the columns that coordinate writes, affinely
-in the leaf's place t along the node's progression, with integral
-intercept and slope.  When that node has a unit of the matrix in another
-column, the first Smith pivot (whose valuation must be the floor) is
-taken there once for all its leaves; the Schur complement is again
-affine in t, and each leaf only scans the valuations of its moving
-entries against the second expected divisor.  Any other node, and every
-SL_2 node, runs the full `smith_valuations` per leaf.
+Determinantal rule: the last generator (-2 eps_1) writes column 0 alone,
+so the leaves below a node that sets the last coordinate differ only
+there, affinely in the leaf's place along the node's progression, and so
+does every minor; `_leaf_hits` decides them all at once from the
+determinantal divisors.  A last window of 0 leaves one leaf, which
+`smith_valuations` decides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .hecke import TorusHeckeElement, metaplectic_satake_T2lambda, parity_filter, t2lambda_base
 from .rootdata import (
@@ -367,18 +365,82 @@ def _progression(pairs, p: int, e: int):
     return y0, step
 
 
+def _minor_indices(size: int, rank: int):
+    """For k = 1 .. rank <= 2, the rows + cols of the k x k minors of a
+    lower-triangular matrix that need not vanish, cols[m] <= rows[m] for
+    every m, with those off column 0 first."""
+    out = []
+    for k in range(1, rank + 1):
+        parts = ([], [])
+        for rows in combinations(range(size), k):
+            for cols in combinations(range(rows[-1] + 1), k):
+                if cols[0] <= rows[0]:
+                    parts[not cols[0]].append(rows + cols)
+        out.append(parts[0] + parts[1])
+    return out
+
+
+def _leaf_hits(h, c, d, leaves, p, divisors, minors) -> int:
+    """How many t in range(leaves) put h_t, the lower-triangular integer
+    matrix h with column 0 replaced by c + t d, in the cell whose first
+    elementary divisors over Z_(p) have the ascending valuations
+    `divisors` (rank <= 2); `minors` is `_minor_indices(len(h), rank)`.
+
+    h_t hits when, for each k, its k x k minors a + t b are all 0 mod
+    p^(s_k), s_k the sum of the first k divisors, and one is not mod
+    p^(s_k + 1).  Constant minors decide this for every leaf or meet its
+    second part; the others give congruences on t lifted to mod p^top:
+    `hold`, and per k the `misses`, where they all vanish mod p^(s_k + 1).
+    The leaves in `hold` and in no miss are counted by inclusion-exclusion."""
+    top = sum(divisors) + 1
+    hold, misses, need = [], [], 0
+    for k, (v, index) in enumerate(zip(divisors, minors), 1):
+        need += v
+        pe, pt = p**need, p ** (need + 1)
+        exact, slopes = False, []
+        for minor in index:  # the minors off column 0 come first
+            if exact and not need:
+                break  # every leaf meets this k
+            if k == 1:
+                i, j = minor
+                a, b = (h[i][j], 0) if j else (c[i], d[i])
+            else:
+                i, i2, j, j2 = minor
+                x, y = h[i2][j2], h[i][j2]
+                a = h[i][j] * x - h[i2][j] * y if j else c[i] * x - c[i2] * y
+                b = 0 if j else d[i] * x - d[i2] * y
+            a, b = a % pt, b % pt
+            if b:
+                slopes.append((a, b))
+            elif a % pe:
+                return 0
+            elif a:
+                exact = True
+        scale = p ** (top - need - 1)  # lifts mod p^(need + 1) to mod p^top
+        if need:  # mod p^0 every leaf holds
+            hold += [(a * scale * p, b * scale * p) for a, b in slopes]
+        if not exact:
+            misses.append([(a * scale, b * scale) for a, b in slopes])
+    hits = 0
+    for r in range(len(misses) + 1):
+        for chosen in combinations(misses, r):
+            found = _progression(hold + [ab for miss in chosen for ab in miss], p, top)
+            if found is not None:
+                hits += (-1) ** r * len(range(found[0], leaves, found[1]))
+    return hits
+
+
 def _count_in_cell(group, mu, lam, depth, p) -> int:
     windows = _coordinate_windows(group, mu, lam, depth)
     width = max(windows)
     n, size = len(group.neg), group.size
     floor = min(lam.coords)
-    expect = sorted(lam.coords)
     # Entries are canonical fractions a / p^w with w <= width, carried as
     # numerators over q = p^(2 width).  With U = q^n u as built by
     # unipotent_from_entries and mu(pi) = p^(-k) T, the matrix u mu(pi)
     # is p^(-2 width n - k) U T.  Its entries all have valuation >= floor
     # exactly when h = p^(-floor) u mu(pi) = p^(-e) U T is integral; the
-    # Smith step then runs on the small integers of h.  The prefix read
+    # cell is then decided on the small integers of h.  The prefix read
     # of an entry is at most a product of two entries at rank <= 2, so
     # an integer over q: its division by q^(n - 1) in `walk` is exact.
     q = p ** (2 * width)
@@ -407,64 +469,10 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
         for step, gen in enumerate(group.neg)
     ]
     h = [[0] * size for _ in range(size)]
-    moving = closing[n]
-    targets = [(i, j) for j in moving for i in range(size)]  # the order of `lines`
-    fixed = [j for j in range(size) if j not in moving]
-    # On SL_2 the fixed column of h is (0, p^(-mu - floor)), never a unit
-    # below a node with more than one leaf, so the split is for rank two.
-    split = group.rank == 2
-
-    def last_node(lines, y0, r, leaves):
-        """Hits among the leaves below a node that sets the last
-        coordinate, by a Smith step split at the node; None when h has no
-        unit in a fixed column.
-
-        Leaf t of the node has child index y0 + t r, so its columns in
-        `moving` are h0 + t dh, affine in t, with h0 and dh integral by
-        the choice of (y0, r).  The first divisor must have valuation
-        expect[0] - floor = 0, so a unit of h in a fixed column is a valid
-        first pivot for every leaf; the Schur complement u h_ij - h_ij0
-        h_i0j of that pivot is again affine in t, and its minimum
-        valuation is the second divisor's (e1 above the floor).  Each leaf
-        then only scans the moving complement entries mod p^(e1 + 1)."""
-        pivot = next(((i, j) for j in fixed for i in range(size) if h[i][j] % p), None)
-        if pivot is None:
-            return None
-        dh = [[0] * size for _ in range(size)]
-        for (i, j), (a, b) in zip(targets, lines):
-            h[i][j] = (a + y0 * b) // base
-            dh[i][j] = r * b // base
-        i0, j0 = pivot
-        u, e1 = h[i0][j0], expect[1] - floor
-        pe, pt = p**e1, p ** (e1 + 1)
-        exact = False  # a fixed complement entry has valuation exactly e1
-        slopes = []
-        for i in range(size):
-            if i == i0:
-                continue
-            f = h[i][j0]
-            for j in range(size):
-                if j == j0:
-                    continue
-                a = (u * h[i][j] - f * h[i0][j]) % pt
-                b = (u * dh[i][j] - f * dh[i0][j]) % pt
-                if b:
-                    slopes.append((a, b))
-                elif a % pe:
-                    return 0
-                elif a:
-                    exact = True
-        hits = 0
-        for y in range(leaves):
-            hit = exact
-            for a, b in slopes:
-                v = (a + y * b) % pt
-                if v % pe:
-                    break
-                hit = hit or v
-            else:
-                hits += bool(hit)
-        return hits
+    # h's divisor valuations are those of u mu(pi) minus floor; a last
+    # window of 0 leaves no node with more than one leaf, and no minors
+    divisors = [v - floor for v in sorted(lam.coords)]
+    minors = _minor_indices(size, group.rank) if windows[-1] else None
 
     def walk(step, m) -> int:
         for j in closing[step]:
@@ -472,7 +480,7 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
             for i in range(size):
                 h[i][j] = m[i][j] * sj // base
         if step == n:  # the one leaf of a last-coordinate node
-            vals = smith_valuations(h, p, -floor, stop_after=group.rank, expect=expect)
+            vals = smith_valuations(h, p, 0, stop_after=group.rank, expect=divisors)
             return int(vals is not None)
         gen = group.neg[step]
         units, (i, j), w = gen.units, gen.entry, windows[step]
@@ -504,24 +512,17 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
             return 0
         y0, r = found
         ys = range(y0, p**w, r)
-        hits = 0
         if step + 1 < n:
+            hits = 0
             for y in ys:
                 nxt = [row[:] for row in m]
                 group.right_multiply_generator(nxt, units, c0 + y * dx, q)
                 hits += walk(step + 1, nxt)
             return hits
-        if split:
-            split_hits = last_node(lines, y0, r, len(ys))
-            if split_hits is not None:
-                return split_hits
-        # the leaves differ only in the moving columns of h
-        for y in ys:
-            for (i, j), (a, b) in zip(targets, lines):
-                h[i][j] = (a + y * b) // base
-            vals = smith_valuations(h, p, -floor, stop_after=group.rank, expect=expect)
-            hits += vals is not None
-        return hits
+        # leaf t has child y0 + t r: column 0 of h is c + t d, integral
+        c = [(a + y0 * b) // base for a, b in lines]
+        d = [r * b // base for _, b in lines]
+        return _leaf_hits(h, c, d, len(ys), p, divisors, minors)
 
     # the root q^n I is diagonal: its closed columns are integral when
     # their diagonal entries are
@@ -535,31 +536,28 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
 # (timings on one 2-vCPU Xeon core).
 # - sp4 admits every cell at p <= 11 and depth <= 4 (the largest, mu = (0, 0)
 #   at depth 1, is 11^4 + 11^8 with its re-run, about 2.1e8, and counts in
-#   about 3 s, the walk pruning most prefixes) and refuses p = 13, whose
+#   about 1.2 s, the walk pruning most prefixes) and refuses p = 13, whose
 #   mu = (0, 0) cells need 13^8, about 8.2e8.
-# - sl2 has one coordinate, so every box tuple is a leaf that runs
-#   `smith_valuations`, about 4 us each.  Its boxes are p^2 at most for
-#   lam = (-2,): p = 829 (687,241 tuples) is the largest prime admitted.
+# - sl2 has one coordinate, so every box tuple is a leaf.  The limit budgets
+#   one `smith_valuations` call, about 4 us, per leaf; `_leaf_hits` decides
+#   them at once, so an admitted row takes under a millisecond.  Its boxes
+#   are p^2 at most for lam = (-2,): p = 829 is the largest prime admitted.
 ORACLE_BOX_LIMIT = {"sl2": 7 * 10**5, "sp4": 3 * 10**8}
 
 
-def _walk_boxes(group, mu, lam, depth, p, check_stabilization) -> list[int]:
+def _walk_boxes(group, mu, lam, depth, p) -> list[int]:
     """Tuples enumerated by each walk one cell runs: the box
     p^(sum of windows) at the depth, then the box at depth + 1 when the
     stabilization re-run will run (its windows differ)."""
     now = _coordinate_windows(group, mu, lam, depth)
-    boxes = [p ** sum(now)]
-    if check_stabilization:
-        nxt = _coordinate_windows(group, mu, lam, depth + 1)
-        if nxt != now:
-            boxes.append(p ** sum(nxt))
-    return boxes
+    nxt = _coordinate_windows(group, mu, lam, depth + 1)
+    return [p ** sum(now)] + ([p ** sum(nxt)] if nxt != now else [])
 
 
-def _budgeted_boxes(group, mu, lam, depth, p, check_stabilization) -> list[int]:
+def _budgeted_boxes(group, mu, lam, depth, p) -> list[int]:
     """The boxes of `_walk_boxes`, refused with OracleError when their sum
     is over the group's ORACLE_BOX_LIMIT."""
-    boxes = _walk_boxes(group, mu, lam, depth, p, check_stabilization)
+    boxes = _walk_boxes(group, mu, lam, depth, p)
     box = sum(boxes)
     limit = ORACLE_BOX_LIMIT[group.tag]
     if box > limit:
@@ -576,7 +574,7 @@ def box_estimate(
     """Tuples the walks of one stabilization-checked cell enumerate, known
     before any walk starts; `count_cosets` refuses a cell over its group's
     ORACLE_BOX_LIMIT."""
-    return sum(_walk_boxes(ChevalleyRealization(group), mu, lam, depth, p, True))
+    return sum(_walk_boxes(ChevalleyRealization(group), mu, lam, depth, p))
 
 
 def count_cosets(
@@ -585,7 +583,6 @@ def count_cosets(
     depth: int,
     group: str,
     p: int,
-    check_stabilization: bool = True,
 ) -> CosetCountResult:
     """|S_{mu, lam}| at the given enumeration depth, with its mod-p class.
 
@@ -606,7 +603,7 @@ def count_cosets(
         above = False
     if not (above and is_antidominant(mu)):
         raise OracleError("mu must be antidominant and >= lam")
-    boxes = _budgeted_boxes(realization, mu, lam, depth, p, check_stabilization)
+    boxes = _budgeted_boxes(realization, mu, lam, depth, p)
     raw = _count_in_cell(realization, mu, lam, depth, p)
     stabilized = True
     if len(boxes) == 2:
@@ -620,7 +617,7 @@ def oracle_rows(lam: Cocharacter, depth: int, group: str, p: int):
     mus = sorted(antidominant_above(lam), key=lambda m: m.coords)
     realization = ChevalleyRealization(group)
     for mu in mus:
-        _budgeted_boxes(realization, mu, lam, depth, p, True)
+        _budgeted_boxes(realization, mu, lam, depth, p)
     return [count_cosets(mu, lam, depth, group, p) for mu in mus]
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from metaplectic import classify
 from metaplectic.characters import (
     GenuineTorusCharacter,
     SmoothCharacterFx,
@@ -302,6 +303,42 @@ def test_enumerate_classification():
     report = enumerate_classification(2, mixed_menu, F3)
     assert len(report.triples) == 3
     assert report.clean
+
+
+def test_collisions_match_the_scan_over_every_pair(monkeypatch):
+    """Collisions are sought only among triples with equal (P, Q).  On a
+    menu with duplicates, torus characters and labelled data they equal,
+    in order, those of the scan over every pair of triples; also under a
+    coarser equivalence that ignores sigma, which makes collisions."""
+    sigma = trivial_sigma(3)
+    menu = [
+        torus_datum(sigma),
+        torus_datum(GenuineTorusCharacter(sigma.xi, UNIT_CLASS)),
+        torus_datum(GenuineTorusCharacter(sigma.xi, ONE_CLASS)),  # a duplicate of the first
+        torus_datum(GenuineTorusCharacter((chi(1, 0), chi(1, 0), chi(0, 1)), ONE_CLASS)),
+    ]
+    data = list(_every_datum(3))
+    menu += [
+        SupersingularDatum(d.levi, d.flags, label=label) for d in data for label in ("a", "b", "a")
+    ]
+
+    def every_pair(triples, equivalent):
+        return [
+            (a, b)
+            for a, b in itertools.combinations(range(len(triples)), 2)
+            if equivalent(triples[a], triples[b], F3)
+        ]
+
+    report = enumerate_classification(3, menu, F3)
+    assert (0, 2) in report.merged and len(report.merged) == 1 + len(data)
+    assert report.collisions == every_pair(report.triples, triples_equivalent)
+
+    def same_pair(t, t2, F=None):
+        return t.P == t2.P and t.Q == t2.Q
+
+    monkeypatch.setattr(classify, "triples_equivalent", same_pair)
+    report = enumerate_classification(3, menu, F3)
+    assert report.collisions and report.collisions == every_pair(report.triples, same_pair)
 
 
 def test_torus_factors_are_every_subset_of_equal_adjacent_pairs():

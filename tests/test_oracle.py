@@ -554,12 +554,43 @@ def test_progression_examples():
     assert oracle._progression([(3, 3), (0, 1)], 3, 2) is None
 
 
+@given(st.sampled_from((3, 5)), st.sampled_from((2, 4)), st.integers(0, 2), st.data())
+@settings(max_examples=400, deadline=None)
+def test_leaf_hits_match_smith_per_leaf(p, size, mode, data):
+    """The determinantal rule against a Smith step on every leaf.  h is
+    lower triangular with a nonzero diagonal and column 0 is c + t d at
+    leaf t.  In mode 0 every entry outside column 0 is divisible by p, so
+    the first divisor's unit has to come from column 0; in mode 2 column 0
+    is divisible by p^gap, the gap between the two divisors, so the 2 x 2
+    minors off column 0 decide."""
+    rank = size // 2
+    first, gap = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 2))
+    divisors = [first, first + gap][:rank]
+    num = st.builds(lambda u, v: u * p**v, st.integers(-20, 20), st.integers(0, 2))
+    nonzero = num.filter(bool)
+    lift, sink = (p, 1) if mode == 0 else (1, p**gap if mode == 2 else 1)
+    h = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(1, i + 1):
+            h[i][j] = lift * data.draw(nonzero if i == j else num)
+    c = [sink * data.draw(nonzero)] + [sink * data.draw(num) for _ in range(size - 1)]
+    d = [0] + [sink * data.draw(num) for _ in range(size - 1)]
+    leaves = data.draw(st.integers(1, 2 * p * p))
+    want = 0
+    for t in range(leaves):
+        for i in range(size):
+            h[i][0] = c[i] + t * d[i]
+        want += smith_valuations(h, p, 0, stop_after=rank, expect=divisors) is not None
+    minors = oracle._minor_indices(size, rank)
+    assert oracle._leaf_hits(h, c, d, leaves, p, divisors, minors) == want
+
+
 def test_pruning_is_lossless_sp4_small_depth():
     # brute force with fully open windows and a full Smith step per tuple
     # agrees with the pruned count; lam = (-1, 0) has a nonzero second
-    # expected divisor, which the per-node split Smith step scans for, and
-    # the floor -2 targets have many nodes whose children the integrality
-    # congruence rules out all at once
+    # expected divisor, which the determinantal rule reads off the 2 x 2
+    # minors, and the floor -2 targets have many nodes whose children the
+    # integrality congruence rules out all at once
     for lam in (
         Cocharacter((-1, -1)),
         Cocharacter((-1, 0)),
@@ -568,7 +599,7 @@ def test_pruning_is_lossless_sp4_small_depth():
     ):
         expect = sorted(lam.coords)
         for mu in antidominant_above(lam):
-            pruned = count_cosets(mu, lam, 2, "sp4", 3, check_stabilization=False)
+            pruned = oracle._count_in_cell(SP4, mu, lam, 2, 3)
             exps = SP4.torus_exponents(mu)
             count = 0
             shift = 2 * 2 * len(SP4.neg) - min(exps)
@@ -580,7 +611,7 @@ def test_pruning_is_lossless_sp4_small_depth():
                         u[i][j] *= 3 ** (exps[j] - min(exps))
                 if smith_valuations(u, 3, shift, stop_after=2, expect=expect) is not None:
                     count += 1
-            assert pruned.raw_count == count, (lam, mu)
+            assert pruned == count, (lam, mu)
 
 
 def test_widened_windows_keep_counts_through_the_congruence(monkeypatch):
