@@ -73,7 +73,6 @@ from .classify import (
     ps_length,
     siegel_lift,
     torus_datum,
-    triples_equivalent,
 )
 
 __version__ = "0.1.0"

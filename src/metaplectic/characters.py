@@ -28,20 +28,6 @@ class CharacterError(ValueError):
     pass
 
 
-def _prime_of(q: int) -> int:
-    """The prime p with q = p^f."""
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            while q % d == 0:
-                q //= d
-            if q != 1:
-                raise CharacterError("q is not a prime power")
-            return d
-        d += 1
-    return q
-
-
 @dataclass(frozen=True)
 class SmoothCharacterFx:
     """Smooth character of F^x: unit-part exponent mod q - 1 and value at
@@ -57,7 +43,8 @@ class SmoothCharacterFx:
             raise CharacterError("value group order N must be even")
         if (self.q - 1) % 2 != 0 or self.q < 3:
             raise CharacterError("q must be an odd prime power >= 3")
-        if math.gcd(self.N, _prime_of(self.q)) != 1:
+        # q = p^f (checked by LocalFieldDescriptor), so this is gcd(N, p) == 1
+        if math.gcd(self.N, self.q) != 1:
             raise CharacterError("N must be coprime to the residue characteristic")
         object.__setattr__(self, "unit_exp", self.unit_exp % (self.q - 1))
         object.__setattr__(self, "pi_exp", self.pi_exp % self.N)

@@ -188,15 +188,6 @@ def composition_factors(sigma: SupersingularDatum) -> list[SupersingularTriple]:
     return out
 
 
-def triples_equivalent(
-    t: SupersingularTriple,
-    t2: SupersingularTriple,
-    F: Optional[LocalFieldDescriptor] = None,
-) -> bool:
-    """Componentwise equality of P and Q plus sigma-isomorphism."""
-    return t.P == t2.P and t.Q == t2.Q and sigma_equal(t.sigma, t2.sigma, F)
-
-
 def ps_length(sigma: GenuineTorusCharacter) -> int:
     """Length of the principal series attached to sigma:
     2^(number of trivial short-coroot restrictions), at most 2^(n-1).
@@ -270,11 +261,6 @@ def siegel_lift(
 class ClassificationReport:
     triples: list = field(default_factory=list)
     merged: list = field(default_factory=list)  # (kept_index, dropped_index)
-    collisions: list = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return not self.collisions
 
 
 def enumerate_classification(
@@ -282,10 +268,10 @@ def enumerate_classification(
     menu: list[SupersingularDatum],
     F: Optional[LocalFieldDescriptor] = None,
 ) -> ClassificationReport:
-    """All triples over a menu of supersingular data, with a data-level
-    injectivity report: distinct (datum, Q) sources must give inequivalent
-    triples.  Duplicate menu entries are merged first, and only triples
-    with equal (P, Q) can be equivalent."""
+    """All triples over a menu of supersingular data.  Menu entries equal
+    under `sigma_equal` are merged first, so the kept data are pairwise
+    inequivalent and no two triples can be equivalent: triples of one
+    datum differ in Q."""
     report = ClassificationReport()
     kept: list[SupersingularDatum] = []
     for idx, datum in enumerate(menu):
@@ -300,12 +286,5 @@ def enumerate_classification(
             kept.append(datum)
         else:
             report.merged.append((dup, idx))
-    sources = [t for datum in kept for t in composition_factors(datum)]
-    report.triples = sources
-    by_pair: dict = {}
-    for b, t in enumerate(sources):
-        earlier = by_pair.setdefault((t.P, t.Q), [])
-        report.collisions += [(a, b) for a in earlier if triples_equivalent(sources[a], t, F)]
-        earlier.append(b)
-    report.collisions.sort()
+    report.triples = [t for datum in kept for t in composition_factors(datum)]
     return report

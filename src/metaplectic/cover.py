@@ -93,22 +93,36 @@ UPI_CLASS = SquareClass(1, True)
 ALL_CLASSES = (ONE_CLASS, UNIT_CLASS, PI_CLASS, UPI_CLASS)
 
 
+# p is checked by trial division, so it is bounded before that test
+P_LIMIT = 2**31
+Q_LIMIT = 2**63
+
+
 @dataclass(frozen=True)
 class LocalFieldDescriptor:
     """A nonarchimedean local field with odd residue characteristic p and
     residue field of size q = p^f, together with a marked uniformizer.
     Units are seen only through their square class, so no nonsquare unit
     is fixed.
+
+    This is the one place that checks "q = p^f with p an odd prime": p
+    below P_LIMIT = 2^31 and q below Q_LIMIT = 2^63, refused before any
+    trial division or large power.
     """
 
     p: int
     f: int = 1
 
     def __post_init__(self):
+        if self.p >= P_LIMIT:
+            raise CoverError(f"p must be below 2^31, got {self.p}")
         if not _is_prime(self.p) or self.p == 2:
             raise CoverError(f"p must be an odd prime, got {self.p}")
         if self.f < 1:
             raise CoverError("f must be >= 1")
+        # p >= 3, so f >= 63 means q > 2^63 without computing the power
+        if self.f >= 63 or self.p**self.f >= Q_LIMIT:
+            raise CoverError(f"q = p^f must be below 2^63, got p = {self.p}, f = {self.f}")
 
     @property
     def q(self) -> int:

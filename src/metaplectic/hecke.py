@@ -18,7 +18,7 @@ decision procedure for Hecke-algebra characters.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .rootdata import (
@@ -244,32 +244,25 @@ def distinct_fibers(A: ASet, i: int) -> list[frozenset]:
 
 
 def vanishing_sum_check(coeffs: dict, A: ASet, i: int) -> bool:
-    """Whether every fiber sum of Satake coefficients vanishes mod p.
+    """Whether every fiber sum of Satake coefficients vanishes.
 
     `coeffs` maps the cocharacters {2 lam + b . alpha^vee : b in A} (as
-    coordinate tuples) to integers mod p.  With the normalization
-    c(2 lam) = 1 this accepts exactly the family of
+    coordinate tuples) to integers, and must cover all of them.  With the
+    normalization c(2 lam) = 1 this accepts exactly the family of
     tau_{2 lam} - tau_{2 lam + alpha_i^vee}.  Only stated for short i.
     """
     if not 1 <= i <= A.n - 1:
         raise HeckeError("fiber sums are only meaningful for short indices")
-    if isinstance(coeffs, TorusHeckeElement):
-        # the element is total: pruned keys mean coefficient 0
-        p, lookup = coeffs.p, coeffs.coefficient
-    else:
-        table = {tuple(k): v for k, v in dict(coeffs).items()}
-        p = None
 
-        def lookup(mu):
-            if mu not in table:
-                raise HeckeError(f"missing coefficient at {mu}")
-            return table[mu]
+    def lookup(mu):
+        if mu not in coeffs:
+            raise HeckeError(f"missing coefficient at {mu}")
+        return coeffs[mu]
 
-    for fiber in distinct_fibers(A, i):
-        total = sum(lookup(A.mu_of(b).coords) for b in fiber)
-        if (total % p != 0) if p is not None else (total != 0):
-            return False
-    return True
+    return all(
+        sum(lookup(A.mu_of(b).coords) for b in fiber) == 0
+        for fiber in distinct_fibers(A, i)
+    )
 
 
 @dataclass(frozen=True)
@@ -308,30 +301,22 @@ class GroupValue:
         return GroupValue(N, None)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeckeCharacter:
-    """A character of the spherical Hecke algebra, seen through the torus:
-    the data of its values on the tau_mu it can reach.
+    """A character of the spherical Hecke algebra, seen through the torus.
 
-    Stored extensionally in `values` (coordinate tuple -> GroupValue).
-    Characters synthesized by `from_face` follow the support law of an
-    algebra character of the antidominant monoid: the value at mu is zero
-    unless mu pairs to zero with every root in the intended vanishing set
-    J = Pi(chi), and on that face it is the homomorphism with the given
-    exponents.  Multiplicativity then holds wherever defined, and the
-    change-of-weight dichotomy falls out of the face structure.
+    It follows the support law of an algebra character of the
+    antidominant monoid: the value at mu is zero unless mu pairs to zero
+    with every root in the intended vanishing set J = Pi(chi) (`face`),
+    and on that face it is the homomorphism with the given exponents.
+    Multiplicativity then holds wherever defined, and the change-of-weight
+    dichotomy falls out of the face structure.  Build it with `from_face`.
     """
 
     n: int
     N: int
-    values: dict = field(default_factory=dict)
-    face: Optional[frozenset] = None
-    exponents: Optional[tuple] = None
-
-    def __post_init__(self):
-        self.values = {
-            tuple(int(x) for x in k): v for k, v in self.values.items()
-        }
+    face: frozenset
+    exponents: tuple
 
     @staticmethod
     def from_face(J, exponents, n: int, N: int) -> "HeckeCharacter":
@@ -339,21 +324,13 @@ class HeckeCharacter:
         exps = tuple(int(e) % N for e in exponents)
         if len(exps) != n:
             raise HeckeError("need one exponent per coordinate")
-        return HeckeCharacter(n=n, N=N, values={}, face=J, exponents=exps)
+        return HeckeCharacter(n=n, N=N, face=J, exponents=exps)
 
     def value_at(self, mu) -> GroupValue:
-        key = tuple(mu.coords) if isinstance(mu, Cocharacter) else tuple(mu)
-        if key in self.values:
-            return self.values[key]
-        if self.face is None:
-            raise HeckeError(f"character undefined at {key}")
-        lam = Cocharacter(key)
+        lam = mu if isinstance(mu, Cocharacter) else Cocharacter(tuple(mu))
         if any(pairing(simple_root(j, self.n), lam) != 0 for j in self.face):
-            val = GroupValue.zero(self.N)
-        else:
-            val = GroupValue(self.N, sum(c * e for c, e in zip(key, self.exponents)))
-        self.values[key] = val
-        return val
+            return GroupValue.zero(self.N)
+        return GroupValue(self.N, sum(c * e for c, e in zip(lam.coords, self.exponents)))
 
 
 def lambda_alpha(i: int, n: int) -> Cocharacter:

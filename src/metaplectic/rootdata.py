@@ -17,7 +17,12 @@ with alpha_i^vee, forced by types; see the ledger.)
 
 The Weyl group is the group of signed permutations of the coordinates.
 A cocharacter is antidominant when its coordinates are ascending and the
-last one is <= 0.
+last one is <= 0.  The dominance order and the antidominant up-sets are
+read in the same integer coordinates: mu >= lam when every prefix sum of
+mu - lam is >= 0, and the walk over the up-set of an antidominant lam
+caps its k-th coroot coordinate by the k-th prefix sum of -lam, which is
+the k-th entry of C^{-1} <alpha, -lam> and an integer, so no rational
+arithmetic is needed there.
 
 A Cocharacter may carry one extra integer `gsp`, the coefficient of the
 similitude cocharacter lambda_{n+1} of the ambient similitude group; the
@@ -28,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -295,64 +299,50 @@ def _cartan_inverse(n: int, idx: tuple[int, ...]) -> tuple[tuple[Fraction, ...],
     return tuple(tuple(row[m:]) for row in reduced)
 
 
-def leq(lam: Cocharacter, mu: Cocharacter, J=None) -> bool:
-    """mu - lam a nonnegative integer combination of {alpha_j^vee : j in J}.
-
-    The coroot-basis coordinates of mu - lam are unique, so membership in
-    the J-span is just support containment plus nonnegativity.
-    """
+def leq(lam: Cocharacter, mu: Cocharacter) -> bool:
+    """mu - lam a nonnegative integer combination of the simple coroots,
+    that is, every coroot coordinate (prefix sum) of mu - lam is >= 0."""
     _check_rank(lam, mu)
-    n = lam.rank
-    idx = _as_indices(J, n)
-    cs = (mu - lam).coroot_coordinates()
-    return all((k + 1) in idx or c == 0 for k, c in enumerate(cs)) and all(
-        c >= 0 for c in cs
-    )
+    return all(c >= 0 for c in (mu - lam).coroot_coordinates())
 
 
-def is_antidominant(lam: Cocharacter, J=None) -> bool:
-    """<alpha_j, lam> <= 0 for all j in J."""
-    n = lam.rank
-    return all(pairing(simple_root(j, n), lam) <= 0 for j in _as_indices(n=n, J=J))
+def is_antidominant(lam: Cocharacter) -> bool:
+    """<alpha_j, lam> <= 0 for every simple root: the coordinates ascend
+    and the last one is <= 0."""
+    c = lam.coords
+    return all(a <= b for a, b in zip(c, c[1:] + (0,)))
 
 
-def antidominant_above(lam: Cocharacter, J=None) -> set[Cocharacter]:
-    """The finite set {mu J-antidominant : mu >=_J lam}.
+def antidominant_above(lam: Cocharacter) -> set[Cocharacter]:
+    """The finite set {mu antidominant : mu >= lam}.
 
-    Write mu = lam + sum_{j in J} a_j alpha_j^vee with a_j >= 0, and set
-    a_k = 0 for k outside J and a_0 = 0.  In e coordinates
-    mu_k = lam_k + a_k - a_{k-1}, so row k < n of C_J a <= b, with
-    b_j = <alpha_j, -lam>, is mu_k <= mu_{k+1}: a lower bound
-    a_{k+1} >= 2 a_k - a_{k-1} + lam_k - lam_{k+1} that involves no later
-    coordinate.  The search is a depth-first walk over a_1, ..., a_n that
-    starts each a_{k+1} at the least value row k allows (for k in J) and
-    checks the long-root row mu_n <= 0 at the leaf (for n in J).  Every
-    entry of C_J^{-1} is nonnegative, so C_J a <= b forces
-    a <= C_J^{-1} b componentwise; these caps bound every coordinate and
-    make the walk finite for every J.
+    Write mu = lam + sum_j a_j alpha_j^vee with a_j >= 0 and set a_0 = 0.
+    In e coordinates mu_k = lam_k + a_k - a_{k-1}, so row k < n of
+    C a <= b, with b_j = <alpha_j, -lam>, is mu_k <= mu_{k+1}: a lower
+    bound a_{k+1} >= 2 a_k - a_{k-1} + lam_k - lam_{k+1} that involves no
+    later coordinate.  The search is a depth-first walk over a_1, ..., a_n
+    that starts each a_{k+1} at the least value row k allows and checks
+    the long-root row mu_n <= 0 at the leaf.  Every entry of C^{-1} is
+    nonnegative, so C a <= b forces a <= C^{-1} b componentwise, and
+    C^{-1} b is the integer vector of coroot coordinates of -lam (the
+    prefix sums of its e coordinates); these integer caps make the walk
+    finite.
     """
+    if not is_antidominant(lam):
+        raise RootDatumError("base point must be antidominant")
     n = lam.rank
-    J = _as_indices(J, n)
-    idx = sorted(J)
-    if not is_antidominant(lam, idx):
-        raise RootDatumError("base point must be antidominant for J")
-    if not idx:
-        return {lam}
-    b = [pairing(simple_root(j, n), -1 * lam) for j in idx]
-    caps = [0] * (n + 1)  # caps[k] = 0 pins a_k = 0 for k outside J
-    for j, row in zip(idx, cartan_inverse(n, idx)):
-        caps[j] = math.floor(sum(f * bb for f, bb in zip(row, b)))
+    caps = (0, *itertools.accumulate(-c for c in lam.coords))  # caps[k] bounds a_k
     x = (0,) + lam.coords  # x[k] = lam_k, 1-based
     a = [0] * (n + 1)  # a[k] = a_k on the current branch; a[0] = 0
     out = set()
 
     def walk(k: int) -> None:
         if k > n:
-            if n not in J or x[n] + a[n] - a[n - 1] <= 0:
+            if x[n] + a[n] - a[n - 1] <= 0:
                 mu = tuple(x[i] + a[i] - a[i - 1] for i in range(1, n + 1))
                 out.add(Cocharacter(mu, lam.gsp))
             return
-        lo = max(0, 2 * a[k - 1] - a[k - 2] + x[k - 1] - x[k]) if k - 1 in J else 0
+        lo = max(0, 2 * a[k - 1] - a[k - 2] + x[k - 1] - x[k]) if k > 1 else 0
         for v in range(lo, caps[k] + 1):
             a[k] = v
             walk(k + 1)

@@ -169,10 +169,9 @@ def _exhaustive_flag_data(n: int):
             yield classify.SupersingularDatum(levi, flags, label=f"L{sorted(roots)}")
 
 
-def criterion_6_classification(F=None) -> CriterionResult:
-    name = "classification counts, principal series lengths, injectivity"
+def criterion_6_classification() -> CriterionResult:
+    name = "classification counts, principal series lengths"
     failures = []
-    F = F or LocalFieldDescriptor(3)
     for n in range(1, 6):
         for datum in _exhaustive_flag_data(n):
             got = len(classify.composition_factors(datum))
@@ -197,17 +196,6 @@ def criterion_6_classification(F=None) -> CriterionResult:
                 failures.append(f"maximal length iff constant tuple fails n={n}")
             if classify.ps_irreducible(sigma) != (length == 1):
                 failures.append(f"irreducibility criterion n={n}")
-    menu = [
-        classify.torus_datum(
-            GenuineTorusCharacter(
-                tuple(SmoothCharacterFx(q, N, 0, 0) for _ in range(2)), ONE_CLASS
-            )
-        ),
-        next(iter(_exhaustive_flag_data(2))),
-    ]
-    report = classify.enumerate_classification(2, menu, F)
-    if not report.clean:
-        failures.append("injectivity report not clean")
     return CriterionResult(6, name, not failures, "; ".join(failures))
 
 

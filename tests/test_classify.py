@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from metaplectic import classify
 from metaplectic.characters import (
     GenuineTorusCharacter,
     SmoothCharacterFx,
@@ -25,7 +24,6 @@ from metaplectic.classify import (
     siegel_lift,
     sigma_equal,
     torus_datum,
-    triples_equivalent,
 )
 from metaplectic.cover import ALL_CLASSES, LocalFieldDescriptor, ONE_CLASS, UNIT_CLASS
 from metaplectic.rootdata import ParabolicSubset, coroot, pairing, simple_root
@@ -175,21 +173,6 @@ def test_triple_validation_messages():
     assert str(err.value) == "need P <= Q <= P + Pi(sigma); got P=[1], Q=[3], top=[1, 3]"
 
 
-def test_triples_equivalent():
-    d = torus_datum(trivial_sigma(2))
-    [t0, t1] = composition_factors(d)
-    assert triples_equivalent(t0, t0, F3)
-    assert not triples_equivalent(t0, t1, F3)
-    # a square psi-class change is invisible
-    shifted = torus_datum(GenuineTorusCharacter(trivial_sigma(2).xi, ONE_CLASS))
-    [s0, s1] = composition_factors(shifted)
-    assert triples_equivalent(t0, s0, F3) and triples_equivalent(t1, s1, F3)
-    # a nonsquare psi-class change is not
-    twisted = torus_datum(GenuineTorusCharacter(trivial_sigma(2).xi, UNIT_CLASS))
-    [w0, _] = composition_factors(twisted)
-    assert not triples_equivalent(t0, w0, F3)
-
-
 def test_sigma_equal_needs_field_for_torus_data():
     d = torus_datum(trivial_sigma(2))
     with pytest.raises(ClassifyError):
@@ -295,50 +278,26 @@ def test_enumerate_classification():
     report = enumerate_classification(2, menu, F3)
     assert report.merged == [(0, 1)]
     assert len(report.triples) == 2
-    assert report.clean
     mixed_menu = [
         torus_datum(sigma),
         SupersingularDatum(ParabolicSubset.siegel(2), {}, label="sc"),
     ]
     report = enumerate_classification(2, mixed_menu, F3)
     assert len(report.triples) == 3
-    assert report.clean
-
-
-def test_collisions_match_the_scan_over_every_pair(monkeypatch):
-    """Collisions are sought only among triples with equal (P, Q).  On a
-    menu with duplicates, torus characters and labelled data they equal,
-    in order, those of the scan over every pair of triples; also under a
-    coarser equivalence that ignores sigma, which makes collisions."""
+    # a square psi-class change and a repeated label are merged; a
+    # nonsquare psi-class change and a new label are not
     sigma = trivial_sigma(3)
     menu = [
         torus_datum(sigma),
         torus_datum(GenuineTorusCharacter(sigma.xi, UNIT_CLASS)),
-        torus_datum(GenuineTorusCharacter(sigma.xi, ONE_CLASS)),  # a duplicate of the first
-        torus_datum(GenuineTorusCharacter((chi(1, 0), chi(1, 0), chi(0, 1)), ONE_CLASS)),
+        torus_datum(GenuineTorusCharacter(sigma.xi, ONE_CLASS)),
     ]
     data = list(_every_datum(3))
     menu += [
         SupersingularDatum(d.levi, d.flags, label=label) for d in data for label in ("a", "b", "a")
     ]
-
-    def every_pair(triples, equivalent):
-        return [
-            (a, b)
-            for a, b in itertools.combinations(range(len(triples)), 2)
-            if equivalent(triples[a], triples[b], F3)
-        ]
-
     report = enumerate_classification(3, menu, F3)
     assert (0, 2) in report.merged and len(report.merged) == 1 + len(data)
-    assert report.collisions == every_pair(report.triples, triples_equivalent)
-
-    def same_pair(t, t2, F=None):
-        return t.P == t2.P and t.Q == t2.Q
-
-    monkeypatch.setattr(classify, "triples_equivalent", same_pair)
-    report = enumerate_classification(3, menu, F3)
-    assert report.collisions and report.collisions == every_pair(report.triples, same_pair)
 
 
 def test_torus_factors_are_every_subset_of_equal_adjacent_pairs():

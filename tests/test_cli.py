@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -332,9 +333,9 @@ def test_classify_json_fuzz_exits_cleanly(form, n, data):
 def test_config_checks_field_before_deriving_N(capsys):
     """N defaults to 2(p^f - 1); p and f are checked first, so p = 0,
     f = -1 is a usage error rather than a ZeroDivisionError."""
-    code, out, err = run(capsys, "cover", "--p", "0", "--f", "-1")
+    code, out, err = run(capsys, "hilbert", "pi", "pi", "--p", "0", "--f", "-1")
     assert (code, out, err) == (2, "", "error: p must be an odd prime, got 0\n")
-    code, out, err = run(capsys, "cover", "--p", "3", "--f", "-1")
+    code, out, err = run(capsys, "hilbert", "pi", "pi", "--p", "3", "--f", "-1")
     assert (code, out, err) == (2, "", "error: f must be >= 1\n")
 
 
@@ -465,29 +466,42 @@ def _flag(name, values):
 
 
 _INT_LIST = st.lists(st.integers(-3, 3), max_size=5).map(lambda xs: ",".join(map(str, xs)))
-_CONFIG_FLAGS = st.tuples(
-    _flag("--p", st.integers(-3, 15)),
-    _flag("--f", st.integers(-1, 3)),
-    _flag("--n", st.integers(0, 4)),
-).map(lambda parts: sum(parts, []))
+_P = _flag("--p", st.integers(-3, 15))
+_F = _flag("--f", st.integers(-1, 3))
+_N = _flag("--n", st.integers(0, 4))
 _SMALL = st.integers(-3, 4)
 _CLASSES = st.sampled_from(["1", "u", "pi", "upi", "x"])
 _VERIFY = st.sampled_from([[], ["--verify"]])
-# the commands that run no counting oracle, with their own flags
+
+
+def _argv(*parts):
+    """One command line from its words and its optional flags."""
+    return st.tuples(*parts).map(lambda t: sum(t, []))
+
+
+# the commands that run no counting oracle, each with its own flags and
+# the configuration flags it reads
 _COMMANDS = st.one_of(
-    st.tuples(_CLASSES, _CLASSES, _VERIFY).map(lambda t: ["hilbert", *t[:2], *t[2]]),
-    st.just(["cover"]),
-    _SMALL.map(lambda i: ["satake", f"--i={i}"]),
-    st.tuples(
-        st.just(["aset"]), _flag("--i", _SMALL), _flag("--lam", _INT_LIST)
-    ).map(lambda t: sum(t, [])),
-    st.tuples(
+    _argv(st.just(["hilbert"]), st.lists(_CLASSES, min_size=2, max_size=2), _VERIFY, _P, _F),
+    _argv(st.just(["cover"]), _N),
+    _argv(
+        _SMALL.map(lambda i: ["satake", f"--i={i}"]),
+        _N,
+        _P,
+        _F,
+        _flag("--depth", st.integers(-1, 5)),
+    ),
+    _argv(st.just(["aset"]), _flag("--i", _SMALL), _flag("--lam", _INT_LIST), _N),
+    _argv(
         st.just(["weights"]),
         _INT_LIST.map(lambda v: [f"--nu={v}"]),
         _flag("--q", st.integers(-1, 9)),
         _flag("--i", _SMALL),
         _flag("--levi", _INT_LIST),
-    ).map(lambda t: sum(t, [])),
+        _N,
+        _P,
+        _F,
+    ),
 )
 
 
@@ -504,9 +518,78 @@ def _assert_clean_exit(code, out, err):
 
 
 @settings(max_examples=200, deadline=None)
-@given(command=_COMMANDS, config=_CONFIG_FLAGS)
-def test_flag_fuzz_exits_cleanly(command, config):
-    _assert_clean_exit(*run_captured(command + config))
+@given(command=_COMMANDS)
+def test_flag_fuzz_exits_cleanly(command):
+    _assert_clean_exit(*run_captured(command))
+
+
+# each command line is valid but for the flags drawn below
+_VALID = {
+    "hilbert": ["hilbert", "pi", "pi"],
+    "cover": ["cover"],
+    "satake": ["satake", "--i", "1"],
+    "aset": ["aset", "--i", "1"],
+    "weights": ["weights", "--nu", "0,0"],
+    "classify": ["classify"],
+    "oracle": ["oracle", "satake", "--group", "sl2", "--i", "1"],
+    "selftest": ["selftest"],
+}
+# the configuration keys each command reads, and the output option
+_READS = {
+    "hilbert": {"p", "f"},
+    "cover": {"n"},
+    "satake": {"n", "p", "f", "depth"},
+    "aset": {"n"},
+    "weights": {"n", "p", "f"},
+    "classify": {"n", "p", "f", "N", "emit"},
+    "oracle": {"p", "f", "depth"},
+    "selftest": {"seed"},
+}
+_FLAG_VALUES = {"p": "5", "f": "1", "n": "2", "N": "4", "depth": "3", "seed": "1", "emit": "json"}
+
+
+def test_each_command_takes_the_configuration_flags_it_reads():
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted(_READS)
+    slots = 0
+    for name, sp in sub.choices.items():
+        got = {a.dest for a in sp._actions if a.dest in {*_FLAG_VALUES, "config"}}
+        assert got == _READS[name] | {"config"}
+        slots += len(got)
+    assert slots == 28
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(c, k) for c in sorted(_READS) for k in sorted(_FLAG_VALUES) if k not in _READS[c]],
+)
+def test_command_refuses_flags_it_does_not_read(command, key):
+    """Exit 2 from argparse, with nothing on stdout and no traceback."""
+    argv = _VALID[command] + [f"--{key}", _FLAG_VALUES[key]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert exc.value.code == 2 and out.getvalue() == ""
+    assert "unrecognized arguments" in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code",
+    [
+        (["hilbert", "pi", "pi", "--p", "1000000000000000003"], "", 2),
+        (["hilbert", "pi", "pi", "--f", "30000000"], "", 2),
+        # q = p^2 lies within the limits: the characters are built at once
+        (["classify", "--n", "1", "--p", "1000000007", "--f", "2"], '{"xi": [[0, 0]]}', 0),
+        (["classify", "--n", "1", "--p", "1000000007", "--f", "2"], '{"xi": [[0, 0]], "psi_class": "x"}', 2),
+    ],
+)
+def test_large_field_parameters_answer_at_once(argv, stdin, code):
+    start = time.perf_counter()
+    got = run_captured(argv, stdin)
+    assert time.perf_counter() - start < 1.0
+    assert got[0] == code
+    _assert_clean_exit(*got)
 
 
 @pytest.mark.parametrize(
@@ -556,20 +639,23 @@ def test_oracle_flag_fuzz_exits_cleanly(command):
     _assert_clean_exit(*run_captured(command))
 
 
-# without --sp4, so every valid value runs only the quick criteria
+# each invalid configuration value, given to a command that reads its
+# key; selftest runs without --sp4, so it runs only the quick criteria
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--p", "0"],
-        ["--p", "9"],
-        ["--p", "-3"],
-        ["--f", "0"],
-        ["--N", "3"],
-        ["--N", "6"],
-        ["--n", "0"],
-        ["--depth", "0"],
-        ["--seed", "-1"],
+        ["hilbert", "pi", "pi", "--p", "0"],
+        ["hilbert", "pi", "pi", "--p", "9"],
+        ["hilbert", "pi", "pi", "--p", "-3"],
+        ["hilbert", "pi", "pi", "--f", "0"],
+        ["classify", "--N", "3"],
+        ["classify", "--N", "6"],
+        ["cover", "--n", "0"],
+        ["oracle", "satake", "--group", "sl2", "--i", "1", "--depth", "0"],
+        ["selftest", "--seed", "-1"],
     ],
 )
 def test_selftest_flags_exit_cleanly(flags):
-    _assert_clean_exit(*run_captured(["selftest", *flags]))
+    code, out, err = run_captured(flags, '{"levi": [1]}')
+    _assert_clean_exit(code, out, err)
+    assert code == (0 if flags[0] == "selftest" else 2)

@@ -82,6 +82,22 @@ def test_local_field_descriptor():
     assert LocalFieldDescriptor(3, 2).residue_char_minus_one() == 1  # q = 9
 
 
+def test_local_field_limits():
+    """p below 2^31 and q = p^f below 2^63, refused before trial division
+    or the power; the largest prime below 2^31 and 3^39 are accepted."""
+    assert LocalFieldDescriptor(2**31 - 1).q == 2**31 - 1
+    assert LocalFieldDescriptor(3, 39).q == 3**39
+    for p, f, what in (
+        (2**31, 1, "p must be below 2^31"),
+        (1000000000000000003, 1, "p must be below 2^31"),
+        (3, 40, "q = p^f must be below 2^63"),
+        (3, 30000000, "q = p^f must be below 2^63"),
+        (2**31 - 1, 3, "q = p^f must be below 2^63"),
+    ):
+        with pytest.raises(CoverError, match=what.replace("^", r"\^")):
+            LocalFieldDescriptor(p, f)
+
+
 def test_square_class_group():
     assert PI_CLASS * PI_CLASS == ONE_CLASS
     assert UNIT_CLASS * PI_CLASS == UPI_CLASS
