@@ -8,6 +8,16 @@ metaschema once per process, on its first use.  classify can also emit
 CSV.  Exit codes: 0 success, 1 verification mismatch, 2 usage or schema
 error.
 
+Each subcommand imports only the layers it calls, inside its `cmd_*`
+function: `hilbert` loads `cover` alone, and nothing but `selftest`
+loads the selftest module.
+
+Jobs whose work grows without bound in a parameter are refused with
+exit 2 before any work, at limits measured at about 3 s of work:
+`cover` above rank COVER_RANK_LIMIT, `aset` above rank ASET_RANK_LIMIT,
+and `classify` when its factor count times the rank (the size of the
+triples it would print) is over CLASSIFY_SIZE_LIMIT.
+
 Parameters come from flags first, then an optional key=value config
 file, then defaults (p=3, f=1, n=2, N=2(p-1), depth=4, seed=0).  Each
 subcommand has a flag only for the keys it reads; a config file may set
@@ -23,25 +33,29 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import jsonschema
 
-from . import classify, cover, hecke, oracle, selftest, weights
-from .characters import GenuineTorusCharacter, SmoothCharacterFx
-from .cover import LocalFieldDescriptor, SquareClass
-from .rootdata import (
-    Character,
-    Cocharacter,
-    ParabolicSubset,
-    antidominant_above,
-    coroot,
-    is_antidominant,
-    pairing,
-)
+# Each cmd_* imports the other layers it calls with `from . import x` and
+# calls them as `x.f(...)`, so that a command loads only what it runs.
+from . import cover
+
+if TYPE_CHECKING:  # annotations only
+    from . import characters, classify
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+
+# Job budgets, each measured at about 3 s of work (2-vCPU Xeon, Python
+# 3.11).  `cover` evaluates B on n^2 basis pairs, each in O(n): 3.5 s at
+# n = 200.  `aset` is slowest at i = n: 2.0 s at n = 24, 3.7 s at n = 26.
+# `classify` prints 2^|Pi(sigma)| triples of O(n) entries each: 2^13
+# factors at n = 14 take 2.4 s, 2^11 at n = 100 take 4.2 s.
+COVER_RANK_LIMIT = 180
+ASET_RANK_LIMIT = 25
+CLASSIFY_SIZE_LIMIT = 2**17  # composition factors times the rank
 
 
 class UsageError(ValueError):
@@ -59,7 +73,7 @@ class RunConfig:
 
     def __post_init__(self):
         # validate p and f before deriving N from p**f (0**-1 would raise)
-        field = LocalFieldDescriptor(self.p, self.f)
+        field = cover.LocalFieldDescriptor(self.p, self.f)
         if self.N == 0:
             self.N = 2 * (self.p**self.f - 1)
         if self.N % 2 != 0:
@@ -315,10 +329,15 @@ def _element_terms(h) -> list[dict]:
 # subcommands
 
 
+def _refuse_rank(command: str, n: int, limit: int) -> None:
+    if n > limit:
+        raise UsageError(f"{command} at rank {n} is over its limit of rank {limit}")
+
+
 def cmd_hilbert(args) -> int:
     config = resolve_config(args)
-    x = SquareClass.from_name(args.x)
-    y = SquareClass.from_name(args.y)
+    x = cover.SquareClass.from_name(args.x)
+    y = cover.SquareClass.from_name(args.y)
     symbol = cover.hilbert(x, y, config.field)
     payload = {
         "x": x.name,
@@ -337,13 +356,19 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_cover(args) -> int:
+    from . import rootdata
+
     config = resolve_config(args)
     n = config.n
-    basis = [Cocharacter(tuple(1 if k == j else 0 for k in range(n))) for j in range(n)]
-    similitude = Cocharacter(tuple(0 for _ in range(n)), gsp=1)
+    _refuse_rank("cover", n, COVER_RANK_LIMIT)
+    basis = [
+        rootdata.Cocharacter(tuple(1 if k == j else 0 for k in range(n)))
+        for j in range(n)
+    ]
+    similitude = rootdata.Cocharacter(tuple(0 for _ in range(n)), gsp=1)
     payload = {
         "n": n,
-        "Q_coroots": [cover.eval_Q(coroot(i, n)) for i in range(1, n + 1)],
+        "Q_coroots": [cover.eval_Q(rootdata.coroot(i, n)) for i in range(1, n + 1)],
         "B_lambda_basis": [
             [cover.eval_B(a, b) for b in basis] for a in basis
         ],
@@ -357,6 +382,8 @@ def cmd_cover(args) -> int:
 
 
 def cmd_satake(args) -> int:
+    from . import hecke
+
     config = resolve_config(args)
     if not 1 <= args.i <= config.n:
         raise UsageError(f"i must lie in 1..{config.n}")
@@ -371,6 +398,8 @@ def cmd_satake(args) -> int:
     if args.oracle:
         if config.n > 2 or config.f != 1:
             raise UsageError("the oracle runs at n <= 2, f = 1")
+        from . import oracle
+
         agree = oracle.verify_metaplectic_pipeline(
             args.i, config.n, config.p, config.depth
         )
@@ -381,26 +410,31 @@ def cmd_satake(args) -> int:
 
 
 def cmd_aset(args) -> int:
+    from . import hecke, rootdata
+
     config = resolve_config(args)
     n = config.n
+    _refuse_rank("aset", n, ASET_RANK_LIMIT)
     if args.lam is not None:
         if args.i is not None:
             raise UsageError("give --lam or --i, not both")
-        base = Cocharacter(_parse_ints(args.lam, n))
+        base = rootdata.Cocharacter(_parse_ints(args.lam, n))
         i = None
     else:
         if args.i is None or not 1 <= args.i <= n:
             raise UsageError(f"i must lie in 1..{n}")
         base = hecke.t2lambda_base(args.i, n)
         i = args.i
-    if not is_antidominant(base):
+    if not rootdata.is_antidominant(base):
         raise hecke.HeckeError("base point must be antidominant")
     # the A-set is the up-set of 2 base in coroot coordinates; the brute
     # box of hecke.enumerate_A stays the reference the tests compare with
     two = 2 * base
     A = hecke.ASet(
         base,
-        frozenset((mu - two).coroot_coordinates() for mu in antidominant_above(two)),
+        frozenset(
+            (mu - two).coroot_coordinates() for mu in rootdata.antidominant_above(two)
+        ),
     )
     payload = {
         "base": list(base.coords),
@@ -425,9 +459,11 @@ def cmd_aset(args) -> int:
 
 
 def cmd_weights(args) -> int:
+    from . import rootdata, weights
+
     config = resolve_config(args)
     n = config.n
-    nu = Character(_parse_ints(args.nu, n))
+    nu = rootdata.Character(_parse_ints(args.nu, n))
     w = weights.QRestrictedWeight(nu, config.q if args.q is None else args.q)
     payload = {
         "nu": list(nu.coords),
@@ -435,14 +471,16 @@ def cmd_weights(args) -> int:
         "pi_nu": sorted(weights.pi_nu(w).roots),
     }
     if args.levi is not None:
-        J = ParabolicSubset(n, frozenset(_parse_ints(args.levi, None)))
+        J = rootdata.ParabolicSubset(n, frozenset(_parse_ints(args.levi, None)))
         payload["levi"] = sorted(J.roots)
         payload["M_regular"] = weights.is_M_regular(w, J)
     if args.i is not None:
         w2 = weights.change_of_weight_pair(w, args.i)
         payload["companion"] = {
             "nu": list(w2.nu.coords),
-            "pairings": [pairing(w2.nu, coroot(k, n)) for k in range(1, n + 1)],
+            "pairings": [
+                rootdata.pairing(w2.nu, rootdata.coroot(k, n)) for k in range(1, n + 1)
+            ],
             "same_class_as_nu": weights.same_weight_class(w, w2),
         }
     emit(payload, "weights")
@@ -491,14 +529,29 @@ def _parse_flags(data: dict) -> dict:
     return {int(k): v for k, v in flags.items()}
 
 
-def _parse_torus_character(data: dict, config: RunConfig) -> GenuineTorusCharacter:
+def _parse_torus_character(data: dict, config: RunConfig) -> characters.GenuineTorusCharacter:
+    from . import characters
+
     xi = []
     for pair in _json_field(data, "xi", list, None):
         if len(_json_ints(pair, "xi entries")) != 2:
             raise UsageError("xi entries are [unit_exp, pi_val] pairs")
-        xi.append(SmoothCharacterFx(config.q, config.N, pair[0], pair[1]))
-    psi = SquareClass.from_name(_json_field(data, "psi_class", str, "1"))
-    return GenuineTorusCharacter(tuple(xi), psi)
+        xi.append(characters.SmoothCharacterFx(config.q, config.N, pair[0], pair[1]))
+    psi = cover.SquareClass.from_name(_json_field(data, "psi_class", str, "1"))
+    return characters.GenuineTorusCharacter(tuple(xi), psi)
+
+
+def _refuse_factors(datum: classify.SupersingularDatum) -> None:
+    """Exit 2 before any triple is built if the 2^|Pi(sigma)| factors of
+    `datum` times its rank are over CLASSIFY_SIZE_LIMIT; Pi(sigma) is the
+    set of roots flagged true."""
+    n = datum.n
+    factors = 2 ** sum(datum.flags.values())
+    if factors * n > CLASSIFY_SIZE_LIMIT:
+        raise UsageError(
+            f"classify would print {factors:,} composition factors at rank {n},"
+            f" over its limit of {CLASSIFY_SIZE_LIMIT:,} factors times the rank"
+        )
 
 
 def _triple_payload(t: classify.SupersingularTriple) -> dict:
@@ -517,6 +570,8 @@ def _triple_payload(t: classify.SupersingularTriple) -> dict:
 
 
 def cmd_classify(args) -> int:
+    from . import classify, rootdata
+
     config = resolve_config(args)
     n = config.n
     if args.input == "-":
@@ -531,8 +586,8 @@ def cmd_classify(args) -> int:
         for key in ("P", "flags", "Q"):
             if key not in data:
                 raise UsageError(f"siegel input needs {key!r}")
-        P = ParabolicSubset(n, frozenset(_json_ints(data["P"], "'P'")))
-        Q = ParabolicSubset(n, frozenset(_json_ints(data["Q"], "'Q'")))
+        P = rootdata.ParabolicSubset(n, frozenset(_json_ints(data["P"], "'P'")))
+        Q = rootdata.ParabolicSubset(n, frozenset(_json_ints(data["Q"], "'Q'")))
         triple = classify.siegel_lift(
             P, _parse_flags(data), Q, n, label=_json_field(data, "label", str, "rho")
         )
@@ -542,15 +597,17 @@ def cmd_classify(args) -> int:
         if sigma.rank != n:
             raise UsageError(f"character rank {sigma.rank} != configured n = {n}")
         datum = classify.torus_datum(sigma)
+        _refuse_factors(datum)
         factors = classify.composition_factors(datum)
         payload["triples"] = [_triple_payload(t) for t in factors]
         payload["length"] = classify.ps_length(sigma)
         payload["irreducible"] = classify.ps_irreducible(sigma)
     elif "levi" in data:
-        levi = ParabolicSubset(n, frozenset(_json_ints(data["levi"], "'levi'")))
+        levi = rootdata.ParabolicSubset(n, frozenset(_json_ints(data["levi"], "'levi'")))
         datum = classify.SupersingularDatum(
             levi, _parse_flags(data), label=_json_field(data, "label", str, "sigma")
         )
+        _refuse_factors(datum)
         report = classify.enumerate_classification(n, [datum], config.field)
         payload["triples"] = [_triple_payload(t) for t in report.triples]
         # always true, as merged data are inequivalent; bench/goldens.json still records it
@@ -581,6 +638,8 @@ def _print_classify_csv(triples: list[dict]) -> None:
 
 
 def cmd_oracle(args) -> int:
+    from . import hecke, oracle
+
     config = resolve_config(args)
     group = args.group
     n = oracle.ChevalleyRealization(group).rank
@@ -611,6 +670,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest
+
     config = resolve_config(args)
     results = selftest.run_all(run_sp4=args.sp4, seed=config.seed)
     for r in results:

@@ -17,8 +17,10 @@ z^2 = x X^2 + y Y^2 mod p^4 against a table of squares.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .rootdata import Cocharacter
+if TYPE_CHECKING:  # annotations only: hilbert never loads rootdata
+    from .rootdata import Cocharacter
 
 
 class CoverError(ValueError):

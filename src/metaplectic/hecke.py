@@ -83,10 +83,6 @@ class TorusHeckeElement:
     def support(self) -> set[tuple[int, ...]]:
         return set(self.coeffs)
 
-    def coefficient(self, mu) -> int:
-        key = tuple(mu.coords) if isinstance(mu, Cocharacter) else tuple(mu)
-        return self.coeffs.get(key, 0)
-
     @staticmethod
     def tau(mu, p: int, c: int = 1) -> "TorusHeckeElement":
         return TorusHeckeElement(p, {mu if not isinstance(mu, Cocharacter) else mu.coords: c})

@@ -3,6 +3,8 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaplectic import cover, hecke
+from metaplectic import cli, cover, hecke
 from metaplectic.cli import SCHEMAS, UsageError, build_parser, emit, main
 from metaplectic.rootdata import Cocharacter
 
@@ -607,6 +609,58 @@ def test_over_budget_sl2_row_exits_at_once():
     # every SL_2 box tuple is a leaf, so its limit is far below Sp_4's
     argv = ["oracle", "satake", "--group", "sl2", "--i", "1", "--p", "1009", "--depth", "4"]
     _assert_refused_at_once(argv, 1009**2)
+
+
+def _levi_datum(n, flagged):
+    """An empty-Levi datum at rank n with `flagged` true flags, on the odd
+    short roots; the long root n is never flagged."""
+    return {"levi": [], "flags": {str(i): i % 2 == 1 and i < 2 * flagged for i in range(1, n + 1)}}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        # 2^23 factors at rank 24, and 2^20 at rank 41
+        (["classify", "--n", "24"], {"xi": [[0, 0]] * 24}),
+        (["classify", "--n", "41"], _levi_datum(41, 20)),
+        # just over the limit: 2^14 factors at rank 15, 2^13 at rank 27
+        (["classify", "--n", "15"], {"xi": [[0, 0]] * 15}),
+        (["classify", "--n", "27"], _levi_datum(27, 13)),
+        (["cover", "--n", "300"], None),
+        (["cover", "--n", "100000"], None),
+        (["cover", "--n", str(cli.COVER_RANK_LIMIT + 1)], None),
+        (["aset", "--n", "32", "--i", "16"], None),
+        (["aset", "--n", "40", "--i", "20"], None),
+        (["aset", "--n", str(cli.ASET_RANK_LIMIT + 1), "--i", "1"], None),
+        (["aset", "--n", "100000", "--lam=-1"], None),
+    ],
+)
+def test_over_budget_jobs_exit_at_once(argv, doc):
+    start = time.perf_counter()
+    code, out, err = run_captured(argv, "" if doc is None else json.dumps(doc))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error:") and "over its limit" in err
+
+
+def test_hilbert_loads_only_the_cover_layer():
+    script = (
+        "import sys\n"
+        "from metaplectic.cli import main\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'metaplectic')\n"
+        "print(loaded())\n"
+        "main(['hilbert', 'pi', 'pi', '--p', '3'])\n"
+        "print(loaded())\n"
+    )
+    # the child imports the same package copy as this process
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    lines = proc.stdout.splitlines()
+    want = str(["metaplectic", "metaplectic.cli", "metaplectic.cover"])
+    assert lines[0] == want and lines[-1] == want
 
 
 def _assert_refused_at_once(argv, tuples):
