@@ -14,9 +14,10 @@ loads the selftest module.
 
 Jobs whose work grows without bound in a parameter are refused with
 exit 2 before any work, at limits measured at about 3 s of work:
-`cover` above rank COVER_RANK_LIMIT, `aset` above rank ASET_RANK_LIMIT,
-and `classify` when its factor count times the rank (the size of the
-triples it would print) is over CLASSIFY_SIZE_LIMIT.
+`cover` above rank COVER_RANK_LIMIT, `aset` above rank ASET_RANK_LIMIT
+or when a bound on its element count, read off the base, is over
+ASET_SIZE_LIMIT, and `classify` when its factor count times the rank
+(the size of the triples it would print) is over CLASSIFY_SIZE_LIMIT.
 
 Parameters come from flags first, then an optional key=value config
 file, then defaults (p=3, f=1, n=2, N=2(p-1), depth=4, seed=0).  Each
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -42,7 +44,7 @@ import jsonschema
 from . import cover
 
 if TYPE_CHECKING:  # annotations only
-    from . import characters, classify
+    from . import characters, classify, rootdata
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -50,11 +52,15 @@ EXIT_USAGE = 2
 
 # Job budgets, each measured at about 3 s of work (2-vCPU Xeon, Python
 # 3.11).  `cover` evaluates B on n^2 basis pairs, each in O(n): 3.5 s at
-# n = 200.  `aset` is slowest at i = n: 2.0 s at n = 24, 3.7 s at n = 26.
+# n = 200.  `aset` spends 17-60 us per element of the up-set of 2 base,
+# more at higher rank: the largest constant bases under ASET_SIZE_LIMIT
+# take 2.5 s at n = 4, 2.3 s at n = 8, 3.6 s at n = 12 and 3.1 s at
+# n = 16.  Every `--i` base is far under it; `--i 25 --n 25` takes 0.3 s.
 # `classify` prints 2^|Pi(sigma)| triples of O(n) entries each: 2^13
 # factors at n = 14 take 2.4 s, 2^11 at n = 100 take 4.2 s.
 COVER_RANK_LIMIT = 180
 ASET_RANK_LIMIT = 25
+ASET_SIZE_LIMIT = 150_000  # bound on the elements of the up-set
 CLASSIFY_SIZE_LIMIT = 2**17  # composition factors times the rank
 
 
@@ -334,6 +340,19 @@ def _refuse_rank(command: str, n: int, limit: int) -> None:
         raise UsageError(f"{command} at rank {n} is over its limit of rank {limit}")
 
 
+def _refuse_aset_size(base: rootdata.Cocharacter) -> None:
+    """Exit 2 before any walk if the up-set of 2 `base` may hold more
+    than ASET_SIZE_LIMIT elements.  Each of its elements ascends with
+    entries in [2 base_1, 0], so there are at most C(n - 2 base_1, n)."""
+    n = base.rank
+    bound = math.comb(n - 2 * base.coords[0], n)
+    if bound > ASET_SIZE_LIMIT:
+        raise UsageError(
+            f"aset may print up to {bound:,} elements at rank {n},"
+            f" over its limit of {ASET_SIZE_LIMIT:,}"
+        )
+
+
 def cmd_hilbert(args) -> int:
     config = resolve_config(args)
     x = cover.SquareClass.from_name(args.x)
@@ -427,8 +446,10 @@ def cmd_aset(args) -> int:
         i = args.i
     if not rootdata.is_antidominant(base):
         raise hecke.HeckeError("base point must be antidominant")
-    # the A-set is the up-set of 2 base in coroot coordinates; the brute
-    # box of hecke.enumerate_A stays the reference the tests compare with
+    _refuse_aset_size(base)
+    # the A-set is the up-set of 2 base in coroot coordinates; the tests
+    # compare it with hecke.enumerate_A, a walk over the rows of C a <= b
+    # that shares no code with antidominant_above
     two = 2 * base
     A = hecke.ASet(
         base,

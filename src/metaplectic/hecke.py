@@ -17,7 +17,6 @@ decision procedure for Hecke-algebra characters.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -164,36 +163,49 @@ class ASet:
 
 def enumerate_A(lam: Cocharacter) -> ASet:
     """Full enumeration of the A-set {a >= 0 : C a <= b}, with
-    b_j = 2 <alpha_j, -lam>, by a scan of the whole box
-    0 <= a <= ceil(C^{-1} b), which contains the A-set since C^{-1} >= 0.
+    b_j = 2 <alpha_j, -lam>, inside the box 0 <= a <= ceil(C^{-1} b),
+    which contains the A-set since C^{-1} >= 0.
 
-    Every box point is tested against the rows of C a <= b in order,
-    stopping at the first row that fails; there is no pruning, so this
-    stays an independent reference for `antidominant_above`.  Each row is
-    kept as its nonzero (k, C[j][k]) pairs, read off `cartan_matrix`.
+    The enumeration is a depth-first walk that assigns a_1, ..., a_n in
+    order, each over its whole box range.  Row j of C a <= b is tested as
+    soon as its last nonzero column is set, and a prefix is dropped at the
+    first row that fails: later coordinates cannot change a row whose
+    variables are all set, so the walk keeps exactly the box points that
+    pass every row.  It takes no lower bounds and nothing from the
+    e-coordinate form of the rows, so it stays an independent reference
+    for `antidominant_above`.  Each row is kept as its nonzero
+    (k, C[j][k]) pairs, read off `cartan_matrix`.
     """
     n = lam.rank
     if not is_antidominant(lam):
         raise HeckeError("base point must be antidominant")
     b = [2 * pairing(simple_root(j, n), -1 * lam) for j in range(1, n + 1)]
-    rows = [
-        (tuple((k, c) for k, c in enumerate(row) if c), bj)
-        for row, bj in zip(cartan_matrix(n), b)
-    ]
+    closing = [[] for _ in range(n)]  # closing[k]: the rows whose last column is k
+    for row, bj in zip(cartan_matrix(n), b):
+        terms = tuple((k, c) for k, c in enumerate(row) if c)
+        closing[terms[-1][0]].append((terms, bj))
     bounds = []
     for row in cartan_inverse(n):
         v = sum(f * bb for f, bb in zip(row, b))
         bounds.append(int(v) if v.denominator == 1 else int(v) + 1)
     elems = set()
-    for a in itertools.product(*(range(bb + 1) for bb in bounds)):
-        for row, bj in rows:
-            s = 0
-            for k, c in row:
-                s += c * a[k]
-            if s > bj:
-                break
-        else:
-            elems.add(a)
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        k = len(prefix)
+        if k == n:
+            elems.add(prefix)
+            continue
+        for v in range(bounds[k] + 1):
+            a = prefix + (v,)
+            for terms, bj in closing[k]:
+                s = 0
+                for m, c in terms:
+                    s += c * a[m]
+                if s > bj:
+                    break
+            else:
+                stack.append(a)
     return ASet(lam, frozenset(elems))
 
 

@@ -320,30 +320,27 @@ def antidominant_above(lam: Cocharacter) -> set[Cocharacter]:
     In e coordinates mu_k = lam_k + a_k - a_{k-1}, so row k < n of
     C a <= b, with b_j = <alpha_j, -lam>, is mu_k <= mu_{k+1}: a lower
     bound a_{k+1} >= 2 a_k - a_{k-1} + lam_k - lam_{k+1} that involves no
-    later coordinate.  The search is a depth-first walk over a_1, ..., a_n
-    that starts each a_{k+1} at the least value row k allows and checks
-    the long-root row mu_n <= 0 at the leaf.  Every entry of C^{-1} is
-    nonnegative, so C a <= b forces a <= C^{-1} b componentwise, and
-    C^{-1} b is the integer vector of coroot coordinates of -lam (the
-    prefix sums of its e coordinates); these integer caps make the walk
-    finite.
+    later coordinate.  An antidominant mu ascends to mu_n <= 0, so every
+    mu_k <= 0: an upper bound a_k <= a_{k-1} - lam_k, which also makes the
+    long-root row mu_n <= 0 hold by construction.  The search is a
+    depth-first walk over a_1, ..., a_n that runs each a_k between these
+    two bounds; every prefix it visits is ascending and <= 0, so it
+    extends to an element (put mu_j = 0 after it) and no branch is dead.
     """
     if not is_antidominant(lam):
         raise RootDatumError("base point must be antidominant")
     n = lam.rank
-    caps = (0, *itertools.accumulate(-c for c in lam.coords))  # caps[k] bounds a_k
     x = (0,) + lam.coords  # x[k] = lam_k, 1-based
     a = [0] * (n + 1)  # a[k] = a_k on the current branch; a[0] = 0
     out = set()
 
     def walk(k: int) -> None:
         if k > n:
-            if x[n] + a[n] - a[n - 1] <= 0:
-                mu = tuple(x[i] + a[i] - a[i - 1] for i in range(1, n + 1))
-                out.add(Cocharacter(mu, lam.gsp))
+            mu = tuple(x[i] + a[i] - a[i - 1] for i in range(1, n + 1))
+            out.add(Cocharacter(mu, lam.gsp))
             return
         lo = max(0, 2 * a[k - 1] - a[k - 2] + x[k - 1] - x[k]) if k > 1 else 0
-        for v in range(lo, caps[k] + 1):
+        for v in range(lo, a[k - 1] - x[k] + 1):
             a[k] = v
             walk(k + 1)
 

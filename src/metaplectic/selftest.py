@@ -124,7 +124,7 @@ def criterion_4_cover(seed: int = 0) -> CriterionResult:
 def criterion_5_aset() -> CriterionResult:
     name = "A-set fibers and vanishing sums"
     failures = []
-    for n in range(2, 6):
+    for n in range(2, 9):
         for i in range(1, n):
             lam = hecke.t2lambda_base(i, n)
             A = hecke.enumerate_A(lam)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaplectic import cli, cover, hecke
+from metaplectic import cli, cover, hecke, rootdata
 from metaplectic.cli import SCHEMAS, UsageError, build_parser, emit, main
 from metaplectic.rootdata import Cocharacter
 
@@ -71,7 +71,9 @@ def test_oracle_command(capsys):
 
 
 def _aset_reference(base, i):
-    """The stdout of `aset`, built from the brute box of hecke.enumerate_A."""
+    """The stdout of `aset`, built from hecke.enumerate_A: a walk over the
+    rows of C a <= b that shares no code with the command's
+    antidominant_above, so the two are independent."""
     A = hecke.enumerate_A(base)
     payload = {
         "base": list(base.coords),
@@ -641,6 +643,27 @@ def test_over_budget_jobs_exit_at_once(argv, doc):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == "" and "Traceback" not in err
     assert err.startswith("error:") and "over its limit" in err
+
+
+def test_over_budget_aset_base_is_refused_before_any_walk(monkeypatch):
+    # the bound C(n - 2 lam_1, n) is exact on a constant base
+    assert len(rootdata.antidominant_above(2 * Cocharacter((-2,) * 4))) == 70
+
+    def no_walk(*args):
+        raise AssertionError("the up-set was walked")
+
+    monkeypatch.setattr(rootdata, "antidominant_above", no_walk)
+    for k, bound in ((25, 316_251), (40, 1_929_501)):
+        code, out, err = run_captured(["aset", f"--lam={-k},{-k},{-k},{-k}", "--n", "4"])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: aset may print up to {bound:,} elements at rank 4,"
+            f" over its limit of {cli.ASET_SIZE_LIMIT:,}\n"
+        )
+    # no --i base at n <= 25 is refused
+    for n in range(1, cli.ASET_RANK_LIMIT + 1):
+        for i in range(1, n + 1):
+            cli._refuse_aset_size(hecke.t2lambda_base(i, n))
 
 
 def test_hilbert_loads_only_the_cover_layer():

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaplectic.hecke import (
     A_fiber,
@@ -127,12 +129,16 @@ def test_enumerate_A_examples():
 def test_enumerate_A_matches_antidominant_above():
     # mu = 2 lam + a . alpha^vee is a bijection onto the cell support
     bases = [Cocharacter(c) for c in ((-1,), (-2,), (-1, 0), (-1, -1), (-2, -1), (-1, -1, -1))]
-    bases += [t2lambda_base(i, n) for n in range(1, 6) for i in range(1, n + 1)]
+    bases += [t2lambda_base(i, n) for n in range(1, 9) for i in range(1, n + 1)]
     for lam in bases:
-        A = enumerate_A(lam)
-        mus = {A.mu_of(a) for a in A.elements}
-        assert len(mus) == len(A.elements)
-        assert mus == antidominant_above(2 * lam)
+        _assert_A_matches_antidominant_above(lam)
+
+
+def _assert_A_matches_antidominant_above(lam):
+    A = enumerate_A(lam)
+    mus = {A.mu_of(a) for a in A.elements}
+    assert len(mus) == len(A.elements)
+    assert mus == antidominant_above(2 * lam), lam.coords
 
 
 def _dense_A(lam):
@@ -150,10 +156,23 @@ def _dense_A(lam):
 
 
 def test_enumerate_A_equals_dense_definition():
-    bases = [t2lambda_base(i, n) for n in range(1, 6) for i in range(1, n + 1)]
+    bases = [t2lambda_base(i, n) for n in range(1, 7) for i in range(1, n + 1)]
     bases += [Cocharacter(c) for c in ((-3, -1, 0), (-2, -2, -1, 0), (-2, -1), (-3,))]
     for lam in bases:
         assert enumerate_A(lam).elements == _dense_A(lam), lam.coords
+
+
+# ascending coordinates in -3..0 are exactly the antidominant bases there
+_SMALL_ANTIDOMINANT = st.lists(st.integers(-3, 0), min_size=1, max_size=4).map(
+    lambda c: Cocharacter(tuple(sorted(c)))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=_SMALL_ANTIDOMINANT)
+def test_enumerate_A_equals_dense_definition_random_bases(lam):
+    assert enumerate_A(lam).elements == _dense_A(lam)
+    _assert_A_matches_antidominant_above(lam)
 
 
 def test_mu_of_matches_coroot_sum():
