@@ -39,8 +39,8 @@ class SmoothCharacterFx:
     pi_exp: int
 
     def __post_init__(self):
-        if self.N % 2 != 0:
-            raise CharacterError("value group order N must be even")
+        if self.N < 2 or self.N % 2 != 0:
+            raise CharacterError("value group order N must be even and >= 2")
         if (self.q - 1) % 2 != 0 or self.q < 3:
             raise CharacterError("q must be an odd prime power >= 3")
         # q = p^f (checked by LocalFieldDescriptor), so this is gcd(N, p) == 1
@@ -59,16 +59,9 @@ class SmoothCharacterFx:
             self.q, self.N, self.unit_exp + other.unit_exp, self.pi_exp + other.pi_exp
         )
 
-    def inverse(self) -> "SmoothCharacterFx":
-        return SmoothCharacterFx(self.q, self.N, -self.unit_exp, -self.pi_exp)
-
     @property
     def is_trivial(self) -> bool:
         return self.unit_exp == 0 and self.pi_exp == 0
-
-    @staticmethod
-    def trivial(q: int, N: int) -> "SmoothCharacterFx":
-        return SmoothCharacterFx(q, N, 0, 0)
 
 
 def hilbert_smooth_character(
@@ -121,15 +114,6 @@ class GenuineTorusCharacter:
     @property
     def rank(self) -> int:
         return len(self.xi)
-
-    @staticmethod
-    def unramified_trivial(n: int, q: int, N: int, psi_class=None):
-        from .cover import ONE_CLASS
-
-        return GenuineTorusCharacter(
-            tuple(SmoothCharacterFx.trivial(q, N) for _ in range(n)),
-            ONE_CLASS if psi_class is None else psi_class,
-        )
 
 
 def restrict_short_coroot(sigma: GenuineTorusCharacter, i: int) -> SmoothCharacterFx:

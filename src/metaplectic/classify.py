@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .characters import GenuineTorusCharacter
@@ -134,22 +134,6 @@ def torus_datum(sigma: GenuineTorusCharacter, label: str = "xi") -> Supersingula
     )
 
 
-def sigma_equal(
-    a: SupersingularDatum, b: SupersingularDatum, F: Optional[LocalFieldDescriptor] = None
-) -> bool:
-    """Isomorphism of data: genuine_equal for torus characters, opaque
-    label equality otherwise."""
-    if a.levi != b.levi:
-        return False
-    if a.torus_character is not None and b.torus_character is not None:
-        if F is None:
-            raise ClassifyError("comparing torus characters needs the local field")
-        from .characters import genuine_equal
-
-        return genuine_equal(a.torus_character, b.torus_character, F)
-    return a.flags == b.flags and a.label == b.label
-
-
 def pi_sigma(sigma: SupersingularDatum) -> ParabolicSubset:
     """The flagged eligible roots; never contains the long simple root.
     Eligible roots lie outside the Levi, so they are the datum's top set
@@ -255,36 +239,3 @@ def siegel_lift(
         torus_character=torus_character,
     )
     return SupersingularTriple(P, datum, Q)
-
-
-@dataclass
-class ClassificationReport:
-    triples: list = field(default_factory=list)
-    merged: list = field(default_factory=list)  # (kept_index, dropped_index)
-
-
-def enumerate_classification(
-    n: int,
-    menu: list[SupersingularDatum],
-    F: Optional[LocalFieldDescriptor] = None,
-) -> ClassificationReport:
-    """All triples over a menu of supersingular data.  Menu entries equal
-    under `sigma_equal` are merged first, so the kept data are pairwise
-    inequivalent and no two triples can be equivalent: triples of one
-    datum differ in Q."""
-    report = ClassificationReport()
-    kept: list[SupersingularDatum] = []
-    for idx, datum in enumerate(menu):
-        if datum.n != n:
-            raise ClassifyError("menu rank mismatch")
-        dup = None
-        for kidx, other in enumerate(kept):
-            if sigma_equal(datum, other, F):
-                dup = kidx
-                break
-        if dup is None:
-            kept.append(datum)
-        else:
-            report.merged.append((dup, idx))
-    report.triples = [t for datum in kept for t in composition_factors(datum)]
-    return report

@@ -14,10 +14,13 @@ loads the selftest module.
 
 Jobs whose work grows without bound in a parameter are refused with
 exit 2 before any work, at limits measured at about 3 s of work:
-`cover` above rank COVER_RANK_LIMIT, `aset` above rank ASET_RANK_LIMIT
-or when a bound on its element count, read off the base, is over
-ASET_SIZE_LIMIT, and `classify` when its factor count times the rank
-(the size of the triples it would print) is over CLASSIFY_SIZE_LIMIT.
+`cover`, `satake` and `weights` above ranks COVER_RANK_LIMIT,
+SATAKE_RANK_LIMIT and WEIGHTS_RANK_LIMIT, `aset` above rank
+ASET_RANK_LIMIT or when a bound on its element count, read off the base,
+is over ASET_SIZE_LIMIT, and `classify` when its factor count times the
+rank (the size of the triples it would print) is over
+CLASSIFY_SIZE_LIMIT.  JSON nested past the recursion limit and a
+negative N exit 2 as well.
 
 Parameters come from flags first, then an optional key=value config
 file, then defaults (p=3, f=1, n=2, N=2(p-1), depth=4, seed=0).  Each
@@ -52,14 +55,21 @@ EXIT_USAGE = 2
 
 # Job budgets, each measured at about 3 s of work (2-vCPU Xeon, Python
 # 3.11).  `cover` evaluates B on n^2 basis pairs, each in O(n): 3.5 s at
-# n = 200.  `aset` spends 17-60 us per element of the up-set of 2 base,
-# more at higher rank: the largest constant bases under ASET_SIZE_LIMIT
-# take 2.5 s at n = 4, 2.3 s at n = 8, 3.6 s at n = 12 and 3.1 s at
-# n = 16.  Every `--i` base is far under it; `--i 25 --n 25` takes 0.3 s.
-# `classify` prints 2^|Pi(sigma)| triples of O(n) entries each: 2^13
-# factors at n = 14 take 2.4 s, 2^11 at n = 100 take 4.2 s.
+# n = 200.  `satake` builds, validates and prints two terms of n
+# coordinates each: 3.1-3.5 s at n = 150,000.
+# `weights` pairs nu with each coroot in O(n), so it is quadratic: with
+# `--i` and `--levi`, 2.9 s at n = 1,600 (1.2 s without).  `aset` spends
+# 17-80 us per element of the up-set of 2 base, more at higher rank: the
+# largest constant bases under ASET_SIZE_LIMIT take 2.5 s at n = 4, 2.3 s
+# at n = 8, 3.6 s at n = 12, 3.1 s at n = 16 and 2.6-3.3 s at n = 30
+# (-2 everywhere), which sets ASET_RANK_LIMIT; every `--i` base is far
+# under both, `--i 30 --n 30` takes 0.07 s.  `classify` prints
+# 2^|Pi(sigma)| triples of O(n) entries each: 2^13 factors at n = 14 take
+# 2.4 s, 2^11 at n = 100 take 4.2 s.
 COVER_RANK_LIMIT = 180
-ASET_RANK_LIMIT = 25
+SATAKE_RANK_LIMIT = 150_000
+WEIGHTS_RANK_LIMIT = 1_600
+ASET_RANK_LIMIT = 30
 ASET_SIZE_LIMIT = 150_000  # bound on the elements of the up-set
 CLASSIFY_SIZE_LIMIT = 2**17  # composition factors times the rank
 
@@ -80,6 +90,8 @@ class RunConfig:
     def __post_init__(self):
         # validate p and f before deriving N from p**f (0**-1 would raise)
         field = cover.LocalFieldDescriptor(self.p, self.f)
+        if self.N < 0:
+            raise UsageError("N must be positive, or 0 to derive 2(q-1)")
         if self.N == 0:
             self.N = 2 * (self.p**self.f - 1)
         if self.N % 2 != 0:
@@ -404,6 +416,7 @@ def cmd_satake(args) -> int:
     from . import hecke
 
     config = resolve_config(args)
+    _refuse_rank("satake", config.n, SATAKE_RANK_LIMIT)
     if not 1 <= args.i <= config.n:
         raise UsageError(f"i must lie in 1..{config.n}")
     element = hecke.metaplectic_satake_T2lambda(args.i, config.n, config.p)
@@ -464,17 +477,17 @@ def cmd_aset(args) -> int:
     }
     if i is not None:
         payload["i"] = i
-        fibers = []
-        for fib in hecke.distinct_fibers(A, i):
-            rep = min(fib)
-            res = hecke.A_fiber(A, rep, i)
-            fibers.append(
-                {
-                    "fiber": [list(b) for b in sorted(fib)],
-                    "conforms": res.conforms,
-                }
-            )
-        payload["fibers"] = fibers
+        # a fiber conforms when it is {0, e_i} (the one through 0, which
+        # lies in A) or a singleton; the tests compare with hecke.A_fiber
+        zero = (0,) * n
+        axis = frozenset({zero, tuple(int(j == i - 1) for j in range(n))})
+        payload["fibers"] = [
+            {
+                "fiber": [list(b) for b in sorted(fib)],
+                "conforms": fib == axis if zero in fib else len(fib) == 1,
+            }
+            for fib in hecke.distinct_fibers(A, i)
+        ]
     emit(payload, "aset")
     return EXIT_OK
 
@@ -484,6 +497,7 @@ def cmd_weights(args) -> int:
 
     config = resolve_config(args)
     n = config.n
+    _refuse_rank("weights", n, WEIGHTS_RANK_LIMIT)
     nu = rootdata.Character(_parse_ints(args.nu, n))
     w = weights.QRestrictedWeight(nu, config.q if args.q is None else args.q)
     payload = {
@@ -595,11 +609,14 @@ def cmd_classify(args) -> int:
 
     config = resolve_config(args)
     n = config.n
-    if args.input == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(args.input) as fh:
-            data = json.load(fh)
+    try:
+        if args.input == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(args.input) as fh:
+                data = json.load(fh)
+    except RecursionError:
+        raise UsageError("classify input is nested too deeply") from None
     if not isinstance(data, dict):
         raise UsageError("classify input must be a JSON object")
     payload = {"n": n}
@@ -629,11 +646,11 @@ def cmd_classify(args) -> int:
             levi, _parse_flags(data), label=_json_field(data, "label", str, "sigma")
         )
         _refuse_factors(datum)
-        report = classify.enumerate_classification(n, [datum], config.field)
-        payload["triples"] = [_triple_payload(t) for t in report.triples]
-        # always true, as merged data are inequivalent; bench/goldens.json still records it
+        payload["triples"] = [_triple_payload(t) for t in classify.composition_factors(datum)]
+        # constants, as one datum has no other to merge with; bench/goldens.json
+        # still records both
         payload["injectivity_clean"] = True
-        payload["merged"] = report.merged
+        payload["merged"] = []
     else:
         raise UsageError("input must carry 'xi' (torus character) or 'levi' (datum)")
     if args.emit == "csv":

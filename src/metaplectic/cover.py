@@ -60,9 +60,6 @@ class SquareClass:
             self.unit_nonsquare != other.unit_nonsquare,
         )
 
-    def inverse(self) -> "SquareClass":
-        return self
-
     def is_square(self) -> bool:
         return self.pi_parity == 0 and not self.unit_nonsquare
 

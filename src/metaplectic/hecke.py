@@ -79,9 +79,6 @@ class TorusHeckeElement:
     def __sub__(self, other: "TorusHeckeElement") -> "TorusHeckeElement":
         return self + (-other)
 
-    def support(self) -> set[tuple[int, ...]]:
-        return set(self.coeffs)
-
     @staticmethod
     def tau(mu, p: int, c: int = 1) -> "TorusHeckeElement":
         return TorusHeckeElement(p, {mu if not isinstance(mu, Cocharacter) else mu.coords: c})
@@ -301,10 +298,6 @@ class GroupValue:
         return GroupValue(self.N, self.exp + other.exp)
 
     @staticmethod
-    def one(N: int) -> "GroupValue":
-        return GroupValue(N, 0)
-
-    @staticmethod
     def zero(N: int) -> "GroupValue":
         return GroupValue(N, None)
 
@@ -341,42 +334,22 @@ class HeckeCharacter:
         return GroupValue(self.N, sum(c * e for c, e in zip(lam.coords, self.exponents)))
 
 
-def lambda_alpha(i: int, n: int) -> Cocharacter:
-    """The marker cocharacter for alpha_i: strictly negative against
-    alpha_i, zero against the other simple roots."""
-    return t2lambda_base(i, n)
-
-
 def pi_chi(chi: HeckeCharacter) -> ParabolicSubset:
-    """Pi(chi) = {alpha : chi(tau_{lambda_alpha}) = 0}; independent of the
+    """Pi(chi) = {alpha : chi(tau_{lambda_alpha}) = 0}, with the marker
+    lambda_alpha = `t2lambda_base(i, n)`: strictly negative against
+    alpha_i, zero against the other simple roots.  Independent of the
     choice of marker (doubling it preserves vanishing)."""
     n = chi.n
     zero = frozenset(
-        i for i in range(1, n + 1) if chi.value_at(lambda_alpha(i, n)).is_zero
+        i for i in range(1, n + 1) if chi.value_at(t2lambda_base(i, n)).is_zero
     )
     return ParabolicSubset(n, zero)
 
 
-@dataclass(frozen=True)
-class ChangeOfWeightDecision:
-    """Outcome of the change-of-weight criterion at a simple root.
-
-    The constant is chi(tau_{2 lam}) - chi(tau_{2 lam + alpha_i^vee}) for
-    short i and chi(tau_{2 lam}) for i = n, represented formally by its
-    two terms; `applicable` says it is nonzero.
-    """
-
-    applicable: bool
-    minuend: GroupValue
-    subtrahend: GroupValue
-
-    @property
-    def constant_is_zero(self) -> bool:
-        return not self.applicable
-
-
-def change_of_weight_decision(i: int, chi: HeckeCharacter) -> ChangeOfWeightDecision:
-    """Decide whether the weight can be changed at alpha_i.
+def change_of_weight_decision(i: int, chi: HeckeCharacter) -> bool:
+    """Decide whether the weight can be changed at alpha_i: whether the
+    constant chi(tau_{2 lam}) - chi(tau_{2 lam + alpha_i^vee}) for short i,
+    chi(tau_{2 lam}) for i = n, is nonzero.
 
     Requires alpha_i outside Pi(chi).  The long-root branch is always
     applicable (the constant is the nonzero chi(tau_{2 lam})); a short
@@ -392,7 +365,5 @@ def change_of_weight_decision(i: int, chi: HeckeCharacter) -> ChangeOfWeightDeci
     lam = t2lambda_base(i, n)
     a = chi.value_at(2 * lam)
     if i == n:
-        b = GroupValue.zero(chi.N)
-        return ChangeOfWeightDecision(not a.is_zero, a, b)
-    b = chi.value_at(2 * lam + coroot(i, n))
-    return ChangeOfWeightDecision(a != b, a, b)
+        return not a.is_zero
+    return a != chi.value_at(2 * lam + coroot(i, n))

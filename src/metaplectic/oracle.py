@@ -143,14 +143,6 @@ class ChevalleyRealization:
             raise OracleError(f"{self.tag} expects rank {self.rank}")
         return mu.coords + tuple(-m for m in reversed(mu.coords))
 
-    def form_matrix(self):
-        """Gram matrix antidiag(1..1, -1..-1) of the symplectic form."""
-        size = self.size
-        J = [[0] * size for _ in range(size)]
-        for i in range(size):
-            J[i][size - 1 - i] = 1 if i < self.rank else -1
-        return J
-
     # -- matrix builders ----------------------------------------------
     def identity(self, scale: int = 1):
         """scale times the identity matrix."""
@@ -190,45 +182,6 @@ class ChevalleyRealization:
             a, b = gen.entry
             self.right_multiply_generator(m, gen.units, x - m[a][b] // q ** (n - 1), q)
         return m
-
-
-def matrix_product(a, b):
-    """Exact product of integer matrices; the shifts of the factors add."""
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
-@dataclass
-class PadicMatrix:
-    """The matrix p^(-shift) entries, for an integer matrix `entries`, with
-    a group tag; membership in the tagged group is verified exactly at
-    construction."""
-
-    entries: list
-    shift: int
-    group: ChevalleyRealization
-    p: int
-
-    def __post_init__(self):
-        if len(self.entries) != self.group.size:
-            raise OracleError("size mismatch with group tag")
-        self.verify_membership()
-
-    def verify_membership(self):
-        g = self.entries
-        # g^T J g = J for the represented matrix p^(-shift) g
-        scale = self.p ** (2 * self.shift)
-        J = self.group.form_matrix()
-        prod = matrix_product(matrix_product([list(col) for col in zip(*g)], J), g)
-        size = self.group.size
-        for i in range(size):
-            for j in range(size):
-                if prod[i][j] != scale * J[i][j]:
-                    raise OracleError(
-                        f"matrix does not preserve the symplectic form at ({i}, {j})"
-                    )
-
-    def cartan_invariant(self) -> Cocharacter:
-        return cartan_invariant_of_entries(self.entries, self.group, self.p, self.shift)
 
 
 def smith_valuations(entries, p: int, shift: int, stop_after=None, expect=None):
@@ -282,26 +235,6 @@ def smith_valuations(entries, p: int, shift: int, stop_after=None, expect=None):
                 for j in active_cols:
                     mi[j] = unit * mi[j] - ratio * mpi[j]
     return vals
-
-
-def cartan_invariant_of_entries(
-    entries, group: ChevalleyRealization, p: int, shift: int
-) -> Cocharacter:
-    """The antidominant cocharacter lam with p^(-shift) entries in
-    K lam(pi) K.
-
-    All elementary divisor valuations are computed; in Sp_2n they must
-    pair as (d, -d) and the first half, ascending, is the invariant.
-    """
-    size = group.size
-    vals = smith_valuations(entries, p, shift)
-    vals.sort()
-    for k in range(size // 2):
-        if vals[k] != -vals[size - 1 - k]:
-            raise OracleError(
-                f"elementary divisors {vals} do not pair; input not in the group"
-            )
-    return Cocharacter(tuple(vals[: group.rank]))
 
 
 # ---------------------------------------------------------------------
@@ -545,19 +478,14 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
 ORACLE_BOX_LIMIT = {"sl2": 7 * 10**5, "sp4": 3 * 10**8}
 
 
-def _walk_boxes(group, mu, lam, depth, p) -> list[int]:
+def _budgeted_boxes(group, mu, lam, depth, p) -> list[int]:
     """Tuples enumerated by each walk one cell runs: the box
     p^(sum of windows) at the depth, then the box at depth + 1 when the
-    stabilization re-run will run (its windows differ)."""
+    stabilization re-run will run (its windows differ).  Refused with
+    OracleError when their sum is over the group's ORACLE_BOX_LIMIT."""
     now = _coordinate_windows(group, mu, lam, depth)
     nxt = _coordinate_windows(group, mu, lam, depth + 1)
-    return [p ** sum(now)] + ([p ** sum(nxt)] if nxt != now else [])
-
-
-def _budgeted_boxes(group, mu, lam, depth, p) -> list[int]:
-    """The boxes of `_walk_boxes`, refused with OracleError when their sum
-    is over the group's ORACLE_BOX_LIMIT."""
-    boxes = _walk_boxes(group, mu, lam, depth, p)
+    boxes = [p ** sum(now)] + ([p ** sum(nxt)] if nxt != now else [])
     box = sum(boxes)
     limit = ORACLE_BOX_LIMIT[group.tag]
     if box > limit:
@@ -566,15 +494,6 @@ def _budgeted_boxes(group, mu, lam, depth, p) -> list[int]:
             f" {box:,} tuples, over its limit of {limit:,}"
         )
     return boxes
-
-
-def box_estimate(
-    mu: Cocharacter, lam: Cocharacter, depth: int, group: str, p: int
-) -> int:
-    """Tuples the walks of one stabilization-checked cell enumerate, known
-    before any walk starts; `count_cosets` refuses a cell over its group's
-    ORACLE_BOX_LIMIT."""
-    return sum(_walk_boxes(ChevalleyRealization(group), mu, lam, depth, p))
 
 
 def count_cosets(

@@ -32,7 +32,6 @@ root datum operations here ignore it (it pairs to zero with X^*(T)).
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -126,16 +125,6 @@ class Cocharacter:
             out.append(acc)
         return tuple(out)
 
-    @staticmethod
-    def from_coroot_coordinates(cs) -> "Cocharacter":
-        cs = tuple(int(c) for c in cs)
-        prev = 0
-        coords = []
-        for c in cs:
-            coords.append(c - prev)
-            prev = c
-        return Cocharacter(tuple(coords))
-
 
 def _check_rank(a, b):
     if a.rank != b.rank:
@@ -154,10 +143,6 @@ class ParabolicSubset:
         if roots and not (1 <= min(roots) and max(roots) <= self.n):
             raise RootDatumError(f"indices out of range 1..{self.n}: {sorted(roots)}")
         object.__setattr__(self, "roots", roots)
-
-    @staticmethod
-    def full(n: int) -> "ParabolicSubset":
-        return ParabolicSubset(n, frozenset(range(1, n + 1)))
 
     @staticmethod
     def empty(n: int) -> "ParabolicSubset":
@@ -179,11 +164,6 @@ class ParabolicSubset:
 
     def issubset(self, other: "ParabolicSubset") -> bool:
         return self.n == other.n and self.roots <= other.roots
-
-    def union(self, other: "ParabolicSubset") -> "ParabolicSubset":
-        if self.n != other.n:
-            raise RootDatumError("rank mismatch")
-        return ParabolicSubset(self.n, self.roots | other.roots)
 
 
 @functools.lru_cache(maxsize=64)
@@ -373,15 +353,3 @@ def positive_roots(n: int) -> list[Character]:
         long[i] = 2
         out.append(Character(tuple(long)))
     return out
-
-
-def signed_permutations(n: int):
-    """The Weyl group of C_n as (permutation, signs) pairs, for tests."""
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield perm, signs
-
-
-def apply_signed_permutation(w, lam: Cocharacter) -> Cocharacter:
-    perm, signs = w
-    return Cocharacter(tuple(signs[i] * lam.coords[perm[i]] for i in range(lam.rank)))

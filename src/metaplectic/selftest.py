@@ -248,10 +248,10 @@ def criterion_8_change_of_weight() -> CriterionResult:
                             N, sum(c * e for c, e in zip(coroot(i, n).coords, exps))
                         )
                         expect = not (orthogonal and chi_prime_at_coroot.is_one)
-                    if decision.applicable != expect:
+                    if decision != expect:
                         failures.append(
                             f"n={n} J={sorted(Jset)} i={i} exps={exps}: "
-                            f"got {decision.applicable}, want {expect}"
+                            f"got {decision}, want {expect}"
                         )
     return CriterionResult(8, name, not failures, "; ".join(failures))
 

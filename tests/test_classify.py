@@ -15,14 +15,12 @@ from metaplectic.classify import (
     SupersingularTriple,
     composition_factors,
     eligible_flag_roots,
-    enumerate_classification,
     p_sigma_roots,
     pi_sigma,
     ps_equivalent,
     ps_irreducible,
     ps_length,
     siegel_lift,
-    sigma_equal,
     torus_datum,
 )
 from metaplectic.cover import ALL_CLASSES, LocalFieldDescriptor, ONE_CLASS, UNIT_CLASS
@@ -36,8 +34,12 @@ def chi(u, t):
     return SmoothCharacterFx(Q, N, u, t)
 
 
+def _inverse(x):
+    return SmoothCharacterFx(x.q, x.N, -x.unit_exp, -x.pi_exp)
+
+
 def trivial_sigma(n):
-    return GenuineTorusCharacter.unramified_trivial(n, Q, N)
+    return GenuineTorusCharacter((chi(0, 0),) * n, ONE_CLASS)
 
 
 def test_eligible_flag_roots():
@@ -46,7 +48,7 @@ def test_eligible_flag_roots():
     for n in (2, 3, 4):
         assert eligible_flag_roots(ParabolicSubset.siegel(n)) == frozenset()
     assert eligible_flag_roots(ParabolicSubset(3, frozenset({1}))) == {3}
-    assert eligible_flag_roots(ParabolicSubset.full(3)) == frozenset()
+    assert eligible_flag_roots(ParabolicSubset(3, frozenset({1, 2, 3}))) == frozenset()
     # the closed form against the pairing definition, on every Levi at n <= 7;
     # a Levi inside the Siegel subset also fixes where siegel_lift puts flags
     for n in range(1, 8):
@@ -173,16 +175,6 @@ def test_triple_validation_messages():
     assert str(err.value) == "need P <= Q <= P + Pi(sigma); got P=[1], Q=[3], top=[1, 3]"
 
 
-def test_sigma_equal_needs_field_for_torus_data():
-    d = torus_datum(trivial_sigma(2))
-    with pytest.raises(ClassifyError):
-        sigma_equal(d, d, None)
-    sc = SupersingularDatum(ParabolicSubset.siegel(2), {}, label="a")
-    sc2 = SupersingularDatum(ParabolicSubset.siegel(2), {}, label="b")
-    assert sigma_equal(sc, sc, None)
-    assert not sigma_equal(sc, sc2, None)
-
-
 def test_ps_length_and_irreducibility():
     for n in range(1, 5):
         assert ps_length(trivial_sigma(n)) == 2 ** (n - 1)
@@ -209,7 +201,7 @@ def test_flags_and_length_match_restriction_definition():
         sample.append(tuple(xi))
     for xi in sample:
         sigma = GenuineTorusCharacter(xi, rng.choice(ALL_CLASSES))
-        restrictions = {i: xi[i - 1] * xi[i].inverse() for i in range(1, 4)}
+        restrictions = {i: xi[i - 1] * _inverse(xi[i]) for i in range(1, 4)}
         want = {i: r.is_trivial for i, r in restrictions.items()}
         assert dict(sigma.flags) == want
         assert ps_length(sigma) == 2 ** sum(want.values())
@@ -265,39 +257,11 @@ def test_siegel_lift_never_flags_long_root():
 def test_siegel_lift_validation():
     siegel = ParabolicSubset.siegel(2)
     with pytest.raises(ClassifyError):
-        siegel_lift(ParabolicSubset.full(2), {}, siegel, 2)  # P not in Siegel
+        siegel_lift(ParabolicSubset(2, frozenset({1, 2})), {}, siegel, 2)  # P not in Siegel
     empty = ParabolicSubset.empty(2)
     with pytest.raises(ClassifyError):
         # Q escapes P + Pi(rho)
         siegel_lift(empty, {1: False}, ParabolicSubset(2, frozenset({1})), 2)
-
-
-def test_enumerate_classification():
-    sigma = trivial_sigma(2)
-    menu = [torus_datum(sigma), torus_datum(sigma)]
-    report = enumerate_classification(2, menu, F3)
-    assert report.merged == [(0, 1)]
-    assert len(report.triples) == 2
-    mixed_menu = [
-        torus_datum(sigma),
-        SupersingularDatum(ParabolicSubset.siegel(2), {}, label="sc"),
-    ]
-    report = enumerate_classification(2, mixed_menu, F3)
-    assert len(report.triples) == 3
-    # a square psi-class change and a repeated label are merged; a
-    # nonsquare psi-class change and a new label are not
-    sigma = trivial_sigma(3)
-    menu = [
-        torus_datum(sigma),
-        torus_datum(GenuineTorusCharacter(sigma.xi, UNIT_CLASS)),
-        torus_datum(GenuineTorusCharacter(sigma.xi, ONE_CLASS)),
-    ]
-    data = list(_every_datum(3))
-    menu += [
-        SupersingularDatum(d.levi, d.flags, label=label) for d in data for label in ("a", "b", "a")
-    ]
-    report = enumerate_classification(3, menu, F3)
-    assert (0, 2) in report.merged and len(report.merged) == 1 + len(data)
 
 
 def test_torus_factors_are_every_subset_of_equal_adjacent_pairs():

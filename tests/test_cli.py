@@ -290,6 +290,52 @@ def test_classify_rejects_mistyped_json(argv, doc):
             assert f"error: flag key {key!r}" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000, "[" * 100_000 + "]" * 100_000, '{"xi": ' * 50_000],
+    ids=["open-lists", "closed-lists", "open-objects"],
+)
+def test_classify_refuses_deeply_nested_json(text, tmp_path):
+    """JSON nested past the recursion limit is a usage error, from stdin
+    and from a file, not a RecursionError traceback."""
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    for argv, stdin in ((["classify"], text), (["classify", "--input", str(path)], "")):
+        assert run_captured(argv, stdin) == (2, "", "error: classify input is nested too deeply\n")
+
+
+def _dumped(payload):
+    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+def test_classify_levi_payload():
+    """The bytes `classify` prints for a datum given by its Levi, with the
+    constant `injectivity_clean` and `merged` fields."""
+    sc = {"flags": {}, "label": "sc", "levi": [1]}
+    code, out, _ = run_captured(["classify", "--n", "2"], json.dumps({"levi": [1], "label": "sc"}))
+    assert code == 0
+    assert out == _dumped(
+        {
+            "injectivity_clean": True,
+            "merged": [],
+            "n": 2,
+            "triples": [{"P": [1], "Q": [1], "sigma": sc}],
+        }
+    )
+    flags = {"1": True, "2": False, "3": False}
+    sigma = {"flags": flags, "label": "sigma", "levi": []}
+    code, out, _ = run_captured(["classify", "--n", "3"], json.dumps({"levi": [], "flags": flags}))
+    assert code == 0
+    assert out == _dumped(
+        {
+            "injectivity_clean": True,
+            "merged": [],
+            "n": 3,
+            "triples": [{"P": [], "Q": Q, "sigma": sigma} for Q in ([], [1])],
+        }
+    )
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-5, 5) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4)
@@ -631,10 +677,16 @@ def _levi_datum(n, flagged):
         (["cover", "--n", "300"], None),
         (["cover", "--n", "100000"], None),
         (["cover", "--n", str(cli.COVER_RANK_LIMIT + 1)], None),
-        (["aset", "--n", "32", "--i", "16"], None),
-        (["aset", "--n", "40", "--i", "20"], None),
+        # the largest constant bases under ASET_SIZE_LIMIT past the rank
+        # limit: 58,905 elements at rank 32 (4.0 s), 148,995 at rank 41 (12 s)
+        (["aset", "--n", "32", "--lam=" + ",".join(["-2"] * 32)], None),
+        (["aset", "--n", "41", "--lam=" + ",".join(["-2"] * 41)], None),
         (["aset", "--n", str(cli.ASET_RANK_LIMIT + 1), "--i", "1"], None),
         (["aset", "--n", "100000", "--lam=-1"], None),
+        (["satake", "--i", "1", "--n", "10000000"], None),
+        (["satake", "--i", "1", "--n", str(cli.SATAKE_RANK_LIMIT + 1)], None),
+        (["weights", "--nu", ",".join(["0"] * 10_000), "--n", "10000"], None),
+        (["weights", "--nu", "0," * cli.WEIGHTS_RANK_LIMIT + "0", "--n", str(cli.WEIGHTS_RANK_LIMIT + 1)], None),
     ],
 )
 def test_over_budget_jobs_exit_at_once(argv, doc):
@@ -660,7 +712,7 @@ def test_over_budget_aset_base_is_refused_before_any_walk(monkeypatch):
             f"error: aset may print up to {bound:,} elements at rank 4,"
             f" over its limit of {cli.ASET_SIZE_LIMIT:,}\n"
         )
-    # no --i base at n <= 25 is refused
+    # no --i base under the rank limit is refused
     for n in range(1, cli.ASET_RANK_LIMIT + 1):
         for i in range(1, n + 1):
             cli._refuse_aset_size(hecke.t2lambda_base(i, n))
@@ -730,6 +782,7 @@ def test_oracle_flag_fuzz_exits_cleanly(command):
         ["cover", "--n", "0"],
         ["oracle", "satake", "--group", "sl2", "--i", "1", "--depth", "0"],
         ["selftest", "--seed", "-1"],
+        ["classify", "--N=-4"],
     ],
 )
 def test_selftest_flags_exit_cleanly(flags):

@@ -12,12 +12,8 @@ from metaplectic.oracle import (
     ORACLE_BOX_LIMIT,
     ChevalleyRealization,
     OracleError,
-    PadicMatrix,
     StabilizationError,
-    box_estimate,
-    cartan_invariant_of_entries,
     count_cosets,
-    matrix_product,
     oracle_rows,
     reductive_satake_row,
     smith_valuations,
@@ -50,13 +46,28 @@ def _root_element(realization, units, num, den):
     return m
 
 
+def _product(a, b):
+    """Exact product of integer matrices; the shifts of the factors add."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _form(n):
+    """antidiag(1..1, -1..-1) of size 2n."""
+    size = 2 * n
+    return [[(1 if i < n else -1) * (i + j == size - 1) for j in range(size)] for i in range(size)]
+
+
 def _symplectic_defect(entries, shift, realization):
     """g^T J g - J for g = p^(-shift) entries, scaled by p^(2 shift)."""
-    J = realization.form_matrix()
+    J = _form(realization.rank)
     size = realization.size
     gt = [list(col) for col in zip(*entries)]
-    prod = matrix_product(matrix_product(gt, J), entries)
+    prod = _product(_product(gt, J), entries)
     return [[prod[i][j] - P ** (2 * shift) * J[i][j] for j in range(size)] for i in range(size)]
+
+
+def _zero(size):
+    return [[0] * size for _ in range(size)]
 
 
 def _transpose(units):
@@ -83,12 +94,6 @@ def test_generated_tables_match_hand_tables():
         assert [(g.units, g.entry, g.window_col) for g in neg] == table
 
 
-def _form(n):
-    """antidiag(1..1, -1..-1) of size 2n."""
-    size = 2 * n
-    return [[(1 if i < n else -1) * (i + j == size - 1) for j in range(size)] for i in range(size)]
-
-
 def test_generated_root_vectors_preserve_form_to_rank_4():
     for n in (1, 2, 3, 4):
         neg = oracle._negative_roots(n)
@@ -102,24 +107,26 @@ def test_generated_root_vectors_preserve_form_to_rank_4():
             XT = [list(col) for col in zip(*X)]
             assert all(
                 x + y == 0
-                for r1, r2 in zip(matrix_product(XT, J), matrix_product(J, X))
+                for r1, r2 in zip(_product(XT, J), _product(J, X))
                 for x, y in zip(r1, r2)
             )
-            assert not any(map(any, matrix_product(X, X)))
+            assert not any(map(any, _product(X, X)))
 
 
 def test_generators_preserve_form():
-    assert SL2.form_matrix() == [[0, 1], [-1, 0]]
-    assert SP4.form_matrix() == [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]
-    for realization, mu in ((SL2, (-2,)), (SP4, (-2, 1))):
-        size = realization.size
-        zero = [[0] * size for _ in range(size)]
+    assert _form(1) == [[0, 1], [-1, 0]]
+    assert _form(2) == [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]
+    for realization, mus in ((SL2, [(-2,), (-3,)]), (SP4, [(-2, 1), (-1, 0)])):
+        zero = _zero(realization.size)
         for gen in realization.neg:
             for units in (gen.units, _transpose(gen.units)):
                 m = _root_element(realization, units, 5, 1)
                 assert _symplectic_defect(m, 1, realization) == zero
-        t, k = realization.torus_matrix(Cocharacter(mu), P)
-        assert _symplectic_defect(t, k, realization) == zero
+        for mu in mus:
+            t, k = realization.torus_matrix(Cocharacter(mu), P)
+            assert _symplectic_defect(t, k, realization) == zero
+            # the shift is exact: the same entries under k + 1 leave the group
+            assert _symplectic_defect(t, k + 1, realization) != zero
 
 
 def test_sp2_membership_is_determinant_one():
@@ -127,29 +134,7 @@ def test_sp2_membership_is_determinant_one():
     for g in itertools.product(range(-2, 3), repeat=4):
         m = [list(g[:2]), list(g[2:])]
         det = g[0] * g[3] - g[1] * g[2]
-        if det == 1:
-            PadicMatrix(m, 0, SL2, P)
-        else:
-            with pytest.raises(OracleError):
-                PadicMatrix(m, 0, SL2, P)
-
-
-def test_padic_matrix_membership_check():
-    good, k = SP4.torus_matrix(Cocharacter((-1, 0)), P)
-    PadicMatrix(good, k, SP4, P)  # passes
-    bad = SP4.identity()
-    bad[0][0] = 2
-    with pytest.raises(OracleError):
-        PadicMatrix(bad, 0, SP4, P)
-    good2, k2 = SL2.torus_matrix(Cocharacter((-3,)), P)
-    PadicMatrix(good2, k2, SL2, P)
-    bad2 = SL2.identity()
-    bad2[0][0] = 3
-    with pytest.raises(OracleError):
-        PadicMatrix(bad2, 0, SL2, P)
-    # the right entries under the wrong shift are not in the group
-    with pytest.raises(OracleError):
-        PadicMatrix(good, k + 1, SP4, P)
+        assert (_symplectic_defect(m, 0, SL2) == _zero(2)) == (det == 1)
 
 
 def test_torus_conjugation_scales_root_coordinates():
@@ -162,7 +147,7 @@ def test_torus_conjugation_scales_root_coordinates():
         tinv, kinv = SP4.torus_matrix(-1 * mu, P)
         for k, gen in enumerate(SP4.neg):
             u = _root_element(SP4, gen.units, 2, 1)  # x = 2 / p
-            conj = matrix_product(matrix_product(t, u), tinv)
+            conj = _product(_product(t, u), tinv)
             shift = kt + 1 + kinv
             i, j = gen.entry
             drop = pairing(Character(positive_betas[k]), mu)
@@ -183,7 +168,8 @@ def test_unipotent_direct_entry_property():
         for gen, (num, den) in zip(SP4.neg, pairs):
             i, j = gen.entry
             assert Fraction(u[i][j], q ** len(SP4.neg)) == Fraction(num, P**den)
-        PadicMatrix(u, 2 * width * len(SP4.neg), SP4, P)  # and the product lies in Sp_4
+        # and the product lies in Sp_4
+        assert _symplectic_defect(u, 2 * width * len(SP4.neg), SP4) == _zero(4)
 
 
 # ---------------------------------------------------------------------
@@ -244,7 +230,7 @@ def test_prefix_read_leaves_entries_bare_to_rank_4():
             u = _frac_unipotent(neg, 2 * n, coords)
             assert [u[i][j] for i, j in (g.entry for g in neg)] == coords
             J = _form(n)
-            assert matrix_product(matrix_product([list(c) for c in zip(*u)], J), u) == J
+            assert _product(_product([list(c) for c in zip(*u)], J), u) == J
 
 
 def _canonical_fraction(x: Fraction, p: int) -> Fraction:
@@ -308,19 +294,28 @@ def test_coset_parametrization_bijective_sl2():
 
 
 # ---------------------------------------------------------------------
-# Cartan invariants
+# Cartan invariants, read off the elementary divisor valuations
+
+
+def _cartan_invariant(entries, realization, shift):
+    """The antidominant lam with p^(-shift) entries in K lam(pi) K: in
+    Sp_2n the divisor valuations pair as (d, -d), and the first half,
+    ascending, is lam."""
+    vals = sorted(smith_valuations(entries, P, shift))
+    assert vals == [-v for v in reversed(vals)]
+    return Cocharacter(tuple(vals[: realization.rank]))
 
 
 def test_cartan_invariant_of_torus_points():
     for mu in ((-2,), (0,), (-5,)):
         t, k = SL2.torus_matrix(Cocharacter(mu), P)
-        assert cartan_invariant_of_entries(t, SL2, P, k).coords == antidominant_rep(
+        assert _cartan_invariant(t, SL2, k).coords == antidominant_rep(
             Cocharacter(mu)
         ).coords
     for mu in ((-2, -1), (0, 0), (-3, -3), (2, -1)):
         t, k = SP4.torus_matrix(Cocharacter(mu), P)
         assert (
-            cartan_invariant_of_entries(t, SP4, P, k)
+            _cartan_invariant(t, SP4, k)
             == antidominant_rep(Cocharacter(mu))
         )
 
@@ -332,15 +327,14 @@ def test_cartan_invariant_sl2_example():
         [P, 0],
         [1, P**3],
     ]
-    assert cartan_invariant_of_entries(g, SL2, P, 2).coords == (-2,)
-    assert PadicMatrix(g, 2, SL2, P).cartan_invariant().coords == (-2,)
+    assert _cartan_invariant(g, SL2, 2).coords == (-2,)
 
 
 def test_cartan_invariant_identity():
-    assert cartan_invariant_of_entries(SL2.identity(), SL2, P, 0).coords == (0,)
-    assert cartan_invariant_of_entries(SP4.identity(), SP4, P, 0).coords == (0, 0)
+    assert _cartan_invariant(SL2.identity(), SL2, 0).coords == (0,)
+    assert _cartan_invariant(SP4.identity(), SP4, 0).coords == (0, 0)
     # the shift is carried exactly: p^(-3) (p^3 I) is still the identity
-    assert cartan_invariant_of_entries(SP4.identity(P**3), SP4, P, 3).coords == (0, 0)
+    assert _cartan_invariant(SP4.identity(P**3), SP4, 3).coords == (0, 0)
 
 
 def _random_integral_element(realization, rng, p):
@@ -361,16 +355,16 @@ def test_cartan_invariant_bi_K_invariance():
         for _ in range(8):
             k1 = _random_integral_element(realization, rng, P)
             k2 = _random_integral_element(realization, rng, P)
-            g = matrix_product(matrix_product(k1, t), k2)
-            assert cartan_invariant_of_entries(g, realization, P, k) == lam
+            g = _product(_product(k1, t), k2)
+            assert _cartan_invariant(g, realization, k) == lam
 
 
 def test_cartan_invariant_of_inverse_on_diagonals():
     for mu in itertools.product(range(-2, 3), repeat=2):
         t, k = SP4.torus_matrix(Cocharacter(mu), P)
-        lam = cartan_invariant_of_entries(t, SP4, P, k)
+        lam = _cartan_invariant(t, SP4, k)
         tinv, kinv = SP4.torus_matrix(-1 * Cocharacter(mu), P)
-        inv = cartan_invariant_of_entries(tinv, SP4, P, kinv)
+        inv = _cartan_invariant(tinv, SP4, kinv)
         assert inv == antidominant_rep(-1 * lam)
 
 
@@ -387,8 +381,8 @@ def test_smith_rejects_unpaired_divisors():
         [1, 0],
         [0, 1],
     ]
-    with pytest.raises(OracleError):
-        cartan_invariant_of_entries(g, SL2, P, 1)  # p^(-1) I is not in SL_2
+    # p^(-1) I is not in SL_2: its divisors (-1, -1) do not pair as (d, -d)
+    assert smith_valuations(g, P, 1) == [-1, -1]
 
 
 # ---------------------------------------------------------------------
@@ -428,14 +422,14 @@ def test_box_estimate_admits_p11_and_refuses_p13():
         lam = 2 * t2lambda_base(i, 2)
         # the mu = (0, 0) cell has windows summing to 4 at depth 1 and to 8
         # from depth 2 on, so depth 1 adds the re-run's box
-        assert box_estimate(zero, lam, 1, "sp4", 11) == 11**4 + 11**8
+        assert oracle._budgeted_boxes(SP4, zero, lam, 1, 11) == [11**4, 11**8]
         for depth in (2, 3, 4):
-            assert box_estimate(zero, lam, depth, "sp4", 11) == 11**8
-            assert box_estimate(zero, lam, depth, "sp4", 13) == 13**8
+            assert oracle._budgeted_boxes(SP4, zero, lam, depth, 11) == [11**8]
+            with pytest.raises(OracleError, match=f" {13**8:,} tuples, over its limit"):
+                oracle._budgeted_boxes(SP4, zero, lam, depth, 13)
         for depth in (1, 2, 3, 4):
             for mu in antidominant_above(lam):
-                assert box_estimate(mu, lam, depth, "sp4", 11) <= ORACLE_BOX_LIMIT["sp4"]
-        assert box_estimate(zero, lam, 4, "sp4", 13) > ORACLE_BOX_LIMIT["sp4"]
+                assert sum(oracle._budgeted_boxes(SP4, mu, lam, depth, 11)) <= ORACLE_BOX_LIMIT["sp4"]
 
 
 def test_over_budget_row_is_refused_before_counting(monkeypatch):
@@ -454,8 +448,8 @@ def test_over_budget_row_is_refused_before_counting(monkeypatch):
             verify_metaplectic_pipeline(2, 2, p)
     # sl2 boxes are p^2 at most, and every tuple is a leaf: p = 839 is the
     # first prime refused, at every depth
-    sl2_cell = (Cocharacter((0,)), Cocharacter((-2,)), 4, "sl2")
-    assert box_estimate(*sl2_cell, 829) <= ORACLE_BOX_LIMIT["sl2"]
+    sl2_cell = (SL2, Cocharacter((0,)), Cocharacter((-2,)), 4)
+    assert sum(oracle._budgeted_boxes(*sl2_cell, 829)) <= ORACLE_BOX_LIMIT["sl2"]
     for depth in (1, 2, 3, 4):
         with pytest.raises(OracleError):
             count_cosets(Cocharacter((0,)), Cocharacter((-2,)), depth, "sl2", 839)

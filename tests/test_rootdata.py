@@ -11,7 +11,6 @@ from metaplectic.rootdata import (
     RootDatumError,
     antidominant_above,
     antidominant_rep,
-    apply_signed_permutation,
     cartan_inverse,
     cartan_matrix,
     coroot,
@@ -21,7 +20,6 @@ from metaplectic.rootdata import (
     pairing,
     positive_roots,
     row_reduce,
-    signed_permutations,
     simple_root,
 )
 
@@ -227,8 +225,11 @@ def test_antidominant_rep_weyl_invariant():
         rep = antidominant_rep(lam)
         assert is_antidominant(rep)
         assert antidominant_rep(rep) == rep
-        for w in signed_permutations(3):
-            assert antidominant_rep(apply_signed_permutation(w, lam)) == rep
+        # the Weyl group of C_3: every signed permutation of the coordinates
+        for perm in itertools.permutations(coords):
+            for signs in itertools.product((1, -1), repeat=3):
+                w_lam = Cocharacter(tuple(s * c for s, c in zip(signs, perm)))
+                assert antidominant_rep(w_lam) == rep
 
 
 def test_positive_roots_are_the_rho_positive_roots():
@@ -266,7 +267,8 @@ def test_coroot_coordinates_roundtrip():
     for coords in itertools.product(range(-2, 3), repeat=3):
         lam = Cocharacter(coords)
         cs = lam.coroot_coordinates()
-        assert Cocharacter.from_coroot_coordinates(cs) == lam
+        # the e coordinates are the successive differences of the prefix sums
+        assert tuple(b - a for a, b in zip((0,) + cs, cs)) == coords
     # alpha_i^vee has coroot coordinates e_i
     for n in range(1, 5):
         for i in range(1, n + 1):

@@ -47,7 +47,7 @@ def test_pi_nu():
 
 def test_is_M_regular():
     w1 = QRestrictedWeight(Character((1, 0)), 3)
-    full = ParabolicSubset.full(2)
+    full = ParabolicSubset(2, frozenset({1, 2}))
     assert is_M_regular(w1, full)
     assert is_M_regular(w1, ParabolicSubset(2, frozenset({2})))
     assert not is_M_regular(w1, ParabolicSubset(2, frozenset({1})))
