@@ -3,8 +3,10 @@
 Subcommands: hilbert, cover, satake, aset, weights, classify, oracle,
 selftest.  Output is JSON (sorted keys, byte-stable for a fixed config
 and seed); every payload is validated against its draft-07 schema below
-before printing, and each schema is checked against the draft-07
-metaschema once per process, on its first use.  classify can also emit
+before printing.  Each schema is checked against the draft-07 metaschema
+once per process, on its first use, when its one validator is built;
+that validator checks a plain scalar leaf (a value whose subschema is a
+lone `type`) in place, by its Python class.  classify can also emit
 CSV.  Exit codes: 0 success, 1 verification mismatch, 2 usage or schema
 error.
 
@@ -56,22 +58,24 @@ EXIT_USAGE = 2
 # Job budgets, each measured at about 3 s of work (2-vCPU Xeon, Python
 # 3.11).  `cover` evaluates B on n^2 basis pairs, each in O(n): 3.5 s at
 # n = 200.  `satake` builds, validates and prints two terms of n
-# coordinates each: 3.1-3.5 s at n = 150,000.
-# `weights` pairs nu with each coroot in O(n), so it is quadratic: with
-# `--i` and `--levi`, 2.9 s at n = 1,600 (1.2 s without).  `aset` spends
+# coordinates each: 2.0 s at n = 1,000,000 and 2.2-3.9 s at 1,500,000
+# (`--i 1`, 300 MB).  `weights` reads every pairing <nu, alpha_i^vee> in
+# one linear pass: with `--i` and `--levi 1,...,n` on nu = 0, 2.2-2.6 s at
+# n = 400,000 and 3.0 s at 450,000.  `aset` spends
 # 17-80 us per element of the up-set of 2 base, more at higher rank: the
 # largest constant bases under ASET_SIZE_LIMIT take 2.5 s at n = 4, 2.3 s
 # at n = 8, 3.6 s at n = 12, 3.1 s at n = 16 and 2.6-3.3 s at n = 30
 # (-2 everywhere), which sets ASET_RANK_LIMIT; every `--i` base is far
 # under both, `--i 30 --n 30` takes 0.07 s.  `classify` prints
-# 2^|Pi(sigma)| triples of O(n) entries each: 2^13 factors at n = 14 take
-# 2.4 s, 2^11 at n = 100 take 4.2 s.
+# 2^|Pi(sigma)| triples of O(n) entries each, slowest on `xi` input: 2^13
+# factors take 1.4-1.8 s at n = 14 and 2.4 s at n = 28, 2^12 take 2.1 s at
+# n = 56, and 2^14 at n = 15, the next size over the limit, take 4.2 s.
 COVER_RANK_LIMIT = 180
-SATAKE_RANK_LIMIT = 150_000
-WEIGHTS_RANK_LIMIT = 1_600
+SATAKE_RANK_LIMIT = 1_200_000
+WEIGHTS_RANK_LIMIT = 400_000
 ASET_RANK_LIMIT = 30
 ASET_SIZE_LIMIT = 150_000  # bound on the elements of the up-set
-CLASSIFY_SIZE_LIMIT = 2**17  # composition factors times the rank
+CLASSIFY_SIZE_LIMIT = 7 * 2**15  # composition factors times the rank
 
 
 class UsageError(ValueError):
@@ -307,22 +311,80 @@ SCHEMAS = {
 }
 
 
+# For each one-word draft-07 `type`, the Python class whose exact instances
+# pass it (an integer is an int that is not a bool, a subclass of int).
+_LEAF_CLASSES = {
+    "integer": int,
+    "string": str,
+    "boolean": bool,
+    "array": list,
+    "object": dict,
+    "null": type(None),
+}
+_DRAFT7_PROPERTIES = jsonschema.Draft7Validator.VALIDATORS["properties"]
+_DRAFT7_ITEMS = jsonschema.Draft7Validator.VALIDATORS["items"]
+
+
+def _leaf_class(subschema):
+    """When `subschema` is a lone `type` naming one JSON type, the Python
+    class whose exact instances pass it; None for any other subschema."""
+    if type(subschema) is dict and len(subschema) == 1:
+        kind = subschema.get("type")
+        if type(kind) is str:
+            return _LEAF_CLASSES.get(kind)
+    return None
+
+
+def _properties(validator, properties, instance, schema):
+    """draft-07 `properties`, skipping each value its lone `type` admits."""
+    if type(instance) is not dict:
+        yield from _DRAFT7_PROPERTIES(validator, properties, instance, schema)
+        return
+    for name, subschema in properties.items():
+        if name in instance and type(instance[name]) is not _leaf_class(subschema):
+            yield from _DRAFT7_PROPERTIES(validator, {name: subschema}, instance, schema)
+
+
+def _items(validator, items, instance, schema):
+    """draft-07 `items`, skipping each item its lone `type` admits."""
+    leaf = _leaf_class(items)
+    if leaf is None or type(instance) is not list:
+        yield from _DRAFT7_ITEMS(validator, items, instance, schema)
+        return
+    for index, item in enumerate(instance):
+        if type(item) is not leaf:
+            yield from validator.descend(item, items, path=index)
+
+
+# Draft-07 with scalar leaves checked in place: a skipped value is one
+# draft-07 would pass without an error, so the errors, their order and
+# their paths are draft-07's.
+_LeafDraft7 = jsonschema.validators.extend(
+    jsonschema.Draft7Validator, {"properties": _properties, "items": _items}
+)
+
+
 class _Draft7CheckedOnce:
     """The validator class `emit` hands to `jsonschema.validate`: draft-07,
     with each schema object checked against the metaschema once per
-    process, since the schemas are constants and the check costs 1.2 ms.
-    Checked schemas are kept, so no new object can reuse a checked `id`."""
+    process, since the schemas are constants and the check costs 1.2 ms,
+    and one validator built per schema object on its first use.  That
+    validator checks a value whose subschema is a lone `type` by its
+    Python class, without descending into it.  Checked schemas are kept,
+    so no new object can reuse a checked `id`."""
 
     def __init__(self):
-        self._checked = {}  # id(schema) -> schema
+        self._validators = {}  # id(schema) -> (schema, validator)
 
     def check_schema(self, schema: dict) -> None:
-        if self._checked.get(id(schema)) is not schema:
+        held = self._validators.get(id(schema))
+        if held is None or held[0] is not schema:
             jsonschema.Draft7Validator.check_schema(schema)
-            self._checked[id(schema)] = schema
+            self._validators[id(schema)] = (schema, _LeafDraft7(schema))
 
     def __call__(self, schema: dict):
-        return jsonschema.Draft7Validator(schema)
+        self.check_schema(schema)
+        return self._validators[id(schema)][1]
 
 
 _DRAFT7 = _Draft7CheckedOnce()
@@ -331,8 +393,9 @@ _DRAFT7 = _Draft7CheckedOnce()
 def emit(payload: dict, schema: str) -> None:
     try:
         # draft-07: the keywords these schemas use mean the same in it and in
-        # 2020-12.  Every payload is validated; each schema is checked
-        # against the metaschema on its first use only.
+        # 2020-12.  Every payload is validated, by the one validator built
+        # for its schema on first use, when the schema is checked against
+        # the metaschema.
         jsonschema.validate(payload, SCHEMAS[schema], cls=_DRAFT7)
     except jsonschema.ValidationError as err:
         raise UsageError(f"output failed its schema: {err.message}")
@@ -513,9 +576,7 @@ def cmd_weights(args) -> int:
         w2 = weights.change_of_weight_pair(w, args.i)
         payload["companion"] = {
             "nu": list(w2.nu.coords),
-            "pairings": [
-                rootdata.pairing(w2.nu, rootdata.coroot(k, n)) for k in range(1, n + 1)
-            ],
+            "pairings": list(rootdata.coroot_pairings(w2.nu)),
             "same_class_as_nu": weights.same_weight_class(w, w2),
         }
     emit(payload, "weights")

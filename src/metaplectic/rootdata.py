@@ -224,6 +224,13 @@ def pairing(chi: Character, lam: Cocharacter) -> int:
     return sum(a * b for a, b in zip(chi.coords, lam.coords))
 
 
+def coroot_pairings(chi: Character) -> tuple[int, ...]:
+    """<chi, alpha_i^vee> for i = 1..n in one pass: chi_i - chi_{i+1} for
+    i < n and chi_n at i = n."""
+    c = chi.coords
+    return tuple(a - b for a, b in zip(c, c[1:])) + c[-1:]
+
+
 def cartan_matrix(n: int) -> list[list[int]]:
     """C[j][k] = <alpha_j, alpha_k^vee> (0-indexed rows/cols for roots 1..n)."""
     return [

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rootdata import Character, ParabolicSubset, coroot, fundamental_weight, pairing
+from .rootdata import Character, ParabolicSubset, coroot_pairings, fundamental_weight
 
 
 class WeightError(ValueError):
@@ -30,9 +30,7 @@ class QRestrictedWeight:
     def __post_init__(self):
         if self.q < 2:
             raise WeightError("q must be at least 2")
-        n = self.nu.rank
-        for i in range(1, n + 1):
-            v = pairing(self.nu, coroot(i, n))
+        for i, v in enumerate(coroot_pairings(self.nu), 1):
             if not 0 <= v < self.q:
                 raise WeightError(
                     f"<nu, alpha_{i}^vee> = {v} is not in [0, {self.q})"
@@ -45,11 +43,8 @@ class QRestrictedWeight:
 
 def pi_nu(w: QRestrictedWeight) -> ParabolicSubset:
     """Pi_nu = {alpha in Pi : <nu, alpha^vee> = 0}."""
-    n = w.rank
-    return ParabolicSubset(
-        n,
-        frozenset(i for i in range(1, n + 1) if pairing(w.nu, coroot(i, n)) == 0),
-    )
+    pairings = coroot_pairings(w.nu)
+    return ParabolicSubset(w.rank, frozenset(i for i, v in enumerate(pairings, 1) if v == 0))
 
 
 def is_M_regular(w: QRestrictedWeight, J: ParabolicSubset) -> bool:
@@ -64,7 +59,7 @@ def change_of_weight_pair(w: QRestrictedWeight, i: int) -> QRestrictedWeight:
     n = w.rank
     if not 1 <= i <= n:
         raise WeightError(f"index {i} out of range 1..{n}")
-    if pairing(w.nu, coroot(i, n)) != 0:
+    if coroot_pairings(w.nu)[i - 1] != 0:
         raise WeightError(f"<nu, alpha_{i}^vee> must vanish to change weight at {i}")
     nu2 = w.nu + (w.q - 1) * fundamental_weight(i, n)
     return QRestrictedWeight(nu2, w.q)

@@ -412,13 +412,15 @@ def test_emit_refuses_an_invalid_schema_on_first_use(capsys, monkeypatch):
 
 
 def test_emit_checks_each_schema_once_and_every_payload(capsys, monkeypatch):
-    checked = []
+    checked, built = [], []
     real = jsonschema.Draft7Validator.check_schema
     monkeypatch.setattr(
         jsonschema.Draft7Validator,
         "check_schema",
         lambda schema, **kwargs: checked.append(schema) or real(schema, **kwargs),
     )
+    build = cli._LeafDraft7
+    monkeypatch.setattr(cli, "_LeafDraft7", lambda schema: built.append(schema) or build(schema))
     # fresh schema objects, so earlier emits in this process do not count
     hilbert, cover_ = copy.deepcopy(SCHEMAS["hilbert"]), copy.deepcopy(SCHEMAS["cover"])
     monkeypatch.setitem(SCHEMAS, "hilbert", hilbert)
@@ -428,12 +430,19 @@ def test_emit_checks_each_schema_once_and_every_payload(capsys, monkeypatch):
         emit({"n": 1, "Q_coroots": [1], "splits_over_Mprime": {}}, "cover")
     assert len(checked) == 2
     assert checked[0] is hilbert and checked[1] is cover_
+    # one validator per schema object, built with its check
+    assert len(built) == 2 and built[0] is hilbert and built[1] is cover_
+    assert cli._DRAFT7(hilbert) is cli._DRAFT7(hilbert)
     capsys.readouterr()
     with pytest.raises(UsageError) as bad:
         emit({**_HILBERT_PAYLOAD, "symbol": 2}, "hilbert")
     assert str(bad.value) == "output failed its schema: 2 is not one of [1, -1]"
     assert capsys.readouterr().out == ""
-    assert len(checked) == 2
+    assert len(checked) == 2 and len(built) == 2
+    # an equal schema in a new object is checked and built anew
+    twin = copy.deepcopy(hilbert)
+    assert cli._DRAFT7(twin) is not cli._DRAFT7(hilbert)
+    assert len(checked) == 3 and len(built) == 3 and built[2] is twin
 
 
 # one command line per output schema, and the stdin it reads
@@ -489,6 +498,12 @@ def _best_message(validator, payload):
     return None if err is None else err.message
 
 
+def _best_error(validator, payload):
+    """What `emit` reports of the best match, and where it points."""
+    err = jsonschema.exceptions.best_match(validator.iter_errors(payload))
+    return None if err is None else (err.message, list(err.path), list(err.schema_path))
+
+
 @pytest.mark.parametrize("name", sorted(SCHEMAS))
 def test_output_schemas_mean_the_same_in_draft07_and_2020_12(name):
     schema = SCHEMAS[name]
@@ -500,14 +515,51 @@ def test_output_schemas_mean_the_same_in_draft07_and_2020_12(name):
     assert code == 0
     draft7 = jsonschema.Draft7Validator(schema)
     draft2020 = jsonschema.Draft202012Validator(schema)
+    leaf = cli._DRAFT7(schema)  # what `emit` validates with
     payload = json.loads(out)
     assert _best_message(draft7, payload) is None
+    assert _best_error(leaf, payload) is None
     rejected = 0
     for bad in _variants(schema, payload):
         message = _best_message(draft7, bad)
         assert message == _best_message(draft2020, bad), bad
+        assert _best_error(leaf, bad) == _best_error(draft7, bad), bad
         rejected += message is not None
     assert rejected > len(_WRONG_VALUES)
+
+
+_LEAF_VALUES = (1, 1.0, True, "1", None, [], {})
+
+
+def _all_errors(validator, payload):
+    return [
+        (e.message, list(e.path), list(e.schema_path))
+        for e in validator.iter_errors(payload)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["integer", "string", "boolean", "array", "object", "null"])
+def test_leaf_values_are_checked_as_draft07_checks_them(kind):
+    # a lone `type`, as an object property and as an array item: the
+    # in-place check must give draft-07's errors, in its order, on every
+    # value, including True where an integer is wanted and 1.0
+    as_property = {
+        "type": "object",
+        "properties": {"a": {"type": kind}, "b": {"type": kind}},
+    }
+    as_item = {"type": "array", "items": {"type": kind}}
+    for schema in (as_property, as_item):
+        draft7 = jsonschema.Draft7Validator(schema)
+        leaf = cli._DRAFT7(schema)
+        rejected = 0
+        for value in _LEAF_VALUES:
+            for other in _LEAF_VALUES:
+                payload = [value, other] if schema is as_item else {"a": value, "b": other}
+                errors = _all_errors(draft7, payload)
+                assert _all_errors(leaf, payload) == errors, payload
+                assert _best_error(leaf, payload) == _best_error(draft7, payload)
+                rejected += bool(errors)
+        assert rejected > 0
 
 
 def _flag(name, values):
@@ -671,9 +723,9 @@ def _levi_datum(n, flagged):
         # 2^23 factors at rank 24, and 2^20 at rank 41
         (["classify", "--n", "24"], {"xi": [[0, 0]] * 24}),
         (["classify", "--n", "41"], _levi_datum(41, 20)),
-        # just over the limit: 2^14 factors at rank 15, 2^13 at rank 27
+        # just over the limit: 2^14 factors at rank 15, 2^13 at rank 29
         (["classify", "--n", "15"], {"xi": [[0, 0]] * 15}),
-        (["classify", "--n", "27"], _levi_datum(27, 13)),
+        (["classify", "--n", "29"], _levi_datum(29, 13)),
         (["cover", "--n", "300"], None),
         (["cover", "--n", "100000"], None),
         (["cover", "--n", str(cli.COVER_RANK_LIMIT + 1)], None),
@@ -685,7 +737,7 @@ def _levi_datum(n, flagged):
         (["aset", "--n", "100000", "--lam=-1"], None),
         (["satake", "--i", "1", "--n", "10000000"], None),
         (["satake", "--i", "1", "--n", str(cli.SATAKE_RANK_LIMIT + 1)], None),
-        (["weights", "--nu", ",".join(["0"] * 10_000), "--n", "10000"], None),
+        (["weights", "--nu", ",".join(["0"] * 1_000_000), "--n", "1000000"], None),
         (["weights", "--nu", "0," * cli.WEIGHTS_RANK_LIMIT + "0", "--n", str(cli.WEIGHTS_RANK_LIMIT + 1)], None),
     ],
 )

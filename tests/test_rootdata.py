@@ -14,6 +14,7 @@ from metaplectic.rootdata import (
     cartan_inverse,
     cartan_matrix,
     coroot,
+    coroot_pairings,
     fundamental_weight,
     is_antidominant,
     leq,
@@ -50,6 +51,13 @@ def test_pairing_chi_lambda_dual_bases():
             chi = Character(tuple(1 if k == i else 0 for k in range(n)))
             lam = Cocharacter(tuple(1 if k == j else 0 for k in range(n)))
             assert pairing(chi, lam) == (1 if i == j else 0)
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(st.integers(-50, 50), min_size=n, max_size=n)))
+@settings(max_examples=200, deadline=None)
+def test_coroot_pairings_match_pairing_with_each_coroot(coords):
+    chi, n = Character(tuple(coords)), len(coords)
+    assert coroot_pairings(chi) == tuple(pairing(chi, coroot(i, n)) for i in range(1, n + 1))
 
 
 def test_pairing_examples():
