@@ -77,9 +77,7 @@ class SupersingularDatum:
     torus_character: Optional[GenuineTorusCharacter] = None
 
     def __post_init__(self):
-        n = self.levi.n
-        flags = {int(k): bool(v) for k, v in self.flags.items()}
-        object.__setattr__(self, "flags", flags)
+        n, flags = self.levi.n, self.flags
         eligible = eligible_flag_roots(self.levi)
         if flags.keys() != eligible:
             raise ClassifyError(
@@ -105,15 +103,6 @@ class SupersingularDatum:
     def __hash__(self):
         return hash(
             (self.levi, tuple(sorted(self.flags.items())), self.label)
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SupersingularDatum)
-            and self.levi == other.levi
-            and self.flags == other.flags
-            and self.label == other.label
-            and self.torus_character == other.torus_character
         )
 
     @property
@@ -219,7 +208,6 @@ def siegel_lift(
     siegel = ParabolicSubset.siegel(n)
     if not (P.issubset(siegel) and Q.issubset(siegel)):
         raise ClassifyError("a Siegel-Levi triple has P, Q inside the short roots")
-    rho_flags = {int(k): bool(v) for k, v in rho_flags.items()}
     # the short-root block of the type C_n Cartan matrix is the GL_n one
     eligible_meta = eligible_flag_roots(P)
     eligible_in_gl = eligible_meta - {n}

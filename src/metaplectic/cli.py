@@ -17,11 +17,11 @@ loads the selftest module.
 Jobs whose work grows without bound in a parameter are refused with
 exit 2 before any work, at limits measured at about 3 s of work:
 `cover`, `satake` and `weights` above ranks COVER_RANK_LIMIT,
-SATAKE_RANK_LIMIT and WEIGHTS_RANK_LIMIT, `aset` above rank
-ASET_RANK_LIMIT or when a bound on its element count, read off the base,
-is over ASET_SIZE_LIMIT, and `classify` when its factor count times the
-rank (the size of the triples it would print) is over
-CLASSIFY_SIZE_LIMIT.  JSON nested past the recursion limit and a
+SATAKE_RANK_LIMIT and WEIGHTS_RANK_LIMIT, `aset` when a bound on its
+element count, read off the rank and the first coordinate of the base,
+times the cost of an element is over ASET_SIZE_LIMIT, and `classify` when
+its factor count times the rank (the size of the triples it would print)
+is over CLASSIFY_SIZE_LIMIT.  JSON nested past the recursion limit and a
 negative N exit 2 as well.
 
 Parameters come from flags first, then an optional key=value config
@@ -36,7 +36,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass
@@ -61,20 +60,20 @@ EXIT_USAGE = 2
 # coordinates each: 2.0 s at n = 1,000,000 and 2.2-3.9 s at 1,500,000
 # (`--i 1`, 300 MB).  `weights` reads every pairing <nu, alpha_i^vee> in
 # one linear pass: with `--i` and `--levi 1,...,n` on nu = 0, 2.2-2.6 s at
-# n = 400,000 and 3.0 s at 450,000.  `aset` spends
-# 17-80 us per element of the up-set of 2 base, more at higher rank: the
-# largest constant bases under ASET_SIZE_LIMIT take 2.5 s at n = 4, 2.3 s
-# at n = 8, 3.6 s at n = 12, 3.1 s at n = 16 and 2.6-3.3 s at n = 30
-# (-2 everywhere), which sets ASET_RANK_LIMIT; every `--i` base is far
-# under both, `--i 30 --n 30` takes 0.07 s.  `classify` prints
+# n = 400,000 and 3.0 s at 450,000.  `aset` spends about 1.2-2.2 us per
+# unit of (n + 8) C(n - 2 lam_1, n), a bound on its up-set times the cost
+# of one element of it, at every rank: near the limit `--i 135 --n 135`
+# takes 2.4-3.0 s (it also prints the fibers), and constant `--lam` bases
+# 1.6-2.1 s from n = 1 to n = 4; `--i 150 --n 150` (1.8e6) takes 4.4-5.5 s.
+# Counted in coordinates alone (n C(...)), the rank-1 bases cost 17 us a
+# unit against 1.5 us at n = 30.  `classify` prints
 # 2^|Pi(sigma)| triples of O(n) entries each, slowest on `xi` input: 2^13
 # factors take 1.4-1.8 s at n = 14 and 2.4 s at n = 28, 2^12 take 2.1 s at
 # n = 56, and 2^14 at n = 15, the next size over the limit, take 4.2 s.
 COVER_RANK_LIMIT = 180
 SATAKE_RANK_LIMIT = 1_200_000
 WEIGHTS_RANK_LIMIT = 400_000
-ASET_RANK_LIMIT = 30
-ASET_SIZE_LIMIT = 150_000  # bound on the elements of the up-set
+ASET_SIZE_LIMIT = 1_400_000  # elements of the up-set times (rank + 8)
 CLASSIFY_SIZE_LIMIT = 7 * 2**15  # composition factors times the rank
 
 
@@ -415,16 +414,25 @@ def _refuse_rank(command: str, n: int, limit: int) -> None:
         raise UsageError(f"{command} at rank {n} is over its limit of rank {limit}")
 
 
-def _refuse_aset_size(base: rootdata.Cocharacter) -> None:
-    """Exit 2 before any walk if the up-set of 2 `base` may hold more
-    than ASET_SIZE_LIMIT elements.  Each of its elements ascends with
-    entries in [2 base_1, 0], so there are at most C(n - 2 base_1, n)."""
-    n = base.rank
-    bound = math.comb(n - 2 * base.coords[0], n)
-    if bound > ASET_SIZE_LIMIT:
+def _refuse_aset_size(n: int, lam_1: int) -> None:
+    """Exit 2 before any walk if the up-set of 2 lam, at rank n and with
+    first coordinate lam_1, may cost more than ASET_SIZE_LIMIT.  Each of
+    its elements ascends with entries in [2 lam_1, 0], so there are at
+    most C(n - 2 lam_1, n) of them; each costs n + 8, as its n coordinates
+    and about 8 more for the element itself.  With k = min(n, -2 lam_1)
+    the bound is (n + 8) C(n - 2 lam_1, k), built one factor at a time:
+    each factor is at least 2, so the loop stops within about 20 steps
+    however large n and lam_1 are."""
+    m, k = n - 2 * lam_1, min(n, -2 * lam_1)
+    cost = n + 8
+    for j in range(1, k + 1):
+        if cost > ASET_SIZE_LIMIT:
+            break
+        cost = cost * (m - k + j) // j  # (n + 8) C(m - k + j, j), exactly
+    if cost > ASET_SIZE_LIMIT:
         raise UsageError(
-            f"aset may print up to {bound:,} elements at rank {n},"
-            f" over its limit of {ASET_SIZE_LIMIT:,}"
+            f"aset may print up to C({m}, {n}) elements at rank {n}, each costing"
+            f" {n} + 8, over its limit of {ASET_SIZE_LIMIT:,}"
         )
 
 
@@ -509,20 +517,21 @@ def cmd_aset(args) -> int:
 
     config = resolve_config(args)
     n = config.n
-    _refuse_rank("aset", n, ASET_RANK_LIMIT)
     if args.lam is not None:
         if args.i is not None:
             raise UsageError("give --lam or --i, not both")
         base = rootdata.Cocharacter(_parse_ints(args.lam, n))
+        if not rootdata.is_antidominant(base):
+            raise hecke.HeckeError("base point must be antidominant")
+        _refuse_aset_size(n, base.coords[0])
         i = None
     else:
         if args.i is None or not 1 <= args.i <= n:
             raise UsageError(f"i must lie in 1..{n}")
+        # every --i base -(e_1 + ... + e_i) starts at -1; build it only if admitted
+        _refuse_aset_size(n, -1)
         base = hecke.t2lambda_base(args.i, n)
         i = args.i
-    if not rootdata.is_antidominant(base):
-        raise hecke.HeckeError("base point must be antidominant")
-    _refuse_aset_size(base)
     # the A-set is the up-set of 2 base in coroot coordinates; the tests
     # compare it with hecke.enumerate_A, a walk over the rows of C a <= b
     # that shares no code with antidominant_above

@@ -38,50 +38,20 @@ class HeckeError(ValueError):
 
 @dataclass(frozen=True)
 class TorusHeckeElement:
-    """Finitely supported map from cocharacters (e-coordinate tuples) to
-    coefficients mod p; zero coefficients are pruned."""
+    """Finitely supported map from cocharacters, as e-coordinate tuples, to
+    coefficients mod p; coefficients that vanish mod p are pruned."""
 
     p: int
     coeffs: dict
 
     def __post_init__(self):
-        clean = {}
-        for mu, c in self.coeffs.items():
-            key = tuple(int(x) for x in (mu.coords if isinstance(mu, Cocharacter) else mu))
-            cv = int(c) % self.p
-            if cv:
-                clean[key] = (clean.get(key, 0) + cv) % self.p
         object.__setattr__(
-            self, "coeffs", {k: v for k, v in clean.items() if v}
+            self, "coeffs", {mu: c % self.p for mu, c in self.coeffs.items() if c % self.p}
         )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TorusHeckeElement)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.p, tuple(sorted(self.coeffs.items()))))
-
-    def __add__(self, other: "TorusHeckeElement") -> "TorusHeckeElement":
-        if self.p != other.p:
-            raise HeckeError("mixed moduli")
-        merged = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            merged[k] = (merged.get(k, 0) + v) % self.p
-        return TorusHeckeElement(self.p, merged)
-
-    def __neg__(self) -> "TorusHeckeElement":
-        return TorusHeckeElement(self.p, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other: "TorusHeckeElement") -> "TorusHeckeElement":
-        return self + (-other)
 
     @staticmethod
-    def tau(mu, p: int, c: int = 1) -> "TorusHeckeElement":
-        return TorusHeckeElement(p, {mu if not isinstance(mu, Cocharacter) else mu.coords: c})
+    def tau(mu: tuple[int, ...], p: int, c: int = 1) -> "TorusHeckeElement":
+        return TorusHeckeElement(p, {mu: c})
 
     def terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Sorted (mu, c) pairs with c the symmetric residue, for display."""
@@ -146,7 +116,7 @@ class ASet:
     def mu_of(self, a) -> Cocharacter:
         """2 lam + a . alpha^vee, whose k-th e coordinate is
         2 lam_k + a_k - a_{k-1} (with a_0 = 0)."""
-        a = (0,) + tuple(int(ak) for ak in a)
+        a = (0, *a)
         if len(a) != self.n + 1:
             raise HeckeError(f"need {self.n} exponents, got {len(a) - 1}")
         return Cocharacter(
@@ -220,8 +190,7 @@ class FiberResult:
 
 
 def A_fiber(A: ASet, a, i: int) -> FiberResult:
-    """{b in A : b_j = a_j for all j != i}, reported raw."""
-    a = tuple(int(x) for x in a)
+    """{b in A : b_j = a_j for all j != i}, reported raw; `a` is a tuple."""
     if a not in A.elements:
         raise HeckeError(f"{a} is not in the A-set")
     if not 1 <= i <= A.n:
@@ -321,17 +290,15 @@ class HeckeCharacter:
 
     @staticmethod
     def from_face(J, exponents, n: int, N: int) -> "HeckeCharacter":
-        J = frozenset(J.roots if isinstance(J, ParabolicSubset) else (int(j) for j in J))
-        exps = tuple(int(e) % N for e in exponents)
+        exps = tuple(e % N for e in exponents)
         if len(exps) != n:
             raise HeckeError("need one exponent per coordinate")
-        return HeckeCharacter(n=n, N=N, face=J, exponents=exps)
+        return HeckeCharacter(n=n, N=N, face=frozenset(J), exponents=exps)
 
-    def value_at(self, mu) -> GroupValue:
-        lam = mu if isinstance(mu, Cocharacter) else Cocharacter(tuple(mu))
-        if any(pairing(simple_root(j, self.n), lam) != 0 for j in self.face):
+    def value_at(self, mu: Cocharacter) -> GroupValue:
+        if any(pairing(simple_root(j, self.n), mu) != 0 for j in self.face):
             return GroupValue.zero(self.N)
-        return GroupValue(self.N, sum(c * e for c, e in zip(lam.coords, self.exponents)))
+        return GroupValue(self.N, sum(c * e for c, e in zip(mu.coords, self.exponents)))
 
 
 def pi_chi(chi: HeckeCharacter) -> ParabolicSubset:

@@ -30,17 +30,19 @@ Pruning: each coordinate is a bare entry of the unipotent matrix, and
 every entry of a matrix in the lam-cell has valuation >= min(lam), so
 coordinates may be windowed to p^{-(mu_col - min lam)} O / O with no
 loss.  Counts therefore stop growing once the depth exceeds the window,
-which is what the stabilization flag reports.  Those window boxes are
-known before any walk starts, so a cell whose box exceeds its group's
-ORACLE_BOX_LIMIT is refused with OracleError instead of counted.  Inside
-the box the walk sets the coordinates in order and shares every prefix
-product; a column of the matrix is final once the last generator
-writing it is applied, and it must then be integral after scaling by
-p^(-min lam).  The columns that close below a node are written by the
-node's own generator, so they are affine in the child coordinate y, and
-their integrality is a system of linear congruences in y modulo a power
-of p.  Its solutions are one progression y = y0 mod p^r or none
-(`_progression`), and only those children are walked.
+which is what the stabilization flag reports.  Those windows are known
+before any walk starts, and so is the number of nodes a walk may visit
+above the last coordinate, whose leaves are decided at once (below); a
+cell whose walks may visit more than ORACLE_NODE_LIMIT nodes is refused
+with OracleError instead of counted.  Inside its window box the walk
+sets the coordinates in order and shares every prefix product; a column
+of the matrix is final once the last generator writing it is applied,
+and it must then be integral after scaling by p^(-min lam).  The
+columns that close below a node are written by the node's own generator,
+so they are affine in the child coordinate y, and their integrality is a
+system of linear congruences in y modulo a power of p.  Its solutions
+are one progression y = y0 mod p^r or none (`_progression`), and only
+those children are walked.
 
 Determinantal rule: the last generator (-2 eps_1) writes column 0 alone,
 so the leaves below a node that sets the last coordinate differ only
@@ -464,36 +466,32 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
     return walk(0, group.identity(q**n))
 
 
-# Largest box one cell may enumerate, by group: a box tuple costs very
-# different work in the two groups, and the limit budgets about 3 s of it
-# (timings on one 2-vCPU Xeon core).
-# - sp4 admits every cell at p <= 11 and depth <= 4 (the largest, mu = (0, 0)
-#   at depth 1, is 11^4 + 11^8 with its re-run, about 2.1e8, and counts in
-#   about 1.2 s, the walk pruning most prefixes) and refuses p = 13, whose
-#   mu = (0, 0) cells need 13^8, about 8.2e8.
-# - sl2 has one coordinate, so every box tuple is a leaf.  The limit budgets
-#   one `smith_valuations` call, about 4 us, per leaf; `_leaf_hits` decides
-#   them at once, so an admitted row takes under a millisecond.  Its boxes
-#   are p^2 at most for lam = (-2,): p = 829 is the largest prime admitted.
-ORACLE_BOX_LIMIT = {"sl2": 7 * 10**5, "sp4": 3 * 10**8}
+# Most nodes the walks of one cell may visit, at about 3 s of work (timings
+# on one 2-vCPU Xeon core).  sp4 admits every cell at p <= 13: the largest,
+# mu = (0, 0) at depth 1, may visit 13^3 + 13^6, about 4.8e6, and a whole
+# p = 13 row takes 1.5-2.6 s.  At p = 17 that cell may visit 17^6, about
+# 2.4e7, and the i = 1 row takes 6.2 s.  sl2 has one coordinate, so each of
+# its walks is one node and every sl2 row is admitted.
+ORACLE_NODE_LIMIT = 6 * 10**6
 
 
-def _budgeted_boxes(group, mu, lam, depth, p) -> list[int]:
-    """Tuples enumerated by each walk one cell runs: the box
-    p^(sum of windows) at the depth, then the box at depth + 1 when the
-    stabilization re-run will run (its windows differ).  Refused with
-    OracleError when their sum is over the group's ORACLE_BOX_LIMIT."""
+def _budgeted_nodes(group, mu, lam, depth, p) -> list[int]:
+    """Nodes each walk one cell runs may visit: p^(sum of all windows but
+    the last) at the depth, then the same at depth + 1 when the
+    stabilization re-run will run (its windows differ).  The last
+    coordinate adds no nodes, since `_leaf_hits` decides all of its
+    leaves below a node at once.  Refused with OracleError when their sum
+    is over ORACLE_NODE_LIMIT."""
     now = _coordinate_windows(group, mu, lam, depth)
     nxt = _coordinate_windows(group, mu, lam, depth + 1)
-    boxes = [p ** sum(now)] + ([p ** sum(nxt)] if nxt != now else [])
-    box = sum(boxes)
-    limit = ORACLE_BOX_LIMIT[group.tag]
-    if box > limit:
+    walks = [p ** sum(now[:-1])] + ([p ** sum(nxt[:-1])] if nxt != now else [])
+    nodes = sum(walks)
+    if nodes > ORACLE_NODE_LIMIT:
         raise OracleError(
-            f"oracle cell mu={mu.coords} at p = {p}, depth {depth} would enumerate"
-            f" {box:,} tuples, over its limit of {limit:,}"
+            f"oracle cell mu={mu.coords} at p = {p}, depth {depth} may visit"
+            f" {nodes:,} nodes, over its limit of {ORACLE_NODE_LIMIT:,}"
         )
-    return boxes
+    return walks
 
 
 def count_cosets(
@@ -508,8 +506,8 @@ def count_cosets(
     Stabilization re-runs the count at depth + 1 and compares; when the
     pruning windows already sit strictly below both depths the two
     enumerations coincide element for element, so the re-run is skipped
-    and the counts are equal by construction.  A cell whose walks would
-    enumerate over its group's ORACLE_BOX_LIMIT is refused before any walk.
+    and the counts are equal by construction.  A cell whose walks may
+    visit more than ORACLE_NODE_LIMIT nodes is refused before any walk.
     """
     realization = ChevalleyRealization(group)
     if depth < 1:
@@ -522,10 +520,10 @@ def count_cosets(
         above = False
     if not (above and is_antidominant(mu)):
         raise OracleError("mu must be antidominant and >= lam")
-    boxes = _budgeted_boxes(realization, mu, lam, depth, p)
+    walks = _budgeted_nodes(realization, mu, lam, depth, p)
     raw = _count_in_cell(realization, mu, lam, depth, p)
     stabilized = True
-    if len(boxes) == 2:
+    if len(walks) == 2:
         stabilized = _count_in_cell(realization, mu, lam, depth + 1, p) == raw
     return CosetCountResult(mu, lam, raw, raw % p, depth, stabilized)
 
@@ -536,7 +534,7 @@ def oracle_rows(lam: Cocharacter, depth: int, group: str, p: int):
     mus = sorted(antidominant_above(lam), key=lambda m: m.coords)
     realization = ChevalleyRealization(group)
     for mu in mus:
-        _budgeted_boxes(realization, mu, lam, depth, p)
+        _budgeted_nodes(realization, mu, lam, depth, p)
     return [count_cosets(mu, lam, depth, group, p) for mu in mus]
 
 

@@ -47,7 +47,7 @@ class Character:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(self.coords))
 
     @property
     def rank(self) -> int:
@@ -56,13 +56,6 @@ class Character:
     def __add__(self, other: "Character") -> "Character":
         _check_rank(self, other)
         return Character(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Character") -> "Character":
-        _check_rank(self, other)
-        return Character(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Character":
-        return Character(tuple(-a for a in self.coords))
 
     def __mul__(self, k: int) -> "Character":
         return Character(tuple(k * a for a in self.coords))
@@ -82,7 +75,7 @@ class Cocharacter:
     gsp: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(self.coords))
 
     @property
     def rank(self) -> int:
@@ -101,9 +94,6 @@ class Cocharacter:
             tuple(a - b for a, b in zip(self.coords, other.coords)),
             self.gsp - other.gsp,
         )
-
-    def __neg__(self) -> "Cocharacter":
-        return Cocharacter(tuple(-a for a in self.coords), -self.gsp)
 
     def __mul__(self, k: int) -> "Cocharacter":
         return Cocharacter(tuple(k * a for a in self.coords), k * self.gsp)
@@ -139,7 +129,7 @@ class ParabolicSubset:
     roots: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        roots = frozenset(map(int, self.roots))
+        roots = frozenset(self.roots)
         if roots and not (1 <= min(roots) and max(roots) <= self.n):
             raise RootDatumError(f"indices out of range 1..{self.n}: {sorted(roots)}")
         object.__setattr__(self, "roots", roots)
@@ -152,12 +142,6 @@ class ParabolicSubset:
     def siegel(n: int) -> "ParabolicSubset":
         """The Siegel subset {alpha_1, ..., alpha_{n-1}} (Levi GL_n)."""
         return ParabolicSubset(n, frozenset(range(1, n)))
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.roots
-
-    def __iter__(self):
-        return iter(sorted(self.roots))
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -175,16 +159,6 @@ def parabolic_subset(n: int, roots: frozenset) -> ParabolicSubset:
     raised the peak RSS of a rank <= 7 sweep by 0.5 MB and saved under 1%
     of its time."""
     return ParabolicSubset(n, roots)
-
-
-def _as_indices(J, n: int) -> frozenset[int]:
-    if J is None:
-        return frozenset(range(1, n + 1))
-    if isinstance(J, ParabolicSubset):
-        if J.n != n:
-            raise RootDatumError("parabolic subset rank mismatch")
-        return J.roots
-    return frozenset(int(i) for i in J)
 
 
 def simple_root(i: int, n: int) -> Character:
@@ -261,12 +235,14 @@ def row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def cartan_inverse(n: int, J=None) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of the Cartan matrix restricted to the subset J (default all).
+    """Inverse of the Cartan matrix restricted to the simple-root indices
+    J, an iterable (default all of 1..n).
 
     All entries are nonnegative rationals; this is what makes the
     enumeration bounds below finite.
     """
-    return _cartan_inverse(n, tuple(sorted(_as_indices(J, n))))
+    idx = range(1, n + 1) if J is None else sorted(set(J))
+    return _cartan_inverse(n, tuple(idx))
 
 
 @functools.lru_cache(maxsize=64)
@@ -313,6 +289,9 @@ def antidominant_above(lam: Cocharacter) -> set[Cocharacter]:
     depth-first walk over a_1, ..., a_n that runs each a_k between these
     two bounds; every prefix it visits is ascending and <= 0, so it
     extends to an element (put mu_j = 0 after it) and no branch is dead.
+    The branch is kept on an explicit stack, one iterator over the values
+    still to visit per level, so the rank is not bounded by Python's
+    recursion limit.
     """
     if not is_antidominant(lam):
         raise RootDatumError("base point must be antidominant")
@@ -320,18 +299,20 @@ def antidominant_above(lam: Cocharacter) -> set[Cocharacter]:
     x = (0,) + lam.coords  # x[k] = lam_k, 1-based
     a = [0] * (n + 1)  # a[k] = a_k on the current branch; a[0] = 0
     out = set()
-
-    def walk(k: int) -> None:
-        if k > n:
-            mu = tuple(x[i] + a[i] - a[i - 1] for i in range(1, n + 1))
-            out.add(Cocharacter(mu, lam.gsp))
-            return
-        lo = max(0, 2 * a[k - 1] - a[k - 2] + x[k - 1] - x[k]) if k > 1 else 0
-        for v in range(lo, a[k - 1] - x[k] + 1):
+    stack = [iter((0,))]  # stack[k] runs over the values of a_k; a_0 = 0
+    while stack:
+        k = len(stack) - 1
+        for v in stack[k]:
             a[k] = v
-            walk(k + 1)
-
-    walk(1)
+            if k == n:
+                mu = tuple(x[i] + a[i] - a[i - 1] for i in range(1, n + 1))
+                out.add(Cocharacter(mu, lam.gsp))
+                continue
+            lo = max(0, 2 * v - a[k - 1] + x[k] - x[k + 1]) if k else 0
+            stack.append(iter(range(lo, v - x[k + 1] + 1)))
+            break
+        else:
+            stack.pop()
     return out
 
 

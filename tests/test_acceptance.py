@@ -10,7 +10,7 @@ minute, dominated by p = 5).
 import subprocess
 import sys
 
-from metaplectic import selftest
+from metaplectic import hecke, selftest
 
 
 def _report(result):
@@ -36,6 +36,22 @@ def test_criterion_4_cover_arithmetic():
 
 def test_criterion_5_aset_fibers():
     _report(selftest.criterion_5_aset())
+
+
+def test_criterion_5_refuses_a_fiber_of_zero_alone(monkeypatch):
+    # an A-set without e_i leaves {0} as the fiber through 0, which the
+    # aset command reports as non-conforming; the criterion fails it too
+    enumerate_A = hecke.enumerate_A
+
+    def without_e1(lam):
+        A = enumerate_A(lam)
+        e1 = (1,) + (0,) * (A.n - 1)
+        return hecke.ASet(A.base, A.elements - {e1})
+
+    monkeypatch.setattr(hecke, "enumerate_A", without_e1)
+    result = selftest.criterion_5_aset()
+    assert not result.passed
+    assert "fiber dichotomy n=2 i=1: [(0, 0)]" in result.detail
 
 
 def test_criterion_6_classification_counts():

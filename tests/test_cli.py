@@ -2,7 +2,9 @@ import argparse
 import contextlib
 import copy
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -702,13 +704,30 @@ def test_large_field_parameters_answer_at_once(argv, stdin, code):
     ],
 )
 def test_over_budget_oracle_exits_at_once(argv):
-    _assert_refused_at_once(argv, 31**8)
+    _assert_refused_at_once(argv, 31**6)
 
 
-def test_over_budget_sl2_row_exits_at_once():
-    # every SL_2 box tuple is a leaf, so its limit is far below Sp_4's
-    argv = ["oracle", "satake", "--group", "sl2", "--i", "1", "--p", "1009", "--depth", "4"]
-    _assert_refused_at_once(argv, 1009**2)
+def test_sl2_row_at_a_large_prime_answers_at_once():
+    # each SL_2 walk is one node, so no SL_2 row is over the oracle budget
+    p = 2**31 - 1
+    argv = ["oracle", "satake", "--group", "sl2", "--i", "1", "--p", str(p), "--depth", "4"]
+    start = time.perf_counter()
+    code, out, err = run_captured(argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert [row["raw"] for row in json.loads(out)["rows"]] == [1, p - 1, p * p - p]
+
+
+def _aset_cost(n, lam_1):
+    """The bound ASET_SIZE_LIMIT caps: C(n - 2 lam_1, n) elements of
+    n + 8 each."""
+    return math.comb(n - 2 * lam_1, n) * (n + 8)
+
+
+# every --i base has lam_1 = -1
+_FIRST_ASET_I_RANK_OVER = next(
+    n for n in itertools.count(1) if _aset_cost(n, -1) > cli.ASET_SIZE_LIMIT
+)
 
 
 def _levi_datum(n, flagged):
@@ -729,12 +748,15 @@ def _levi_datum(n, flagged):
         (["cover", "--n", "300"], None),
         (["cover", "--n", "100000"], None),
         (["cover", "--n", str(cli.COVER_RANK_LIMIT + 1)], None),
-        # the largest constant bases under ASET_SIZE_LIMIT past the rank
-        # limit: 58,905 elements at rank 32 (4.0 s), 148,995 at rank 41 (12 s)
+        # constant -2 bases: 58,905 elements at rank 32 (4.0 s) and
+        # 148,995 at rank 41 (12 s)
         (["aset", "--n", "32", "--lam=" + ",".join(["-2"] * 32)], None),
         (["aset", "--n", "41", "--lam=" + ",".join(["-2"] * 41)], None),
-        (["aset", "--n", str(cli.ASET_RANK_LIMIT + 1), "--i", "1"], None),
-        (["aset", "--n", "100000", "--lam=-1"], None),
+        # the first rank whose --i bases are over ASET_SIZE_LIMIT, and a
+        # rank whose base would not fit in memory
+        (["aset", "--n", str(_FIRST_ASET_I_RANK_OVER), "--i", "1"], None),
+        (["aset", "--n", "1000000000", "--i", "1"], None),
+        (["aset", "--n", "100000", "--lam=" + ",".join(["-1"] * 100000)], None),
         (["satake", "--i", "1", "--n", "10000000"], None),
         (["satake", "--i", "1", "--n", str(cli.SATAKE_RANK_LIMIT + 1)], None),
         (["weights", "--nu", ",".join(["0"] * 1_000_000), "--n", "1000000"], None),
@@ -749,6 +771,14 @@ def test_over_budget_jobs_exit_at_once(argv, doc):
     assert err.startswith("error:") and "over its limit" in err
 
 
+def test_aset_zero_base_past_the_recursion_limit():
+    # a zero base costs n + 8, so its rank is bounded by the limit alone
+    n = 3 * sys.getrecursionlimit()
+    code, out, err = run_captured(["aset", "--n", str(n), "--lam=" + ",".join(["0"] * n)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["elements"] == [[0] * n]
+
+
 def test_over_budget_aset_base_is_refused_before_any_walk(monkeypatch):
     # the bound C(n - 2 lam_1, n) is exact on a constant base
     assert len(rootdata.antidominant_above(2 * Cocharacter((-2,) * 4))) == 70
@@ -757,17 +787,34 @@ def test_over_budget_aset_base_is_refused_before_any_walk(monkeypatch):
         raise AssertionError("the up-set was walked")
 
     monkeypatch.setattr(rootdata, "antidominant_above", no_walk)
-    for k, bound in ((25, 316_251), (40, 1_929_501)):
+    for k in (20, 25, 40):
         code, out, err = run_captured(["aset", f"--lam={-k},{-k},{-k},{-k}", "--n", "4"])
         assert (code, out) == (2, "")
         assert err == (
-            f"error: aset may print up to {bound:,} elements at rank 4,"
-            f" over its limit of {cli.ASET_SIZE_LIMIT:,}\n"
+            f"error: aset may print up to C({4 + 2 * k}, 4) elements at rank 4,"
+            f" each costing 4 + 8, over its limit of {cli.ASET_SIZE_LIMIT:,}\n"
         )
-    # no --i base under the rank limit is refused
-    for n in range(1, cli.ASET_RANK_LIMIT + 1):
-        for i in range(1, n + 1):
-            cli._refuse_aset_size(hecke.t2lambda_base(i, n))
+    # the refusal is exactly the bound over the limit, at every rank and
+    # first coordinate tried, and at the two ends of a rank-1 and a zero base
+    cases = [(n, -k) for n in range(1, 40) for k in range(0, 30)]
+    top = cli.ASET_SIZE_LIMIT
+    cases += [(1, -77_777), (1, -77_778), (top - 8, 0), (top - 7, 0)]
+    for n, lam_1 in cases:
+        if _aset_cost(n, lam_1) > cli.ASET_SIZE_LIMIT:
+            with pytest.raises(UsageError, match="over its limit"):
+                cli._refuse_aset_size(n, lam_1)
+        else:
+            cli._refuse_aset_size(n, lam_1)
+    # every --i rank under the first one over is admitted
+    for n in range(1, _FIRST_ASET_I_RANK_OVER):
+        cli._refuse_aset_size(n, -1)
+    # the bound is built until it is over, not in full: C(n - 2 lam_1, n)
+    # has about 830,000 digits in the last case
+    start = time.perf_counter()
+    for n, lam_1 in ((10**9, -1), (65_000, -(10**9)), (10**6, -(10**6))):
+        with pytest.raises(UsageError):
+            cli._refuse_aset_size(n, lam_1)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_hilbert_loads_only_the_cover_layer():
@@ -790,12 +837,12 @@ def test_hilbert_loads_only_the_cover_layer():
     assert lines[0] == want and lines[-1] == want
 
 
-def _assert_refused_at_once(argv, tuples):
+def _assert_refused_at_once(argv, nodes):
     start = time.perf_counter()
     code, out, err = run_captured(argv)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
-    assert err.startswith("error:") and f"{tuples:,} tuples" in err
+    assert err.startswith("error:") and f"{nodes:,} nodes" in err
 
 
 # sp4 only at p <= 3 and depth <= 2, so that no example counts for long

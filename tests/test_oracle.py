@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from metaplectic import oracle
 from metaplectic.hecke import TorusHeckeElement, t2lambda_base
 from metaplectic.oracle import (
-    ORACLE_BOX_LIMIT,
+    ORACLE_NODE_LIMIT,
     ChevalleyRealization,
     OracleError,
     StabilizationError,
@@ -416,20 +416,21 @@ def test_count_cosets_validation():
         count_cosets(Cocharacter((-1,)), Cocharacter((-2,), gsp=1), 2, "sl2", 3)
 
 
-def test_box_estimate_admits_p11_and_refuses_p13():
+def test_node_estimate_admits_p13_and_refuses_p17():
     zero = Cocharacter((0, 0))
     for i in (1, 2):
         lam = 2 * t2lambda_base(i, 2)
-        # the mu = (0, 0) cell has windows summing to 4 at depth 1 and to 8
-        # from depth 2 on, so depth 1 adds the re-run's box
-        assert oracle._budgeted_boxes(SP4, zero, lam, 1, 11) == [11**4, 11**8]
+        # the mu = (0, 0) cell has windows (1, 1, 1, 1) at depth 1 and
+        # (2, 2, 2, 2) from depth 2 on, so depth 1 adds the re-run's walk;
+        # the last window adds no nodes
+        assert oracle._budgeted_nodes(SP4, zero, lam, 1, 13) == [13**3, 13**6]
         for depth in (2, 3, 4):
-            assert oracle._budgeted_boxes(SP4, zero, lam, depth, 11) == [11**8]
-            with pytest.raises(OracleError, match=f" {13**8:,} tuples, over its limit"):
-                oracle._budgeted_boxes(SP4, zero, lam, depth, 13)
+            assert oracle._budgeted_nodes(SP4, zero, lam, depth, 13) == [13**6]
+            with pytest.raises(OracleError, match=f" {17**6:,} nodes, over its limit"):
+                oracle._budgeted_nodes(SP4, zero, lam, depth, 17)
         for depth in (1, 2, 3, 4):
             for mu in antidominant_above(lam):
-                assert sum(oracle._budgeted_boxes(SP4, mu, lam, depth, 11)) <= ORACLE_BOX_LIMIT["sp4"]
+                assert sum(oracle._budgeted_nodes(SP4, mu, lam, depth, 13)) <= ORACLE_NODE_LIMIT
 
 
 def test_over_budget_row_is_refused_before_counting(monkeypatch):
@@ -438,21 +439,30 @@ def test_over_budget_row_is_refused_before_counting(monkeypatch):
 
     monkeypatch.setattr(oracle, "_count_in_cell", no_walk)
     lam = 2 * t2lambda_base(2, 2)
-    for p in (13, 31):
+    for p in (17, 31):
         with pytest.raises(OracleError) as err:
             oracle_rows(lam, 4, "sp4", p)
-        assert f"{p**8:,} tuples" in str(err.value)
+        assert f"{p**6:,} nodes" in str(err.value)
         with pytest.raises(OracleError):
             count_cosets(Cocharacter((0, 0)), lam, 4, "sp4", p)
         with pytest.raises(OracleError):
             verify_metaplectic_pipeline(2, 2, p)
-    # sl2 boxes are p^2 at most, and every tuple is a leaf: p = 839 is the
-    # first prime refused, at every depth
-    sl2_cell = (SL2, Cocharacter((0,)), Cocharacter((-2,)), 4)
-    assert sum(oracle._budgeted_boxes(*sl2_cell, 829)) <= ORACLE_BOX_LIMIT["sl2"]
+    # an sl2 cell has one coordinate, so each of its walks is one node:
+    # nothing is refused, up to the largest prime below 2^31
     for depth in (1, 2, 3, 4):
-        with pytest.raises(OracleError):
-            count_cosets(Cocharacter((0,)), Cocharacter((-2,)), depth, "sl2", 839)
+        for mu in ((-2,), (-1,), (0,)):
+            cell = (SL2, Cocharacter(mu), Cocharacter((-2,)), depth, 2**31 - 1)
+            assert sum(oracle._budgeted_nodes(*cell)) <= 2
+
+
+def test_sl2_row_at_a_large_prime_is_counted():
+    # its leaves are decided at once, so the row is the closed form
+    # 1, p - 1, p^2 - p at any p the node budget admits
+    p = 2**31 - 1
+    for depth in (2, 4):
+        rows = oracle_rows(Cocharacter((-2,)), depth, "sl2", p)
+        assert [r.raw_count for r in rows] == [1, p - 1, p * p - p]
+        assert all(r.stabilized for r in rows)
 
 
 def test_sp4_shifted_cell_count_hand_value():
