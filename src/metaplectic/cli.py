@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Subcommands: hilbert, cover, satake, aset, weights, classify, oracle,
-selftest.  Output is JSON (sorted keys, byte-stable for a fixed config
-and seed); every payload is validated against its draft-07 schema below
-before printing.  Each schema is checked against the draft-07 metaschema
-once per process, on its first use, when its one validator is built;
-that validator checks a plain scalar leaf (a value whose subschema is a
-lone `type`) in place, by its Python class.  classify can also emit
-CSV.  Exit codes: 0 success, 1 verification mismatch, 2 usage or schema
-error.
+selftest.  Each `cmd_*(args, config)` returns `(payload, exit_code)`;
+`main` resolves the config before calling it and then emits the payload.
+Output is JSON (sorted keys, byte-stable for a fixed config and seed);
+every payload is validated against the draft-07 schema in SCHEMAS named
+after its subcommand before printing.  Each schema is checked against
+the draft-07 metaschema once per process, on its first use, when its one
+validator is built; that validator checks a plain scalar leaf (a value
+whose subschema is a lone `type`) in place, by its Python class.
+`classify --emit csv` prints CSV itself and returns no payload.  Exit
+codes: 0 success, 1 verification mismatch, 2 usage or schema error.
 
 Each subcommand imports only the layers it calls, inside its `cmd_*`
 function: `hilbert` loads `cover` alone, and nothing but `selftest`
@@ -163,6 +165,8 @@ _TERMS = {
     },
 }
 
+_SQUARE_CLASS = {"enum": [c.name for c in cover.ALL_CLASSES]}
+
 _TRIPLE = {
     "type": "object",
     "properties": {
@@ -186,8 +190,8 @@ SCHEMAS = {
     "hilbert": {
         "type": "object",
         "properties": {
-            "x": {"enum": ["1", "u", "pi", "upi"]},
-            "y": {"enum": ["1", "u", "pi", "upi"]},
+            "x": _SQUARE_CLASS,
+            "y": _SQUARE_CLASS,
             "p": {"type": "integer"},
             "f": {"type": "integer"},
             "symbol": {"enum": [1, -1]},
@@ -436,8 +440,7 @@ def _refuse_aset_size(n: int, lam_1: int) -> None:
         )
 
 
-def cmd_hilbert(args) -> int:
-    config = resolve_config(args)
+def cmd_hilbert(args, config: RunConfig) -> tuple[dict | None, int]:
     x = cover.SquareClass.from_name(args.x)
     y = cover.SquareClass.from_name(args.y)
     symbol = cover.hilbert(x, y, config.field)
@@ -451,16 +454,14 @@ def cmd_hilbert(args) -> int:
     if args.verify:
         check = cover.hilbert_solvable(x, y, config.field)
         payload["verified"] = check == symbol
-    emit(payload, "hilbert")
     if args.verify and not payload["verified"]:
-        return EXIT_MISMATCH
-    return EXIT_OK
+        return payload, EXIT_MISMATCH
+    return payload, EXIT_OK
 
 
-def cmd_cover(args) -> int:
+def cmd_cover(args, config: RunConfig) -> tuple[dict | None, int]:
     from . import rootdata
 
-    config = resolve_config(args)
     n = config.n
     _refuse_rank("cover", n, COVER_RANK_LIMIT)
     basis = [
@@ -479,14 +480,12 @@ def cmd_cover(args) -> int:
             str(i): cover.splits_over_Mprime(i, n) for i in range(1, n + 1)
         },
     }
-    emit(payload, "cover")
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_satake(args) -> int:
+def cmd_satake(args, config: RunConfig) -> tuple[dict | None, int]:
     from . import hecke
 
-    config = resolve_config(args)
     _refuse_rank("satake", config.n, SATAKE_RANK_LIMIT)
     if not 1 <= args.i <= config.n:
         raise UsageError(f"i must lie in 1..{config.n}")
@@ -508,14 +507,12 @@ def cmd_satake(args) -> int:
         )
         payload["oracle"] = "agree" if agree else "disagree"
         mismatch = not agree
-    emit(payload, "satake")
-    return EXIT_MISMATCH if mismatch else EXIT_OK
+    return payload, EXIT_MISMATCH if mismatch else EXIT_OK
 
 
-def cmd_aset(args) -> int:
+def cmd_aset(args, config: RunConfig) -> tuple[dict | None, int]:
     from . import hecke, rootdata
 
-    config = resolve_config(args)
     n = config.n
     if args.lam is not None:
         if args.i is not None:
@@ -549,25 +546,20 @@ def cmd_aset(args) -> int:
     }
     if i is not None:
         payload["i"] = i
-        # a fiber conforms when it is {0, e_i} (the one through 0, which
-        # lies in A) or a singleton; the tests compare with hecke.A_fiber
-        zero = (0,) * n
-        axis = frozenset({zero, tuple(int(j == i - 1) for j in range(n))})
+        # the tests compare `conforms` with hecke.A_fiber
         payload["fibers"] = [
             {
                 "fiber": [list(b) for b in sorted(fib)],
-                "conforms": fib == axis if zero in fib else len(fib) == 1,
+                "conforms": hecke.fiber_conforms(fib, i, n),
             }
             for fib in hecke.distinct_fibers(A, i)
         ]
-    emit(payload, "aset")
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_weights(args) -> int:
+def cmd_weights(args, config: RunConfig) -> tuple[dict | None, int]:
     from . import rootdata, weights
 
-    config = resolve_config(args)
     n = config.n
     _refuse_rank("weights", n, WEIGHTS_RANK_LIMIT)
     nu = rootdata.Character(_parse_ints(args.nu, n))
@@ -588,8 +580,7 @@ def cmd_weights(args) -> int:
             "pairings": list(rootdata.coroot_pairings(w2.nu)),
             "same_class_as_nu": weights.same_weight_class(w, w2),
         }
-    emit(payload, "weights")
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
 def _parse_ints(text: str, n) -> tuple[int, ...]:
@@ -674,10 +665,9 @@ def _triple_payload(t: classify.SupersingularTriple) -> dict:
     return {"P": sorted(t.P.roots), "Q": sorted(t.Q.roots), "sigma": sigma}
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args, config: RunConfig) -> tuple[dict | None, int]:
     from . import classify, rootdata
 
-    config = resolve_config(args)
     n = config.n
     try:
         if args.input == "-":
@@ -725,9 +715,8 @@ def cmd_classify(args) -> int:
         raise UsageError("input must carry 'xi' (torus character) or 'levi' (datum)")
     if args.emit == "csv":
         _print_classify_csv(payload["triples"])
-        return EXIT_OK
-    emit(payload, "classify")
-    return EXIT_OK
+        return None, EXIT_OK
+    return payload, EXIT_OK
 
 
 def _print_classify_csv(triples: list[dict]) -> None:
@@ -745,10 +734,9 @@ def _print_classify_csv(triples: list[dict]) -> None:
         )
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args, config: RunConfig) -> tuple[dict | None, int]:
     from . import hecke, oracle
 
-    config = resolve_config(args)
     group = args.group
     n = oracle.ChevalleyRealization(group).rank
     if not 1 <= args.i <= n:
@@ -773,14 +761,12 @@ def cmd_oracle(args) -> int:
             for r in rows
         ],
     }
-    emit(payload, "oracle")
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args, config: RunConfig) -> tuple[dict | None, int]:
     from . import selftest
 
-    config = resolve_config(args)
     results = selftest.run_all(run_sp4=args.sp4, seed=config.seed)
     for r in results:
         print(r.line(), file=sys.stderr)
@@ -797,8 +783,7 @@ def cmd_selftest(args) -> int:
         ],
         "all_pass": all(r.passed for r in results),
     }
-    emit(payload, "selftest")
-    return EXIT_OK if payload["all_pass"] else EXIT_MISMATCH
+    return payload, EXIT_OK if payload["all_pass"] else EXIT_MISMATCH
 
 
 @functools.cache
@@ -891,7 +876,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, code = args.func(args, resolve_config(args))
+        if payload is not None:
+            emit(payload, args.command)
+        return code
     except (ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

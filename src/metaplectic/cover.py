@@ -65,21 +65,14 @@ class SquareClass:
 
     @property
     def name(self) -> str:
-        return {(0, False): "1", (0, True): "u", (1, False): "pi", (1, True): "upi"}[
-            (self.pi_parity, self.unit_nonsquare)
-        ]
+        return ("1", "u", "pi", "upi")[2 * self.pi_parity + self.unit_nonsquare]
 
     @staticmethod
     def from_name(name: str) -> "SquareClass":
-        try:
-            return {
-                "1": ONE_CLASS,
-                "u": UNIT_CLASS,
-                "pi": PI_CLASS,
-                "upi": UPI_CLASS,
-            }[name]
-        except KeyError:
-            raise CoverError(f"unknown square class {name!r}; use 1|u|pi|upi")
+        for c in ALL_CLASSES:
+            if c.name == name:
+                return c
+        raise CoverError(f"unknown square class {name!r}; use 1|u|pi|upi")
 
     def __repr__(self):
         return f"SquareClass({self.name})"

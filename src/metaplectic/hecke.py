@@ -217,6 +217,15 @@ def distinct_fibers(A: ASet, i: int) -> list[frozenset]:
     return [frozenset(v) for _, v in sorted(seen.items())]
 
 
+def fiber_conforms(fiber: frozenset, i: int, n: int) -> bool:
+    """The fiber dichotomy with the i-th coordinate freed: the fiber
+    through 0 is exactly {0, e_i}, and every other fiber is a singleton."""
+    zero = (0,) * n
+    if zero in fiber:
+        return fiber == {zero, tuple(int(j == i - 1) for j in range(n))}
+    return len(fiber) == 1
+
+
 def vanishing_sum_check(coeffs: dict, A: ASet, i: int) -> bool:
     """Whether every fiber sum of Satake coefficients vanishes.
 
@@ -237,38 +246,6 @@ def vanishing_sum_check(coeffs: dict, A: ASet, i: int) -> bool:
         sum(lookup(A.mu_of(b).coords) for b in fiber) == 0
         for fiber in distinct_fibers(A, i)
     )
-
-
-@dataclass(frozen=True)
-class GroupValue:
-    """Element of the character value group Z/N extended by an absorbing
-    zero (the image of 0 in the coefficient field)."""
-
-    N: int
-    exp: Optional[int]  # None encodes the absorbing zero
-
-    def __post_init__(self):
-        if self.exp is not None:
-            object.__setattr__(self, "exp", self.exp % self.N)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.exp is None
-
-    @property
-    def is_one(self) -> bool:
-        return self.exp == 0
-
-    def __mul__(self, other: "GroupValue") -> "GroupValue":
-        if self.N != other.N:
-            raise HeckeError("mixed value groups")
-        if self.is_zero or other.is_zero:
-            return GroupValue(self.N, None)
-        return GroupValue(self.N, self.exp + other.exp)
-
-    @staticmethod
-    def zero(N: int) -> "GroupValue":
-        return GroupValue(N, None)
 
 
 @dataclass(frozen=True)
@@ -295,10 +272,12 @@ class HeckeCharacter:
             raise HeckeError("need one exponent per coordinate")
         return HeckeCharacter(n=n, N=N, face=frozenset(J), exponents=exps)
 
-    def value_at(self, mu: Cocharacter) -> GroupValue:
+    def value_at(self, mu: Cocharacter) -> Optional[int]:
+        """The exponent of chi(tau_mu) in Z/N, reduced mod N, or None where
+        chi vanishes (the absorbing zero of the coefficient field)."""
         if any(pairing(simple_root(j, self.n), mu) != 0 for j in self.face):
-            return GroupValue.zero(self.N)
-        return GroupValue(self.N, sum(c * e for c, e in zip(mu.coords, self.exponents)))
+            return None
+        return sum(c * e for c, e in zip(mu.coords, self.exponents)) % self.N
 
 
 def pi_chi(chi: HeckeCharacter) -> ParabolicSubset:
@@ -308,7 +287,7 @@ def pi_chi(chi: HeckeCharacter) -> ParabolicSubset:
     choice of marker (doubling it preserves vanishing)."""
     n = chi.n
     zero = frozenset(
-        i for i in range(1, n + 1) if chi.value_at(t2lambda_base(i, n)).is_zero
+        i for i in range(1, n + 1) if chi.value_at(t2lambda_base(i, n)) is None
     )
     return ParabolicSubset(n, zero)
 
@@ -332,5 +311,5 @@ def change_of_weight_decision(i: int, chi: HeckeCharacter) -> bool:
     lam = t2lambda_base(i, n)
     a = chi.value_at(2 * lam)
     if i == n:
-        return not a.is_zero
+        return a is not None
     return a != chi.value_at(2 * lam + coroot(i, n))

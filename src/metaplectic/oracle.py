@@ -124,9 +124,49 @@ def _negative_roots(n: int) -> tuple[NegativeRootCoordinate, ...]:
     return tuple(out)
 
 
-# (rank, negative root coordinates) by tag, generated at import rather than
-# on first use, so that every traced pass (bench/tracing.py) counts alike
-_GROUPS = {tag: (n, _negative_roots(n)) for tag, n in (("sl2", 1), ("sp4", 2))}
+def _minor_indices(size: int, rank: int):
+    """For k = 1 .. rank <= 2, the rows + cols of the k x k minors of a
+    lower-triangular matrix that need not vanish, cols[m] <= rows[m] for
+    every m, with those off column 0 first."""
+    out = []
+    for k in range(1, rank + 1):
+        parts = ([], [])
+        for rows in combinations(range(size), k):
+            for cols in combinations(range(rows[-1] + 1), k):
+                if cols[0] <= rows[0]:
+                    parts[not cols[0]].append(rows + cols)
+        out.append(parts[0] + parts[1])
+    return out
+
+
+def _walk_plan(n: int, neg) -> tuple:
+    """(closing, writes, minors) for `_count_in_cell` on Sp_2n.  A column
+    is final once the last generator writing it is applied: closing[s]
+    holds the columns final after s generators, and writes[s] each column
+    of closing[s + 1] with the (source column, sign) pairs that generator
+    s adds to it."""
+    size = 2 * n
+    last_write = {}
+    for step, gen in enumerate(neg, 1):
+        for (_, b), _ in gen.units:
+            last_write[b] = step
+    closing = [[] for _ in range(len(neg) + 1)]
+    for j in range(size):
+        closing[last_write.get(j, 0)].append(j)
+    writes = [
+        [(j, [(a, s) for (a, b), s in gen.units if b == j]) for j in closing[step + 1]]
+        for step, gen in enumerate(neg)
+    ]
+    return closing, writes, _minor_indices(size, n)
+
+
+# (rank, negative root coordinates, walk plan) by tag, built at import rather
+# than on first use, so that every traced pass (bench/tracing.py) counts alike
+_GROUPS = {
+    tag: (n, neg, _walk_plan(n, neg))
+    for tag, n in (("sl2", 1), ("sp4", 2))
+    for neg in (_negative_roots(n),)
+}
 
 
 class ChevalleyRealization:
@@ -136,7 +176,7 @@ class ChevalleyRealization:
     def __init__(self, tag: str):
         if tag not in _GROUPS:
             raise OracleError(f"unknown group tag {tag!r}; use sl2 or sp4")
-        self.rank, self.neg = _GROUPS[tag]
+        self.rank, self.neg, self.plan = _GROUPS[tag]
         self.tag, self.size = tag, 2 * self.rank
 
     def torus_exponents(self, mu: Cocharacter) -> tuple[int, ...]:
@@ -300,21 +340,6 @@ def _progression(pairs, p: int, e: int):
     return y0, step
 
 
-def _minor_indices(size: int, rank: int):
-    """For k = 1 .. rank <= 2, the rows + cols of the k x k minors of a
-    lower-triangular matrix that need not vanish, cols[m] <= rows[m] for
-    every m, with those off column 0 first."""
-    out = []
-    for k in range(1, rank + 1):
-        parts = ([], [])
-        for rows in combinations(range(size), k):
-            for cols in combinations(range(rows[-1] + 1), k):
-                if cols[0] <= rows[0]:
-                    parts[not cols[0]].append(rows + cols)
-        out.append(parts[0] + parts[1])
-    return out
-
-
 def _leaf_hits(h, c, d, leaves, p, divisors, minors) -> int:
     """How many t in range(leaves) put h_t, the lower-triangular integer
     matrix h with column 0 replaced by c + t d, in the cell whose first
@@ -385,29 +410,15 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
     scale = [t[j][j] * p ** max(0, -e) for j in range(size)]
     e = max(0, e)
     base = p**e
-    # Generators only ever add to the columns b of their units, so a
-    # column is final once the last generator writing it is applied.  The
-    # enumeration walks the coordinates in order, sharing each prefix
+    # The enumeration walks the coordinates in order, sharing each prefix
     # product, and fills in h column by column as they close.  The columns
-    # closing below a node are written by its own generator, through the
-    # (source column, sign) pairs in `writes`, so they are affine in the
-    # child index; only the children that keep them integral are walked.
-    last_write = {}
-    for step, gen in enumerate(group.neg, 1):
-        for (_, b), _ in gen.units:
-            last_write[b] = step
-    closing = [[] for _ in range(n + 1)]
-    for j in range(size):
-        closing[last_write.get(j, 0)].append(j)
-    writes = [
-        [(j, [(a, s) for (a, b), s in gen.units if b == j]) for j in closing[step + 1]]
-        for step, gen in enumerate(group.neg)
-    ]
+    # closing below a node are written by its own generator (`writes`), so
+    # they are affine in the child index; only the children that keep them
+    # integral are walked.
+    closing, writes, minors = group.plan
     h = [[0] * size for _ in range(size)]
-    # h's divisor valuations are those of u mu(pi) minus floor; a last
-    # window of 0 leaves no node with more than one leaf, and no minors
+    # h's divisor valuations are those of u mu(pi) minus floor
     divisors = [v - floor for v in sorted(lam.coords)]
-    minors = _minor_indices(size, group.rank) if windows[-1] else None
 
     def walk(step, m) -> int:
         for j in closing[step]:

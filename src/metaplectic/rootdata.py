@@ -216,7 +216,7 @@ def cartan_matrix(n: int) -> list[list[int]]:
 def row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Q, by Gauss-Jordan elimination, with
     the list of pivot columns.  The one exact linear solver of the
-    package: inverses, kernels and solvability are all read off it."""
+    package; the Cartan inverse is read off it."""
     m = [[Fraction(x) for x in row] for row in rows]
     pivots = []
     for c in range(len(m[0]) if m else 0):
@@ -248,9 +248,10 @@ def cartan_inverse(n: int, J=None) -> tuple[tuple[Fraction, ...], ...]:
 @functools.lru_cache(maxsize=64)
 def _cartan_inverse(n: int, idx: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
     """`cartan_inverse` on sorted indices, row-reduced once per key: the
-    reduction over `Fraction` costs 0.3-1.3 ms at n = 3..6, and callers ask
-    for a few keys many times.  Rows are tuples, so no caller can alter
-    the shared value."""
+    reduction over `Fraction` costs 0.3-1.3 ms at n = 3..6, and its
+    callers, `hecke.enumerate_A` and the benchmark's tracer, ask for a few
+    keys many times.  Rows are tuples, so no caller can alter the shared
+    value."""
     m = len(idx)
     rows = [
         [pairing(simple_root(j, n), coroot(k, n)) for k in idx] + [int(j == k) for k in idx]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from . import classify, cover, hecke, oracle
 from .characters import GenuineTorusCharacter, SmoothCharacterFx
 from .cover import ALL_CLASSES, LocalFieldDescriptor, ONE_CLASS
-from .hecke import GroupValue, HeckeCharacter
+from .hecke import HeckeCharacter
 from .rootdata import Cocharacter, ParabolicSubset, coroot, pairing, simple_root
 
 
@@ -130,10 +130,8 @@ def criterion_5_aset() -> CriterionResult:
             A = hecke.enumerate_A(lam)
             zero = tuple(0 for _ in range(n))
             eps = tuple(1 if k == i - 1 else 0 for k in range(n))
-            # the fiber through 0 is {0, e_i}, every other one a singleton
-            axis = frozenset({zero, eps})
             for fiber in hecke.distinct_fibers(A, i):
-                if not (fiber == axis if zero in fiber else len(fiber) == 1):
+                if not hecke.fiber_conforms(fiber, i, n):
                     failures.append(f"fiber dichotomy n={n} i={i}: {sorted(fiber)}")
             # the target coefficient family is accepted ...
             target = {}
@@ -246,10 +244,9 @@ def criterion_8_change_of_weight() -> CriterionResult:
                         orthogonal = all(
                             pairing(simple_root(j, n), coroot(i, n)) == 0 for j in Jset
                         )
-                        chi_prime_at_coroot = GroupValue(
-                            N, sum(c * e for c, e in zip(coroot(i, n).coords, exps))
-                        )
-                        expect = not (orthogonal and chi_prime_at_coroot.is_one)
+                        # chi'(tau_{alpha_i^vee}) = 1: its exponent is 0 mod N
+                        at_coroot = sum(c * e for c, e in zip(coroot(i, n).coords, exps))
+                        expect = not (orthogonal and at_coroot % N == 0)
                     if decision != expect:
                         failures.append(
                             f"n={n} J={sorted(Jset)} i={i} exps={exps}: "

@@ -655,6 +655,8 @@ _FLAG_VALUES = {"p": "5", "f": "1", "n": "2", "N": "4", "depth": "3", "seed": "1
 def test_each_command_takes_the_configuration_flags_it_reads():
     [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert sorted(sub.choices) == sorted(_READS)
+    # main emits each payload under the schema named after its subcommand
+    assert sorted(sub.choices) == sorted(SCHEMAS)
     slots = 0
     for name, sp in sub.choices.items():
         got = {a.dest for a in sp._actions if a.dest in {*_FLAG_VALUES, "config"}}

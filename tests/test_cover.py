@@ -104,6 +104,8 @@ def test_square_class_group():
     for c in ALL_CLASSES:
         assert c * c == ONE_CLASS
     assert SquareClass.from_name("upi") == UPI_CLASS
+    for c in ALL_CLASSES:
+        assert SquareClass.from_name(c.name) is c
     with pytest.raises(CoverError):
         SquareClass.from_name("2")
 

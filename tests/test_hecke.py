@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from metaplectic.hecke import (
     A_fiber,
-    GroupValue,
     HeckeCharacter,
     HeckeError,
     TorusHeckeElement,
@@ -252,15 +251,6 @@ def test_vanishing_sum_check():
         vanishing_sum_check(table, A, i)
 
 
-def test_group_value():
-    one, zero = GroupValue(4, 0), GroupValue.zero(4)
-    assert one.is_one and zero.is_zero
-    assert (GroupValue(4, 3) * GroupValue(4, 1)).is_one
-    assert (zero * one).is_zero
-    with pytest.raises(HeckeError):
-        GroupValue(4, 1) * GroupValue(6, 1)
-
-
 def test_pi_chi_face_characters():
     n, N = 3, 4
     for J in ({1}, {2, 3}, set(), {1, 2, 3}):
@@ -269,7 +259,7 @@ def test_pi_chi_face_characters():
         # well-definedness: doubling the marker changes nothing
         for i in range(1, n + 1):
             doubled = chi.value_at(2 * t2lambda_base(i, n))
-            assert doubled.is_zero == chi.value_at(t2lambda_base(i, n)).is_zero
+            assert (doubled is None) == (chi.value_at(t2lambda_base(i, n)) is None)
 
 
 def test_face_character_multiplicative_where_defined():
@@ -281,13 +271,17 @@ def test_face_character_multiplicative_where_defined():
         if not (is_antidominant(a) and is_antidominant(b)):
             continue
         va, vb, vs = chi.value_at(a), chi.value_at(b), chi.value_at(a + b)
-        assert vs == va * vb
+        # zero absorbs; otherwise the exponents add mod N
+        if va is None or vb is None:
+            assert vs is None
+        else:
+            assert vs == (va + vb) % 4
 
 
 def test_face_character_value_at_zero_is_one():
     for J in (set(), {1}, {1, 2}):
         chi = HeckeCharacter.from_face(J, (1, 2), 2, 4)
-        assert chi.value_at(Cocharacter((0, 0))).is_one
+        assert chi.value_at(Cocharacter((0, 0))) == 0
 
 
 def test_change_of_weight_decision_cases():
