@@ -3,7 +3,8 @@
 An irreducible admissible genuine representation is parametrized by a
 triple (P, sigma, Q): a standard parabolic subset P, a supersingular
 datum sigma on its Levi, and a parabolic subset Q with
-P <= Q <= P + Pi(sigma).  The artifact never builds representation
+P <= Q <= P + Pi(sigma).  P is determined by sigma, so a triple stores
+only (sigma, Q).  The artifact never builds representation
 spaces; sigma is carried as its Levi subset together with triviality
 flags for the rank-one subgroups attached to the simple roots orthogonal
 to the Levi ("the torus part of the root subgroup acts trivially").  In
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .characters import GenuineTorusCharacter
-from .cover import LocalFieldDescriptor
 from .rootdata import ParabolicSubset, parabolic_subset
 
 
@@ -50,12 +50,6 @@ def eligible_flag_roots(levi: ParabolicSubset) -> frozenset[int]:
     )
 
 
-def p_sigma_roots(levi_roots: frozenset, flags) -> frozenset:
-    """The root set Pi_M + Pi(sigma) (a disjoint union): the Levi roots
-    and the flagged eligible roots."""
-    return levi_roots | {i for i, v in flags.items() if v}
-
-
 @dataclass(frozen=True)
 class SupersingularDatum:
     """A supersingular representation of the Levi indexed by `levi`, seen
@@ -66,7 +60,8 @@ class SupersingularDatum:
     carry the underlying genuine torus character, in which case the flags
     must agree with the character's short-coroot restrictions.
 
-    `top_roots` is the root set Pi_M + Pi(sigma) that bounds every Q over
+    `top_roots` is the root set Pi_M + Pi(sigma) (a disjoint union: the
+    Levi roots and the flagged eligible roots) that bounds every Q over
     this datum, computed once here; like `flags` of a torus character it is
     a plain attribute, not a field.
     """
@@ -98,29 +93,20 @@ class SupersingularDatum:
                     raise ClassifyError(
                         f"flag at alpha_{i} contradicts the torus character"
                     )
-        object.__setattr__(self, "top_roots", p_sigma_roots(self.levi.roots, flags))
-
-    def __hash__(self):
-        return hash(
-            (self.levi, tuple(sorted(self.flags.items())), self.label)
-        )
+        top = self.levi.roots | {i for i, v in flags.items() if v}
+        object.__setattr__(self, "top_roots", top)
 
     @property
     def n(self) -> int:
         return self.levi.n
 
 
-def torus_datum(sigma: GenuineTorusCharacter, label: str = "xi") -> SupersingularDatum:
+def torus_datum(sigma: GenuineTorusCharacter) -> SupersingularDatum:
     """The empty-Levi datum of a genuine torus character."""
     n = sigma.rank
     flags = dict(sigma.flags)
     flags[n] = False
-    return SupersingularDatum(
-        levi=ParabolicSubset.empty(n),
-        flags=flags,
-        label=label,
-        torus_character=sigma,
-    )
+    return SupersingularDatum(ParabolicSubset.empty(n), flags, "xi", sigma)
 
 
 def pi_sigma(sigma: SupersingularDatum) -> ParabolicSubset:
@@ -132,20 +118,26 @@ def pi_sigma(sigma: SupersingularDatum) -> ParabolicSubset:
 
 @dataclass(frozen=True)
 class SupersingularTriple:
-    P: ParabolicSubset
+    """A triple (P, sigma, Q) stored as (sigma, Q): P is the Levi subset
+    of sigma, read through the `P` property, and Q must satisfy
+    P <= Q <= P + Pi(sigma) at sigma's rank."""
+
     sigma: SupersingularDatum
     Q: ParabolicSubset
 
     def __post_init__(self):
-        if self.P != self.sigma.levi:
-            raise ClassifyError("P must be the Levi subset of sigma")
-        P, Q = self.P.roots, self.Q.roots
+        levi = self.sigma.levi  # not the P property: one call fewer per triple
+        P, Q = levi.roots, self.Q.roots
         top = self.sigma.top_roots
-        if not (self.Q.n == self.P.n and P <= Q <= top):
+        if not (self.Q.n == levi.n and P <= Q <= top):
             raise ClassifyError(
                 f"need P <= Q <= P + Pi(sigma); got P={sorted(P)},"
                 f" Q={sorted(Q)}, top={sorted(top)}"
             )
+
+    @property
+    def P(self) -> ParabolicSubset:
+        return self.sigma.levi
 
 
 def composition_factors(sigma: SupersingularDatum) -> list[SupersingularTriple]:
@@ -157,7 +149,7 @@ def composition_factors(sigma: SupersingularDatum) -> list[SupersingularTriple]:
     for r in range(len(pis) + 1):
         for S in itertools.combinations(pis, r):
             Q = parabolic_subset(n, levi.roots.union(S))
-            out.append(SupersingularTriple(levi, sigma, Q))
+            out.append(SupersingularTriple(sigma, Q))
     return out
 
 
@@ -176,24 +168,12 @@ def ps_irreducible(sigma: GenuineTorusCharacter) -> bool:
     return ps_length(sigma) == 1
 
 
-def ps_equivalent(
-    sigma: GenuineTorusCharacter,
-    sigma2: GenuineTorusCharacter,
-    F: LocalFieldDescriptor,
-) -> bool:
-    """Principal series agree exactly when the inducing characters do."""
-    from .characters import genuine_equal
-
-    return genuine_equal(sigma, sigma2, F)
-
-
 def siegel_lift(
     P: ParabolicSubset,
     rho_flags: dict,
     Q: ParabolicSubset,
     n: int,
     label: str = "rho",
-    torus_character: Optional[GenuineTorusCharacter] = None,
 ) -> SupersingularTriple:
     """Lift a reductive GL_n triple (P, rho, Q) on the Siegel Levi to the
     metaplectic triple of the twisted representation.
@@ -203,7 +183,9 @@ def siegel_lift(
     they transport unchanged (the short-root pairings agree between the
     two data).  The long root never flags on the lift, so the lifted
     vanishing set equals the reductive one and the lifted triple is valid
-    exactly when the input triple was.
+    exactly when the input triple was.  Only the Siegel containment and
+    the placement of rho's flags are checked here; the datum and the
+    triple check the rest, P <= Q <= P + Pi(rho) included.
     """
     siegel = ParabolicSubset.siegel(n)
     if not (P.issubset(siegel) and Q.issubset(siegel)):
@@ -215,15 +197,7 @@ def siegel_lift(
         raise ClassifyError(
             f"reductive flags must sit exactly on {sorted(eligible_in_gl)}"
         )
-    if not (P.roots <= Q.roots <= p_sigma_roots(P.roots, rho_flags)):
-        raise ClassifyError("invalid reductive triple: need P <= Q <= P + Pi(rho)")
     flags = dict(rho_flags)
     if n in eligible_meta:
         flags[n] = False
-    datum = SupersingularDatum(
-        levi=P,
-        flags=flags,
-        label=label,
-        torus_character=torus_character,
-    )
-    return SupersingularTriple(P, datum, Q)
+    return SupersingularTriple(SupersingularDatum(P, flags, label), Q)

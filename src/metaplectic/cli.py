@@ -109,10 +109,6 @@ class RunConfig:
             raise UsageError("n must be >= 1")
         self.field = field
 
-    @property
-    def q(self) -> int:
-        return self.p**self.f
-
 
 _CONFIG_KEYS = ("p", "f", "n", "N", "depth", "seed")
 
@@ -563,7 +559,7 @@ def cmd_weights(args, config: RunConfig) -> tuple[dict | None, int]:
     n = config.n
     _refuse_rank("weights", n, WEIGHTS_RANK_LIMIT)
     nu = rootdata.Character(_parse_ints(args.nu, n))
-    w = weights.QRestrictedWeight(nu, config.q if args.q is None else args.q)
+    w = weights.QRestrictedWeight(nu, config.field.q if args.q is None else args.q)
     payload = {
         "nu": list(nu.coords),
         "q": w.q,
@@ -632,7 +628,7 @@ def _parse_torus_character(data: dict, config: RunConfig) -> characters.GenuineT
     for pair in _json_field(data, "xi", list, None):
         if len(_json_ints(pair, "xi entries")) != 2:
             raise UsageError("xi entries are [unit_exp, pi_val] pairs")
-        xi.append(characters.SmoothCharacterFx(config.q, config.N, pair[0], pair[1]))
+        xi.append(characters.SmoothCharacterFx(config.field.q, config.N, pair[0], pair[1]))
     psi = cover.SquareClass.from_name(_json_field(data, "psi_class", str, "1"))
     return characters.GenuineTorusCharacter(tuple(xi), psi)
 

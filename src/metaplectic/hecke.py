@@ -49,10 +49,6 @@ class TorusHeckeElement:
             self, "coeffs", {mu: c % self.p for mu, c in self.coeffs.items() if c % self.p}
         )
 
-    @staticmethod
-    def tau(mu: tuple[int, ...], p: int, c: int = 1) -> "TorusHeckeElement":
-        return TorusHeckeElement(p, {mu: c})
-
     def terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Sorted (mu, c) pairs with c the symmetric residue, for display."""
         out = []
@@ -79,7 +75,7 @@ def metaplectic_satake_T2lambda(i: int, n: int, p: int) -> TorusHeckeElement:
     lam = t2lambda_base(i, n)
     two = 2 * lam
     if i == n:
-        return TorusHeckeElement.tau(two.coords, p)
+        return TorusHeckeElement(p, {two.coords: 1})
     shifted = two + coroot(i, n)
     return TorusHeckeElement(p, {two.coords: 1, shifted.coords: -1})
 

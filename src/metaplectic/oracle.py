@@ -67,7 +67,7 @@ class OracleError(ValueError):
     pass
 
 
-class StabilizationError(RuntimeError):
+class StabilizationError(OracleError):
     """A coset count failed to agree between successive depths."""
 
 
@@ -286,10 +286,8 @@ def smith_valuations(entries, p: int, shift: int, stop_after=None, expect=None):
 @dataclass(frozen=True)
 class CosetCountResult:
     mu: Cocharacter
-    lam: Cocharacter
     raw_count: int
     count_mod_p: int
-    depth_used: int
     stabilized: bool
 
 
@@ -536,7 +534,7 @@ def count_cosets(
     stabilized = True
     if len(walks) == 2:
         stabilized = _count_in_cell(realization, mu, lam, depth + 1, p) == raw
-    return CosetCountResult(mu, lam, raw, raw % p, depth, stabilized)
+    return CosetCountResult(mu, raw, raw % p, stabilized)
 
 
 def oracle_rows(lam: Cocharacter, depth: int, group: str, p: int):

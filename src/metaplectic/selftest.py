@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 
 from . import classify, cover, hecke, oracle
-from .characters import GenuineTorusCharacter, SmoothCharacterFx
+from .characters import GenuineTorusCharacter, SmoothCharacterFx, genuine_equal
 from .cover import ALL_CLASSES, LocalFieldDescriptor, ONE_CLASS
 from .hecke import HeckeCharacter
 from .rootdata import Cocharacter, ParabolicSubset, coroot, pairing, simple_root
@@ -214,7 +214,7 @@ def criterion_7_psi_dependence(seed: int = 0) -> CriterionResult:
         for a in ALL_CLASSES:
             s1 = GenuineTorusCharacter(xi, ONE_CLASS)
             s2 = GenuineTorusCharacter(xi, a)
-            if classify.ps_equivalent(s1, s2, F) != a.is_square():
+            if genuine_equal(s1, s2, F) != a.is_square():
                 failures.append(f"class {a.name}")
     return CriterionResult(7, name, not failures, "; ".join(failures))
 

@@ -7,6 +7,7 @@ import pytest
 from metaplectic.characters import (
     GenuineTorusCharacter,
     SmoothCharacterFx,
+    genuine_equal,
     restrict_short_coroot,
 )
 from metaplectic.classify import (
@@ -15,9 +16,7 @@ from metaplectic.classify import (
     SupersingularTriple,
     composition_factors,
     eligible_flag_roots,
-    p_sigma_roots,
     pi_sigma,
-    ps_equivalent,
     ps_irreducible,
     ps_length,
     siegel_lift,
@@ -92,11 +91,11 @@ def test_datum_validation():
 def test_pi_sigma_examples():
     d = torus_datum(trivial_sigma(3))
     assert pi_sigma(d).roots == {1, 2}
-    assert p_sigma_roots(d.levi.roots, d.flags) == {1, 2}
+    assert d.top_roots == {1, 2}
     # Siegel Levi: no eligible roots at all
     sd = SupersingularDatum(ParabolicSubset.siegel(3), {}, label="sc")
     assert pi_sigma(sd).roots == set()
-    assert p_sigma_roots(sd.levi.roots, sd.flags) == sd.levi.roots
+    assert sd.top_roots == sd.levi.roots
     d_false = SupersingularDatum(
         ParabolicSubset.empty(2), {1: False, 2: False}, label="x"
     )
@@ -147,31 +146,26 @@ def test_composition_factors():
 
 def test_triple_validation():
     d = torus_datum(trivial_sigma(2))  # Pi(sigma) = {1}
-    SupersingularTriple(d.levi, d, ParabolicSubset(2, frozenset({1})))
+    assert SupersingularTriple(d, ParabolicSubset(2, frozenset({1}))).P is d.levi
     with pytest.raises(ClassifyError):
-        SupersingularTriple(d.levi, d, ParabolicSubset(2, frozenset({2})))
-    with pytest.raises(ClassifyError):
-        SupersingularTriple(ParabolicSubset(2, frozenset({1})), d, d.levi)
+        SupersingularTriple(d, ParabolicSubset(2, frozenset({2})))
 
 
 def test_triple_validation_messages():
     d = torus_datum(trivial_sigma(2))  # P = {}, Pi(sigma) = {1}
     with pytest.raises(ClassifyError) as err:
-        SupersingularTriple(d.levi, d, ParabolicSubset(3, frozenset({1})))
+        SupersingularTriple(d, ParabolicSubset(3, frozenset({1})))
     assert str(err.value) == "need P <= Q <= P + Pi(sigma); got P=[], Q=[1], top=[1]"
     with pytest.raises(ClassifyError) as err:
-        SupersingularTriple(d.levi, d, ParabolicSubset(2, frozenset({1, 2})))
+        SupersingularTriple(d, ParabolicSubset(2, frozenset({1, 2})))
     assert str(err.value) == "need P <= Q <= P + Pi(sigma); got P=[], Q=[1, 2], top=[1]"
-    with pytest.raises(ClassifyError) as err:
-        SupersingularTriple(ParabolicSubset(2, frozenset({2})), d, d.levi)
-    assert str(err.value) == "P must be the Levi subset of sigma"
     # a nonempty Levi: Q must contain P as well as lie under P + Pi(sigma)
     levi = ParabolicSubset(4, frozenset({1}))
     sd = SupersingularDatum(levi, {3: True, 4: False})
     for roots in ({1}, {1, 3}):
-        assert SupersingularTriple(levi, sd, ParabolicSubset(4, frozenset(roots))).Q.roots == roots
+        assert SupersingularTriple(sd, ParabolicSubset(4, frozenset(roots))).Q.roots == roots
     with pytest.raises(ClassifyError) as err:
-        SupersingularTriple(levi, sd, ParabolicSubset(4, frozenset({3})))
+        SupersingularTriple(sd, ParabolicSubset(4, frozenset({3})))
     assert str(err.value) == "need P <= Q <= P + Pi(sigma); got P=[1], Q=[3], top=[1, 3]"
 
 
@@ -212,9 +206,9 @@ def test_flags_and_length_match_restriction_definition():
 def test_ps_equivalent():
     xi = (chi(1, 2), chi(0, 1))
     s = GenuineTorusCharacter(xi, ONE_CLASS)
-    assert ps_equivalent(s, s, F3)
+    assert genuine_equal(s, s, F3)
     for a in ALL_CLASSES:
-        assert ps_equivalent(s, GenuineTorusCharacter(xi, a), F3) == a.is_square()
+        assert genuine_equal(s, GenuineTorusCharacter(xi, a), F3) == a.is_square()
 
 
 def test_siegel_lift_supercuspidal():
@@ -259,8 +253,8 @@ def test_siegel_lift_validation():
     with pytest.raises(ClassifyError):
         siegel_lift(ParabolicSubset(2, frozenset({1, 2})), {}, siegel, 2)  # P not in Siegel
     empty = ParabolicSubset.empty(2)
-    with pytest.raises(ClassifyError):
-        # Q escapes P + Pi(rho)
+    with pytest.raises(ClassifyError, match="need P <= Q"):
+        # Q escapes P + Pi(rho); the triple, not siegel_lift, refuses it
         siegel_lift(empty, {1: False}, ParabolicSubset(2, frozenset({1})), 2)
 
 
@@ -285,8 +279,8 @@ def test_torus_factors_are_every_subset_of_equal_adjacent_pairs():
 
 def test_triple_checks_run_for_every_datum():
     """SupersingularTriple reads the datum's top set, computed once per
-    datum, and still refuses every Q outside [P, P + Pi(sigma)], every P
-    other than sigma's Levi, and a Q of another rank (all data, n <= 4)."""
+    datum, reads P as sigma's Levi, and still refuses every Q outside
+    [P, P + Pi(sigma)] and a Q of another rank (all data, n <= 4)."""
     for n in range(1, 5):
         everything = _subsets(range(1, n + 1))
         for d in _every_datum(n):
@@ -295,15 +289,13 @@ def test_triple_checks_run_for_every_datum():
             for roots in everything:
                 q = ParabolicSubset(n, roots)
                 if P <= roots <= top:
-                    assert SupersingularTriple(d.levi, d, q).Q == q
+                    t = SupersingularTriple(d, q)
+                    assert t.Q == q and t.P is d.levi
                 else:
                     with pytest.raises(ClassifyError, match="need P <= Q"):
-                        SupersingularTriple(d.levi, d, q)
-                if roots != P:
-                    with pytest.raises(ClassifyError, match="P must be the Levi"):
-                        SupersingularTriple(q, d, d.levi)
+                        SupersingularTriple(d, q)
             with pytest.raises(ClassifyError, match="need P <= Q"):
-                SupersingularTriple(d.levi, d, ParabolicSubset(n + 1, P))
+                SupersingularTriple(d, ParabolicSubset(n + 1, P))
 
 
 def test_datum_checks_run_for_every_levi_and_character():
@@ -341,7 +333,7 @@ def test_datum_checks_run_for_every_levi_and_character():
 def test_derived_sets_are_not_fields():
     """Flags of a torus character and the top set of a datum are plain
     attributes: fields, repr, == and hash are those of the declared
-    fields."""
+    fields.  A triple's P is sigma's Levi, not a field."""
     sigma = GenuineTorusCharacter((chi(1, 2), chi(1, 2)), UNIT_CLASS)
     d = torus_datum(sigma)
     assert [f.name for f in dataclasses.fields(sigma)] == ["xi", "psi_class"]
@@ -363,6 +355,7 @@ def test_derived_sets_are_not_fields():
     twin = GenuineTorusCharacter(list(sigma.xi), UNIT_CLASS)
     assert twin == sigma and hash(twin) == hash(sigma) and twin.xi == sigma.xi
     assert sigma.flags == ((1, True),) and d.top_roots == {1}
+    assert [f.name for f in dataclasses.fields(SupersingularTriple)] == ["sigma", "Q"]
 
 
 def test_parabolic_subsets_are_shared():

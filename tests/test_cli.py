@@ -847,6 +847,15 @@ def _assert_refused_at_once(argv, nodes):
     assert err.startswith("error:") and f"{nodes:,} nodes" in err
 
 
+def _oracle_argv(group, p, i, depth, f, via_satake):
+    """`oracle satake` names the group; `satake --oracle` gives its rank."""
+    if via_satake:
+        head = ["satake", "--oracle", f"--n={1 if group == 'sl2' else 2}"]
+    else:
+        head = ["oracle", "satake", f"--group={group}"]
+    return head + [f"--p={p}", f"--i={i}"] + depth + f
+
+
 # sp4 only at p <= 3 and depth <= 2, so that no example counts for long
 _ORACLE_COMMANDS = st.tuples(
     st.one_of(
@@ -856,11 +865,8 @@ _ORACLE_COMMANDS = st.tuples(
     _SMALL,
     _flag("--depth", st.integers(-1, 2)),
     _flag("--f", st.integers(-1, 2)),
-).map(
-    lambda t: ["oracle", "satake", f"--group={t[0][0]}", f"--p={t[0][1]}", f"--i={t[1]}"]
-    + t[2]
-    + t[3]
-)
+    st.booleans(),
+).map(lambda t: _oracle_argv(*t[0], *t[1:]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -870,7 +876,8 @@ def test_oracle_flag_fuzz_exits_cleanly(command):
 
 
 # each invalid configuration value, given to a command that reads its
-# key; selftest runs without --sp4, so it runs only the quick criteria
+# key, and a depth too shallow for the Satake oracle's counts to
+# stabilize; selftest runs without --sp4, so it runs only the quick criteria
 @pytest.mark.parametrize(
     "flags",
     [
@@ -884,6 +891,8 @@ def test_oracle_flag_fuzz_exits_cleanly(command):
         ["oracle", "satake", "--group", "sl2", "--i", "1", "--depth", "0"],
         ["selftest", "--seed", "-1"],
         ["classify", "--N=-4"],
+        ["satake", "--i", "1", "--n", "1", "--oracle", "--depth", "1"],
+        ["satake", "--i", "2", "--n", "2", "--oracle", "--depth", "1"],
     ],
 )
 def test_selftest_flags_exit_cleanly(flags):

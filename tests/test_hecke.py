@@ -41,7 +41,7 @@ def test_element_pruning_and_ops():
     h = TorusHeckeElement(3, {(0, 0): 3, (1, 0): 4})
     assert h.coeffs == {(1, 0): 1}
     assert h.coeffs.get((0, 0), 0) == 0
-    s = TorusHeckeElement.tau((0, 1), 3, 2)
+    s = TorusHeckeElement(3, {(0, 1): 2})
     assert s.coeffs == {(0, 1): 2}
     assert s.terms() == [((0, 1), -1)]  # symmetric representative mod 3
 

@@ -397,7 +397,7 @@ def test_sl2_counts_exact():
         assert r1.raw_count == p - 1 and r1.count_mod_p == p - 1
         r2 = count_cosets(Cocharacter((0,)), lam2, 3, "sl2", p)
         assert r2.raw_count == p * p - p and r2.count_mod_p == 0
-        assert r1.stabilized and r2.stabilized and r1.depth_used == 3
+        assert r1.stabilized and r2.stabilized
 
 
 def test_count_cosets_validation():
