@@ -34,7 +34,9 @@ which is what the stabilization flag reports.  Those windows are known
 before any walk starts, and so is the number of nodes a walk may visit
 above the last coordinate, whose leaves are decided at once (below); a
 cell whose walks may visit more than ORACLE_NODE_LIMIT nodes is refused
-with OracleError instead of counted.  Inside its window box the walk
+with OracleError instead of counted.  That bound counts every child of
+the simple-root steps, which the walk visits one per torus orbit
+(below), so it overstates the walk.  Inside its window box the walk
 sets the coordinates in order and shares every prefix product; a column
 of the matrix is final once the last generator writing it is applied,
 and it must then be integral after scaling by p^(-min lam).  The
@@ -50,6 +52,23 @@ there, affinely in the leaf's place along the node's progression, and so
 does every minor; `_leaf_hits` decides them all at once from the
 determinantal divisors.  A last window of 0 leaves one leaf, which
 `smith_valuations` decides.
+
+Torus orbits: the first `rank` coordinates are the simple roots, the
+only roots of height 2, at the subdiagonal entries (i + 1, i).  For
+units t_1..t_n, nu, conjugation by d = diag(t_1..t_n, nu/t_n..nu/t_1)
+in the similitude torus of GSp_2n(O) keeps U^- cap K and every windowed
+box (it scales each entry by a unit), and keeps the elementary divisors
+of u mu(pi), since d commutes with mu(pi).  It multiplies the entry of
+the simple root alpha_i, which mod O is an invariant of the coset, by
+t_(i+1)/t_i, and that of the long root by nu/t_n^2; these n units range
+over all of (O^x)^n, independently.  So every child of a simple-root
+node with a given valuation has the same count below it, and the walk
+visits y = 0 and one y = p^j per valuation j < w, weighting the count
+below by the (p - 1) p^(w - j - 1) children of valuation j.  The
+integrality progression of such a node is a unit-invariant class, so
+y0 = 0 at odd p; a simple-root step that finds y0 != 0 raises
+OracleError rather than miscount.  SL_2's one coordinate is the last
+and is decided by `_leaf_hits` instead.
 """
 
 from __future__ import annotations
@@ -457,11 +476,20 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
         y0, r = found
         ys = range(y0, p**w, r)
         if step + 1 < n:
+            if step >= group.rank:
+                children = [(y, 1) for y in ys]
+            elif y0:
+                raise OracleError(f"simple-root step {step} got the progression {y0} mod {r}")
+            else:
+                # one child per torus orbit: y = 0, and y = p^j standing for
+                # the (p - 1) p^(w - j - 1) children of valuation j
+                children = [(0, 1)]
+                children += [(p**j, (p - 1) * p ** (w - j - 1)) for j in range(_vp(r, p), w)]
             hits = 0
-            for y in ys:
+            for y, orbit in children:
                 nxt = [row[:] for row in m]
                 group.right_multiply_generator(nxt, units, c0 + y * dx, q)
-                hits += walk(step + 1, nxt)
+                hits += orbit * walk(step + 1, nxt)
             return hits
         # leaf t has child y0 + t r: column 0 of h is c + t d, integral
         c = [(a + y0 * b) // base for a, b in lines]
@@ -475,12 +503,16 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
     return walk(0, group.identity(q**n))
 
 
-# Most nodes the walks of one cell may visit, at about 3 s of work (timings
-# on one 2-vCPU Xeon core).  sp4 admits every cell at p <= 13: the largest,
-# mu = (0, 0) at depth 1, may visit 13^3 + 13^6, about 4.8e6, and a whole
-# p = 13 row takes 1.5-2.6 s.  At p = 17 that cell may visit 17^6, about
-# 2.4e7, and the i = 1 row takes 6.2 s.  sl2 has one coordinate, so each of
-# its walks is one node and every sl2 row is admitted.
+# Most nodes the walks of one cell may visit, counting every child of every
+# node, set at about 3 s of work for a walk that visits them all (timings on
+# one 2-vCPU Xeon core).  sp4 admits every cell at p <= 13: the largest,
+# mu = (0, 0) at depth 1, may visit 13^3 + 13^6, about 4.8e6; at p = 17 that
+# cell may visit 17^6, about 2.4e7, and is refused.  The bound now overstates
+# the walk, which visits one child per torus orbit at the simple-root steps:
+# a whole p = 13 row takes about 0.03 s, and a p = 17 row, with the limit
+# lifted, about 0.05 s.
+# sl2 has one coordinate, so each of its walks is one node and every sl2 row
+# is admitted.
 ORACLE_NODE_LIMIT = 6 * 10**6
 
 
@@ -490,7 +522,9 @@ def _budgeted_nodes(group, mu, lam, depth, p) -> list[int]:
     stabilization re-run will run (its windows differ).  The last
     coordinate adds no nodes, since `_leaf_hits` decides all of its
     leaves below a node at once.  Refused with OracleError when their sum
-    is over ORACLE_NODE_LIMIT."""
+    is over ORACLE_NODE_LIMIT.  This counts every child of a simple-root
+    step, where the walk visits only one per torus orbit (w + 1 of p^w),
+    so it overstates the walk's nodes."""
     now = _coordinate_windows(group, mu, lam, depth)
     nxt = _coordinate_windows(group, mu, lam, depth + 1)
     walks = [p ** sum(now[:-1])] + ([p ** sum(nxt[:-1])] if nxt != now else [])

@@ -4,7 +4,7 @@ Every check is exact; the only tolerances are the stated enumeration
 depths and sweeps.  Each test prints its own pass/fail line (visible
 with `pytest -s` or in the CLI selftest, which runs the same functions).
 Criterion 1 includes the Sp_4 oracle runs; in process it takes about
-0.1 s (2-vCPU Xeon, Python 3.11), most of it the Sp_4 rows at p = 5.
+0.02 s (2-vCPU Xeon, Python 3.11).
 The slowest criterion test is 9, which starts the CLI in a subprocess
 (about 1 s).
 """

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -234,15 +235,12 @@ def test_prefix_read_leaves_entries_bare_to_rank_4():
 
 
 def _canonical_fraction(x: Fraction, p: int) -> Fraction:
-    den = x.denominator
-    k = 0
-    while den % p == 0:
-        den //= p
-        k += 1
-    assert den == 1, "denominator must be a p power"
+    """The representative a / p^k, 0 <= a < p^k, of x + Z_(p), for x with
+    denominator p^k times a unit."""
+    k = _vp(x.denominator, p)
     pk = p**k
-    num = x.numerator % pk
-    return Fraction(num, pk)
+    unit = x.denominator // pk
+    return Fraction(x.numerator * pow(unit, -1, pk) % pk, pk)
 
 
 def _frac_coset_reduce(realization, m, p):
@@ -255,7 +253,7 @@ def _frac_coset_reduce(realization, m, p):
         x = m[i][j]
         canon = _canonical_fraction(x, p)
         w = canon - x
-        assert w.denominator == 1  # the correction is integral
+        assert w.denominator % p  # the correction is integral over Z_(p)
         _frac_apply_left(gen.units, w, m)
         assert m[i][j] == canon
         out.append(canon)
@@ -491,8 +489,8 @@ def test_sp4_row_regression_p3():
     assert all(r.stabilized for r in rows)
 
 
-# fixed points: the p = 7 rows of both Sp_4 targets, typed in from the
-# table recorded in ROADMAP.md, never re-recorded from code
+# fixed points: the p = 7 and p = 11 rows of both Sp_4 targets, typed in
+# from the table recorded in ROADMAP.md, never re-recorded from code
 P7_ROWS = {
     (-2, 0): {(-2, 0): 1, (-1, -1): 6, (-1, 0): 42, (0, 0): 4116},
     (-2, -2): {
@@ -504,13 +502,33 @@ P7_ROWS = {
         (0, 0): 275772,
     },
 }
+P11_ROWS = {
+    (-2, 0): {(-2, 0): 1, (-1, -1): 10, (-1, 0): 110, (0, 0): 26620},
+    (-2, -2): {
+        (-2, -2): 1,
+        (-2, -1): 10,
+        (-2, 0): 110,
+        (-1, -1): 2310,
+        (-1, 0): 24200,
+        (0, 0): 4552020,
+    },
+}
+
+
+def _assert_fixed_row(lam_coords, p, want):
+    rows = oracle_rows(Cocharacter(lam_coords), 4, "sp4", p)
+    assert {r.mu.coords: r.raw_count for r in rows} == want
+    assert all(r.stabilized for r in rows)
 
 
 @pytest.mark.parametrize("lam_coords", sorted(P7_ROWS))
 def test_sp4_row_fixed_points_p7(lam_coords):
-    rows = oracle_rows(Cocharacter(lam_coords), 4, "sp4", 7)
-    assert {r.mu.coords: r.raw_count for r in rows} == P7_ROWS[lam_coords]
-    assert all(r.stabilized for r in rows)
+    _assert_fixed_row(lam_coords, 7, P7_ROWS[lam_coords])
+
+
+@pytest.mark.parametrize("lam_coords", sorted(P11_ROWS))
+def test_sp4_row_fixed_points_p11(lam_coords):
+    _assert_fixed_row(lam_coords, 11, P11_ROWS[lam_coords])
 
 
 @given(st.sampled_from((3, 5, 7)), st.integers(0, 4), st.integers(0, 3), st.data())
@@ -589,33 +607,104 @@ def test_leaf_hits_match_smith_per_leaf(p, size, mode, data):
     assert oracle._leaf_hits(h, c, d, leaves, p, divisors, minors) == want
 
 
+# lam = (-1, 0) has a nonzero second expected divisor, which the
+# determinantal rule reads off the 2 x 2 minors, and the floor -2 targets
+# have many nodes whose children the integrality congruence rules out all
+# at once
+BRUTE_FORCE_LAMS = tuple(map(Cocharacter, ((-1, -1), (-1, 0), (-2, -1), (-2, -2))))
+
+
+def _brute_force_count(mu, lam, depth, p):
+    """|S_{mu, lam}| over the full depth box: no window, no orbit weight,
+    and a full Smith step per tuple."""
+    expect = sorted(lam.coords)
+    exps = SP4.torus_exponents(mu)
+    pd = p**depth
+    shift = 2 * depth * len(SP4.neg) - min(exps)
+    count = 0
+    for nums in itertools.product(range(pd), repeat=4):
+        # entries a / p^depth as numerators over q = p^(2 depth)
+        u = SP4.unipotent_from_entries([pd * a for a in nums], pd * pd)
+        for i in range(4):
+            for j in range(4):
+                u[i][j] *= p ** (exps[j] - min(exps))
+        count += smith_valuations(u, p, shift, stop_after=2, expect=expect) is not None
+    return count
+
+
 def test_pruning_is_lossless_sp4_small_depth():
-    # brute force with fully open windows and a full Smith step per tuple
-    # agrees with the pruned count; lam = (-1, 0) has a nonzero second
-    # expected divisor, which the determinantal rule reads off the 2 x 2
-    # minors, and the floor -2 targets have many nodes whose children the
-    # integrality congruence rules out all at once
-    for lam in (
-        Cocharacter((-1, -1)),
-        Cocharacter((-1, 0)),
-        Cocharacter((-2, -1)),
-        Cocharacter((-2, -2)),
-    ):
-        expect = sorted(lam.coords)
+    # brute force with fully open windows agrees with the pruned count
+    for lam in BRUTE_FORCE_LAMS:
         for mu in antidominant_above(lam):
-            pruned = oracle._count_in_cell(SP4, mu, lam, 2, 3)
-            exps = SP4.torus_exponents(mu)
-            count = 0
-            shift = 2 * 2 * len(SP4.neg) - min(exps)
-            for nums in itertools.product(range(9), repeat=4):
-                # entries a / 3^2 as numerators over q = 3^4
-                u = SP4.unipotent_from_entries([9 * a for a in nums], 3**4)
-                for i in range(4):
-                    for j in range(4):
-                        u[i][j] *= 3 ** (exps[j] - min(exps))
-                if smith_valuations(u, 3, shift, stop_after=2, expect=expect) is not None:
-                    count += 1
-            assert pruned == count, (lam, mu)
+            want = _brute_force_count(mu, lam, 2, 3)
+            assert oracle._count_in_cell(SP4, mu, lam, 2, 3) == want, (lam, mu)
+
+
+def test_orbit_weights_are_lossless_sp4_p5_depth1():
+    """At p = 5 each nonzero valuation class of a simple-root coordinate
+    has 4 members, so its one walked child stands for 4; depth 1 truncates
+    the mu = (0, 0) windows of the floor -2 targets."""
+    for lam in BRUTE_FORCE_LAMS:
+        for mu in antidominant_above(lam):
+            want = _brute_force_count(mu, lam, 1, 5)
+            assert oracle._count_in_cell(SP4, mu, lam, 1, 5) == want, (lam, mu)
+
+
+def _frac_smith(m, p):
+    """Elementary divisor valuations of a rational matrix whose
+    denominators are p-powers times units."""
+    den = math.lcm(*(x.denominator for row in m for x in row))
+    return smith_valuations([[int(x * den) for x in row] for row in m], p, _vp(den, p))
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_similitude_torus_conjugation_keeps_windowed_boxes(p):
+    """Conjugation by d = diag(t1, t2, nu/t2, nu/t1), for units t1, t2 and
+    nu, maps each windowed box into itself, scales the simple-root entries
+    by t2/t1 and nu/t2^2 mod O, and keeps the elementary divisors of
+    u mu(pi): the symmetry behind the walk's one child per torus orbit."""
+    rng = random.Random(p)
+    units = [t for t in range(-(p**3), p**3) if t % p]
+    for lam in BRUTE_FORCE_LAMS:
+        for mu in antidominant_above(lam):
+            torus = [Fraction(p) ** e for e in SP4.torus_exponents(mu)]
+
+            def divisors(u):
+                return _frac_smith([[x * t for x, t in zip(row, torus)] for row in u], p)
+
+            for depth in (1, 2):
+                windows = oracle._coordinate_windows(SP4, mu, lam, depth)
+                for _ in range(4):
+                    coords = tuple(Fraction(rng.randrange(p**w), p**w) for w in windows)
+                    t1, t2, nu = (rng.choice(units) for _ in range(3))
+                    d = (t1, t2, Fraction(nu, t2), Fraction(nu, t1))
+                    u = _frac_unipotent(SP4.neg, 4, coords)
+                    conj = [[d[i] * x / d[j] for j, x in enumerate(row)] for i, row in enumerate(u)]
+                    image = _frac_coset_reduce(SP4, conj, p)
+                    assert all((x * p**w).denominator == 1 for x, w in zip(image, windows))
+                    assert image[0] == _canonical_fraction(coords[0] * t2 / t1, p)
+                    assert image[1] == _canonical_fraction(coords[1] * nu / t2**2, p)
+                    want = divisors(u)
+                    assert divisors(conj) == want
+                    assert divisors(_frac_unipotent(SP4.neg, 4, image)) == want
+
+
+@pytest.mark.parametrize("bad_call", (1, 2))
+def test_simple_step_with_an_offset_progression_raises(monkeypatch, bad_call):
+    """The orbit weights count the valuation classes of a progression
+    through 0, so a simple-root step handed any other progression raises
+    instead of miscounting; the walk's first two calls of `_progression`
+    are its two simple-root steps."""
+    calls = []
+    progression = oracle._progression
+
+    def offset(pairs, p, e):
+        calls.append(None)
+        return (1, 3) if len(calls) == bad_call else progression(pairs, p, e)
+
+    monkeypatch.setattr(oracle, "_progression", offset)
+    with pytest.raises(OracleError, match=f"simple-root step {bad_call - 1} got"):
+        oracle._count_in_cell(SP4, Cocharacter((0, 0)), Cocharacter((-1, -1)), 1, 3)
 
 
 def test_widened_windows_keep_counts_through_the_congruence(monkeypatch):
