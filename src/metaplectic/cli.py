@@ -7,8 +7,10 @@ Output is JSON (sorted keys, byte-stable for a fixed config and seed);
 every payload is validated against the draft-07 schema in SCHEMAS named
 after its subcommand before printing.  Each schema is checked against
 the draft-07 metaschema once per process, on its first use, when its one
-validator is built; that validator checks a plain scalar leaf (a value
-whose subschema is a lone `type`) in place, by its Python class.
+validator is built.  That validator first tries a plain-Python predicate
+built from the schema, which may be stricter than draft-07 but never
+looser; only a payload the predicate rejects goes to draft-07 itself, so
+every error printed is draft-07's.
 `classify --emit csv` prints CSV itself and returns no payload.  Exit
 codes: 0 success, 1 verification mismatch, 2 usage or schema error.
 
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import re
 import sys
@@ -310,9 +313,9 @@ SCHEMAS = {
 }
 
 
-# For each one-word draft-07 `type`, the Python class whose exact instances
-# pass it (an integer is an int that is not a bool, a subclass of int).
-_LEAF_CLASSES = {
+# The draft-07 `type` names the output schemas use, each with the one
+# Python class whose exact instances `_predicate` admits for it.
+_JSON_CLASSES = {
     "integer": int,
     "string": str,
     "boolean": bool,
@@ -320,70 +323,97 @@ _LEAF_CLASSES = {
     "object": dict,
     "null": type(None),
 }
-_DRAFT7_PROPERTIES = jsonschema.Draft7Validator.VALIDATORS["properties"]
-_DRAFT7_ITEMS = jsonschema.Draft7Validator.VALIDATORS["items"]
+_PREDICATE_KEYWORDS = {"type", "properties", "required", "additionalProperties", "enum", "items"}
 
 
-def _leaf_class(subschema):
-    """When `subschema` is a lone `type` naming one JSON type, the Python
-    class whose exact instances pass it; None for any other subschema."""
-    if type(subschema) is dict and len(subschema) == 1:
-        kind = subschema.get("type")
-        if type(kind) is str:
-            return _LEAF_CLASSES.get(kind)
-    return None
+def _classes(schema: dict) -> frozenset:
+    """The classes `schema`'s `type` admits; all of _JSON_CLASSES without one."""
+    kinds = schema.get("type", list(_JSON_CLASSES))
+    kinds = [kinds] if type(kinds) is str else kinds
+    if not set(kinds) <= _JSON_CLASSES.keys():
+        raise ValueError(f"no predicate covers the type {kinds!r}")
+    return frozenset(_JSON_CLASSES[kind] for kind in kinds)
 
 
-def _properties(validator, properties, instance, schema):
-    """draft-07 `properties`, skipping each value its lone `type` admits."""
-    if type(instance) is not dict:
-        yield from _DRAFT7_PROPERTIES(validator, properties, instance, schema)
-        return
-    for name, subschema in properties.items():
-        if name in instance and type(instance[name]) is not _leaf_class(subschema):
-            yield from _DRAFT7_PROPERTIES(validator, {name: subschema}, instance, schema)
+def _predicate(schema: dict):
+    """A plain-Python test that a value passes `schema`, stricter than
+    draft-07 and never looser: a type admits exact instances of its class
+    only (so True and 1.0 are no integers, and no subclass is a list or a
+    dict), and an enum member only a scalar of its own type.  Raises
+    ValueError on a boolean subschema, on any keyword but the six the
+    output schemas use, and on `additionalProperties` other than false, so
+    that no schema is left to draft-07 alone."""
+    if type(schema) is not dict or not schema.keys() <= _PREDICATE_KEYWORDS:
+        raise ValueError(f"no predicate covers the schema {schema!r}")
+    if schema.get("additionalProperties", False) is not False:
+        raise ValueError(f"no predicate covers additionalProperties in {schema!r}")
+    classes = _classes(schema)
+    if schema.keys() <= {"type"}:
+        return lambda value: type(value) in classes
+    enum = schema.get("enum")
+    members = None if enum is None else [(type(v), v) for v in enum if type(v) not in (list, dict)]
+    required = frozenset(schema.get("required", ()))
+    properties = {name: _predicate(sub) for name, sub in schema.get("properties", {}).items()}
+    closed = "additionalProperties" in schema
+    each = None
+    if "items" in schema:
+        item = schema["items"]
+        if type(item) is dict and item.keys() == {"type"}:  # a lone type, checked in C
+            item_classes = _classes(item)
+            each = lambda values: item_classes.issuperset(map(type, values))
+        else:
+            item_holds = _predicate(item)
+            each = lambda values: all(map(item_holds, values))
+
+    def holds(value) -> bool:
+        kind = type(value)
+        if kind not in classes or members is not None and (kind, value) not in members:
+            return False
+        if kind is dict:
+            if not required <= value.keys() or closed and not value.keys() <= properties.keys():
+                return False
+            return all(test(value[name]) for name, test in properties.items() if name in value)
+        if kind is list and each is not None:
+            return each(value)
+        return True
+
+    return holds
 
 
-def _items(validator, items, instance, schema):
-    """draft-07 `items`, skipping each item its lone `type` admits."""
-    leaf = _leaf_class(items)
-    if leaf is None or type(instance) is not list:
-        yield from _DRAFT7_ITEMS(validator, items, instance, schema)
-        return
-    for index, item in enumerate(instance):
-        if type(item) is not leaf:
-            yield from validator.descend(item, items, path=index)
+class _PredicateValidator:
+    """The validator `_DRAFT7` builds for one schema: a value its predicate
+    admits has no errors, and any other value gets draft-07's, so the
+    errors, their order and their paths are draft-07's."""
 
+    def __init__(self, schema: dict):
+        self.schema = schema
+        self.holds = _predicate(schema)
 
-# Draft-07 with scalar leaves checked in place: a skipped value is one
-# draft-07 would pass without an error, so the errors, their order and
-# their paths are draft-07's.
-_LeafDraft7 = jsonschema.validators.extend(
-    jsonschema.Draft7Validator, {"properties": _properties, "items": _items}
-)
+    def iter_errors(self, instance):
+        if self.holds(instance):
+            return iter(())
+        return jsonschema.Draft7Validator(self.schema).iter_errors(instance)
 
 
 class _Draft7CheckedOnce:
     """The validator class `emit` hands to `jsonschema.validate`: draft-07,
     with each schema object checked against the metaschema once per
     process, since the schemas are constants and the check costs 1.2 ms,
-    and one validator built per schema object on its first use.  That
-    validator checks a value whose subschema is a lone `type` by its
-    Python class, without descending into it.  Checked schemas are kept,
-    so no new object can reuse a checked `id`."""
+    and one `_PredicateValidator` built per schema object with that check.
+    Checked schemas are kept, so no new object can reuse a checked `id`."""
 
     def __init__(self):
-        self._validators = {}  # id(schema) -> (schema, validator)
+        self._validators = {}  # id(schema) -> its _PredicateValidator
 
     def check_schema(self, schema: dict) -> None:
         held = self._validators.get(id(schema))
-        if held is None or held[0] is not schema:
+        if held is None or held.schema is not schema:
             jsonschema.Draft7Validator.check_schema(schema)
-            self._validators[id(schema)] = (schema, _LeafDraft7(schema))
+            self._validators[id(schema)] = _PredicateValidator(schema)
 
     def __call__(self, schema: dict):
         self.check_schema(schema)
-        return self._validators[id(schema)][1]
+        return self._validators[id(schema)]
 
 
 _DRAFT7 = _Draft7CheckedOnce()
@@ -394,7 +424,8 @@ def emit(payload: dict, schema: str) -> None:
         # draft-07: the keywords these schemas use mean the same in it and in
         # 2020-12.  Every payload is validated, by the one validator built
         # for its schema on first use, when the schema is checked against
-        # the metaschema.
+        # the metaschema; draft-07 itself runs only on a payload that
+        # schema's predicate rejects, to give the error.
         jsonschema.validate(payload, SCHEMAS[schema], cls=_DRAFT7)
     except jsonschema.ValidationError as err:
         raise UsageError(f"output failed its schema: {err.message}")
@@ -525,14 +556,16 @@ def cmd_aset(args, config: RunConfig) -> tuple[dict | None, int]:
         _refuse_aset_size(n, -1)
         base = hecke.t2lambda_base(args.i, n)
         i = args.i
-    # the A-set is the up-set of 2 base in coroot coordinates; the tests
-    # compare it with hecke.enumerate_A, a walk over the rows of C a <= b
-    # that shares no code with antidominant_above
+    # the A-set is the up-set of 2 base in coroot coordinates, the prefix
+    # sums of mu - 2 base; the tests compare it with hecke.enumerate_A, a
+    # walk over the rows of C a <= b that shares no code with
+    # antidominant_above
     two = 2 * base
     A = hecke.ASet(
         base,
         frozenset(
-            (mu - two).coroot_coordinates() for mu in rootdata.antidominant_above(two)
+            tuple(itertools.accumulate(m - t for m, t in zip(mu.coords, two.coords)))
+            for mu in rootdata.antidominant_above(two)
         ),
     )
     payload = {

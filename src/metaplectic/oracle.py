@@ -34,9 +34,9 @@ which is what the stabilization flag reports.  Those windows are known
 before any walk starts, and so is the number of nodes a walk may visit
 above the last coordinate, whose leaves are decided at once (below); a
 cell whose walks may visit more than ORACLE_NODE_LIMIT nodes is refused
-with OracleError instead of counted.  That bound counts every child of
-the simple-root steps, which the walk visits one per torus orbit
-(below), so it overstates the walk.  Inside its window box the walk
+with OracleError instead of counted.  That bound counts w + 1 children
+at a simple-root step of window w, the walk's one child per torus orbit
+(below), and p^w at every other step.  Inside its window box the walk
 sets the coordinates in order and shares every prefix product; a column
 of the matrix is final once the last generator writing it is applied,
 and it must then be integral after scaling by p^(-min lam).  The
@@ -75,6 +75,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 
 from .hecke import TorusHeckeElement, metaplectic_satake_T2lambda, parity_filter, t2lambda_base
 from .rootdata import (
@@ -503,31 +504,34 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
     return walk(0, group.identity(q**n))
 
 
-# Most nodes the walks of one cell may visit, counting every child of every
-# node, set at about 3 s of work for a walk that visits them all (timings on
-# one 2-vCPU Xeon core).  sp4 admits every cell at p <= 13: the largest,
-# mu = (0, 0) at depth 1, may visit 13^3 + 13^6, about 4.8e6; at p = 17 that
-# cell may visit 17^6, about 2.4e7, and is refused.  The bound now overstates
-# the walk, which visits one child per torus orbit at the simple-root steps:
-# a whole p = 13 row takes about 0.03 s, and a p = 17 row, with the limit
-# lifted, about 0.05 s.
+# Most nodes the walks of one cell may visit, set at about 3 s of work for
+# the slowest walk it admits (timings on one 2-vCPU Xeon core, where a node
+# costs about 10-28 us).  sp4's largest cells on the CLI's rows, mu = (0, 0)
+# at depth 1, may visit 4p + 9p^2 nodes: 115,373 at p = 113, the last prime
+# admitted, in 1.4-1.5 s, and 145,669 at p = 127, refused.  The slowest
+# admitted walk measured, lam = (-4, -2), mu = (-1, 0) at depth 1 and
+# p = 113 (115,373 nodes), took 3.2 s.
 # sl2 has one coordinate, so each of its walks is one node and every sl2 row
 # is admitted.
-ORACLE_NODE_LIMIT = 6 * 10**6
+ORACLE_NODE_LIMIT = 120_000
 
 
 def _budgeted_nodes(group, mu, lam, depth, p) -> list[int]:
-    """Nodes each walk one cell runs may visit: p^(sum of all windows but
-    the last) at the depth, then the same at depth + 1 when the
+    """Nodes each walk one cell runs may visit: the product, over all
+    windows w but the last, of w + 1 at the first `group.rank` (simple-root)
+    steps, which the walk visits one child per torus orbit, and of p^w at
+    the others, at the depth, then the same at depth + 1 when the
     stabilization re-run will run (its windows differ).  The last
     coordinate adds no nodes, since `_leaf_hits` decides all of its
     leaves below a node at once.  Refused with OracleError when their sum
-    is over ORACLE_NODE_LIMIT.  This counts every child of a simple-root
-    step, where the walk visits only one per torus orbit (w + 1 of p^w),
-    so it overstates the walk's nodes."""
+    is over ORACLE_NODE_LIMIT."""
+
+    def walk_nodes(windows) -> int:
+        return prod(w + 1 if step < group.rank else p**w for step, w in enumerate(windows[:-1]))
+
     now = _coordinate_windows(group, mu, lam, depth)
     nxt = _coordinate_windows(group, mu, lam, depth + 1)
-    walks = [p ** sum(now[:-1])] + ([p ** sum(nxt[:-1])] if nxt != now else [])
+    walks = [walk_nodes(now)] + ([walk_nodes(nxt)] if nxt != now else [])
     nodes = sum(walks)
     if nodes > ORACLE_NODE_LIMIT:
         raise OracleError(

@@ -414,21 +414,22 @@ def test_count_cosets_validation():
         count_cosets(Cocharacter((-1,)), Cocharacter((-2,), gsp=1), 2, "sl2", 3)
 
 
-def test_node_estimate_admits_p13_and_refuses_p17():
+def test_node_estimate_admits_p113_and_refuses_p127():
     zero = Cocharacter((0, 0))
     for i in (1, 2):
         lam = 2 * t2lambda_base(i, 2)
         # the mu = (0, 0) cell has windows (1, 1, 1, 1) at depth 1 and
         # (2, 2, 2, 2) from depth 2 on, so depth 1 adds the re-run's walk;
-        # the last window adds no nodes
-        assert oracle._budgeted_nodes(SP4, zero, lam, 1, 13) == [13**3, 13**6]
+        # each simple-root window w costs w + 1 nodes, one per torus orbit,
+        # and the last window adds none
+        assert oracle._budgeted_nodes(SP4, zero, lam, 1, 113) == [2 * 2 * 113, 3 * 3 * 113**2]
         for depth in (2, 3, 4):
-            assert oracle._budgeted_nodes(SP4, zero, lam, depth, 13) == [13**6]
-            with pytest.raises(OracleError, match=f" {17**6:,} nodes, over its limit"):
-                oracle._budgeted_nodes(SP4, zero, lam, depth, 17)
+            assert oracle._budgeted_nodes(SP4, zero, lam, depth, 113) == [3 * 3 * 113**2]
+            with pytest.raises(OracleError, match=f" {9 * 127**2:,} nodes, over its limit"):
+                oracle._budgeted_nodes(SP4, zero, lam, depth, 127)
         for depth in (1, 2, 3, 4):
             for mu in antidominant_above(lam):
-                assert sum(oracle._budgeted_nodes(SP4, mu, lam, depth, 13)) <= ORACLE_NODE_LIMIT
+                assert sum(oracle._budgeted_nodes(SP4, mu, lam, depth, 113)) <= ORACLE_NODE_LIMIT
 
 
 def test_over_budget_row_is_refused_before_counting(monkeypatch):
@@ -437,10 +438,10 @@ def test_over_budget_row_is_refused_before_counting(monkeypatch):
 
     monkeypatch.setattr(oracle, "_count_in_cell", no_walk)
     lam = 2 * t2lambda_base(2, 2)
-    for p in (17, 31):
+    for p in (127, 1009):
         with pytest.raises(OracleError) as err:
             oracle_rows(lam, 4, "sp4", p)
-        assert f"{p**6:,} nodes" in str(err.value)
+        assert f"{9 * p**2:,} nodes" in str(err.value)
         with pytest.raises(OracleError):
             count_cosets(Cocharacter((0, 0)), lam, 4, "sp4", p)
         with pytest.raises(OracleError):
