@@ -25,8 +25,10 @@ SATAKE_RANK_LIMIT and WEIGHTS_RANK_LIMIT, `aset` when a bound on its
 element count, read off the rank and the first coordinate of the base,
 times the cost of an element is over ASET_SIZE_LIMIT, and `classify` when
 its factor count times the rank (the size of the triples it would print)
-is over CLASSIFY_SIZE_LIMIT.  JSON nested past the recursion limit and a
-negative N exit 2 as well.
+is over CLASSIFY_SIZE_LIMIT.  Every classify input prints at least one
+triple (a `--siegel` triple exactly one), so its rank alone is checked
+against that limit before the input is read.  JSON nested past the
+recursion limit and a negative N exit 2 as well.
 
 Parameters come from flags first, then an optional key=value config
 file, then defaults (p=3, f=1, n=2, N=2(p-1), depth=4, seed=0).  Each
@@ -698,6 +700,9 @@ def cmd_classify(args, config: RunConfig) -> tuple[dict | None, int]:
     from . import classify, rootdata
 
     n = config.n
+    # every datum has at least one factor and a Siegel lift prints one
+    # triple, so any input costs at least 1 factor times the rank
+    _refuse_rank("classify", n, CLASSIFY_SIZE_LIMIT)
     try:
         if args.input == "-":
             data = json.load(sys.stdin)

@@ -17,6 +17,7 @@ decision procedure for Hecke-algebra characters.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,7 +25,6 @@ from .rootdata import (
     Cocharacter,
     ParabolicSubset,
     cartan_matrix,
-    cartan_inverse,
     coroot,
     is_antidominant,
     pairing,
@@ -126,8 +126,11 @@ class ASet:
 
 def enumerate_A(lam: Cocharacter) -> ASet:
     """Full enumeration of the A-set {a >= 0 : C a <= b}, with
-    b_j = 2 <alpha_j, -lam>, inside the box 0 <= a <= ceil(C^{-1} b),
-    which contains the A-set since C^{-1} >= 0.
+    b_j = 2 <alpha_j, -lam>, inside the box 0 <= a <= C^{-1} b, which
+    contains the A-set since C^{-1} >= 0.  C^{-1} b is the coroot
+    coordinates of -2 lam, the prefix sums of its e coordinates, so the
+    box is read in integers; a similitude part of lam pairs to zero with
+    every root and is ignored.
 
     The enumeration is a depth-first walk that assigns a_1, ..., a_n in
     order, each over its whole box range.  Row j of C a <= b is tested as
@@ -147,10 +150,7 @@ def enumerate_A(lam: Cocharacter) -> ASet:
     for row, bj in zip(cartan_matrix(n), b):
         terms = tuple((k, c) for k, c in enumerate(row) if c)
         closing[terms[-1][0]].append((terms, bj))
-    bounds = []
-    for row in cartan_inverse(n):
-        v = sum(f * bb for f, bb in zip(row, b))
-        bounds.append(int(v) if v.denominator == 1 else int(v) + 1)
+    bounds = list(itertools.accumulate(-2 * x for x in lam.coords))
     elems = set()
     stack = [()]
     while stack:

@@ -246,7 +246,7 @@ class ChevalleyRealization:
         return m
 
 
-def smith_valuations(entries, p: int, shift: int, stop_after=None, expect=None):
+def smith_valuations(entries, p: int, shift: int, expect=None):
     """Valuations of the elementary divisors of p^(-shift) entries, for an
     integer matrix `entries`; they come out in nondecreasing order.
 
@@ -255,15 +255,16 @@ def smith_valuations(entries, p: int, shift: int, stop_after=None, expect=None):
     where unit = pivot / p^v is prime to p, so each step is invertible
     over Z_(p) and stays in the integers.  No remaining entry can fall
     below the last pivot's valuation, so the next search stops at the
-    first entry that reaches it.  With `expect` given, returns None as
-    soon as a pivot valuation deviates from the expected ascending list.
+    first entry that reaches it.  With `expect` given, stops after
+    len(expect) pivots and returns None as soon as a pivot valuation
+    deviates from that expected ascending list.
     """
     m = [row[:] for row in entries]
     active_rows = list(range(len(m)))
     active_cols = list(range(len(m)))
     vals = []
     low = 0  # every remaining entry has valuation >= low
-    steps = len(m) if stop_after is None else stop_after
+    steps = len(m) if expect is None else len(expect)
     for step in range(steps):
         best = None
         for i in active_rows:
@@ -444,7 +445,7 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
             for i in range(size):
                 h[i][j] = m[i][j] * sj // base
         if step == n:  # the one leaf of a last-coordinate node
-            vals = smith_valuations(h, p, 0, stop_after=group.rank, expect=divisors)
+            vals = smith_valuations(h, p, 0, expect=divisors)
             return int(vals is not None)
         gen = group.neg[step]
         units, (i, j), w = gen.units, gen.entry, windows[step]

@@ -22,7 +22,9 @@ read in the same integer coordinates: mu >= lam when every prefix sum of
 mu - lam is >= 0, and the walk over the up-set of an antidominant lam
 caps its k-th coroot coordinate by the k-th prefix sum of -lam, which is
 the k-th entry of C^{-1} <alpha, -lam> and an integer, so no rational
-arithmetic is needed there.
+arithmetic is needed there.  The one rational object is the inverse
+Cartan matrix of a subset of the simple roots, `cartan_inverse`, written
+down in closed form block by block; nothing here solves a linear system.
 
 A Cocharacter may carry one extra integer `gsp`, the coefficient of the
 similitude cocharacter lambda_{n+1} of the ambient similitude group; the
@@ -32,6 +34,7 @@ root datum operations here ignore it (it pairs to zero with X^*(T)).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -213,54 +216,37 @@ def cartan_matrix(n: int) -> list[list[int]]:
     ]
 
 
-def row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q, by Gauss-Jordan elimination, with
-    the list of pivot columns.  The one exact linear solver of the
-    package; the Cartan inverse is read off it."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for c in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        piv = next((k for k in range(r, len(m)) if m[k][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for k in range(len(m)):
-            if k != r and m[k][c] != 0:
-                f = m[k][c]
-                m[k] = [x - f * y for x, y in zip(m[k], m[r])]
-        pivots.append(c)
-    return m, pivots
-
-
 def cartan_inverse(n: int, J=None) -> tuple[tuple[Fraction, ...], ...]:
     """Inverse of the Cartan matrix restricted to the simple-root indices
-    J, an iterable (default all of 1..n).
+    J, an iterable (default all of 1..n), in closed form.
+
+    C_J is block-diagonal over the runs of consecutive indices in J.  With
+    local indices a (row) and b (column) in a run of m roots, the inverse
+    of its block is min(a, b) (m + 1 - max(a, b)) / (m + 1) for type A_m,
+    and, for the run ending at n, of type C_m, min(a, b) for b < m and a/2
+    for b = m (Bourbaki, Lie Groups, Ch. VI, Plates I and III).
 
     All entries are nonnegative rationals; this is what makes the
     enumeration bounds below finite.
     """
-    idx = range(1, n + 1) if J is None else sorted(set(J))
-    return _cartan_inverse(n, tuple(idx))
-
-
-@functools.lru_cache(maxsize=64)
-def _cartan_inverse(n: int, idx: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """`cartan_inverse` on sorted indices, row-reduced once per key: the
-    reduction over `Fraction` costs 0.3-1.3 ms at n = 3..6, and its
-    callers, `hecke.enumerate_A` and the benchmark's tracer, ask for a few
-    keys many times.  Rows are tuples, so no caller can alter the shared
-    value."""
-    m = len(idx)
-    rows = [
-        [pairing(simple_root(j, n), coroot(k, n)) for k in idx] + [int(j == k) for k in idx]
-        for j in idx
-    ]
-    reduced, pivots = row_reduce(rows)
-    if pivots != list(range(m)):
-        raise RootDatumError("singular matrix")
-    return tuple(tuple(row[m:]) for row in reduced)
+    idx = sorted(range(1, n + 1) if J is None else set(J))
+    if idx and not (1 <= idx[0] and idx[-1] <= n):
+        raise RootDatumError(f"indices out of range 1..{n}: {idx}")
+    runs = []  # the maximal runs of consecutive indices
+    for j in idx:
+        if runs and runs[-1][-1] == j - 1:
+            runs[-1].append(j)
+        else:
+            runs.append([j])
+    inverse = {}
+    for run in runs:
+        m = len(run)
+        for (a, j), (b, k) in itertools.product(enumerate(run, 1), repeat=2):
+            if run[-1] == n:  # type C_m
+                inverse[j, k] = Fraction(a, 2) if b == m else Fraction(min(a, b))
+            else:
+                inverse[j, k] = Fraction(min(a, b) * (m + 1 - max(a, b)), m + 1)
+    return tuple(tuple(inverse.get((j, k), Fraction(0)) for k in idx) for j in idx)
 
 
 def leq(lam: Cocharacter, mu: Cocharacter) -> bool:

@@ -872,6 +872,10 @@ def _levi_datum(n, flagged):
         (["satake", "--i", "1", "--n", str(cli.SATAKE_RANK_LIMIT + 1)], None),
         (["weights", "--nu", ",".join(["0"] * 1_000_000), "--n", "1000000"], None),
         (["weights", "--nu", "0," * cli.WEIGHTS_RANK_LIMIT + "0", "--n", str(cli.WEIGHTS_RANK_LIMIT + 1)], None),
+        # every datum has a factor, so the rank alone is over the classify
+        # limit: refused before the n roots are walked, with or without --siegel
+        (["classify", "--n", "10000000"], {"levi": [1]}),
+        (["classify", "--siegel", "--n", "10000000"], {"P": [1], "Q": [1], "flags": {}}),
     ],
 )
 def test_over_budget_jobs_exit_at_once(argv, doc):

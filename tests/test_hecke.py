@@ -142,6 +142,15 @@ def test_enumerate_A_examples():
         enumerate_A(Cocharacter((0, -1)))
 
 
+def test_enumerate_A_ignores_a_similitude_part():
+    # gsp pairs to zero with every root, so neither the rows nor the box
+    # bounds see it; mu_of carries it, doubled, into each cocharacter
+    for coords in ((-1, 0), (-2, -1, 0), (-3,)):
+        A = enumerate_A(Cocharacter(coords, gsp=1))
+        assert A.elements == enumerate_A(Cocharacter(coords)).elements, coords
+        assert all(A.mu_of(a).gsp == 2 for a in A.elements)
+
+
 def test_enumerate_A_matches_antidominant_above():
     # mu = 2 lam + a . alpha^vee is a bijection onto the cell support
     bases = [Cocharacter(c) for c in ((-1,), (-2,), (-1, 0), (-1, -1), (-2, -1), (-1, -1, -1))]

@@ -603,7 +603,7 @@ def test_leaf_hits_match_smith_per_leaf(p, size, mode, data):
     for t in range(leaves):
         for i in range(size):
             h[i][0] = c[i] + t * d[i]
-        want += smith_valuations(h, p, 0, stop_after=rank, expect=divisors) is not None
+        want += smith_valuations(h, p, 0, expect=divisors) is not None
     minors = oracle._minor_indices(size, rank)
     assert oracle._leaf_hits(h, c, d, leaves, p, divisors, minors) == want
 
@@ -629,7 +629,7 @@ def _brute_force_count(mu, lam, depth, p):
         for i in range(4):
             for j in range(4):
                 u[i][j] *= p ** (exps[j] - min(exps))
-        count += smith_valuations(u, p, shift, stop_after=2, expect=expect) is not None
+        count += smith_valuations(u, p, shift, expect=expect) is not None
     return count
 
 

@@ -1,6 +1,5 @@
 import itertools
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +20,6 @@ from metaplectic.rootdata import (
     leq,
     pairing,
     positive_roots,
-    row_reduce,
     simple_root,
 )
 
@@ -93,22 +91,29 @@ def test_cartan_matrix_shape():
                 assert C[j][k] == 0
 
 
-def test_row_reduce():
-    rows, pivots = row_reduce([[2, 4, 2], [1, 2, 3], [3, 6, 5]])
-    assert pivots == [0, 2]
-    assert rows == [[1, 2, 0], [0, 0, 1], [0, 0, 0]]
-    assert row_reduce([]) == ([], [])
+def _assert_inverts_restricted_cartan(n, J):
+    """C_J X = I and X >= 0 for X = cartan_inverse(n, J), where C_J keeps
+    the rows and columns of cartan_matrix(n) indexed by J."""
+    C = cartan_matrix(n)
+    idx = sorted(J)
+    inv = cartan_inverse(n, J)
+    assert all(x >= 0 for row in inv for x in row), (n, idx)
+    for r, j in enumerate(idx):
+        for s in range(len(idx)):
+            acc = sum(C[j - 1][k - 1] * inv[t][s] for t, k in enumerate(idx))
+            assert acc == (1 if r == s else 0), (n, idx)
 
 
 def test_cartan_inverse_nonnegative():
+    # every J at small rank, so every shape of run (type A_m blocks, the
+    # type C_m block ending at n, and their mixtures) is met; then the
+    # full type C_n matrix up to rank 30
     for n in range(1, 9):
-        inv = cartan_inverse(n)
-        assert all(x >= 0 for row in inv for x in row)
-        C = cartan_matrix(n)
-        for i in range(n):
-            for j in range(n):
-                acc = sum(Fraction(C[i][k]) * inv[k][j] for k in range(n))
-                assert acc == (1 if i == j else 0)
+        for r in range(n + 1):
+            for J in itertools.combinations(range(1, n + 1), r):
+                _assert_inverts_restricted_cartan(n, J)
+    for n in range(9, 31):
+        _assert_inverts_restricted_cartan(n, range(1, n + 1))
 
 
 def test_leq_examples():
