@@ -31,6 +31,17 @@ class ClassifyError(ValueError):
     pass
 
 
+def _mismatch(given: set, want) -> str:
+    """The roots of `want` missing from `given` and those extra in it,
+    counted, with the first four of each named: short at any rank."""
+    gaps = (("missing", sorted(want - given)), ("extra", sorted(given - want)))
+    return " and ".join(
+        f"{len(r):,} {name} ({', '.join(map(str, r[:4]))}{', ...' if len(r) > 4 else ''})"
+        for name, r in gaps
+        if r
+    )
+
+
 @functools.lru_cache(maxsize=64)
 def eligible_flag_roots(levi: ParabolicSubset) -> frozenset[int]:
     """Simple roots orthogonal to the Levi: {alpha : <Pi_M, alpha^vee> = 0}.
@@ -75,10 +86,8 @@ class SupersingularDatum:
         n, flags = self.levi.n, self.flags
         eligible = eligible_flag_roots(self.levi)
         if flags.keys() != eligible:
-            raise ClassifyError(
-                f"flags must be given exactly on the eligible roots {sorted(eligible)},"
-                f" got {sorted(flags)}"
-            )
+            gap = _mismatch(set(flags), eligible)
+            raise ClassifyError(f"flags must be given exactly on the eligible roots: {gap}")
         if n in eligible and flags[n]:
             raise ClassifyError(
                 "genuineness forbids a triviality flag at the long simple root"
@@ -193,10 +202,9 @@ def siegel_lift(
     # the short-root block of the type C_n Cartan matrix is the GL_n one
     eligible_meta = eligible_flag_roots(P)
     eligible_in_gl = eligible_meta - {n}
-    if set(rho_flags) != set(eligible_in_gl):
-        raise ClassifyError(
-            f"reductive flags must sit exactly on {sorted(eligible_in_gl)}"
-        )
+    if set(rho_flags) != eligible_in_gl:
+        gap = _mismatch(set(rho_flags), eligible_in_gl)
+        raise ClassifyError(f"reductive flags must sit exactly on the GL_n eligible roots: {gap}")
     flags = dict(rho_flags)
     if n in eligible_meta:
         flags[n] = False

@@ -32,26 +32,28 @@ coordinates may be windowed to p^{-(mu_col - min lam)} O / O with no
 loss.  Counts therefore stop growing once the depth exceeds the window,
 which is what the stabilization flag reports.  Those windows are known
 before any walk starts, and so is the number of nodes a walk may visit
-above the last coordinate, whose leaves are decided at once (below); a
-cell whose walks may visit more than ORACLE_NODE_LIMIT nodes is refused
-with OracleError instead of counted.  That bound counts w + 1 children
-at a simple-root step of window w, the walk's one child per torus orbit
-(below), and p^w at every other step.  Inside its window box the walk
-sets the coordinates in order and shares every prefix product; a column
-of the matrix is final once the last generator writing it is applied,
-and it must then be integral after scaling by p^(-min lam).  The
-columns that close below a node are written by the node's own generator,
-so they are affine in the child coordinate y, and their integrality is a
-system of linear congruences in y modulo a power of p.  Its solutions
-are one progression y = y0 mod p^r or none (`_progression`), and only
-those children are walked.
+(`_budgeted_nodes`); a cell whose walks may visit more than
+ORACLE_NODE_LIMIT nodes is refused with OracleError instead of counted.
+Inside its window box the walk sets the coordinates in order and shares
+every prefix product; a column of the matrix is final once the last
+generator writing it is applied, and it must then be integral after
+scaling by p^(-min lam).  The columns closing below a node are written
+by its own generator, so they are affine in the child coordinate y:
+(A + y B) / p^e.  Every slope B / p^e is an integer.  No generator
+writes the last column 2n - 1 (all are strictly lower triangular), and
+each write that closes a column b reads it: the last root to write b is
+2 eps_1 or some eps_1 +- eps_i, of window column 0 (the tests check
+n = 1..7).  So B is nonzero only in row 2n - 1, where B / p^e =
++-p^(exps[b] - min lam - w) at window w, whatever the sign of e, and
+w <= exps[0] - min lam <= exps[b] - min lam, as the exponents
+(mu_1..mu_n, -mu_n..-mu_1) ascend for antidominant mu.  So a node's
+children are all integral or none is, and its intercepts A decide which.
 
 Determinantal rule: the last generator (-2 eps_1) writes column 0 alone,
 so the leaves below a node that sets the last coordinate differ only
-there, affinely in the leaf's place along the node's progression, and so
-does every minor; `_leaf_hits` decides them all at once from the
-determinantal divisors.  A last window of 0 leaves one leaf, which
-`smith_valuations` decides.
+there, affinely in the leaf's coordinate, and so does every minor;
+`_leaf_hits` decides them all at once from the determinantal divisors.
+A last window of 0 leaves one leaf, which `smith_valuations` decides.
 
 Torus orbits: the first `rank` coordinates are the simple roots, the
 only roots of height 2, at the subdiagonal entries (i + 1, i).  For
@@ -64,11 +66,9 @@ t_(i+1)/t_i, and that of the long root by nu/t_n^2; these n units range
 over all of (O^x)^n, independently.  So every child of a simple-root
 node with a given valuation has the same count below it, and the walk
 visits y = 0 and one y = p^j per valuation j < w, weighting the count
-below by the (p - 1) p^(w - j - 1) children of valuation j.  The
-integrality progression of such a node is a unit-invariant class, so
-y0 = 0 at odd p; a simple-root step that finds y0 != 0 raises
-OracleError rather than miscount.  SL_2's one coordinate is the last
-and is decided by `_leaf_hits` instead.
+below by the (p - 1) p^(w - j - 1) children of valuation j; pruning
+keeps all of a node's children or none (above).  SL_2's one coordinate
+is the last and is decided by `_leaf_hits` instead.
 """
 
 from __future__ import annotations
@@ -333,7 +333,8 @@ def _coordinate_windows(group: ChevalleyRealization, mu: Cocharacter, lam: Cocha
 def _progression(pairs, p: int, e: int):
     """The integers y with a + y b = 0 mod p^e for every pair (a, b), as
     (y0, step) for the progression y = y0 mod step, 0 <= y0 < step, with
-    step a power of p; None when there are none.
+    step a power of p; None when there are none.  Only `_leaf_hits` calls
+    it, as the walk's own slopes are all 0 mod p^e (module docstring).
 
     Each pair is solved inside the progression found so far: y = y0 +
     step t turns it into a' + t b' = 0 with a' = a + y0 b, b' = step b.
@@ -404,8 +405,8 @@ def _leaf_hits(h, c, d, leaves, p, divisors, minors) -> int:
     for r in range(len(misses) + 1):
         for chosen in combinations(misses, r):
             found = _progression(hold + [ab for miss in chosen for ab in miss], p, top)
-            if found is not None:
-                hits += (-1) ** r * len(range(found[0], leaves, found[1]))
+            if found is not None:  # how many y0 + step t lie in range(leaves)
+                hits += (-1) ** r * max(0, -((found[0] - leaves) // found[1]))
     return hits
 
 
@@ -427,13 +428,9 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
     t, k = group.torus_matrix(mu, p)
     e = 2 * width * n + k + floor
     scale = [t[j][j] * p ** max(0, -e) for j in range(size)]
-    e = max(0, e)
-    base = p**e
-    # The enumeration walks the coordinates in order, sharing each prefix
-    # product, and fills in h column by column as they close.  The columns
-    # closing below a node are written by its own generator (`writes`), so
-    # they are affine in the child index; only the children that keep them
-    # integral are walked.
+    base = p ** max(0, e)
+    # The walk sets the coordinates in order, sharing each prefix product,
+    # and fills in h column by column as they close (module docstring).
     closing, writes, minors = group.plan
     h = [[0] * size for _ in range(size)]
     # h's divisor valuations are those of u mu(pi) minus floor
@@ -460,8 +457,8 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
                         return 0
             return walk(step + 1, nxt)
         # Child y has coordinate c0 + y dx, so the columns closing below
-        # this node are h = (A + y B) / base; `lines` holds the pairs (A, B)
-        # and `_progression` the children that keep them integral.
+        # this node (`writes`) are h = (A + y B) / base, each B 0 mod base:
+        # the intercepts A in `lines` decide for all the children at once.
         dx = p ** (2 * width - w)
         lines = []
         for j, sources in writes[step]:
@@ -472,31 +469,25 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
                     g += s * (row[a] // q)
                 g *= sj
                 lines.append((row[j] * sj + c0 * g, dx * g))
-        found = _progression(lines, p, e)
-        if found is None:
+        if any(a % base for a, _ in lines):
             return 0
-        y0, r = found
-        ys = range(y0, p**w, r)
         if step + 1 < n:
             if step >= group.rank:
-                children = [(y, 1) for y in ys]
-            elif y0:
-                raise OracleError(f"simple-root step {step} got the progression {y0} mod {r}")
+                children = [(y, 1) for y in range(p**w)]
             else:
                 # one child per torus orbit: y = 0, and y = p^j standing for
                 # the (p - 1) p^(w - j - 1) children of valuation j
-                children = [(0, 1)]
-                children += [(p**j, (p - 1) * p ** (w - j - 1)) for j in range(_vp(r, p), w)]
+                children = [(0, 1)] + [(p**j, (p - 1) * p ** (w - j - 1)) for j in range(w)]
             hits = 0
             for y, orbit in children:
                 nxt = [row[:] for row in m]
                 group.right_multiply_generator(nxt, units, c0 + y * dx, q)
                 hits += orbit * walk(step + 1, nxt)
             return hits
-        # leaf t has child y0 + t r: column 0 of h is c + t d, integral
-        c = [(a + y0 * b) // base for a, b in lines]
-        d = [r * b // base for _, b in lines]
-        return _leaf_hits(h, c, d, len(ys), p, divisors, minors)
+        # column 0 of leaf y's h is c + y d, integral
+        c = [a // base for a, _ in lines]
+        d = [b // base for _, b in lines]
+        return _leaf_hits(h, c, d, p**w, p, divisors, minors)
 
     # the root q^n I is diagonal: its closed columns are integral when
     # their diagonal entries are
@@ -511,7 +502,7 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
 # at depth 1, may visit 4p + 9p^2 nodes: 115,373 at p = 113, the last prime
 # admitted, in 1.4-1.5 s, and 145,669 at p = 127, refused.  The slowest
 # admitted walk measured, lam = (-4, -2), mu = (-1, 0) at depth 1 and
-# p = 113 (115,373 nodes), took 3.2 s.
+# p = 113 (115,373 nodes), took 2.0-3.2 s over repeated runs.
 # sl2 has one coordinate, so each of its walks is one node and every sl2 row
 # is admitted.
 ORACLE_NODE_LIMIT = 120_000

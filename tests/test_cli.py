@@ -886,6 +886,22 @@ def test_over_budget_jobs_exit_at_once(argv, doc):
     assert err.startswith("error:") and "over its limit" in err
 
 
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["classify", "--n", str(cli.CLASSIFY_SIZE_LIMIT)], {"levi": [1]}),
+        (["classify", "--siegel", "--n", str(cli.CLASSIFY_SIZE_LIMIT)], {"P": [1], "Q": [1], "flags": {}}),
+    ],
+)
+def test_flag_errors_stay_short_at_the_classify_rank_limit(argv, doc):
+    # no flags are given, so every one of the 229,37x eligible roots is
+    # missing; the line counts them and names the first few
+    code, out, err = run_captured(argv, json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "eligible roots" in err and "229,37" in err
+    assert len(err.encode()) < 1000
+
+
 def test_aset_zero_base_past_the_recursion_limit():
     # a zero base costs n + 8, so its rank is bounded by the limit alone
     n = 3 * sys.getrecursionlimit()

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -456,11 +455,13 @@ def test_over_budget_row_is_refused_before_counting(monkeypatch):
 
 def test_sl2_row_at_a_large_prime_is_counted():
     # its leaves are decided at once, so the row is the closed form
-    # 1, p - 1, p^2 - p at any p the node budget admits
+    # 1, p - 1, p^2 - p, ... at any p the node budget admits; at lam = (-4,)
+    # the mu = (-1,) and (0,) cells have p^4 > 2^63 leaves below one node,
+    # more than a range may hold
     p = 2**31 - 1
-    for depth in (2, 4):
-        rows = oracle_rows(Cocharacter((-2,)), depth, "sl2", p)
-        assert [r.raw_count for r in rows] == [1, p - 1, p * p - p]
+    for lam, depth in (((-2,), 2), ((-2,), 4), ((-4,), 4)):
+        rows = oracle_rows(Cocharacter(lam), depth, "sl2", p)
+        assert [r.raw_count for r in rows] == [1] + [p**k - p ** (k - 1) for k in range(1, 1 - lam[0])]
         assert all(r.stabilized for r in rows)
 
 
@@ -690,48 +691,25 @@ def test_similitude_torus_conjugation_keeps_windowed_boxes(p):
                     assert divisors(_frac_unipotent(SP4.neg, 4, image)) == want
 
 
-@pytest.mark.parametrize("bad_call", (1, 2))
-def test_simple_step_with_an_offset_progression_raises(monkeypatch, bad_call):
-    """The orbit weights count the valuation classes of a progression
-    through 0, so a simple-root step handed any other progression raises
-    instead of miscounting; the walk's first two calls of `_progression`
-    are its two simple-root steps."""
-    calls = []
-    progression = oracle._progression
-
-    def offset(pairs, p, e):
-        calls.append(None)
-        return (1, 3) if len(calls) == bad_call else progression(pairs, p, e)
-
-    monkeypatch.setattr(oracle, "_progression", offset)
-    with pytest.raises(OracleError, match=f"simple-root step {bad_call - 1} got"):
-        oracle._count_in_cell(SP4, Cocharacter((0, 0)), Cocharacter((-1, -1)), 1, 3)
-
-
-def test_widened_windows_keep_counts_through_the_congruence(monkeypatch):
-    """The real windows leave every child integral, so `_progression`
-    returns step 1 there.  Windowing each coordinate by the largest torus
-    exponent instead lets non-integral children into the box; the walk
-    must then rule them out through (y0, step), with the same counts."""
-    found = []
-
-    def spy(pairs, p, e):
-        res = progression(pairs, p, e)
-        found.append(res)
-        return res
-
-    progression = oracle._progression
-    monkeypatch.setattr(oracle, "_progression", spy)
-    rows = {SL2: [(-2,), (-3,)], SP4: [(-1, -1), (-1, 0), (-2, -1), (-2, -2)]}
-    for real, lams in rows.items():
-        wide = ChevalleyRealization(real.tag)
-        wide.neg = tuple(dataclasses.replace(g, window_col=wide.size - 1) for g in wide.neg)
-        for lam in map(Cocharacter, lams):
-            for mu in antidominant_above(lam):
-                want = oracle._count_in_cell(real, mu, lam, 2, P)
-                assert oracle._count_in_cell(wide, mu, lam, 2, P) == want, (lam, mu)
-    steps = [res for res in found if res is not None]
-    assert any(step > 1 for _, step in steps) and any(y0 > 0 for y0, _ in steps)
+def test_closing_columns_read_an_unwritten_column_to_rank_7():
+    """The walk prunes on intercepts alone because every slope of a
+    closing column is integral: each unit writing a column at the step
+    where it closes reads a column no generator writes (the root's last
+    column, a multiple of e_(2n-1) at every node), and the written column
+    is at or right of the generator's window column, so its torus exponent
+    is at least the window's."""
+    for n in range(1, 8):
+        neg = oracle._negative_roots(n)
+        last_write = {}
+        for step, gen in enumerate(neg):
+            for (_, b), _ in gen.units:
+                last_write[b] = step
+        assert set(last_write) == set(range(2 * n - 1)), n
+        for step, gen in enumerate(neg):
+            for (a, b), _ in gen.units:
+                if last_write[b] == step:
+                    assert a not in last_write, (n, gen)
+                    assert b >= gen.window_col, (n, gen)
 
 
 def test_stabilization_reported_when_depth_too_small():
