@@ -40,6 +40,7 @@ variables are not consulted.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import itertools
 import json
@@ -601,7 +602,7 @@ def cmd_weights(args, config: RunConfig) -> tuple[dict | None, int]:
         "pi_nu": sorted(weights.pi_nu(w).roots),
     }
     if args.levi is not None:
-        J = rootdata.ParabolicSubset(n, frozenset(_parse_ints(args.levi, None)))
+        J = _root_subset(n, _parse_ints(args.levi, None), "--levi")
         payload["levi"] = sorted(J.roots)
         payload["M_regular"] = weights.is_M_regular(w, J)
     if args.i is not None:
@@ -629,6 +630,17 @@ def _json_ints(value, what: str) -> list[int]:
     if not (isinstance(value, list) and all(type(x) is int for x in value)):
         raise UsageError(f"{what} must be a list of integers")
     return value
+
+
+def _root_subset(n: int, indices, what: str) -> rootdata.ParabolicSubset:
+    """The simple roots `indices` of {1, ..., n}, each named once: a set
+    would silently read "1, 1" as "1"."""
+    from . import rootdata
+
+    twice = [r for r, k in collections.Counter(indices).items() if k > 1]
+    if twice:
+        raise UsageError(f"{what} repeats root index {twice[0]}")
+    return rootdata.ParabolicSubset(n, frozenset(indices))
 
 
 _JSON_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
@@ -718,8 +730,8 @@ def cmd_classify(args, config: RunConfig) -> tuple[dict | None, int]:
         for key in ("P", "flags", "Q"):
             if key not in data:
                 raise UsageError(f"siegel input needs {key!r}")
-        P = rootdata.ParabolicSubset(n, frozenset(_json_ints(data["P"], "'P'")))
-        Q = rootdata.ParabolicSubset(n, frozenset(_json_ints(data["Q"], "'Q'")))
+        P = _root_subset(n, _json_ints(data["P"], "'P'"), "'P'")
+        Q = _root_subset(n, _json_ints(data["Q"], "'Q'"), "'Q'")
         triple = classify.siegel_lift(
             P, _parse_flags(data), Q, n, label=_json_field(data, "label", str, "rho")
         )
@@ -735,7 +747,7 @@ def cmd_classify(args, config: RunConfig) -> tuple[dict | None, int]:
         payload["length"] = classify.ps_length(sigma)
         payload["irreducible"] = classify.ps_irreducible(sigma)
     elif "levi" in data:
-        levi = rootdata.ParabolicSubset(n, frozenset(_json_ints(data["levi"], "'levi'")))
+        levi = _root_subset(n, _json_ints(data["levi"], "'levi'"), "'levi'")
         datum = classify.SupersingularDatum(
             levi, _parse_flags(data), label=_json_field(data, "label", str, "sigma")
         )

@@ -39,21 +39,25 @@ every prefix product; a column of the matrix is final once the last
 generator writing it is applied, and it must then be integral after
 scaling by p^(-min lam).  The columns closing below a node are written
 by its own generator, so they are affine in the child coordinate y:
-(A + y B) / p^e.  Every slope B / p^e is an integer.  No generator
-writes the last column 2n - 1 (all are strictly lower triangular), and
-each write that closes a column b reads it: the last root to write b is
-2 eps_1 or some eps_1 +- eps_i, of window column 0 (the tests check
-n = 1..7).  So B is nonzero only in row 2n - 1, where B / p^e =
-+-p^(exps[b] - min lam - w) at window w, whatever the sign of e, and
-w <= exps[0] - min lam <= exps[b] - min lam, as the exponents
-(mu_1..mu_n, -mu_n..-mu_1) ascend for antidominant mu.  So a node's
-children are all integral or none is, and its intercepts A decide which.
+(A + y B) / p^e, with y = 0 the child with entry 0.  Every slope B / p^e
+is an integer.  No generator writes the last column 2n - 1 (all are
+strictly lower triangular), and each write that closes a column b reads
+it: the last root to write b is 2 eps_1 or some eps_1 +- eps_i, of
+window column 0 (the tests check n = 1..7).  So B is nonzero only in
+row 2n - 1, where B / p^e = +-p^(exps[b] - min lam - w) at window w,
+whatever the sign of e, and w <= exps[0] - min lam <= exps[b] - min lam,
+as the exponents (mu_1..mu_n, -mu_n..-mu_1) ascend for antidominant mu.
+So a node's children are all integral or none is: each node checks its
+child with entry 0, whose columns are the intercepts A, and counts 0 if
+it fails.
 
 Determinantal rule: the last generator (-2 eps_1) writes column 0 alone,
 so the leaves below a node that sets the last coordinate differ only
 there, affinely in the leaf's coordinate, and so does every minor;
 `_leaf_hits` decides them all at once from the determinantal divisors.
-A last window of 0 leaves one leaf, which `smith_valuations` decides.
+Leaf y's column 0 is the entry-0 leaf's plus y times a slope that is
+zero off row 2n - 1 (above).  A last window of 0 leaves one leaf, which
+`smith_valuations` decides.
 
 Torus orbits: the first `rank` coordinates are the simple roots, the
 only roots of height 2, at the subdiagonal entries (i + 1, i).  For
@@ -160,24 +164,18 @@ def _minor_indices(size: int, rank: int):
 
 
 def _walk_plan(n: int, neg) -> tuple:
-    """(closing, writes, minors) for `_count_in_cell` on Sp_2n.  A column
-    is final once the last generator writing it is applied: closing[s]
-    holds the columns final after s generators, and writes[s] each column
-    of closing[s + 1] with the (source column, sign) pairs that generator
-    s adds to it."""
-    size = 2 * n
+    """(closing, minors) for `_count_in_cell` on Sp_2n.  A column is final
+    once the last generator writing it is applied: closing[s] holds the
+    columns final after s generators, the columns the walk checks at a
+    node of depth s."""
     last_write = {}
     for step, gen in enumerate(neg, 1):
         for (_, b), _ in gen.units:
             last_write[b] = step
     closing = [[] for _ in range(len(neg) + 1)]
-    for j in range(size):
+    for j in range(2 * n):
         closing[last_write.get(j, 0)].append(j)
-    writes = [
-        [(j, [(a, s) for (a, b), s in gen.units if b == j]) for j in closing[step + 1]]
-        for step, gen in enumerate(neg)
-    ]
-    return closing, writes, _minor_indices(size, n)
+    return closing, _minor_indices(2 * n, n)
 
 
 # (rank, negative root coordinates, walk plan) by tag, built at import rather
@@ -417,92 +415,81 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
     floor = min(lam.coords)
     # Entries are canonical fractions a / p^w with w <= width, carried as
     # numerators over q = p^(2 width).  With U = q^n u as built by
-    # unipotent_from_entries and mu(pi) = p^(-k) T, the matrix u mu(pi)
-    # is p^(-2 width n - k) U T.  Its entries all have valuation >= floor
-    # exactly when h = p^(-floor) u mu(pi) = p^(-e) U T is integral; the
-    # cell is then decided on the small integers of h.  The prefix read
-    # of an entry is at most a product of two entries at rank <= 2, so
-    # an integer over q: its division by q^(n - 1) in `walk` is exact.
+    # unipotent_from_entries and mu(pi) = p^low T, T the diagonal of the
+    # p^(exps - low), the matrix u mu(pi) is p^(low - 2 width n) U T.  Its
+    # entries all have valuation >= floor exactly when h = p^(-floor) u
+    # mu(pi) = p^(-e) U T is integral; the cell is then decided on the
+    # small integers of h.  The prefix read of an entry is at most a
+    # product of two entries at rank <= 2, so an integer over q: its
+    # division by q^(n - 1) in `walk` is exact.
     q = p ** (2 * width)
     qread = q ** (n - 1)
-    t, k = group.torus_matrix(mu, p)
-    e = 2 * width * n + k + floor
-    scale = [t[j][j] * p ** max(0, -e) for j in range(size)]
+    exps = group.torus_exponents(mu)
+    low = min(exps)
+    e = 2 * width * n - low + floor
+    scale = [p ** (x - low + max(0, -e)) for x in exps]
     base = p ** max(0, e)
     # The walk sets the coordinates in order, sharing each prefix product,
     # and fills in h column by column as they close (module docstring).
-    closing, writes, minors = group.plan
+    closing, minors = group.plan
     h = [[0] * size for _ in range(size)]
     # h's divisor valuations are those of u mu(pi) minus floor
     divisors = [v - floor for v in sorted(lam.coords)]
 
-    def walk(step, m) -> int:
+    def close(step, m) -> bool:  # fill in the columns of h final at step: integral?
         for j in closing[step]:
             sj = scale[j]
             for i in range(size):
-                h[i][j] = m[i][j] * sj // base
-        if step == n:  # the one leaf of a last-coordinate node
-            vals = smith_valuations(h, p, 0, expect=divisors)
-            return int(vals is not None)
+                x = m[i][j] * sj
+                if x % base:
+                    return False
+                h[i][j] = x // base
+        return True
+
+    def walk(step, m) -> int:
         gen = group.neg[step]
         units, (i, j), w = gen.units, gen.entry, windows[step]
         c0 = -(m[i][j] // qread)  # the coordinate of the child with entry 0
-        if w == 0:  # one child: build it and check the columns it closes
-            nxt = [row[:] for row in m]
-            group.right_multiply_generator(nxt, units, c0, q)
-            for j in closing[step + 1]:
-                sj = scale[j]
-                for row in nxt:
-                    if row[j] * sj % base:
-                        return 0
-            return walk(step + 1, nxt)
-        # Child y has coordinate c0 + y dx, so the columns closing below
-        # this node (`writes`) are h = (A + y B) / base, each B 0 mod base:
-        # the intercepts A in `lines` decide for all the children at once.
-        dx = p ** (2 * width - w)
-        lines = []
-        for j, sources in writes[step]:
-            sj = scale[j]
-            for row in m:
-                g = 0
-                for a, s in sources:
-                    g += s * (row[a] // q)
-                g *= sj
-                lines.append((row[j] * sj + c0 * g, dx * g))
-        if any(a % base for a, _ in lines):
+        child = [row[:] for row in m]
+        group.right_multiply_generator(child, units, c0, q)
+        # the child with entry 0 decides for its siblings (module docstring)
+        if not close(step + 1, child):
             return 0
-        if step + 1 < n:
-            if step >= group.rank:
-                children = [(y, 1) for y in range(p**w)]
-            else:
-                # one child per torus orbit: y = 0, and y = p^j standing for
-                # the (p - 1) p^(w - j - 1) children of valuation j
-                children = [(0, 1)] + [(p**j, (p - 1) * p ** (w - j - 1)) for j in range(w)]
-            hits = 0
-            for y, orbit in children:
-                nxt = [row[:] for row in m]
-                group.right_multiply_generator(nxt, units, c0 + y * dx, q)
-                hits += orbit * walk(step + 1, nxt)
-            return hits
-        # column 0 of leaf y's h is c + y d, integral
-        c = [a // base for a, _ in lines]
-        d = [b // base for _, b in lines]
-        return _leaf_hits(h, c, d, p**w, p, divisors, minors)
+        dx = p ** (2 * width - w)  # child y has coordinate c0 + y dx
+        if step + 1 == n:
+            if not w:  # one leaf, and h is all of it
+                return int(smith_valuations(h, p, 0, expect=divisors) is not None)
+            # leaf y adds y dx q^(n - 1) to the last row of column 0, as
+            # column 2n - 1 of every prefix product is q^n e_(2n - 1)
+            c = [row[0] for row in h]
+            d = [0] * (size - 1) + [dx * qread * scale[0] // base]
+            return _leaf_hits(h, c, d, p**w, p, divisors, minors)
+        if step >= group.rank:
+            others = [(y, 1) for y in range(1, p**w)]
+        else:
+            # one child per torus orbit: y = p^j standing for the
+            # (p - 1) p^(w - j - 1) children of valuation j
+            others = [(p**j, (p - 1) * p ** (w - j - 1)) for j in range(w)]
+        hits = walk(step + 1, child)
+        for y, orbit in others:
+            child = [row[:] for row in m]
+            group.right_multiply_generator(child, units, c0 + y * dx, q)
+            close(step + 1, child)  # integral, as the entry-0 child's are
+            hits += orbit * walk(step + 1, child)
+        return hits
 
-    # the root q^n I is diagonal: its closed columns are integral when
-    # their diagonal entries are
-    if any(q**n * scale[j] % base for j in closing[0]):
-        return 0
-    return walk(0, group.identity(q**n))
+    root = group.identity(q**n)
+    return walk(0, root) if close(0, root) else 0
 
 
 # Most nodes the walks of one cell may visit, set at about 3 s of work for
 # the slowest walk it admits (timings on one 2-vCPU Xeon core, where a node
 # costs about 10-28 us).  sp4's largest cells on the CLI's rows, mu = (0, 0)
 # at depth 1, may visit 4p + 9p^2 nodes: 115,373 at p = 113, the last prime
-# admitted, in 1.4-1.5 s, and 145,669 at p = 127, refused.  The slowest
+# admitted, in 1.0-1.8 s, and 145,669 at p = 127, refused.  The slowest
 # admitted walk measured, lam = (-4, -2), mu = (-1, 0) at depth 1 and
-# p = 113 (115,373 nodes), took 2.0-3.2 s over repeated runs.
+# p = 113 (115,373 nodes), took 2.1-3.5 s over repeated runs, the high end
+# on a loaded host.
 # sl2 has one coordinate, so each of its walks is one node and every sl2 row
 # is admitted.
 ORACLE_NODE_LIMIT = 120_000

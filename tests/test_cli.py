@@ -280,6 +280,11 @@ def run_captured(argv, stdin=""):
         (("classify", "--n", "3"), {"levi": [], "flags": {" 1": True, "2": False, "3": False}}),
         (("classify", "--n", "3"), {"levi": [], "flags": {"x": True, "2": False, "3": False}}),
         (("classify", "--siegel", "--n", "3"), {"P": [], "flags": {"01": True, "2": False}, "Q": []}),
+        # a repeated root index does not stand for the root named once
+        (("classify", "--n", "2"), {"levi": [1, 1]}),
+        (("classify", "--siegel", "--n", "2"), {"P": [1, 1], "flags": {}, "Q": [1]}),
+        (("classify", "--siegel", "--n", "2"), {"P": [1], "flags": {}, "Q": [2, 1, 2]}),
+        (("weights", "--nu", "0,0", "--levi", "1,1"), {}),
     ],
 )
 def test_classify_rejects_mistyped_json(argv, doc):
@@ -290,6 +295,9 @@ def test_classify_rejects_mistyped_json(argv, doc):
     for key in flags if isinstance(flags, dict) else ():
         if key not in ("1", "2", "3"):
             assert f"error: flag key {key!r}" in err
+    for key in ("levi", "P", "Q"):
+        if isinstance(doc.get(key), list) and len(set(doc[key])) < len(doc[key]):
+            assert f"error: {key!r} repeats root index" in err
 
 
 @pytest.mark.parametrize(

@@ -692,12 +692,13 @@ def test_similitude_torus_conjugation_keeps_windowed_boxes(p):
 
 
 def test_closing_columns_read_an_unwritten_column_to_rank_7():
-    """The walk prunes on intercepts alone because every slope of a
-    closing column is integral: each unit writing a column at the step
-    where it closes reads a column no generator writes (the root's last
-    column, a multiple of e_(2n-1) at every node), and the written column
-    is at or right of the generator's window column, so its torus exponent
-    is at least the window's."""
+    """The walk prunes on the child with entry 0 alone, which decides for
+    its siblings, because every slope of a closing column is integral:
+    each unit writing a column at the step where it closes reads a column
+    no generator writes (the root's last column, a multiple of e_(2n-1)
+    at every node), and the written column is at or right of the
+    generator's window column, so its torus exponent is at least the
+    window's."""
     for n in range(1, 8):
         neg = oracle._negative_roots(n)
         last_write = {}
