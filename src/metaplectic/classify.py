@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .characters import GenuineTorusCharacter
-from .rootdata import ParabolicSubset, parabolic_subset
+from .rootdata import ParabolicSubset, first_four, parabolic_subset
 
 
 class ClassifyError(ValueError):
@@ -36,7 +36,7 @@ def _mismatch(given: set, want) -> str:
     counted, with the first four of each named: short at any rank."""
     gaps = (("missing", sorted(want - given)), ("extra", sorted(given - want)))
     return " and ".join(
-        f"{len(r):,} {name} ({', '.join(map(str, r[:4]))}{', ...' if len(r) > 4 else ''})"
+        f"{len(r):,} {name} ({first_four(r)})"
         for name, r in gaps
         if r
     )

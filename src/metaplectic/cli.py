@@ -42,7 +42,6 @@ from __future__ import annotations
 import argparse
 import collections
 import functools
-import itertools
 import json
 import re
 import sys
@@ -559,18 +558,7 @@ def cmd_aset(args, config: RunConfig) -> tuple[dict | None, int]:
         _refuse_aset_size(n, -1)
         base = hecke.t2lambda_base(args.i, n)
         i = args.i
-    # the A-set is the up-set of 2 base in coroot coordinates, the prefix
-    # sums of mu - 2 base; the tests compare it with hecke.enumerate_A, a
-    # walk over the rows of C a <= b that shares no code with
-    # antidominant_above
-    two = 2 * base
-    A = hecke.ASet(
-        base,
-        frozenset(
-            tuple(itertools.accumulate(m - t for m, t in zip(mu.coords, two.coords)))
-            for mu in rootdata.antidominant_above(two)
-        ),
-    )
+    A = hecke.enumerate_A(base)
     payload = {
         "base": list(base.coords),
         "n": n,

@@ -21,10 +21,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+from . import rootdata
 from .rootdata import (
     Cocharacter,
     ParabolicSubset,
-    cartan_matrix,
     coroot,
     is_antidominant,
     pairing,
@@ -125,51 +125,27 @@ class ASet:
 
 
 def enumerate_A(lam: Cocharacter) -> ASet:
-    """Full enumeration of the A-set {a >= 0 : C a <= b}, with
-    b_j = 2 <alpha_j, -lam>, inside the box 0 <= a <= C^{-1} b, which
-    contains the A-set since C^{-1} >= 0.  C^{-1} b is the coroot
-    coordinates of -2 lam, the prefix sums of its e coordinates, so the
-    box is read in integers; a similitude part of lam pairs to zero with
-    every root and is ignored.
+    """The A-set {a >= 0 : C a <= b}, with b_j = 2 <alpha_j, -lam>, read
+    off the antidominant up-set of 2 lam.
 
-    The enumeration is a depth-first walk that assigns a_1, ..., a_n in
-    order, each over its whole box range.  Row j of C a <= b is tested as
-    soon as its last nonzero column is set, and a prefix is dropped at the
-    first row that fails: later coordinates cannot change a row whose
-    variables are all set, so the walk keeps exactly the box points that
-    pass every row.  It takes no lower bounds and nothing from the
-    e-coordinate form of the rows, so it stays an independent reference
-    for `antidominant_above`.  Each row is kept as its nonzero
-    (k, C[j][k]) pairs, read off `cartan_matrix`.
+    Put mu = 2 lam + a . alpha^vee.  Row j of C a is <alpha_j, mu - 2 lam>,
+    so C a <= b says <alpha_j, mu> <= 0 for every j, that is, mu is
+    antidominant; and a >= 0 says mu >= 2 lam.  So a -> mu is a bijection
+    from the A-set onto `rootdata.antidominant_above(2 lam)`, and a is
+    read back as the coroot coordinates of mu - 2 lam, the prefix sums of
+    its e coordinates.  A similitude part of lam pairs to zero with every
+    root and is ignored; `ASet.mu_of` carries it.
     """
-    n = lam.rank
     if not is_antidominant(lam):
         raise HeckeError("base point must be antidominant")
-    b = [2 * pairing(simple_root(j, n), -1 * lam) for j in range(1, n + 1)]
-    closing = [[] for _ in range(n)]  # closing[k]: the rows whose last column is k
-    for row, bj in zip(cartan_matrix(n), b):
-        terms = tuple((k, c) for k, c in enumerate(row) if c)
-        closing[terms[-1][0]].append((terms, bj))
-    bounds = list(itertools.accumulate(-2 * x for x in lam.coords))
-    elems = set()
-    stack = [()]
-    while stack:
-        prefix = stack.pop()
-        k = len(prefix)
-        if k == n:
-            elems.add(prefix)
-            continue
-        for v in range(bounds[k] + 1):
-            a = prefix + (v,)
-            for terms, bj in closing[k]:
-                s = 0
-                for m, c in terms:
-                    s += c * a[m]
-                if s > bj:
-                    break
-            else:
-                stack.append(a)
-    return ASet(lam, frozenset(elems))
+    two = 2 * lam
+    return ASet(
+        lam,
+        frozenset(
+            tuple(itertools.accumulate(m - t for m, t in zip(mu.coords, two.coords)))
+            for mu in rootdata.antidominant_above(two)
+        ),
+    )
 
 
 @dataclass(frozen=True)

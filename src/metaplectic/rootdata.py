@@ -124,6 +124,19 @@ def _check_rank(a, b):
         raise RootDatumError(f"rank mismatch: {a.rank} != {b.rank}")
 
 
+def first_four(values: list) -> str:
+    """The first four of `values`, comma-separated, then ", ..." if there
+    are more: an error that names root indices stays short at any rank."""
+    return ", ".join(map(str, values[:4])) + (", ..." if len(values) > 4 else "")
+
+
+def _range_error(n: int, indices: list) -> RootDatumError:
+    """Root indices outside 1..n: the sorted `indices` as a list, counted
+    when there are more than four."""
+    count = f" ({len(indices):,} indices)" if len(indices) > 4 else ""
+    return RootDatumError(f"indices out of range 1..{n}: [{first_four(indices)}]{count}")
+
+
 @dataclass(frozen=True)
 class ParabolicSubset:
     """Subset of {1, ..., n} indexing simple roots of a standard parabolic."""
@@ -134,7 +147,7 @@ class ParabolicSubset:
     def __post_init__(self):
         roots = frozenset(self.roots)
         if roots and not (1 <= min(roots) and max(roots) <= self.n):
-            raise RootDatumError(f"indices out of range 1..{self.n}: {sorted(roots)}")
+            raise _range_error(self.n, sorted(roots))
         object.__setattr__(self, "roots", roots)
 
     @staticmethod
@@ -231,7 +244,7 @@ def cartan_inverse(n: int, J=None) -> tuple[tuple[Fraction, ...], ...]:
     """
     idx = sorted(range(1, n + 1) if J is None else set(J))
     if idx and not (1 <= idx[0] and idx[-1] <= n):
-        raise RootDatumError(f"indices out of range 1..{n}: {idx}")
+        raise _range_error(n, idx)
     runs = []  # the maximal runs of consecutive indices
     for j in idx:
         if runs and runs[-1][-1] == j - 1:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from metaplectic import cli, cover, hecke, rootdata
 from metaplectic.cli import SCHEMAS, UsageError, build_parser, emit, main
 from metaplectic.rootdata import Cocharacter
+from test_hecke import _dense_A
 
 
 def run(capsys, *argv):
@@ -73,10 +74,10 @@ def test_oracle_command(capsys):
 
 
 def _aset_reference(base, i):
-    """The stdout of `aset`, built from hecke.enumerate_A: a walk over the
-    rows of C a <= b that shares no code with the command's
-    antidominant_above, so the two are independent."""
-    A = hecke.enumerate_A(base)
+    """The stdout of `aset`, built from the dense definition of the A-set
+    (a box scan against the Cartan rows, `test_hecke._dense_A`), which
+    shares no code with the command's antidominant_above."""
+    A = hecke.ASet(base, _dense_A(base))
     payload = {
         "base": list(base.coords),
         "n": base.rank,
@@ -907,6 +908,26 @@ def test_flag_errors_stay_short_at_the_classify_rank_limit(argv, doc):
     code, out, err = run_captured(argv, json.dumps(doc))
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "eligible roots" in err and "229,37" in err
+    assert len(err.encode()) < 1000
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["classify", "--n", "2"], json.dumps({"levi": list(range(3, 200_003))})),
+        (
+            ["classify", "--siegel", "--n", "2"],
+            json.dumps({"P": list(range(3, 200_003)), "Q": [], "flags": {}}),
+        ),
+        (["weights", "--nu", "0,0", "--levi", ",".join(map(str, range(3, 2003)))], ""),
+    ],
+    ids=["classify-levi", "classify-siegel-P", "weights-levi"],
+)
+def test_range_errors_stay_short_on_many_indices(argv, stdin):
+    # every index is out of range; the line names four and counts them
+    code, out, err = run_captured(argv, stdin)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: indices out of range 1..2: [3, 4, 5, 6, ...] (")
     assert len(err.encode()) < 1000
 
 

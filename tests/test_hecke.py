@@ -160,6 +160,9 @@ def test_enumerate_A_matches_antidominant_above():
 
 
 def _assert_A_matches_antidominant_above(lam):
+    # enumerate_A reads its elements off antidominant_above(2 lam), so this
+    # checks the round trip through mu_of: a -> mu is one-to-one and lands
+    # back on the up-set; the dense tests below check the elements themselves
     A = enumerate_A(lam)
     mus = {A.mu_of(a) for a in A.elements}
     assert len(mus) == len(A.elements)
