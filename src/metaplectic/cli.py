@@ -5,12 +5,13 @@ selftest.  Each `cmd_*(args, config)` returns `(payload, exit_code)`;
 `main` resolves the config before calling it and then emits the payload.
 Output is JSON (sorted keys, byte-stable for a fixed config and seed);
 every payload is validated against the draft-07 schema in SCHEMAS named
-after its subcommand before printing.  Each schema is checked against
-the draft-07 metaschema once per process, on its first use, when its one
-validator is built.  That validator first tries a plain-Python predicate
-built from the schema, which may be stricter than draft-07 but never
-looser; only a payload the predicate rejects goes to draft-07 itself, so
-every error printed is draft-07's.
+after its subcommand before printing.  Each schema's one validator is
+built at import.  It first tries a plain-Python predicate built from the
+schema, which may be stricter than draft-07 but never looser; only a
+payload the predicate rejects goes to draft-07 itself, so every error
+printed is draft-07's.  Building the predicate refuses a malformed
+schema; no metaschema check runs, as the tests check every schema
+against the draft-07 and 2020-12 metaschemas.
 `classify --emit csv` prints CSV itself and returns no payload.  Exit
 codes: 0 success, 1 verification mismatch, 2 usage or schema error.
 
@@ -27,8 +28,9 @@ times the cost of an element is over ASET_SIZE_LIMIT, and `classify` when
 its factor count times the rank (the size of the triples it would print)
 is over CLASSIFY_SIZE_LIMIT.  Every classify input prints at least one
 triple (a `--siegel` triple exactly one), so its rank alone is checked
-against that limit before the input is read.  JSON nested past the
-recursion limit and a negative N exit 2 as well.
+against that limit before the input is read.  A config file or classify
+input is read up to INPUT_LIMIT characters and refused past it, unparsed.
+JSON nested past the recursion limit and a negative N exit 2 as well.
 
 Parameters come from flags first, then an optional key=value config
 file, then defaults (p=3, f=1, n=2, N=2(p-1), depth=4, seed=0).  Each
@@ -42,6 +44,7 @@ from __future__ import annotations
 import argparse
 import collections
 import functools
+import io
 import json
 import re
 import sys
@@ -77,11 +80,17 @@ EXIT_USAGE = 2
 # 2^|Pi(sigma)| triples of O(n) entries each, slowest on `xi` input: 2^13
 # factors take 1.4-1.8 s at n = 14 and 2.4 s at n = 28, 2^12 take 2.1 s at
 # n = 56, and 2^14 at n = 15, the next size over the limit, take 4.2 s.
+# The largest classify inputs that run, at its rank limit: a `levi`
+# document with every flag written out, 3.8 MB (0.9-1.0 s, 120 MB), and
+# the matching `xi` document, 1.8 MB (2.7-3.6 s, 170 MB).  INPUT_LIMIT
+# admits the first with 10% to spare; under it the slowest refusal found,
+# a compact `xi` list of the wrong rank, takes 4.0 s and 250 MB.
 COVER_RANK_LIMIT = 180
 SATAKE_RANK_LIMIT = 1_200_000
 WEIGHTS_RANK_LIMIT = 400_000
 ASET_SIZE_LIMIT = 1_400_000  # elements of the up-set times (rank + 8)
 CLASSIFY_SIZE_LIMIT = 7 * 2**15  # composition factors times the rank
+INPUT_LIMIT = 4 * 2**20  # characters of a config file or classify input
 
 
 class UsageError(ValueError):
@@ -118,10 +127,19 @@ class RunConfig:
 _CONFIG_KEYS = ("p", "f", "n", "N", "depth", "seed")
 
 
+def _read_bounded(fh, name: str) -> str:
+    """The text of `fh`, refused once it runs past INPUT_LIMIT characters,
+    so that an endless stream is never read to its end."""
+    text = fh.read(INPUT_LIMIT + 1)
+    if len(text) > INPUT_LIMIT:
+        raise UsageError(f"{name} is over the input limit of {INPUT_LIMIT:,} characters")
+    return text
+
+
 def load_config(path: str) -> dict:
     out = {}
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
+        for lineno, raw in enumerate(io.StringIO(_read_bounded(fh, path)), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -328,11 +346,17 @@ _JSON_CLASSES = {
 _PREDICATE_KEYWORDS = {"type", "properties", "required", "additionalProperties", "enum", "items"}
 
 
+def _names(value) -> bool:
+    """Whether `value` is a list of distinct strings, as draft-07 wants a
+    `required` list and a list of types."""
+    return type(value) is list and all(type(v) is str for v in value) and len(set(value)) == len(value)
+
+
 def _classes(schema: dict) -> frozenset:
     """The classes `schema`'s `type` admits; all of _JSON_CLASSES without one."""
     kinds = schema.get("type", list(_JSON_CLASSES))
     kinds = [kinds] if type(kinds) is str else kinds
-    if not set(kinds) <= _JSON_CLASSES.keys():
+    if not (_names(kinds) and kinds and set(kinds) <= _JSON_CLASSES.keys()):
         raise ValueError(f"no predicate covers the type {kinds!r}")
     return frozenset(_JSON_CLASSES[kind] for kind in kinds)
 
@@ -343,19 +367,22 @@ def _predicate(schema: dict):
     only (so True and 1.0 are no integers, and no subclass is a list or a
     dict), and an enum member only a scalar of its own type.  Raises
     ValueError on a boolean subschema, on any keyword but the six the
-    output schemas use, and on `additionalProperties` other than false, so
-    that no schema is left to draft-07 alone."""
+    output schemas use, on `additionalProperties` other than false, and on
+    a value of the other five that draft-07's metaschema refuses, so that
+    no schema is left to draft-07 alone and none is malformed."""
     if type(schema) is not dict or not schema.keys() <= _PREDICATE_KEYWORDS:
         raise ValueError(f"no predicate covers the schema {schema!r}")
     if schema.get("additionalProperties", False) is not False:
         raise ValueError(f"no predicate covers additionalProperties in {schema!r}")
+    enum, subschemas = schema.get("enum", []), schema.get("properties", {})
+    if type(enum) is not list or type(subschemas) is not dict or not _names(schema.get("required", [])):
+        raise ValueError(f"no predicate covers the enum, properties or required of {schema!r}")
     classes = _classes(schema)
     if schema.keys() <= {"type"}:
         return lambda value: type(value) in classes
-    enum = schema.get("enum")
-    members = None if enum is None else [(type(v), v) for v in enum if type(v) not in (list, dict)]
+    members = [(type(v), v) for v in enum if type(v) not in (list, dict)] if "enum" in schema else None
     required = frozenset(schema.get("required", ()))
-    properties = {name: _predicate(sub) for name, sub in schema.get("properties", {}).items()}
+    properties = {name: _predicate(sub) for name, sub in subschemas.items()}
     closed = "additionalProperties" in schema
     each = None
     if "items" in schema:
@@ -382,14 +409,23 @@ def _predicate(schema: dict):
     return holds
 
 
-class _PredicateValidator:
-    """The validator `_DRAFT7` builds for one schema: a value its predicate
-    admits has no errors, and any other value gets draft-07's, so the
-    errors, their order and their paths are draft-07's."""
+class _OutputValidator:
+    """The validator of one output schema: a value its predicate admits has
+    no errors, and any other value gets draft-07's, so the errors, their
+    order and their paths are draft-07's.  One is built per schema, at
+    import, into _VALIDATORS.  `jsonschema.validate(value, schema, cls=v)`
+    calls two hooks before it iterates the errors: `v.check_schema(schema)`,
+    which checks nothing (module docstring), and `v(schema)`, which is v."""
 
     def __init__(self, schema: dict):
         self.schema = schema
         self.holds = _predicate(schema)
+
+    def check_schema(self, schema: dict) -> None:
+        pass
+
+    def __call__(self, schema: dict) -> _OutputValidator:
+        return self
 
     def iter_errors(self, instance):
         if self.holds(instance):
@@ -397,45 +433,19 @@ class _PredicateValidator:
         return jsonschema.Draft7Validator(self.schema).iter_errors(instance)
 
 
-class _Draft7CheckedOnce:
-    """The validator class `emit` hands to `jsonschema.validate`: draft-07,
-    with each schema object checked against the metaschema once per
-    process, since the schemas are constants and the check costs 1.2 ms,
-    and one `_PredicateValidator` built per schema object with that check.
-    Checked schemas are kept, so no new object can reuse a checked `id`."""
-
-    def __init__(self):
-        self._validators = {}  # id(schema) -> its _PredicateValidator
-
-    def check_schema(self, schema: dict) -> None:
-        held = self._validators.get(id(schema))
-        if held is None or held.schema is not schema:
-            jsonschema.Draft7Validator.check_schema(schema)
-            self._validators[id(schema)] = _PredicateValidator(schema)
-
-    def __call__(self, schema: dict):
-        self.check_schema(schema)
-        return self._validators[id(schema)]
-
-
-_DRAFT7 = _Draft7CheckedOnce()
+_VALIDATORS = {name: _OutputValidator(schema) for name, schema in SCHEMAS.items()}
 
 
 def emit(payload: dict, schema: str) -> None:
+    validator = _VALIDATORS[schema]
     try:
-        # draft-07: the keywords these schemas use mean the same in it and in
-        # 2020-12.  Every payload is validated, by the one validator built
-        # for its schema on first use, when the schema is checked against
-        # the metaschema; draft-07 itself runs only on a payload that
-        # schema's predicate rejects, to give the error.
-        jsonschema.validate(payload, SCHEMAS[schema], cls=_DRAFT7)
+        # through jsonschema.validate, imported at the top, which raises
+        # draft-07's best match: bench/tracing.py patches cli.jsonschema to
+        # time this call as cli.schema_s
+        jsonschema.validate(payload, validator.schema, cls=validator)
     except jsonschema.ValidationError as err:
         raise UsageError(f"output failed its schema: {err.message}")
-    print(json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1))
-
-
-def _element_terms(h) -> list[dict]:
-    return [{"mu": list(mu), "c": c} for mu, c in h.terms()]
+    print(json.dumps(payload, sort_keys=True, indent=1))
 
 
 # ---------------------------------------------------------------------
@@ -481,11 +491,8 @@ def cmd_hilbert(args, config: RunConfig) -> tuple[dict | None, int]:
         "symbol": symbol,
     }
     if args.verify:
-        check = cover.hilbert_solvable(x, y, config.field)
-        payload["verified"] = check == symbol
-    if args.verify and not payload["verified"]:
-        return payload, EXIT_MISMATCH
-    return payload, EXIT_OK
+        payload["verified"] = cover.hilbert_solvable(x, y, config.field) == symbol
+    return payload, EXIT_MISMATCH if args.verify and not payload["verified"] else EXIT_OK
 
 
 def cmd_cover(args, config: RunConfig) -> tuple[dict | None, int]:
@@ -523,7 +530,7 @@ def cmd_satake(args, config: RunConfig) -> tuple[dict | None, int]:
         "i": args.i,
         "n": config.n,
         "p": config.p,
-        "terms": _element_terms(element),
+        "terms": [{"mu": list(mu), "c": c} for mu, c in element.terms()],
     }
     mismatch = False
     if args.oracle:
@@ -705,10 +712,10 @@ def cmd_classify(args, config: RunConfig) -> tuple[dict | None, int]:
     _refuse_rank("classify", n, CLASSIFY_SIZE_LIMIT)
     try:
         if args.input == "-":
-            data = json.load(sys.stdin)
+            data = json.loads(_read_bounded(sys.stdin, "classify input"))
         else:
             with open(args.input) as fh:
-                data = json.load(fh)
+                data = json.loads(_read_bounded(fh, args.input))
     except RecursionError:
         raise UsageError("classify input is nested too deeply") from None
     if not isinstance(data, dict):

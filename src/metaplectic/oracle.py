@@ -32,7 +32,7 @@ coordinates may be windowed to p^{-(mu_col - min lam)} O / O with no
 loss.  Counts therefore stop growing once the depth exceeds the window,
 which is what the stabilization flag reports.  Those windows are known
 before any walk starts, and so is the number of nodes a walk may visit
-(`_budgeted_nodes`); a cell whose walks may visit more than
+(`_cell_walks`); a cell whose walks may visit more than
 ORACLE_NODE_LIMIT nodes is refused with OracleError instead of counted.
 Inside its window box the walk sets the coordinates in order and shares
 every prefix product; a column of the matrix is final once the last
@@ -149,7 +149,7 @@ def _negative_roots(n: int) -> tuple[NegativeRootCoordinate, ...]:
 
 
 def _minor_indices(size: int, rank: int):
-    """For k = 1 .. rank <= 2, the rows + cols of the k x k minors of a
+    """For k = 1 .. rank, the rows + cols of the k x k minors of a
     lower-triangular matrix that need not vanish, cols[m] <= rows[m] for
     every m, with those off column 0 first."""
     out = []
@@ -157,7 +157,7 @@ def _minor_indices(size: int, rank: int):
         parts = ([], [])
         for rows in combinations(range(size), k):
             for cols in combinations(range(rows[-1] + 1), k):
-                if cols[0] <= rows[0]:
+                if all(c <= r for c, r in zip(cols, rows)):
                     parts[not cols[0]].append(rows + cols)
         out.append(parts[0] + parts[1])
     return out
@@ -319,13 +319,8 @@ def _coordinate_windows(group: ChevalleyRealization, mu: Cocharacter, lam: Cocha
     entry needs valuation at least min(lam).  Entries deeper than that
     cannot contribute, losslessly shrinking the box.
     """
-    exps = group.torus_exponents(mu)
-    floor = min(lam.coords)
-    windows = []
-    for gen in group.neg:
-        cap = exps[gen.window_col] - floor
-        windows.append(max(0, min(depth, cap)))
-    return tuple(windows)
+    exps, floor = group.torus_exponents(mu), min(lam.coords)
+    return tuple(max(0, min(depth, exps[gen.window_col] - floor)) for gen in group.neg)
 
 
 def _progression(pairs, p: int, e: int):
@@ -358,11 +353,12 @@ def _progression(pairs, p: int, e: int):
     return y0, step
 
 
-def _leaf_hits(h, c, d, leaves, p, divisors, minors) -> int:
+def _leaf_hits(h, slope, leaves, p, divisors, minors) -> int:
     """How many t in range(leaves) put h_t, the lower-triangular integer
-    matrix h with column 0 replaced by c + t d, in the cell whose first
-    elementary divisors over Z_(p) have the ascending valuations
-    `divisors` (rank <= 2); `minors` is `_minor_indices(len(h), rank)`.
+    matrix h with t slope added to the last entry of its column 0, in the
+    cell whose first elementary divisors over Z_(p) have the ascending
+    valuations `divisors` (rank <= 2); `minors` is
+    `_minor_indices(len(h), rank)`.
 
     h_t hits when, for each k, its k x k minors a + t b are all 0 mod
     p^(s_k), s_k the sum of the first k divisors, and one is not mod
@@ -370,7 +366,7 @@ def _leaf_hits(h, c, d, leaves, p, divisors, minors) -> int:
     second part; the others give congruences on t lifted to mod p^top:
     `hold`, and per k the `misses`, where they all vanish mod p^(s_k + 1).
     The leaves in `hold` and in no miss are counted by inclusion-exclusion."""
-    top = sum(divisors) + 1
+    top, last = sum(divisors) + 1, len(h) - 1
     hold, misses, need = [], [], 0
     for k, (v, index) in enumerate(zip(divisors, minors), 1):
         need += v
@@ -381,12 +377,11 @@ def _leaf_hits(h, c, d, leaves, p, divisors, minors) -> int:
                 break  # every leaf meets this k
             if k == 1:
                 i, j = minor
-                a, b = (h[i][j], 0) if j else (c[i], d[i])
-            else:
+                a, b = h[i][j], 0 if j or i < last else slope
+            else:  # rows i < i2, so only row i2 may be the last
                 i, i2, j, j2 = minor
-                x, y = h[i2][j2], h[i][j2]
-                a = h[i][j] * x - h[i2][j] * y if j else c[i] * x - c[i2] * y
-                b = 0 if j else d[i] * x - d[i2] * y
+                a = h[i][j] * h[i2][j2] - h[i2][j] * h[i][j2]
+                b = 0 if j or i2 < last else -slope * h[i][j2]
             a, b = a % pt, b % pt
             if b:
                 slopes.append((a, b))
@@ -408,8 +403,7 @@ def _leaf_hits(h, c, d, leaves, p, divisors, minors) -> int:
     return hits
 
 
-def _count_in_cell(group, mu, lam, depth, p) -> int:
-    windows = _coordinate_windows(group, mu, lam, depth)
+def _count_in_cell(group, mu, lam, windows, p) -> int:
     width = max(windows)
     n, size = len(group.neg), group.size
     floor = min(lam.coords)
@@ -461,9 +455,7 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
                 return int(smith_valuations(h, p, 0, expect=divisors) is not None)
             # leaf y adds y dx q^(n - 1) to the last row of column 0, as
             # column 2n - 1 of every prefix product is q^n e_(2n - 1)
-            c = [row[0] for row in h]
-            d = [0] * (size - 1) + [dx * qread * scale[0] // base]
-            return _leaf_hits(h, c, d, p**w, p, divisors, minors)
+            return _leaf_hits(h, dx * qread * scale[0] // base, p**w, p, divisors, minors)
         if step >= group.rank:
             others = [(y, 1) for y in range(1, p**w)]
         else:
@@ -495,23 +487,22 @@ def _count_in_cell(group, mu, lam, depth, p) -> int:
 ORACLE_NODE_LIMIT = 120_000
 
 
-def _budgeted_nodes(group, mu, lam, depth, p) -> list[int]:
-    """Nodes each walk one cell runs may visit: the product, over all
-    windows w but the last, of w + 1 at the first `group.rank` (simple-root)
-    steps, which the walk visits one child per torus orbit, and of p^w at
-    the others, at the depth, then the same at depth + 1 when the
-    stabilization re-run will run (its windows differ).  The last
-    coordinate adds no nodes, since `_leaf_hits` decides all of its
-    leaves below a node at once.  Refused with OracleError when their sum
-    is over ORACLE_NODE_LIMIT."""
-
-    def walk_nodes(windows) -> int:
-        return prod(w + 1 if step < group.rank else p**w for step, w in enumerate(windows[:-1]))
-
+def _cell_walks(group, mu, lam, depth, p) -> list[tuple]:
+    """The windows of each walk one cell runs: those at the depth, then
+    those at depth + 1 when the stabilization re-run will run (its windows
+    differ).  A walk may visit the product, over all windows w but the
+    last, of w + 1 at the first `group.rank` (simple-root) steps, which the
+    walk visits one child per torus orbit, and of p^w at the others; the
+    last coordinate adds no nodes, since `_leaf_hits` decides all of its
+    leaves below a node at once.  Refused with OracleError when the walks'
+    nodes sum to more than ORACLE_NODE_LIMIT."""
     now = _coordinate_windows(group, mu, lam, depth)
     nxt = _coordinate_windows(group, mu, lam, depth + 1)
-    walks = [walk_nodes(now)] + ([walk_nodes(nxt)] if nxt != now else [])
-    nodes = sum(walks)
+    walks = [now] + ([nxt] if nxt != now else [])
+    nodes = sum(
+        prod(w + 1 if step < group.rank else p**w for step, w in enumerate(windows[:-1]))
+        for windows in walks
+    )
     if nodes > ORACLE_NODE_LIMIT:
         raise OracleError(
             f"oracle cell mu={mu.coords} at p = {p}, depth {depth} may visit"
@@ -546,11 +537,9 @@ def count_cosets(
         above = False
     if not (above and is_antidominant(mu)):
         raise OracleError("mu must be antidominant and >= lam")
-    walks = _budgeted_nodes(realization, mu, lam, depth, p)
-    raw = _count_in_cell(realization, mu, lam, depth, p)
-    stabilized = True
-    if len(walks) == 2:
-        stabilized = _count_in_cell(realization, mu, lam, depth + 1, p) == raw
+    first, *rerun = _cell_walks(realization, mu, lam, depth, p)
+    raw = _count_in_cell(realization, mu, lam, first, p)
+    stabilized = all(_count_in_cell(realization, mu, lam, windows, p) == raw for windows in rerun)
     return CosetCountResult(mu, raw, raw % p, stabilized)
 
 
@@ -560,7 +549,7 @@ def oracle_rows(lam: Cocharacter, depth: int, group: str, p: int):
     mus = sorted(antidominant_above(lam), key=lambda m: m.coords)
     realization = ChevalleyRealization(group)
     for mu in mus:
-        _budgeted_nodes(realization, mu, lam, depth, p)
+        _cell_walks(realization, mu, lam, depth, p)
     return [count_cosets(mu, lam, depth, group, p) for mu in mus]
 
 

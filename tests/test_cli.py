@@ -1,11 +1,11 @@
 import argparse
 import contextlib
-import copy
 import io
 import itertools
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -228,6 +228,53 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
         assert code == 2 and out == "" and f"{cfg}:2: " in err and what in err
 
 
+def _main_in_child(argv, stdin):
+    """`main(argv)` reading the open file `stdin`, in a child process with
+    at most 1 GiB of address space, killed after 20 s."""
+    script = "import sys\nfrom metaplectic.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        stdin=stdin,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=package_root),
+        timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("case", ["config-file", "stdin", "config-dev-zero", "input-dev-zero", "stdin-dev-zero"])
+def test_inputs_over_the_limit_are_refused_unparsed(case, tmp_path):
+    # the long config file and stdin are well-formed, so only their length
+    # refuses them; /dev/zero never ends
+    cfg, doc = tmp_path / "long.cfg", tmp_path / "long.json"
+    cfg.write_text("p = 5\n" + "#" * cli.INPUT_LIMIT)
+    doc.write_text(json.dumps({"levi": [1]}) + " " * cli.INPUT_LIMIT)
+    argv, stdin, name = {
+        "config-file": (["hilbert", "pi", "pi", "--config", str(cfg)], os.devnull, str(cfg)),
+        "stdin": (["classify"], doc, "classify input"),
+        "config-dev-zero": (["hilbert", "pi", "pi", "--config", "/dev/zero"], os.devnull, "/dev/zero"),
+        "input-dev-zero": (["classify", "--input", "/dev/zero"], os.devnull, "/dev/zero"),
+        "stdin-dev-zero": (["classify"], "/dev/zero", "classify input"),
+    }[case]
+    with open(stdin) as fh:
+        code, out, err = _main_in_child(argv, fh)
+    assert (code, out) == (2, "")
+    assert err == f"error: {name} is over the input limit of {cli.INPUT_LIMIT:,} characters\n"
+
+
+def test_inputs_at_the_limit_are_read(capsys, tmp_path):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("p = 5\n" + "#" * (cli.INPUT_LIMIT - 6))
+    code, out, _ = run(capsys, "hilbert", "pi", "pi", "--config", str(cfg))
+    assert code == 0 and json.loads(out)["symbol"] == 1
+    doc = json.dumps({"levi": [1]})
+    code, out, _ = run_captured(["classify"], doc + " " * (cli.INPUT_LIMIT - len(doc)))
+    assert code == 0 and json.loads(out)["triples"]
+
+
 def test_byte_stability(capsys):
     _, out1, _ = run(capsys, "cover", "--n", "3")
     _, out2, _ = run(capsys, "cover", "--n", "3")
@@ -410,52 +457,40 @@ def test_emit_rejects_payload_outside_its_schema(capsys, monkeypatch):
     assert err == "error: output failed its schema: 2 is not one of [1, -1]\n"
 
 
-_HILBERT_PAYLOAD = {"x": "pi", "y": "pi", "p": 3, "f": 1, "symbol": -1}
+def test_emit_builds_no_validator_and_checks_no_schema(capsys, monkeypatch):
+    # one validator per output schema, built at import on the schema itself
+    assert cli._VALIDATORS.keys() == SCHEMAS.keys()
+    for name, schema in SCHEMAS.items():
+        assert cli._VALIDATORS[name].schema is SCHEMAS[name]
+    payloads = {}
+    real_emit = cli.emit
 
+    def keep(payload, schema):
+        payloads[schema] = payload
+        real_emit(payload, schema)
 
-def test_emit_refuses_an_invalid_schema_on_first_use(capsys, monkeypatch):
-    monkeypatch.setitem(SCHEMAS, "hilbert", {"type": 5})
-    with pytest.raises(jsonschema.SchemaError):
-        emit(_HILBERT_PAYLOAD, "hilbert")
-    with pytest.raises(jsonschema.SchemaError):
-        emit(_HILBERT_PAYLOAD, "hilbert")
-    assert capsys.readouterr().out == ""
+    monkeypatch.setattr(cli, "emit", keep)
+    for argv, stdin in _SCHEMA_SAMPLES.values():
+        assert run_captured(argv, stdin)[0] == 0
+    assert payloads.keys() == SCHEMAS.keys()
+    monkeypatch.undo()
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("emit checked a schema or built a validator")
 
-def test_emit_checks_each_schema_once_and_every_payload(capsys, monkeypatch):
-    checked, built = [], []
-    real = jsonschema.Draft7Validator.check_schema
-    monkeypatch.setattr(
-        jsonschema.Draft7Validator,
-        "check_schema",
-        lambda schema, **kwargs: checked.append(schema) or real(schema, **kwargs),
-    )
-    build = cli._PredicateValidator
-    monkeypatch.setattr(
-        cli, "_PredicateValidator", lambda schema: built.append(schema) or build(schema)
-    )
-    # fresh schema objects, so earlier emits in this process do not count
-    hilbert, cover_ = copy.deepcopy(SCHEMAS["hilbert"]), copy.deepcopy(SCHEMAS["cover"])
-    monkeypatch.setitem(SCHEMAS, "hilbert", hilbert)
-    monkeypatch.setitem(SCHEMAS, "cover", cover_)
+    monkeypatch.setattr(jsonschema.Draft7Validator, "check_schema", refuse)
+    monkeypatch.setattr(jsonschema, "Draft7Validator", refuse)
+    monkeypatch.setattr(cli, "_OutputValidator", refuse)
     for _ in range(3):
-        emit(_HILBERT_PAYLOAD, "hilbert")
-        emit({"n": 1, "Q_coroots": [1], "splits_over_Mprime": {}}, "cover")
-    assert len(checked) == 2
-    assert checked[0] is hilbert and checked[1] is cover_
-    # one validator per schema object, built with its check
-    assert len(built) == 2 and built[0] is hilbert and built[1] is cover_
-    assert cli._DRAFT7(hilbert) is cli._DRAFT7(hilbert)
+        for name, payload in payloads.items():
+            emit(payload, name)
     capsys.readouterr()
+    monkeypatch.undo()
+    # draft-07 still explains a payload the predicate rejects
     with pytest.raises(UsageError) as bad:
-        emit({**_HILBERT_PAYLOAD, "symbol": 2}, "hilbert")
+        emit({"x": "pi", "y": "pi", "p": 3, "f": 1, "symbol": 2}, "hilbert")
     assert str(bad.value) == "output failed its schema: 2 is not one of [1, -1]"
     assert capsys.readouterr().out == ""
-    assert len(checked) == 2 and len(built) == 2
-    # an equal schema in a new object is checked and built anew
-    twin = copy.deepcopy(hilbert)
-    assert cli._DRAFT7(twin) is not cli._DRAFT7(hilbert)
-    assert len(checked) == 3 and len(built) == 3 and built[2] is twin
 
 
 # one command line per output schema, and the stdin it reads
@@ -528,7 +563,7 @@ def test_output_schemas_mean_the_same_in_draft07_and_2020_12(name):
     assert code == 0
     draft7 = jsonschema.Draft7Validator(schema)
     draft2020 = jsonschema.Draft202012Validator(schema)
-    leaf = cli._DRAFT7(schema)  # what `emit` validates with
+    leaf = cli._VALIDATORS[name]  # what `emit` validates with
     payload = json.loads(out)
     assert _best_message(draft7, payload) is None
     assert _best_error(leaf, payload) is None
@@ -563,7 +598,7 @@ def test_leaf_values_are_checked_as_draft07_checks_them(kind):
     as_item = {"type": "array", "items": {"type": kind}}
     for schema in (as_property, as_item):
         draft7 = jsonschema.Draft7Validator(schema)
-        leaf = cli._DRAFT7(schema)
+        leaf = cli._OutputValidator(schema)
         rejected = 0
         for value in _LEAF_VALUES:
             for other in _LEAF_VALUES:
@@ -676,6 +711,14 @@ def test_predicate_refuses_schemas_it_does_not_cover():
         {"type": "object", "additionalProperties": {"type": "integer"}},
         {"type": "array", "items": [{"type": "integer"}]},
         {"type": "object", "properties": {"a": False}},
+        # malformed values of the six keywords
+        {"type": 5},
+        {"type": []},
+        {"type": ["integer", "integer"]},
+        {"enum": 1},
+        {"type": "object", "properties": []},
+        {"type": "object", "required": "mu"},
+        {"type": "object", "required": ["mu", 1]},
     ):
         with pytest.raises(ValueError, match="no predicate covers"):
             cli._predicate(schema)

@@ -414,6 +414,7 @@ def test_count_cosets_validation():
 
 
 def test_node_estimate_admits_p113_and_refuses_p127():
+    assert 2 * 2 * 113 + 9 * 113**2 <= ORACLE_NODE_LIMIT < 9 * 127**2
     zero = Cocharacter((0, 0))
     for i in (1, 2):
         lam = 2 * t2lambda_base(i, 2)
@@ -421,14 +422,16 @@ def test_node_estimate_admits_p113_and_refuses_p127():
         # (2, 2, 2, 2) from depth 2 on, so depth 1 adds the re-run's walk;
         # each simple-root window w costs w + 1 nodes, one per torus orbit,
         # and the last window adds none
-        assert oracle._budgeted_nodes(SP4, zero, lam, 1, 113) == [2 * 2 * 113, 3 * 3 * 113**2]
+        assert oracle._cell_walks(SP4, zero, lam, 1, 113) == [(1, 1, 1, 1), (2, 2, 2, 2)]
+        with pytest.raises(OracleError, match=f" {2 * 2 * 127 + 9 * 127**2:,} nodes, over its limit"):
+            oracle._cell_walks(SP4, zero, lam, 1, 127)
         for depth in (2, 3, 4):
-            assert oracle._budgeted_nodes(SP4, zero, lam, depth, 113) == [3 * 3 * 113**2]
+            assert oracle._cell_walks(SP4, zero, lam, depth, 113) == [(2, 2, 2, 2)]
             with pytest.raises(OracleError, match=f" {9 * 127**2:,} nodes, over its limit"):
-                oracle._budgeted_nodes(SP4, zero, lam, depth, 127)
+                oracle._cell_walks(SP4, zero, lam, depth, 127)
         for depth in (1, 2, 3, 4):
-            for mu in antidominant_above(lam):
-                assert sum(oracle._budgeted_nodes(SP4, mu, lam, depth, 113)) <= ORACLE_NODE_LIMIT
+            for mu in antidominant_above(lam):  # every cell at p = 113 is admitted
+                oracle._cell_walks(SP4, mu, lam, depth, 113)
 
 
 def test_over_budget_row_is_refused_before_counting(monkeypatch):
@@ -450,7 +453,8 @@ def test_over_budget_row_is_refused_before_counting(monkeypatch):
     for depth in (1, 2, 3, 4):
         for mu in ((-2,), (-1,), (0,)):
             cell = (SL2, Cocharacter(mu), Cocharacter((-2,)), depth, 2**31 - 1)
-            assert sum(oracle._budgeted_nodes(*cell)) <= 2
+            walks = oracle._cell_walks(*cell)
+            assert 1 <= len(walks) <= 2 and all(len(windows) == 1 for windows in walks)
 
 
 def test_sl2_row_at_a_large_prime_is_counted():
@@ -582,11 +586,11 @@ def test_progression_examples():
 @settings(max_examples=400, deadline=None)
 def test_leaf_hits_match_smith_per_leaf(p, size, mode, data):
     """The determinantal rule against a Smith step on every leaf.  h is
-    lower triangular with a nonzero diagonal and column 0 is c + t d at
-    leaf t.  In mode 0 every entry outside column 0 is divisible by p, so
-    the first divisor's unit has to come from column 0; in mode 2 column 0
-    is divisible by p^gap, the gap between the two divisors, so the 2 x 2
-    minors off column 0 decide."""
+    lower triangular with a nonzero diagonal, and at leaf t its column 0
+    is c with t slope added to the last entry.  In mode 0 every entry
+    outside column 0 is divisible by p, so the first divisor's unit has
+    to come from column 0; in mode 2 column 0 is divisible by p^gap, the
+    gap between the two divisors, so the 2 x 2 minors off column 0 decide."""
     rank = size // 2
     first, gap = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 2))
     divisors = [first, first + gap][:rank]
@@ -598,15 +602,41 @@ def test_leaf_hits_match_smith_per_leaf(p, size, mode, data):
         for j in range(1, i + 1):
             h[i][j] = lift * data.draw(nonzero if i == j else num)
     c = [sink * data.draw(nonzero)] + [sink * data.draw(num) for _ in range(size - 1)]
-    d = [0] + [sink * data.draw(num) for _ in range(size - 1)]
+    slope = sink * data.draw(num)
     leaves = data.draw(st.integers(1, 2 * p * p))
+    for i in range(size):
+        h[i][0] = c[i]
     want = 0
     for t in range(leaves):
-        for i in range(size):
-            h[i][0] = c[i] + t * d[i]
+        h[-1][0] = c[-1] + t * slope
         want += smith_valuations(h, p, 0, expect=divisors) is not None
+    h[-1][0] = c[-1]
     minors = oracle._minor_indices(size, rank)
-    assert oracle._leaf_hits(h, c, d, leaves, p, divisors, minors) == want
+    assert oracle._leaf_hits(h, slope, leaves, p, divisors, minors) == want
+
+
+def _det(m):
+    """The determinant of a small integer matrix, by expansion along row 0."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * x * _det([row[:j] + row[j + 1 :] for row in m[1:]]) for j, x in enumerate(m[0]) if x
+    )
+
+
+@pytest.mark.parametrize("size", [2, 4, 6])
+def test_minor_indices_are_the_minors_of_a_generic_lower_triangular_matrix(size):
+    rng = random.Random(size)
+    h = [[rng.randint(1, 10**6) if j <= i else 0 for j in range(size)] for i in range(size)]
+    for k, got in enumerate(oracle._minor_indices(size, size // 2), 1):
+        nonzero = [
+            rows + cols
+            for rows in itertools.combinations(range(size), k)
+            for cols in itertools.combinations(range(size), k)
+            if _det([[h[i][j] for j in cols] for i in rows])
+        ]
+        # the same minors in the same order, with those off column 0 first
+        assert got == sorted(nonzero, key=lambda minor: minor[k] == 0), (size, k)
 
 
 # lam = (-1, 0) has a nonzero second expected divisor, which the
@@ -639,7 +669,8 @@ def test_pruning_is_lossless_sp4_small_depth():
     for lam in BRUTE_FORCE_LAMS:
         for mu in antidominant_above(lam):
             want = _brute_force_count(mu, lam, 2, 3)
-            assert oracle._count_in_cell(SP4, mu, lam, 2, 3) == want, (lam, mu)
+            windows = oracle._coordinate_windows(SP4, mu, lam, 2)
+            assert oracle._count_in_cell(SP4, mu, lam, windows, 3) == want, (lam, mu)
 
 
 def test_orbit_weights_are_lossless_sp4_p5_depth1():
@@ -649,7 +680,8 @@ def test_orbit_weights_are_lossless_sp4_p5_depth1():
     for lam in BRUTE_FORCE_LAMS:
         for mu in antidominant_above(lam):
             want = _brute_force_count(mu, lam, 1, 5)
-            assert oracle._count_in_cell(SP4, mu, lam, 1, 5) == want, (lam, mu)
+            windows = oracle._coordinate_windows(SP4, mu, lam, 1)
+            assert oracle._count_in_cell(SP4, mu, lam, windows, 5) == want, (lam, mu)
 
 
 def _frac_smith(m, p):
