@@ -457,8 +457,29 @@ def test_emit_rejects_payload_outside_its_schema(capsys, monkeypatch):
     assert err == "error: output failed its schema: 2 is not one of [1, -1]\n"
 
 
-def test_emit_builds_no_validator_and_checks_no_schema(capsys, monkeypatch):
-    # one validator per output schema, built at import on the schema itself
+def test_emit_refuses_an_invalid_schema_on_first_use(capsys):
+    # a schema is first used when its validator is built, at import: each
+    # schema the draft-07 metaschema refuses is refused there, every time
+    for schema in (
+        {"type": 5},
+        {"type": []},
+        {"type": ["integer", "integer"]},
+        {"enum": 1},
+        {"type": "object", "properties": []},
+        {"type": "object", "required": "mu"},
+        {"type": "object", "required": ["mu", 1]},
+    ):
+        with pytest.raises(jsonschema.SchemaError):
+            jsonschema.Draft7Validator.check_schema(schema)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no predicate covers"):
+                cli._OutputValidator(schema)
+    assert capsys.readouterr().out == ""
+
+
+def test_emit_checks_each_schema_once_and_every_payload(capsys, monkeypatch):
+    # one validator per output schema, built at import on the schema itself,
+    # so emit checks no schema and builds no validator
     assert cli._VALIDATORS.keys() == SCHEMAS.keys()
     for name, schema in SCHEMAS.items():
         assert cli._VALIDATORS[name].schema is SCHEMAS[name]
@@ -481,9 +502,19 @@ def test_emit_builds_no_validator_and_checks_no_schema(capsys, monkeypatch):
     monkeypatch.setattr(jsonschema.Draft7Validator, "check_schema", refuse)
     monkeypatch.setattr(jsonschema, "Draft7Validator", refuse)
     monkeypatch.setattr(cli, "_OutputValidator", refuse)
+    # ... and checks every payload against its schema's predicate
+    checked = []
+    for name, validator in cli._VALIDATORS.items():
+        holds = validator.holds
+        monkeypatch.setattr(
+            validator,
+            "holds",
+            lambda value, name=name, holds=holds: checked.append(name) or holds(value),
+        )
     for _ in range(3):
         for name, payload in payloads.items():
             emit(payload, name)
+    assert checked == list(payloads) * 3
     capsys.readouterr()
     monkeypatch.undo()
     # draft-07 still explains a payload the predicate rejects
