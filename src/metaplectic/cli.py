@@ -83,8 +83,8 @@ EXIT_USAGE = 2
 # The largest classify inputs that run, at its rank limit: a `levi`
 # document with every flag written out, 3.8 MB (0.9-1.0 s, 120 MB), and
 # the matching `xi` document, 1.8 MB (2.7-3.6 s, 170 MB).  INPUT_LIMIT
-# admits the first with 10% to spare; under it the slowest refusal found,
-# a compact `xi` list of the wrong rank, takes 4.0 s and 250 MB.
+# admits the first with 10% to spare.  A 4.0 MB `xi` list of the wrong
+# rank is refused by its length, no entry parsed, in 0.4 s and 96 MB.
 COVER_RANK_LIMIT = 180
 SATAKE_RANK_LIMIT = 1_200_000
 WEIGHTS_RANK_LIMIT = 400_000
@@ -666,8 +666,11 @@ def _parse_flags(data: dict) -> dict:
 def _parse_torus_character(data: dict, config: RunConfig) -> characters.GenuineTorusCharacter:
     from . import characters
 
+    pairs = _json_field(data, "xi", list, None)
+    if len(pairs) != config.n:  # before any entry is parsed
+        raise UsageError(f"character rank {len(pairs)} != configured n = {config.n}")
     xi = []
-    for pair in _json_field(data, "xi", list, None):
+    for pair in pairs:
         if len(_json_ints(pair, "xi entries")) != 2:
             raise UsageError("xi entries are [unit_exp, pi_val] pairs")
         xi.append(characters.SmoothCharacterFx(config.field.q, config.N, pair[0], pair[1]))
@@ -676,14 +679,13 @@ def _parse_torus_character(data: dict, config: RunConfig) -> characters.GenuineT
 
 
 def _refuse_factors(datum: classify.SupersingularDatum) -> None:
-    """Exit 2 before any triple is built if the 2^|Pi(sigma)| factors of
-    `datum` times its rank are over CLASSIFY_SIZE_LIMIT; Pi(sigma) is the
-    set of roots flagged true."""
-    n = datum.n
-    factors = 2 ** sum(datum.flags.values())
-    if factors * n > CLASSIFY_SIZE_LIMIT:
+    """Exit 2 before any triple is built if the 2^k factors of `datum`,
+    k = |Pi(sigma)| the number of roots flagged true, times its rank are
+    over CLASSIFY_SIZE_LIMIT; 2^k is built only for k under its bit length."""
+    n, k = datum.n, sum(datum.flags.values())
+    if k >= CLASSIFY_SIZE_LIMIT.bit_length() or 2**k * n > CLASSIFY_SIZE_LIMIT:
         raise UsageError(
-            f"classify would print {factors:,} composition factors at rank {n},"
+            f"classify would print 2^{k} composition factors at rank {n},"
             f" over its limit of {CLASSIFY_SIZE_LIMIT:,} factors times the rank"
         )
 
@@ -733,8 +735,6 @@ def cmd_classify(args, config: RunConfig) -> tuple[dict | None, int]:
         payload["triples"] = [_triple_payload(triple)]
     elif "xi" in data:
         sigma = _parse_torus_character(data, config)
-        if sigma.rank != n:
-            raise UsageError(f"character rank {sigma.rank} != configured n = {n}")
         datum = classify.torus_datum(sigma)
         _refuse_factors(datum)
         factors = classify.composition_factors(datum)

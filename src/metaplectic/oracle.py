@@ -29,10 +29,10 @@ root datum (`_negative_roots`).
 Pruning: each coordinate is a bare entry of the unipotent matrix, and
 every entry of a matrix in the lam-cell has valuation >= min(lam), so
 coordinates may be windowed to p^{-(mu_col - min lam)} O / O with no
-loss.  Counts therefore stop growing once the depth exceeds the window,
-which is what the stabilization flag reports.  Those windows are known
-before any walk starts, and so is the number of nodes a walk may visit
-(`_cell_walks`); a cell whose walks may visit more than
+loss.  So a count whose windows the depth does not clip is complete, and
+`stabilized` says a count is proved so (`count_cosets`).  The windows
+are known before any walk starts, and so is the number of nodes a walk
+may visit (`_cell_walks`); a cell whose walks may visit more than
 ORACLE_NODE_LIMIT nodes is refused with OracleError instead of counted.
 Inside its window box the walk sets the coordinates in order and shares
 every prefix product; a column of the matrix is final once the last
@@ -92,7 +92,7 @@ class OracleError(ValueError):
 
 
 class StabilizationError(OracleError):
-    """A coset count failed to agree between successive depths."""
+    """A coset count is not proved complete at the depth asked for."""
 
 
 # ---------------------------------------------------------------------
@@ -310,8 +310,8 @@ class CosetCountResult:
     stabilized: bool
 
 
-def _coordinate_windows(group: ChevalleyRealization, mu: Cocharacter, lam: Cocharacter, depth: int):
-    """Effective enumeration window per canonical entry coordinate.
+def _coordinate_windows(group: ChevalleyRealization, mu: Cocharacter, lam: Cocharacter):
+    """Unclipped enumeration window per canonical entry coordinate.
 
     Each coordinate is a bare entry of u at its designated position, so
     the corresponding entry of u mu(pi) is the coordinate times
@@ -320,7 +320,7 @@ def _coordinate_windows(group: ChevalleyRealization, mu: Cocharacter, lam: Cocha
     cannot contribute, losslessly shrinking the box.
     """
     exps, floor = group.torus_exponents(mu), min(lam.coords)
-    return tuple(max(0, min(depth, exps[gen.window_col] - floor)) for gen in group.neg)
+    return tuple(max(0, exps[gen.window_col] - floor) for gen in group.neg)
 
 
 def _progression(pairs, p: int, e: int):
@@ -488,17 +488,16 @@ ORACLE_NODE_LIMIT = 120_000
 
 
 def _cell_walks(group, mu, lam, depth, p) -> list[tuple]:
-    """The windows of each walk one cell runs: those at the depth, then
-    those at depth + 1 when the stabilization re-run will run (its windows
-    differ).  A walk may visit the product, over all windows w but the
-    last, of w + 1 at the first `group.rank` (simple-root) steps, which the
-    walk visits one child per torus orbit, and of p^w at the others; the
-    last coordinate adds no nodes, since `_leaf_hits` decides all of its
-    leaves below a node at once.  Refused with OracleError when the walks'
-    nodes sum to more than ORACLE_NODE_LIMIT."""
-    now = _coordinate_windows(group, mu, lam, depth)
-    nxt = _coordinate_windows(group, mu, lam, depth + 1)
-    walks = [now] + ([nxt] if nxt != now else [])
+    """The windows of each walk one cell runs: those clipped at the depth,
+    then the unclipped ones if they are one step deeper, the only second
+    walk that can prove the first complete.  A walk may visit the product,
+    over all windows w but the last, of w + 1 at the first `group.rank`
+    (simple-root) steps, which the walk visits one child per torus orbit,
+    and of p^w at the others; the last coordinate adds no nodes, since
+    `_leaf_hits` decides all of its leaves below a node at once.  Refused
+    with OracleError when the walks' nodes sum past ORACLE_NODE_LIMIT."""
+    full = _coordinate_windows(group, mu, lam)
+    walks = [tuple(min(depth, w) for w in full)] + ([full] if max(full) == depth + 1 else [])
     nodes = sum(
         prod(w + 1 if step < group.rank else p**w for step, w in enumerate(windows[:-1]))
         for windows in walks
@@ -520,11 +519,10 @@ def count_cosets(
 ) -> CosetCountResult:
     """|S_{mu, lam}| at the given enumeration depth, with its mod-p class.
 
-    Stabilization re-runs the count at depth + 1 and compares; when the
-    pruning windows already sit strictly below both depths the two
-    enumerations coincide element for element, so the re-run is skipped
-    and the counts are equal by construction.  A cell whose walks may
-    visit more than ORACLE_NODE_LIMIT nodes is refused before any walk.
+    `stabilized` says the count is proved complete: the depth clips no
+    window, or the unclipped windows are one step deeper and their walk
+    gives the same count.  A cell whose walks may visit more than
+    ORACLE_NODE_LIMIT nodes is refused before any walk.
     """
     realization = ChevalleyRealization(group)
     if depth < 1:
@@ -537,9 +535,11 @@ def count_cosets(
         above = False
     if not (above and is_antidominant(mu)):
         raise OracleError("mu must be antidominant and >= lam")
-    first, *rerun = _cell_walks(realization, mu, lam, depth, p)
+    first, *proof = _cell_walks(realization, mu, lam, depth, p)
     raw = _count_in_cell(realization, mu, lam, first, p)
-    stabilized = all(_count_in_cell(realization, mu, lam, windows, p) == raw for windows in rerun)
+    stabilized = first == _coordinate_windows(realization, mu, lam) or any(
+        _count_in_cell(realization, mu, lam, windows, p) == raw for windows in proof
+    )
     return CosetCountResult(mu, raw, raw % p, stabilized)
 
 
@@ -558,12 +558,12 @@ def reductive_satake_row(
 ) -> TorusHeckeElement:
     """The trivial-weight Satake row of T_lam: mod-p coset counts against
     every antidominant mu >= lam.  Raises StabilizationError if any count
-    has not stabilized at this depth."""
+    is not proved complete at this depth."""
     coeffs = {}
     for res in oracle_rows(lam, depth, group, p):
         if not res.stabilized:
             raise StabilizationError(
-                f"count at mu={res.mu.coords} changed between depths {depth} and {depth + 1}"
+                f"count at mu={res.mu.coords} not proved complete at depth {depth}"
             )
         coeffs[res.mu.coords] = res.count_mod_p
     return TorusHeckeElement(p, coeffs)

@@ -333,6 +333,8 @@ def run_captured(argv, stdin=""):
         (("classify", "--siegel", "--n", "2"), {"P": [1, 1], "flags": {}, "Q": [1]}),
         (("classify", "--siegel", "--n", "2"), {"P": [1], "flags": {}, "Q": [2, 1, 2]}),
         (("weights", "--nu", "0,0", "--levi", "1,1"), {}),
+        # the rank is checked before any entry is parsed
+        (("classify", "--n", "2"), {"xi": [[0, 0], [0, 0], [0, "x"]]}),
     ],
 )
 def test_classify_rejects_mistyped_json(argv, doc):
@@ -346,6 +348,9 @@ def test_classify_rejects_mistyped_json(argv, doc):
     for key in ("levi", "P", "Q"):
         if isinstance(doc.get(key), list) and len(set(doc[key])) < len(doc[key]):
             assert f"error: {key!r} repeats root index" in err
+    n = int(argv[argv.index("--n") + 1]) if "--n" in argv else 2
+    if isinstance(doc.get("xi"), list) and len(doc["xi"]) != n:
+        assert f"error: character rank {len(doc['xi'])} != configured n = {n}" in err
 
 
 @pytest.mark.parametrize(
@@ -959,6 +964,8 @@ def _levi_datum(n, flagged):
         # limit: refused before the n roots are walked, with or without --siegel
         (["classify", "--n", "10000000"], {"levi": [1]}),
         (["classify", "--siegel", "--n", "10000000"], {"P": [1], "Q": [1], "flags": {}}),
+        # 2^14399 factors, a number of 4,335 digits, too long to format
+        (["classify", "--n", "14400"], {"levi": [], "flags": {str(i): i < 14400 for i in range(1, 14401)}}),
     ],
 )
 def test_over_budget_jobs_exit_at_once(argv, doc):
@@ -1108,8 +1115,8 @@ def test_oracle_flag_fuzz_exits_cleanly(command):
 
 
 # each invalid configuration value, given to a command that reads its
-# key, and a depth too shallow for the Satake oracle's counts to
-# stabilize; selftest runs without --sp4, so it runs only the quick criteria
+# key, and a depth at which the Satake oracle's counts are not proved
+# complete; selftest runs without --sp4, so it runs only the quick criteria
 @pytest.mark.parametrize(
     "flags",
     [

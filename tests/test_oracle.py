@@ -419,7 +419,8 @@ def test_node_estimate_admits_p113_and_refuses_p127():
     for i in (1, 2):
         lam = 2 * t2lambda_base(i, 2)
         # the mu = (0, 0) cell has windows (1, 1, 1, 1) at depth 1 and
-        # (2, 2, 2, 2) from depth 2 on, so depth 1 adds the re-run's walk;
+        # (2, 2, 2, 2) unclipped, one step past depth 1, so depth 1 adds the
+        # unclipped walk, which can prove its count complete;
         # each simple-root window w costs w + 1 nodes, one per torus orbit,
         # and the last window adds none
         assert oracle._cell_walks(SP4, zero, lam, 1, 113) == [(1, 1, 1, 1), (2, 2, 2, 2)]
@@ -669,7 +670,7 @@ def test_pruning_is_lossless_sp4_small_depth():
     for lam in BRUTE_FORCE_LAMS:
         for mu in antidominant_above(lam):
             want = _brute_force_count(mu, lam, 2, 3)
-            windows = oracle._coordinate_windows(SP4, mu, lam, 2)
+            windows = oracle._cell_walks(SP4, mu, lam, 2, 3)[0]
             assert oracle._count_in_cell(SP4, mu, lam, windows, 3) == want, (lam, mu)
 
 
@@ -680,7 +681,7 @@ def test_orbit_weights_are_lossless_sp4_p5_depth1():
     for lam in BRUTE_FORCE_LAMS:
         for mu in antidominant_above(lam):
             want = _brute_force_count(mu, lam, 1, 5)
-            windows = oracle._coordinate_windows(SP4, mu, lam, 1)
+            windows = oracle._cell_walks(SP4, mu, lam, 1, 5)[0]
             assert oracle._count_in_cell(SP4, mu, lam, windows, 5) == want, (lam, mu)
 
 
@@ -707,7 +708,7 @@ def test_similitude_torus_conjugation_keeps_windowed_boxes(p):
                 return _frac_smith([[x * t for x, t in zip(row, torus)] for row in u], p)
 
             for depth in (1, 2):
-                windows = oracle._coordinate_windows(SP4, mu, lam, depth)
+                windows = oracle._cell_walks(SP4, mu, lam, depth, p)[0]
                 for _ in range(4):
                     coords = tuple(Fraction(rng.randrange(p**w), p**w) for w in windows)
                     t1, t2, nu = (rng.choice(units) for _ in range(3))
@@ -750,8 +751,39 @@ def test_stabilization_reported_when_depth_too_small():
     res = count_cosets(Cocharacter((0,)), lam2, 1, "sl2", 3)
     assert res.raw_count == 0  # the depth-1 box misses all valuation -2 points
     assert not res.stabilized
-    with pytest.raises(StabilizationError):
+    with pytest.raises(StabilizationError, match=r"mu=\(0,\) not proved complete at depth 1"):
         reductive_satake_row(lam2, 1, "sl2", 3)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101))
+def test_counts_clipped_past_depth_plus_one_are_not_stabilized(p):
+    """These cells' windows are 6 to 8, so depth 5 clips them as depth 4
+    does: two clipped counts agreeing would prove nothing, and each
+    depth-4 count here is wrong."""
+    for lam, mu in ((-6, 0), (-7, 0), (-7, -1), (-8, 0), (-8, -1), (-8, -2)):
+        lam, mu = Cocharacter((lam,)), Cocharacter((mu,))
+        res = count_cosets(mu, lam, 4, "sl2", p)
+        assert not res.stabilized, (lam, mu)
+        exact = count_cosets(mu, lam, max(oracle._coordinate_windows(SL2, mu, lam)), "sl2", p)
+        assert exact.stabilized and exact.raw_count != res.raw_count
+
+
+def test_stabilized_means_proved_complete_sp4():
+    """A stabilized count equals the count at the unclipped windows; with
+    those windows at most one step past the depth the flag is exactly that
+    equality, and deeper clipping leaves every count unproved."""
+    lams = [Cocharacter(c) for c in itertools.product(range(-3, 1), repeat=2) if c[0] <= c[1]]
+    for lam in lams:
+        for mu in antidominant_above(lam):
+            full = oracle._coordinate_windows(SP4, mu, lam)
+            exact = count_cosets(mu, lam, max(1, max(full)), "sp4", 3)
+            assert exact.stabilized
+            for depth in (1, 2, 3):
+                res = count_cosets(mu, lam, depth, "sp4", 3)
+                if max(full) <= depth + 1:
+                    assert res.stabilized == (res.raw_count == exact.raw_count), (lam, mu, depth)
+                else:
+                    assert not res.stabilized, (lam, mu, depth)
 
 
 def test_reductive_satake_row_sl2():
