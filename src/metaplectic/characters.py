@@ -116,22 +116,6 @@ class GenuineTorusCharacter:
         return len(self.xi)
 
 
-def restrict_short_coroot(sigma: GenuineTorusCharacter, i: int) -> SmoothCharacterFx:
-    """The character x -> sigma(lift of alpha_i^vee(x)) for a short simple
-    root, which is xi_i * xi_{i+1}^{-1} since chi_psi drops out.
-
-    The long coroot is rejected: its lift is not a homomorphism, so no
-    honest character exists there.
-    """
-    n = sigma.rank
-    if not 1 <= i <= n - 1:
-        raise CharacterError(
-            f"short coroot index must satisfy 1 <= i <= {n - 1}, got {i}"
-        )
-    a, b = sigma.xi[i - 1], sigma.xi[i]
-    return SmoothCharacterFx(a.q, a.N, a.unit_exp - b.unit_exp, a.pi_exp - b.pi_exp)
-
-
 def genuine_equal(
     sigma: GenuineTorusCharacter, sigma2: GenuineTorusCharacter, F: LocalFieldDescriptor
 ) -> bool:

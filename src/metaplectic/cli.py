@@ -11,7 +11,13 @@ schema, which may be stricter than draft-07 but never looser; only a
 payload the predicate rejects goes to draft-07 itself, so every error
 printed is draft-07's.  Building the predicate refuses a malformed
 schema; no metaschema check runs, as the tests check every schema
-against the draft-07 and 2020-12 metaschemas.
+against the draft-07 and 2020-12 metaschemas.  A valid payload is printed
+by one encoder, `_encode`, as exactly the bytes of `json.dumps(payload,
+sort_keys=True, indent=1)`: it applies json's own C string escaper and
+`int.__repr__`, and joins a list of one scalar class in one C-level pass.
+A value outside the six classes of _JSON_CLASSES, such as a tuple or a
+float in an unconstrained subtree, or a dict key that is no str, exits 2
+before anything is printed.
 `classify --emit csv` prints CSV itself and returns no payload.  Exit
 codes: 0 success, 1 verification mismatch, 2 usage or schema error.
 
@@ -67,10 +73,14 @@ EXIT_USAGE = 2
 # Job budgets, each measured at about 3 s of work (2-vCPU Xeon, Python
 # 3.11).  `cover` evaluates B on n^2 basis pairs, each in O(n): 3.5 s at
 # n = 200.  `satake` builds, validates and prints two terms of n
-# coordinates each: 2.0 s at n = 1,000,000 and 2.2-3.9 s at 1,500,000
-# (`--i 1`, 300 MB).  `weights` reads every pairing <nu, alpha_i^vee> in
-# one linear pass: with `--i` and `--levi 1,...,n` on nu = 0, 2.2-2.6 s at
-# n = 400,000 and 3.0 s at 450,000.  `aset` spends about 1.2-2.2 us per
+# coordinates each; with `--i 1` the whole process takes 1.1 s and 125 MB
+# at n = 1,000,000 and 1.3 s and 150 MB at the limit.  `weights` reads
+# every pairing <nu, alpha_i^vee> in one linear pass: with `--i` and
+# `--levi 1,...,n` on nu = 0, 1.0-1.5 s and 136 MB at n = 400,000.  Both
+# limits were set at about 3 s when json.dumps's pure-Python indented
+# encoder printed the payload (satake 1.9 s and 195 MB at n = 1,000,000,
+# weights 1.4-2.3 s and 235 MB at 400,000 on the same machine), and are
+# kept so that no refusal moves.  `aset` spends about 1.2-2.2 us per
 # unit of (n + 8) C(n - 2 lam_1, n), a bound on its up-set times the cost
 # of one element of it, at every rank: near the limit `--i 135 --n 135`
 # takes 2.4-3.0 s (it also prints the fibers), and constant `--lam` bases
@@ -435,6 +445,42 @@ class _OutputValidator:
 
 _VALIDATORS = {name: _OutputValidator(schema) for name, schema in SCHEMAS.items()}
 
+# Each scalar class of _JSON_CLASSES with the function json.dumps applies
+# to it: its C string escaper, with ensure_ascii, and int.__repr__.
+_quote = json.encoder.encode_basestring_ascii
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _encode(value, indent: str) -> str:
+    """`value` exactly as json.dumps(value, sort_keys=True, indent=1) prints
+    it, nested where `indent` is its line break and indentation, but at C
+    speed for the long lists: any `indent` sends json.dumps to its
+    pure-Python encoder.  A value of a class outside _JSON_CLASSES, or a
+    dict key that is no str, is refused with UsageError."""
+    kind = type(value)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    if kind is not dict and kind is not list:
+        raise UsageError(f"output holds a {kind.__name__}, which is not a JSON value")
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = indent + " "
+    if kind is dict:
+        if not {str}.issuperset(map(type, value)):
+            raise UsageError("output holds a dict key that is not a string")
+        parts = [_quote(k) + ": " + _encode(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    classes = set(map(type, value))
+    scalar = _SCALARS.get(classes.pop()) if len(classes) == 1 else None
+    parts = map(scalar, value) if scalar else [_encode(v, inner) for v in value]
+    return "[" + inner + ("," + inner).join(parts) + indent + "]"
+
 
 def emit(payload: dict, schema: str) -> None:
     validator = _VALIDATORS[schema]
@@ -445,7 +491,7 @@ def emit(payload: dict, schema: str) -> None:
         jsonschema.validate(payload, validator.schema, cls=validator)
     except jsonschema.ValidationError as err:
         raise UsageError(f"output failed its schema: {err.message}")
-    print(json.dumps(payload, sort_keys=True, indent=1))
+    print(_encode(payload, "\n"))
 
 
 # ---------------------------------------------------------------------

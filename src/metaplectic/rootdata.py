@@ -316,15 +316,6 @@ def antidominant_above(lam: Cocharacter) -> set[Cocharacter]:
     return out
 
 
-def antidominant_rep(lam: Cocharacter) -> Cocharacter:
-    """The unique antidominant element of the signed-permutation orbit.
-
-    Sort absolute values descending and negate: coordinates come out
-    ascending with the last one <= 0.
-    """
-    return Cocharacter(tuple(sorted((-abs(c) for c in lam.coords))))
-
-
 def positive_roots(n: int) -> list[Character]:
     """eps_i - eps_j and eps_i + eps_j for i < j, and 2 eps_i."""
     out = []

@@ -9,7 +9,6 @@ from metaplectic.characters import (
     SmoothCharacterFx,
     genuine_equal,
     hilbert_smooth_character,
-    restrict_short_coroot,
 )
 from metaplectic.cover import (
     ALL_CLASSES,
@@ -19,6 +18,7 @@ from metaplectic.cover import (
     UNIT_CLASS,
     hilbert,
 )
+from _reference import restrict_short_coroot
 
 F3 = LocalFieldDescriptor(3)
 Q, N = 3, 4

