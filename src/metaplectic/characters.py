@@ -59,9 +59,6 @@ class SmoothCharacterFx:
             self.q, self.N, self.unit_exp + other.unit_exp, self.pi_exp + other.pi_exp
         )
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.unit_exp == 0 and self.pi_exp == 0
 
 
 def hilbert_smooth_character(

@@ -18,7 +18,8 @@ sort_keys=True, indent=1)`: it applies json's own C string escaper and
 A value outside the six classes of _JSON_CLASSES, such as a tuple or a
 float in an unconstrained subtree, or a dict key that is no str, exits 2
 before anything is printed.
-`classify --emit csv` prints CSV itself and returns no payload.  Exit
+`classify --emit csv` prints CSV itself, through the `csv` module with
+";" between fields, and returns no payload.  Exit
 codes: 0 success, 1 verification mismatch, 2 usage or schema error.
 
 Each subcommand imports only the layers it calls, inside its `cmd_*`
@@ -619,7 +620,7 @@ def cmd_aset(args, config: RunConfig) -> tuple[dict | None, int]:
     }
     if i is not None:
         payload["i"] = i
-        # the tests compare `conforms` with hecke.A_fiber
+        # `conforms` is advisory at i = n (hecke.fiber_conforms)
         payload["fibers"] = [
             {
                 "fiber": [list(b) for b in sorted(fib)],
@@ -807,18 +808,23 @@ def cmd_classify(args, config: RunConfig) -> tuple[dict | None, int]:
 
 
 def _print_classify_csv(triples: list[dict]) -> None:
-    print("P;Q;levi;label;flags")
+    import csv
+
+    # csv quotes a field holding ";", '"' or a character of the line end,
+    # so a bare CR, which would end the row for a reader, goes out unquoted
+    # under "\n" line ends; a row whose label holds one is quoted whole
+    plain = csv.writer(sys.stdout, delimiter=";", lineterminator="\n")
+    quoted = csv.writer(sys.stdout, delimiter=";", lineterminator="\n", quoting=csv.QUOTE_ALL)
+    plain.writerow(("P", "Q", "levi", "label", "flags"))
     for t in triples:
-        flags = ",".join(f"{k}:{int(v)}" for k, v in sorted(t["sigma"]["flags"].items()))
-        print(
-            "{};{};{};{};{}".format(
-                ",".join(map(str, t["P"])),
-                ",".join(map(str, t["Q"])),
-                ",".join(map(str, t["sigma"]["levi"])),
-                t["sigma"]["label"],
-                flags,
-            )
-        )
+        label = t["sigma"]["label"]
+        (quoted if "\r" in label else plain).writerow((
+            ",".join(map(str, t["P"])),
+            ",".join(map(str, t["Q"])),
+            ",".join(map(str, t["sigma"]["levi"])),
+            label,
+            ",".join(f"{k}:{int(v)}" for k, v in sorted(t["sigma"]["flags"].items())),
+        ))
 
 
 def cmd_oracle(args, config: RunConfig) -> tuple[dict | None, int]:

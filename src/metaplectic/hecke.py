@@ -148,38 +148,6 @@ def enumerate_A(lam: Cocharacter) -> ASet:
     )
 
 
-@dataclass(frozen=True)
-class FiberResult:
-    """Raw fiber of the A-set through a with the i-th coordinate freed,
-    together with whether it matches the dichotomy {0, e_i} / {a}.
-
-    The dichotomy is guaranteed only for short i; for i = n the raw
-    fiber can be strictly larger, so `conforms` is advisory there.
-    """
-
-    vectors: frozenset
-    conforms: bool
-
-
-def A_fiber(A: ASet, a, i: int) -> FiberResult:
-    """{b in A : b_j = a_j for all j != i}, reported raw; `a` is a tuple."""
-    if a not in A.elements:
-        raise HeckeError(f"{a} is not in the A-set")
-    if not 1 <= i <= A.n:
-        raise HeckeError(f"index {i} out of range 1..{A.n}")
-    fiber = frozenset(
-        b for b in A.elements if all(b[j] == a[j] for j in range(A.n) if j != i - 1)
-    )
-    if all(a[j] == 0 for j in range(A.n) if j != i - 1):
-        predicted = {
-            tuple(0 for _ in range(A.n)),
-            tuple(1 if j == i - 1 else 0 for j in range(A.n)),
-        }
-    else:
-        predicted = {a}
-    return FiberResult(fiber, fiber == frozenset(predicted))
-
-
 def distinct_fibers(A: ASet, i: int) -> list[frozenset]:
     """The partition of the A-set into fibers with the i-th entry freed."""
     seen = {}
@@ -191,7 +159,11 @@ def distinct_fibers(A: ASet, i: int) -> list[frozenset]:
 
 def fiber_conforms(fiber: frozenset, i: int, n: int) -> bool:
     """The fiber dichotomy with the i-th coordinate freed: the fiber
-    through 0 is exactly {0, e_i}, and every other fiber is a singleton."""
+    through 0 is exactly {0, e_i}, and every other fiber is a singleton.
+
+    The dichotomy is guaranteed only for short i; for i = n the raw
+    fiber can be strictly larger, so the answer is advisory there.
+    """
     zero = (0,) * n
     if zero in fiber:
         return fiber == {zero, tuple(int(j == i - 1) for j in range(n))}

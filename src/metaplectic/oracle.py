@@ -208,16 +208,6 @@ class ChevalleyRealization:
         """scale times the identity matrix."""
         return [[scale if i == j else 0 for j in range(self.size)] for i in range(self.size)]
 
-    def torus_matrix(self, mu: Cocharacter, p: int):
-        """mu(pi) as a pair (m, k) with mu(pi) = p^(-k) m: the diagonal
-        p^(e_i - min e) with k = -min e."""
-        exps = self.torus_exponents(mu)
-        low = min(exps)
-        m = self.identity()
-        for i, e in enumerate(exps):
-            m[i][i] = p ** (e - low)
-        return m, -low
-
     def right_multiply_generator(self, m, units, num: int, den: int):
         """m <- m * (I + (num / den) * sum sign E_ab): column b += sign *
         num * column a / den, where den divides every entry of column a."""
@@ -228,20 +218,6 @@ class ChevalleyRealization:
                 if row[a]:
                     row[b] += sign * num * (row[a] // den)
 
-    def unipotent_from_entries(self, xs, q: int):
-        """q^len(neg) u, for the unipotent element u whose designated matrix
-        entries are xs[k] / q, with q a multiple of the square of every
-        entry denominator.  Generator k's group coordinate is xs[k] / q
-        minus its entry in the product so far, at rank <= 2 at most a
-        product of two entries, so an integer over q.  The first j
-        generators then have a product in q^(-j) Z, and with the scale
-        q^len(neg) fixed up front every column update divides exactly."""
-        n = len(self.neg)
-        m = self.identity(q**n)
-        for x, gen in zip(xs, self.neg):
-            a, b = gen.entry
-            self.right_multiply_generator(m, gen.units, x - m[a][b] // q ** (n - 1), q)
-        return m
 
 
 def smith_valuations(entries, p: int, shift: int, expect=None):
@@ -408,8 +384,8 @@ def _count_in_cell(group, mu, lam, windows, p) -> int:
     n, size = len(group.neg), group.size
     floor = min(lam.coords)
     # Entries are canonical fractions a / p^w with w <= width, carried as
-    # numerators over q = p^(2 width).  With U = q^n u as built by
-    # unipotent_from_entries and mu(pi) = p^low T, T the diagonal of the
+    # numerators over q = p^(2 width).  With U = q^n u as `walk` builds it
+    # from q^n I and mu(pi) = p^low T, T the diagonal of the
     # p^(exps - low), the matrix u mu(pi) is p^(low - 2 width n) U T.  Its
     # entries all have valuation >= floor exactly when h = p^(-floor) u
     # mu(pi) = p^(-e) U T is integral; the cell is then decided on the

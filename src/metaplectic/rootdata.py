@@ -221,14 +221,6 @@ def coroot_pairings(chi: Character) -> tuple[int, ...]:
     return tuple(a - b for a, b in zip(c, c[1:])) + c[-1:]
 
 
-def cartan_matrix(n: int) -> list[list[int]]:
-    """C[j][k] = <alpha_j, alpha_k^vee> (0-indexed rows/cols for roots 1..n)."""
-    return [
-        [pairing(simple_root(j, n), coroot(k, n)) for k in range(1, n + 1)]
-        for j in range(1, n + 1)
-    ]
-
-
 def cartan_inverse(n: int, J=None) -> tuple[tuple[Fraction, ...], ...]:
     """Inverse of the Cartan matrix restricted to the simple-root indices
     J, an iterable (default all of 1..n), in closed form.

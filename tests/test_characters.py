@@ -18,7 +18,7 @@ from metaplectic.cover import (
     UNIT_CLASS,
     hilbert,
 )
-from _reference import restrict_short_coroot
+from _reference import is_trivial, restrict_short_coroot
 
 F3 = LocalFieldDescriptor(3)
 Q, N = 3, 4
@@ -46,7 +46,7 @@ def test_smooth_character_group_ops():
     a, b = chi(1, 2), chi(1, 3)
     assert (a * b) == chi(0, 1)
     assert a * _inverse(a) == chi(0, 0)
-    assert chi(0, 0).is_trivial and not a.is_trivial
+    assert is_trivial(chi(0, 0)) and not is_trivial(a)
     with pytest.raises(CharacterError):
         a * SmoothCharacterFx(5, 4, 0, 0)
 
@@ -55,7 +55,7 @@ def test_restrict_short_coroot():
     c = chi(1, 1)
     sigma = GenuineTorusCharacter((c, c, c), ONE_CLASS)
     for i in (1, 2):
-        assert restrict_short_coroot(sigma, i).is_trivial
+        assert is_trivial(restrict_short_coroot(sigma, i))
     sigma2 = GenuineTorusCharacter((chi(1, 0), chi(0, 0)), ONE_CLASS)
     assert restrict_short_coroot(sigma2, 1) == chi(1, 0)
     with pytest.raises(CharacterError):
@@ -66,7 +66,7 @@ def test_restrict_short_coroot_trivial_iff_adjacent_equal():
     chars = [chi(u, t) for u in range(Q - 1) for t in range(N)]
     for a, b in itertools.product(chars, repeat=2):
         sigma = GenuineTorusCharacter((a, b), ONE_CLASS)
-        assert restrict_short_coroot(sigma, 1).is_trivial == (a == b)
+        assert is_trivial(restrict_short_coroot(sigma, 1)) == (a == b)
 
 
 def test_restrict_short_coroot_ignores_psi_class():
@@ -89,7 +89,7 @@ def test_hilbert_smooth_character_matches_symbol():
             # restriction to units is quadratic iff c has odd valuation
             want_unit = hilbert(UNIT_CLASS, c, F)
             assert (smooth.unit_exp == 0) == (want_unit == 1)
-            assert smooth.is_trivial == c.is_square()
+            assert is_trivial(smooth) == c.is_square()
 
 
 def test_genuine_equal_basic():

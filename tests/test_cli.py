@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import itertools
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from metaplectic import cli, cover, hecke, rootdata
 from metaplectic.cli import SCHEMAS, UsageError, build_parser, emit, main
 from metaplectic.rootdata import Cocharacter
+from _reference import A_fiber
 from test_hecke import _dense_A
 
 
@@ -89,7 +91,7 @@ def _aset_reference(base, i):
         payload["fibers"] = [
             {
                 "fiber": [list(b) for b in sorted(fib)],
-                "conforms": hecke.A_fiber(A, min(fib), i).conforms,
+                "conforms": A_fiber(A, min(fib), i).conforms,
             }
             for fib in hecke.distinct_fibers(A, i)
         ]
@@ -199,6 +201,24 @@ def test_classify_csv(capsys, tmp_path):
     lines = out.strip().splitlines()
     assert lines[0] == "P;Q;levi;label;flags"
     assert lines[1].startswith("1;1;1;sc")
+
+
+@pytest.mark.parametrize("label", ['a;b"c\nP;Q;levi;label;flags\n9;9;9;forged;', 'a\rb', 'x\r\n"y"'])
+def test_classify_csv_reads_back_any_label(capsys, tmp_path, label):
+    # a label holding the delimiter, a quote or a line break stays one field
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"levi": [], "flags": {"1": True, "2": False}, "label": label}))
+    code, out, _ = run(capsys, "classify", "--input", str(path), "--n", "2")
+    triples = json.loads(out)["triples"]
+    code, out, _ = run(capsys, "classify", "--input", str(path), "--n", "2", "--emit", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out, newline=""), delimiter=";"))
+    assert rows[0] == ["P", "Q", "levi", "label", "flags"]
+    assert rows[1:] == [
+        [",".join(map(str, t["P"])), ",".join(map(str, t["Q"])), "", label, "1:1,2:0"]
+        for t in triples
+    ]
+    assert len(triples) == 2
 
 
 def test_classify_schema_error(capsys, tmp_path):

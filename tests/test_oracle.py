@@ -20,7 +20,7 @@ from metaplectic.oracle import (
     verify_metaplectic_pipeline,
 )
 from metaplectic.rootdata import Cocharacter, antidominant_above, pairing
-from _reference import antidominant_rep
+from _reference import antidominant_rep, torus_matrix, unipotent_from_entries
 
 P = 3
 
@@ -124,7 +124,7 @@ def test_generators_preserve_form():
                 m = _root_element(realization, units, 5, 1)
                 assert _symplectic_defect(m, 1, realization) == zero
         for mu in mus:
-            t, k = realization.torus_matrix(Cocharacter(mu), P)
+            t, k = torus_matrix(realization, Cocharacter(mu), P)
             assert _symplectic_defect(t, k, realization) == zero
             # the shift is exact: the same entries under k + 1 leave the group
             assert _symplectic_defect(t, k + 1, realization) != zero
@@ -144,8 +144,8 @@ def test_torus_conjugation_scales_root_coordinates():
 
     positive_betas = {0: (1, -1), 1: (0, 2), 2: (1, 1), 3: (2, 0)}
     for mu in (Cocharacter((1, -2)), Cocharacter((0, 3))):
-        t, kt = SP4.torus_matrix(mu, P)
-        tinv, kinv = SP4.torus_matrix(-1 * mu, P)
+        t, kt = torus_matrix(SP4, mu, P)
+        tinv, kinv = torus_matrix(SP4, -1 * mu, P)
         for k, gen in enumerate(SP4.neg):
             u = _root_element(SP4, gen.units, 2, 1)  # x = 2 / p
             conj = _product(_product(t, u), tinv)
@@ -165,7 +165,7 @@ def test_unipotent_direct_entry_property():
     for _ in range(40):
         pairs = [(rng.randrange(1, 27), rng.randint(0, width)) for _ in range(4)]
         xs = [num * P ** (2 * width - den) for num, den in pairs]
-        u = SP4.unipotent_from_entries(xs, q)
+        u = unipotent_from_entries(SP4, xs, q)
         for gen, (num, den) in zip(SP4.neg, pairs):
             i, j = gen.entry
             assert Fraction(u[i][j], q ** len(SP4.neg)) == Fraction(num, P**den)
@@ -306,12 +306,12 @@ def _cartan_invariant(entries, realization, shift):
 
 def test_cartan_invariant_of_torus_points():
     for mu in ((-2,), (0,), (-5,)):
-        t, k = SL2.torus_matrix(Cocharacter(mu), P)
+        t, k = torus_matrix(SL2, Cocharacter(mu), P)
         assert _cartan_invariant(t, SL2, k).coords == antidominant_rep(
             Cocharacter(mu)
         ).coords
     for mu in ((-2, -1), (0, 0), (-3, -3), (2, -1)):
-        t, k = SP4.torus_matrix(Cocharacter(mu), P)
+        t, k = torus_matrix(SP4, Cocharacter(mu), P)
         assert (
             _cartan_invariant(t, SP4, k)
             == antidominant_rep(Cocharacter(mu))
@@ -348,7 +348,7 @@ def _random_integral_element(realization, rng, p):
 def test_cartan_invariant_bi_K_invariance():
     rng = random.Random(13)
     for realization, mu in ((SL2, (-2,)), (SP4, (-2, -1)), (SP4, (-1, 0))):
-        t, k = realization.torus_matrix(Cocharacter(mu), P)
+        t, k = torus_matrix(realization, Cocharacter(mu), P)
         lam = antidominant_rep(Cocharacter(mu))
         for _ in range(8):
             k1 = _random_integral_element(realization, rng, P)
@@ -359,9 +359,9 @@ def test_cartan_invariant_bi_K_invariance():
 
 def test_cartan_invariant_of_inverse_on_diagonals():
     for mu in itertools.product(range(-2, 3), repeat=2):
-        t, k = SP4.torus_matrix(Cocharacter(mu), P)
+        t, k = torus_matrix(SP4, Cocharacter(mu), P)
         lam = _cartan_invariant(t, SP4, k)
-        tinv, kinv = SP4.torus_matrix(-1 * Cocharacter(mu), P)
+        tinv, kinv = torus_matrix(SP4, -1 * Cocharacter(mu), P)
         inv = _cartan_invariant(tinv, SP4, kinv)
         assert inv == antidominant_rep(-1 * lam)
 
@@ -658,7 +658,7 @@ def _brute_force_count(mu, lam, depth, p):
     count = 0
     for nums in itertools.product(range(pd), repeat=4):
         # entries a / p^depth as numerators over q = p^(2 depth)
-        u = SP4.unipotent_from_entries([pd * a for a in nums], pd * pd)
+        u = unipotent_from_entries(SP4, [pd * a for a in nums], pd * pd)
         for i in range(4):
             for j in range(4):
                 u[i][j] *= p ** (exps[j] - min(exps))

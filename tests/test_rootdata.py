@@ -11,7 +11,6 @@ from metaplectic.rootdata import (
     RootDatumError,
     antidominant_above,
     cartan_inverse,
-    cartan_matrix,
     coroot,
     coroot_pairings,
     fundamental_weight,
@@ -21,7 +20,7 @@ from metaplectic.rootdata import (
     positive_roots,
     simple_root,
 )
-from _reference import antidominant_rep
+from _reference import antidominant_rep, cartan_matrix
 
 
 def test_simple_root_values():
