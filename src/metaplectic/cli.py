@@ -51,6 +51,7 @@ from __future__ import annotations
 import argparse
 import collections
 import functools
+import importlib.util
 import io
 import json
 import re
@@ -58,7 +59,28 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import jsonschema
+
+def _lazy_import(name: str):
+    """The module `name`, executed on its first attribute read: the
+    standard library's LazyLoader recipe.  A module already loaded is
+    returned as it is, and one that cannot be found raises
+    ModuleNotFoundError here, not at the first read."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# bound here, so that bench/tracing.py can patch cli.jsonschema, but loaded
+# only when `emit` first validates: a process that validates no payload
+# never runs jsonschema's code
+jsonschema = _lazy_import("jsonschema")
 
 # Each cmd_* imports the other layers it calls with `from . import x` and
 # calls them as `x.f(...)`, so that a command loads only what it runs.
@@ -486,9 +508,10 @@ def _encode(value, indent: str) -> str:
 def emit(payload: dict, schema: str) -> None:
     validator = _VALIDATORS[schema]
     try:
-        # through jsonschema.validate, imported at the top, which raises
-        # draft-07's best match: bench/tracing.py patches cli.jsonschema to
-        # time this call as cli.schema_s
+        # through jsonschema.validate, bound lazily at the top and loaded
+        # here on first use, which raises draft-07's best match:
+        # bench/tracing.py patches cli.jsonschema to time this call as
+        # cli.schema_s
         jsonschema.validate(payload, validator.schema, cls=validator)
     except jsonschema.ValidationError as err:
         raise UsageError(f"output failed its schema: {err.message}")
@@ -812,9 +835,12 @@ def _print_classify_csv(triples: list[dict]) -> None:
 
     # csv quotes a field holding ";", '"' or a character of the line end,
     # so a bare CR, which would end the row for a reader, goes out unquoted
-    # under "\n" line ends; a row whose label holds one is quoted whole
-    plain = csv.writer(sys.stdout, delimiter=";", lineterminator="\n")
-    quoted = csv.writer(sys.stdout, delimiter=";", lineterminator="\n", quoting=csv.QUOTE_ALL)
+    # under "\n" line ends; a row whose label holds one is quoted whole.
+    # The rows go out in one write, so a label stdout cannot encode leaves
+    # no partial answer behind.
+    out = io.StringIO()
+    plain = csv.writer(out, delimiter=";", lineterminator="\n")
+    quoted = csv.writer(out, delimiter=";", lineterminator="\n", quoting=csv.QUOTE_ALL)
     plain.writerow(("P", "Q", "levi", "label", "flags"))
     for t in triples:
         label = t["sigma"]["label"]
@@ -825,6 +851,7 @@ def _print_classify_csv(triples: list[dict]) -> None:
             label,
             ",".join(f"{k}:{int(v)}" for k, v in sorted(t["sigma"]["flags"].items())),
         ))
+    sys.stdout.write(out.getvalue())
 
 
 def cmd_oracle(args, config: RunConfig) -> tuple[dict | None, int]:

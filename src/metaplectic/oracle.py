@@ -73,6 +73,18 @@ visits y = 0 and one y = p^j per valuation j < w, weighting the count
 below by the (p - 1) p^(w - j - 1) children of valuation j; pruning
 keeps all of a node's children or none (above).  SL_2's one coordinate
 is the last and is decided by `_leaf_hits` instead.
+
+At Sp_4 the same holds at the middle coordinate, of alpha_1 + alpha_2 =
+eps_1 + eps_2 at entry (2, 0), when the alpha_1 entry y1 or the alpha_2
+entry y2 of the prefix is 0.  With a = t_2/t_1 and b = nu/t_2^2, d scales
+the three entries by a, b and ab.  If y1 = 0, a is free and b is fixed by
+b y2 = y2 mod O; putting b y2 back into canonical form left-multiplies by
+I - z' E_21, which adds -z' y1 = 0 to entry (2, 0), so y3 goes to ab y3
+exactly, and a free reaches every unit.  If y2 = 0, b is free; reducing
+a y1 changes only rows 1 and 3, and moves (3, 1) by z y2 = 0.  So the
+walk collapses that step too when the prefix has a 0 simple-root entry
+(`free`).  The proof covers Sp_4's one middle coordinate only: it must be
+proved again at Sp_6 before `sp6` joins _GROUPS.
 """
 
 from __future__ import annotations
@@ -416,7 +428,7 @@ def _count_in_cell(group, mu, lam, windows, p) -> int:
                 h[i][j] = x // base
         return True
 
-    def walk(step, m) -> int:
+    def walk(step, m, free=False) -> int:  # free: the prefix has a 0 simple-root entry
         gen = group.neg[step]
         units, (i, j), w = gen.units, gen.entry, windows[step]
         c0 = -(m[i][j] // qread)  # the coordinate of the child with entry 0
@@ -432,18 +444,19 @@ def _count_in_cell(group, mu, lam, windows, p) -> int:
             # leaf y adds y dx q^(n - 1) to the last row of column 0, as
             # column 2n - 1 of every prefix product is q^n e_(2n - 1)
             return _leaf_hits(h, dx * qread * scale[0] // base, p**w, p, divisors, minors)
-        if step >= group.rank:
-            others = [(y, 1) for y in range(1, p**w)]
-        else:
+        if step < group.rank or free:
             # one child per torus orbit: y = p^j standing for the
             # (p - 1) p^(w - j - 1) children of valuation j
             others = [(p**j, (p - 1) * p ** (w - j - 1)) for j in range(w)]
-        hits = walk(step + 1, child)
+        else:
+            others = [(y, 1) for y in range(1, p**w)]
+        # a simple-root step's child with entry 0 is free (module docstring)
+        hits = walk(step + 1, child, free or step < group.rank)
         for y, orbit in others:
             child = [row[:] for row in m]
             group.right_multiply_generator(child, units, c0 + y * dx, q)
             close(step + 1, child)  # integral, as the entry-0 child's are
-            hits += orbit * walk(step + 1, child)
+            hits += orbit * walk(step + 1, child, free)
         return hits
 
     root = group.identity(q**n)
@@ -451,13 +464,14 @@ def _count_in_cell(group, mu, lam, windows, p) -> int:
 
 
 # Most nodes the walks of one cell may visit, set at about 3 s of work for
-# the slowest walk it admits (timings on one 2-vCPU Xeon core, where a node
-# costs about 10-28 us).  sp4's largest cells on the CLI's rows, mu = (0, 0)
-# at depth 1, may visit 4p + 9p^2 nodes: 115,373 at p = 113, the last prime
-# admitted, in 1.0-1.8 s, and 145,669 at p = 127, refused.  The slowest
-# admitted walk measured, lam = (-4, -2), mu = (-1, 0) at depth 1 and
-# p = 113 (115,373 nodes), took 2.1-3.5 s over repeated runs, the high end
-# on a loaded host.
+# the slowest walk it admits (timings on one 2-vCPU Xeon core).  The count
+# is an upper bound, as below a 0 simple-root entry the sp4 walk visits one
+# middle child per torus orbit.  sp4's largest cells on the CLI's rows,
+# mu = (0, 0) at depth 1, may visit 4p + 9p^2 nodes: 115,373 at p = 113,
+# the last prime admitted, counted in 0.2-0.3 s, and 145,669 at p = 127,
+# refused.  The slowest admitted walk measured over lam in -12..0, depths
+# 1-8 and every admitted prime, lam = (-12, -12), mu = (-4, -4) at depth 5
+# and p = 5 (112,500 nodes), took 2.3 s.
 # sl2 has one coordinate, so each of its walks is one node and every sl2 row
 # is admitted.
 ORACLE_NODE_LIMIT = 120_000
@@ -466,12 +480,14 @@ ORACLE_NODE_LIMIT = 120_000
 def _cell_walks(group, mu, lam, depth, p) -> list[tuple]:
     """The windows of each walk one cell runs: those clipped at the depth,
     then the unclipped ones if they are one step deeper, the only second
-    walk that can prove the first complete.  A walk may visit the product,
-    over all windows w but the last, of w + 1 at the first `group.rank`
-    (simple-root) steps, which the walk visits one child per torus orbit,
-    and of p^w at the others; the last coordinate adds no nodes, since
-    `_leaf_hits` decides all of its leaves below a node at once.  Refused
-    with OracleError when the walks' nodes sum past ORACLE_NODE_LIMIT."""
+    walk that can prove the first complete.  A walk visits at most the
+    product, over all windows w but the last, of w + 1 at the first
+    `group.rank` (simple-root) steps, which the walk visits one child per
+    torus orbit, and of p^w at the others, of which it visits fewer at
+    Sp_4's middle step below a 0 simple-root entry (module docstring); the
+    last coordinate adds no nodes, since `_leaf_hits` decides all of its
+    leaves below a node at once.  Refused with OracleError when the walks'
+    nodes sum past ORACLE_NODE_LIMIT."""
     full = _coordinate_windows(group, mu, lam)
     walks = [tuple(min(depth, w) for w in full)] + ([full] if max(full) == depth + 1 else [])
     nodes = sum(

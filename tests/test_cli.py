@@ -221,6 +221,17 @@ def test_classify_csv_reads_back_any_label(capsys, tmp_path, label):
     assert len(triples) == 2
 
 
+def test_classify_csv_prints_nothing_when_stdout_cannot_encode_a_label(tmp_path):
+    # a lone surrogate, which the schema admits, has no UTF-8 encoding: the
+    # answer is refused whole, not cut off after the header
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"levi": [1], "label": "\ud800"}))
+    argv = ["classify", "--input", str(path), "--n", "2", "--emit", "csv"]
+    code, out, err = _main_in_child(argv, subprocess.DEVNULL, PYTHONIOENCODING="utf-8")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_classify_schema_error(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"nonsense": 1}))
@@ -249,9 +260,10 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
         assert code == 2 and out == "" and f"{cfg}:2: " in err and what in err
 
 
-def _main_in_child(argv, stdin):
+def _main_in_child(argv, stdin, **env):
     """`main(argv)` reading the open file `stdin`, in a child process with
-    at most 1 GiB of address space, killed after 20 s."""
+    at most 1 GiB of address space, killed after 20 s; `env` adds to the
+    child's environment."""
     script = "import sys\nfrom metaplectic.cli import main\nsys.exit(main(sys.argv[1:]))\n"
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run(
@@ -259,7 +271,7 @@ def _main_in_child(argv, stdin):
         stdin=stdin,
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=package_root),
+        env=dict(os.environ, PYTHONPATH=package_root, **env),
         timeout=20,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
     )
@@ -1165,11 +1177,14 @@ def test_over_budget_aset_base_is_refused_before_any_walk(monkeypatch):
     assert time.perf_counter() - start < 0.1
 
 
-def test_hilbert_loads_only_the_cover_layer():
+def _loaded_around_hilbert(expression):
+    """`expression` on sys.modules in a fresh child process, after
+    importing metaplectic.cli and after `main` runs `hilbert`: the first
+    and last lines of its stdout."""
     script = (
         "import sys\n"
         "from metaplectic.cli import main\n"
-        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'metaplectic')\n"
+        f"loaded = lambda: {expression}\n"
         "print(loaded())\n"
         "main(['hilbert', 'pi', 'pi', '--p', '3'])\n"
         "print(loaded())\n"
@@ -1181,8 +1196,17 @@ def test_hilbert_loads_only_the_cover_layer():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     lines = proc.stdout.splitlines()
+    return lines[0], lines[-1]
+
+
+def test_hilbert_loads_only_the_cover_layer():
+    got = _loaded_around_hilbert("sorted(m for m in sys.modules if m.split('.')[0] == 'metaplectic')")
     want = str(["metaplectic", "metaplectic.cli", "metaplectic.cover"])
-    assert lines[0] == want and lines[-1] == want
+    assert got == (want, want)
+
+
+def test_jsonschema_loads_only_when_a_payload_is_validated():
+    assert _loaded_around_hilbert("'jsonschema.validators' in sys.modules") == ("False", "True")
 
 
 def _assert_refused_at_once(argv, nodes):

@@ -686,6 +686,22 @@ def test_orbit_weights_are_lossless_sp4_p5_depth1():
             assert oracle._count_in_cell(SP4, mu, lam, windows, 5) == want, (lam, mu)
 
 
+@pytest.mark.parametrize("p, want", ((3, 24), (5, 40)))
+def test_middle_coordinate_walks_one_child_per_orbit_below_a_zero_simple_root(monkeypatch, p, want):
+    """The mu = (0, 0) cells have windows (2, 2, 2, 2).  The simple-root
+    steps walk 3 orbits each, and 6 of the 9 prefixes pass pruning, 5 of
+    them with a 0 entry.  Below those 5 the middle step walks 3 orbits,
+    and below the other all p^2 children, one `_leaf_hits` call each:
+    15 + p^2 calls, not 6 p^2."""
+    calls = []
+    real = oracle._leaf_hits
+    monkeypatch.setattr(oracle, "_leaf_hits", lambda *args: calls.append(1) or real(*args))
+    for lam in ((-2, 0), (-2, -2)):
+        calls.clear()
+        count_cosets(Cocharacter((0, 0)), Cocharacter(lam), 4, "sp4", p)
+        assert len(calls) == want == 15 + p**2, lam
+
+
 def _frac_smith(m, p):
     """Elementary divisor valuations of a rational matrix whose
     denominators are p-powers times units."""
@@ -698,7 +714,9 @@ def test_similitude_torus_conjugation_keeps_windowed_boxes(p):
     """Conjugation by d = diag(t1, t2, nu/t2, nu/t1), for units t1, t2 and
     nu, maps each windowed box into itself, scales the simple-root entries
     by t2/t1 and nu/t2^2 mod O, and keeps the elementary divisors of
-    u mu(pi): the symmetry behind the walk's one child per torus orbit."""
+    u mu(pi): the symmetry behind the walk's one child per torus orbit.
+    When a simple-root entry is 0 and d fixes the other, the middle entry
+    is scaled by nu/(t1 t2) mod O too: the walk's collapse of that step."""
     rng = random.Random(p)
     units = [t for t in range(-(p**3), p**3) if t % p]
     for lam in BRUTE_FORCE_LAMS:
@@ -710,9 +728,15 @@ def test_similitude_torus_conjugation_keeps_windowed_boxes(p):
 
             for depth in (1, 2):
                 windows = oracle._cell_walks(SP4, mu, lam, depth, p)[0]
-                for _ in range(4):
-                    coords = tuple(Fraction(rng.randrange(p**w), p**w) for w in windows)
+                for _, zero in itertools.product(range(4), (None, 0, 1)):
+                    coords = [Fraction(rng.randrange(p**w), p**w) for w in windows]
                     t1, t2, nu = (rng.choice(units) for _ in range(3))
+                    if zero is not None:
+                        coords[zero] = Fraction(0)
+                        if zero == 0:
+                            nu = t2**2  # fixes the alpha_2 entry
+                        else:
+                            t1 = t2  # fixes the alpha_1 entry
                     d = (t1, t2, Fraction(nu, t2), Fraction(nu, t1))
                     u = _frac_unipotent(SP4.neg, 4, coords)
                     conj = [[d[i] * x / d[j] for j, x in enumerate(row)] for i, row in enumerate(u)]
@@ -720,6 +744,8 @@ def test_similitude_torus_conjugation_keeps_windowed_boxes(p):
                     assert all((x * p**w).denominator == 1 for x, w in zip(image, windows))
                     assert image[0] == _canonical_fraction(coords[0] * t2 / t1, p)
                     assert image[1] == _canonical_fraction(coords[1] * nu / t2**2, p)
+                    if zero is not None:
+                        assert image[2] == _canonical_fraction(coords[2] * nu / (t1 * t2), p)
                     want = divisors(u)
                     assert divisors(conj) == want
                     assert divisors(_frac_unipotent(SP4.neg, 4, image)) == want
