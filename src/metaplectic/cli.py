@@ -32,8 +32,9 @@ exit 2 before any work, at limits measured at about 3 s of work:
 SATAKE_RANK_LIMIT and WEIGHTS_RANK_LIMIT, `aset` when a bound on its
 element count, read off the rank and the first coordinate of the base,
 times the cost of an element is over ASET_SIZE_LIMIT, and `classify` when
-its factor count times the rank (the size of the triples it would print)
-is over CLASSIFY_SIZE_LIMIT.  Every classify input prints at least one
+its factor count times the rank is over CLASSIFY_SIZE_LIMIT, or times
+the bytes of one triple (each repeats the label) over
+CLASSIFY_OUTPUT_LIMIT.  Every classify input prints at least one
 triple (a `--siegel` triple exactly one), so its rank alone is checked
 against that limit before the input is read.  A config file or classify
 input is read up to INPUT_LIMIT characters and refused past it, unparsed.
@@ -115,14 +116,19 @@ EXIT_USAGE = 2
 # n = 56, and 2^14 at n = 15, the next size over the limit, take 4.2 s.
 # The largest classify inputs that run, at its rank limit: a `levi`
 # document with every flag written out, 3.8 MB (0.9-1.0 s, 120 MB), and
-# the matching `xi` document, 1.8 MB (2.7-3.6 s, 170 MB).  INPUT_LIMIT
-# admits the first with 10% to spare.  A 4.0 MB `xi` list of the wrong
-# rank is refused by its length, no entry parsed, in 0.4 s and 96 MB.
+# the matching `xi` document, 1.8 MB (2.7-3.6 s, 170 MB), which prints
+# 13.2 MB and is charged 23.4 MB (`_triple_bytes`).  CLASSIFY_OUTPUT_LIMIT
+# bounds the output, not the time: it admits what the factor limit admits
+# while the escaped label and xi digits take at most 1,096 bytes, and one
+# factor whose label escapes to 33.5 MB would print in 0.6 s and 137 MB.
+# INPUT_LIMIT admits the `levi` document with 10% to spare.  A 4.0 MB `xi`
+# list of the wrong rank is refused by its length in 0.4 s and 96 MB.
 COVER_RANK_LIMIT = 180
 SATAKE_RANK_LIMIT = 1_200_000
 WEIGHTS_RANK_LIMIT = 400_000
 ASET_SIZE_LIMIT = 1_400_000  # elements of the up-set times (rank + 8)
 CLASSIFY_SIZE_LIMIT = 7 * 2**15  # composition factors times the rank
+CLASSIFY_OUTPUT_LIMIT = 2**25  # composition factors times the bytes of one triple
 INPUT_LIMIT = 4 * 2**20  # characters of a config file or classify input
 
 
@@ -748,15 +754,35 @@ def _parse_torus_character(data: dict, config: RunConfig) -> characters.GenuineT
     return characters.GenuineTorusCharacter(tuple(xi), psi)
 
 
+def _triple_bytes(datum: classify.SupersingularDatum) -> int:
+    """At most the bytes one triple of `datum` prints, read off its rank,
+    label and torus character: the label JSON-escaped, 100 a root (its
+    index in P, Q, the Levi and the flags, and its xi pair's brackets, with
+    their indentation, take at most 92 at a 6-digit rank), the digits of
+    the xi pairs, and 200 for the rest."""
+    size = len(_quote(datum.label)) + 100 * datum.n + 200
+    if datum.torus_character is not None:
+        size += sum(len(str(x.unit_exp)) + len(str(x.pi_exp)) for x in datum.torus_character.xi)
+    return size
+
+
 def _refuse_factors(datum: classify.SupersingularDatum) -> None:
     """Exit 2 before any triple is built if the 2^k factors of `datum`,
     k = |Pi(sigma)| the number of roots flagged true, times its rank are
-    over CLASSIFY_SIZE_LIMIT; 2^k is built only for k under its bit length."""
+    over CLASSIFY_SIZE_LIMIT (2^k is built only for k under its bit
+    length), or times the bytes one triple prints over
+    CLASSIFY_OUTPUT_LIMIT: every triple repeats the label."""
     n, k = datum.n, sum(datum.flags.values())
     if k >= CLASSIFY_SIZE_LIMIT.bit_length() or 2**k * n > CLASSIFY_SIZE_LIMIT:
         raise UsageError(
             f"classify would print 2^{k} composition factors at rank {n},"
             f" over its limit of {CLASSIFY_SIZE_LIMIT:,} factors times the rank"
+        )
+    size = _triple_bytes(datum)
+    if 2**k * size > CLASSIFY_OUTPUT_LIMIT:
+        raise UsageError(
+            f"classify would print 2^{k} composition factors of up to {size:,} bytes"
+            f" each, over its limit of {CLASSIFY_OUTPUT_LIMIT:,} bytes"
         )
 
 

@@ -82,16 +82,17 @@ b y2 = y2 mod O; putting b y2 back into canonical form left-multiplies by
 I - z' E_21, which adds -z' y1 = 0 to entry (2, 0), so y3 goes to ab y3
 exactly, and a free reaches every unit.  If y2 = 0, b is free; reducing
 a y1 changes only rows 1 and 3, and moves (3, 1) by z y2 = 0.  So the
-walk collapses that step too when the prefix has a 0 simple-root entry
-(`free`).  The proof covers Sp_4's one middle coordinate only: it must be
-proved again at Sp_6 before `sp6` joins _GROUPS.
+walk collapses that step too when the prefix has a 0 simple-root entry.
+The proof covers Sp_4's one middle coordinate only (_PROVED_MIDDLE): a
+middle coordinate at Sp_6 must be proved before it joins.  The walk plan
+(`_walk_plan`) holds the rule as one `orbits` entry per coordinate but
+the last, which the walk and its node budget (`_walk_nodes`) both read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import prod
 
 from .hecke import TorusHeckeElement, metaplectic_satake_T2lambda, parity_filter, t2lambda_base
 from .rootdata import (
@@ -175,11 +176,20 @@ def _minor_indices(size: int, rank: int):
     return out
 
 
+# (rank, entry) of the middle coordinates proved to collapse below a 0
+# simple-root entry (module docstring): Sp_4's eps_1 + eps_2 alone
+_PROVED_MIDDLE = {(2, (2, 0))}
+
+
 def _walk_plan(n: int, neg) -> tuple:
-    """(closing, minors) for `_count_in_cell` on Sp_2n.  A column is final
-    once the last generator writing it is applied: closing[s] holds the
-    columns final after s generators, the columns the walk checks at a
-    node of depth s."""
+    """(closing, minors, orbits) for `_count_in_cell` on Sp_2n.  A column
+    is final once the last generator writing it is applied: closing[s]
+    holds the columns final after s generators, the columns the walk
+    checks at a node of depth s.  orbits[s], for each coordinate s but the
+    last, says when the walk visits one child per torus orbit there:
+    "always" at the simple roots, "below 0" at a middle coordinate in
+    _PROVED_MIDDLE, when the prefix has a 0 simple-root entry, and "never"
+    at the others."""
     last_write = {}
     for step, gen in enumerate(neg, 1):
         for (_, b), _ in gen.units:
@@ -187,7 +197,11 @@ def _walk_plan(n: int, neg) -> tuple:
     closing = [[] for _ in range(len(neg) + 1)]
     for j in range(2 * n):
         closing[last_write.get(j, 0)].append(j)
-    return closing, _minor_indices(2 * n, n)
+    orbits = tuple(
+        "always" if step < n else "below 0" if (n, gen.entry) in _PROVED_MIDDLE else "never"
+        for step, gen in enumerate(neg[:-1])
+    )
+    return closing, _minor_indices(2 * n, n), orbits
 
 
 # (rank, negative root coordinates, walk plan) by tag, built at import rather
@@ -413,7 +427,7 @@ def _count_in_cell(group, mu, lam, windows, p) -> int:
     base = p ** max(0, e)
     # The walk sets the coordinates in order, sharing each prefix product,
     # and fills in h column by column as they close (module docstring).
-    closing, minors = group.plan
+    closing, minors, orbits = group.plan
     h = [[0] * size for _ in range(size)]
     # h's divisor valuations are those of u mu(pi) minus floor
     divisors = [v - floor for v in sorted(lam.coords)]
@@ -428,7 +442,7 @@ def _count_in_cell(group, mu, lam, windows, p) -> int:
                 h[i][j] = x // base
         return True
 
-    def walk(step, m, free=False) -> int:  # free: the prefix has a 0 simple-root entry
+    def walk(step, m, zero=False) -> int:  # zero: the prefix has a 0 simple-root entry
         gen = group.neg[step]
         units, (i, j), w = gen.units, gen.entry, windows[step]
         c0 = -(m[i][j] // qread)  # the coordinate of the child with entry 0
@@ -444,56 +458,65 @@ def _count_in_cell(group, mu, lam, windows, p) -> int:
             # leaf y adds y dx q^(n - 1) to the last row of column 0, as
             # column 2n - 1 of every prefix product is q^n e_(2n - 1)
             return _leaf_hits(h, dx * qread * scale[0] // base, p**w, p, divisors, minors)
-        if step < group.rank or free:
+        rule = orbits[step]
+        if rule == "always" or zero and rule == "below 0":
             # one child per torus orbit: y = p^j standing for the
             # (p - 1) p^(w - j - 1) children of valuation j
             others = [(p**j, (p - 1) * p ** (w - j - 1)) for j in range(w)]
         else:
             others = [(y, 1) for y in range(1, p**w)]
-        # a simple-root step's child with entry 0 is free (module docstring)
-        hits = walk(step + 1, child, free or step < group.rank)
+        hits = walk(step + 1, child, zero or rule == "always")
         for y, orbit in others:
             child = [row[:] for row in m]
             group.right_multiply_generator(child, units, c0 + y * dx, q)
             close(step + 1, child)  # integral, as the entry-0 child's are
-            hits += orbit * walk(step + 1, child, free)
+            hits += orbit * walk(step + 1, child, zero)
         return hits
 
     root = group.identity(q**n)
     return walk(0, root) if close(0, root) else 0
 
 
-# Most nodes the walks of one cell may visit, set at about 3 s of work for
-# the slowest walk it admits (timings on one 2-vCPU Xeon core).  The count
-# is an upper bound, as below a 0 simple-root entry the sp4 walk visits one
-# middle child per torus orbit.  sp4's largest cells on the CLI's rows,
-# mu = (0, 0) at depth 1, may visit 4p + 9p^2 nodes: 115,373 at p = 113,
-# the last prime admitted, counted in 0.2-0.3 s, and 145,669 at p = 127,
-# refused.  The slowest admitted walk measured over lam in -12..0, depths
-# 1-8 and every admitted prime, lam = (-12, -12), mu = (-4, -4) at depth 5
-# and p = 5 (112,500 nodes), took 2.3 s.
+# Most nodes the walks of one cell may visit (`_walk_nodes`), set at about
+# 3 s of work for the slowest walk it admits (timings on one 2-vCPU Xeon
+# core).  sp4's largest cells on the CLI's rows, mu = (0, 0), may visit
+# 4p^2 + p + 21 nodes at depth 1 and 4p^2 + 15 at depths 2-4: 119,910 at
+# p = 173, the last prime admitted, whose rows count in 0.5-0.7 s, and
+# 128,364 at p = 179, refused.  The slowest admitted walk measured over
+# lam in -12..0, depths 1-8 and every admitted prime (the worst cell of
+# each window pattern), lam = (-12, -12), mu = (-11, -3) at depth 8 and
+# p = 7,043 (119,773 nodes), took 2.9-3.4 s.
 # sl2 has one coordinate, so each of its walks is one node and every sl2 row
 # is admitted.
 ORACLE_NODE_LIMIT = 120_000
 
 
+def _walk_nodes(group, windows, p) -> int:
+    """The most nodes setting the last coordinate that a walk at `windows`
+    visits, the plan's `orbits` unpruned: a step of window w has w + 1
+    children where it collapses and p^w where not, and `_leaf_hits`
+    decides the last coordinate's leaves at once.  `zero` counts the
+    prefixes with a 0 simple-root entry, `rest` the others.  At Sp_4 this
+    is (w0 + w1 + 1)(w2 + 1) + w0 w1 p^w2."""
+    rest, zero = 1, 0
+    for rule, w in zip(group.plan[2], windows):
+        if rule == "always":
+            rest, zero = rest * w, rest + zero * (w + 1)
+        elif rule == "below 0":
+            rest, zero = rest * p**w, zero * (w + 1)
+        else:
+            rest, zero = rest * p**w, zero * p**w
+    return rest + zero
+
+
 def _cell_walks(group, mu, lam, depth, p) -> list[tuple]:
     """The windows of each walk one cell runs: those clipped at the depth,
     then the unclipped ones if they are one step deeper, the only second
-    walk that can prove the first complete.  A walk visits at most the
-    product, over all windows w but the last, of w + 1 at the first
-    `group.rank` (simple-root) steps, which the walk visits one child per
-    torus orbit, and of p^w at the others, of which it visits fewer at
-    Sp_4's middle step below a 0 simple-root entry (module docstring); the
-    last coordinate adds no nodes, since `_leaf_hits` decides all of its
-    leaves below a node at once.  Refused with OracleError when the walks'
-    nodes sum past ORACLE_NODE_LIMIT."""
+    walk that can prove the first complete.  Refused with OracleError when
+    the walks' nodes (`_walk_nodes`) sum past ORACLE_NODE_LIMIT."""
     full = _coordinate_windows(group, mu, lam)
     walks = [tuple(min(depth, w) for w in full)] + ([full] if max(full) == depth + 1 else [])
-    nodes = sum(
-        prod(w + 1 if step < group.rank else p**w for step, w in enumerate(windows[:-1]))
-        for windows in walks
-    )
+    nodes = sum(_walk_nodes(group, windows, p) for windows in walks)
     if nodes > ORACLE_NODE_LIMIT:
         raise OracleError(
             f"oracle cell mu={mu.coords} at p = {p}, depth {depth} may visit"

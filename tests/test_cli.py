@@ -1016,13 +1016,13 @@ def test_large_field_parameters_answer_at_once(argv, stdin, code):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["oracle", "satake", "--group", "sp4", "--i", "2", "--p", "127"],
-        ["satake", "--i", "2", "--n", "2", "--oracle", "--p", "127"],
+        ["oracle", "satake", "--group", "sp4", "--i", "2", "--p", "179"],
+        ["satake", "--i", "2", "--n", "2", "--oracle", "--p", "179"],
     ],
 )
 def test_over_budget_oracle_exits_at_once(argv):
-    # the mu = (0, 0) cell at depth 4: windows (2, 2, 2, 2), 3 * 3 * p^2 nodes
-    _assert_refused_at_once(argv, 9 * 127**2)
+    # the mu = (0, 0) cell at depth 4: windows (2, 2, 2, 2), 4 p^2 + 15 nodes
+    _assert_refused_at_once(argv, 4 * 179**2 + 15)
 
 
 def test_sl2_row_at_a_large_prime_answers_at_once():
@@ -1085,6 +1085,8 @@ def _levi_datum(n, flagged):
         (["classify", "--siegel", "--n", "10000000"], {"P": [1], "Q": [1], "flags": {}}),
         # 2^14399 factors, a number of 4,335 digits, too long to format
         (["classify", "--n", "14400"], {"levi": [], "flags": {str(i): i < 14400 for i in range(1, 14401)}}),
+        # 2^13 factors at rank 28, each repeating a 512 KB label: about 4 GB
+        (["classify", "--n", "28"], {**_levi_datum(28, 13), "label": "x" * 2**19}),
     ],
 )
 def test_over_budget_jobs_exit_at_once(argv, doc):
@@ -1093,6 +1095,38 @@ def test_over_budget_jobs_exit_at_once(argv, doc):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == "" and "Traceback" not in err
     assert err.startswith("error:") and "over its limit" in err
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["classify", "--n", "12"], {**_levi_datum(12, 6), "label": 'a\u00e9"\n\U0001f600' * 50}),
+        (["classify", "--n", "9"], {"levi": [2, 3], "flags": {"5": True, "6": False, "7": True, "8": True, "9": False}}),
+        (["classify", "--n", "7", "--p", "1000003"], {"xi": [[10**6, 999], [-1, 1], [-1, 1], [5, 0]] + [[0, 0]] * 3}),
+        (["classify", "--n", "28"], {**_levi_datum(28, 13), "label": "x" * 1094}),
+    ],
+)
+def test_classify_charges_each_triple_at_least_what_it_prints(monkeypatch, argv, doc):
+    # the last document is the longest label 2^13 factors at rank 28 may
+    # carry: one byte more is over CLASSIFY_OUTPUT_LIMIT
+    charges = []
+    real = cli._triple_bytes
+    monkeypatch.setattr(cli, "_triple_bytes", lambda datum: charges.append(real(datum)) or charges[-1])
+    code, out, err = run_captured(argv, json.dumps(doc))
+    assert (code, err) == (0, "")
+    triples = json.loads(out)["triples"]
+    assert len(charges) == 1 and len(triples) * charges[0] <= cli.CLASSIFY_OUTPUT_LIMIT
+    assert max(len(cli._encode(t, "\n  ")) for t in triples) <= charges[0]
+
+
+def test_classify_refuses_an_over_long_label_on_one_line():
+    doc = {**_levi_datum(28, 13), "label": "x" * 1095}
+    code, out, err = run_captured(["classify", "--n", "28"], json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: classify would print 2^13 composition factors of up to 4,097 bytes each,"
+        f" over its limit of {cli.CLASSIFY_OUTPUT_LIMIT:,} bytes\n"
+    )
 
 
 @pytest.mark.parametrize(

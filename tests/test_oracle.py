@@ -414,26 +414,26 @@ def test_count_cosets_validation():
         count_cosets(Cocharacter((-1,)), Cocharacter((-2,), gsp=1), 2, "sl2", 3)
 
 
-def test_node_estimate_admits_p113_and_refuses_p127():
-    assert 2 * 2 * 113 + 9 * 113**2 <= ORACLE_NODE_LIMIT < 9 * 127**2
+def test_node_estimate_admits_p173_and_refuses_p179():
+    assert 4 * 173**2 + 173 + 21 <= ORACLE_NODE_LIMIT < 4 * 179**2 + 15
     zero = Cocharacter((0, 0))
     for i in (1, 2):
         lam = 2 * t2lambda_base(i, 2)
         # the mu = (0, 0) cell has windows (1, 1, 1, 1) at depth 1 and
         # (2, 2, 2, 2) unclipped, one step past depth 1, so depth 1 adds the
-        # unclipped walk, which can prove its count complete;
-        # each simple-root window w costs w + 1 nodes, one per torus orbit,
-        # and the last window adds none
-        assert oracle._cell_walks(SP4, zero, lam, 1, 113) == [(1, 1, 1, 1), (2, 2, 2, 2)]
-        with pytest.raises(OracleError, match=f" {2 * 2 * 127 + 9 * 127**2:,} nodes, over its limit"):
-            oracle._cell_walks(SP4, zero, lam, 1, 127)
+        # unclipped walk, which can prove its count complete; a walk at
+        # windows (w, w, w, w) may visit (2w + 1)(w + 1) + w^2 p^w nodes
+        # (`_walk_nodes`), and the last window adds none
+        assert oracle._cell_walks(SP4, zero, lam, 1, 173) == [(1, 1, 1, 1), (2, 2, 2, 2)]
+        with pytest.raises(OracleError, match=f" {4 * 179**2 + 179 + 21:,} nodes, over its limit"):
+            oracle._cell_walks(SP4, zero, lam, 1, 179)
         for depth in (2, 3, 4):
-            assert oracle._cell_walks(SP4, zero, lam, depth, 113) == [(2, 2, 2, 2)]
-            with pytest.raises(OracleError, match=f" {9 * 127**2:,} nodes, over its limit"):
-                oracle._cell_walks(SP4, zero, lam, depth, 127)
+            assert oracle._cell_walks(SP4, zero, lam, depth, 173) == [(2, 2, 2, 2)]
+            with pytest.raises(OracleError, match=f" {4 * 179**2 + 15:,} nodes, over its limit"):
+                oracle._cell_walks(SP4, zero, lam, depth, 179)
         for depth in (1, 2, 3, 4):
-            for mu in antidominant_above(lam):  # every cell at p = 113 is admitted
-                oracle._cell_walks(SP4, mu, lam, depth, 113)
+            for mu in antidominant_above(lam):  # every cell at p = 173 is admitted
+                oracle._cell_walks(SP4, mu, lam, depth, 173)
 
 
 def test_over_budget_row_is_refused_before_counting(monkeypatch):
@@ -442,10 +442,10 @@ def test_over_budget_row_is_refused_before_counting(monkeypatch):
 
     monkeypatch.setattr(oracle, "_count_in_cell", no_walk)
     lam = 2 * t2lambda_base(2, 2)
-    for p in (127, 1009):
+    for p in (179, 1009):
         with pytest.raises(OracleError) as err:
             oracle_rows(lam, 4, "sp4", p)
-        assert f"{9 * p**2:,} nodes" in str(err.value)
+        assert f"{4 * p**2 + 15:,} nodes" in str(err.value)
         with pytest.raises(OracleError):
             count_cosets(Cocharacter((0, 0)), lam, 4, "sp4", p)
         with pytest.raises(OracleError):
@@ -700,6 +700,47 @@ def test_middle_coordinate_walks_one_child_per_orbit_below_a_zero_simple_root(mo
         calls.clear()
         count_cosets(Cocharacter((0, 0)), Cocharacter(lam), 4, "sp4", p)
         assert len(calls) == want == 15 + p**2, lam
+
+
+def test_node_budget_bounds_the_walk(monkeypatch):
+    """The nodes setting the last coordinate that a walk visits, one
+    `_leaf_hits` or `smith_valuations` call each, are at most the budget's
+    count (w0 + w1 + 1)(w2 + 1) + w0 w1 p^w2, itself at most the product
+    (w0 + 1)(w1 + 1) p^w2 that charged the middle step p^w2 throughout;
+    over lam in -4..0, every mu >= lam, p in {3, 5, 7} and depths 1-4
+    (879 distinct walks)."""
+    calls = []
+    for name in ("_leaf_hits", "smith_valuations"):
+        real = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+    lams = [Cocharacter(c) for c in itertools.product(range(-4, 1), repeat=2) if c[0] <= c[1]]
+    seen = set()
+    for lam, p, depth in itertools.product(lams, (3, 5, 7), (1, 2, 3, 4)):
+        for mu in antidominant_above(lam):
+            for windows in oracle._cell_walks(SP4, mu, lam, depth, p):
+                if (lam, mu, p, windows) in seen:
+                    continue  # depths past the windows repeat a walk
+                seen.add((lam, mu, p, windows))
+                calls.clear()
+                oracle._count_in_cell(SP4, mu, lam, windows, p)
+                w0, w1, w2, _ = windows
+                nodes = oracle._walk_nodes(SP4, windows, p)
+                assert nodes == (w0 + w1 + 1) * (w2 + 1) + w0 * w1 * p**w2
+                assert len(calls) <= nodes <= (w0 + 1) * (w1 + 1) * p**w2, (lam, mu, p, windows)
+    assert len(seen) == 879
+
+
+def test_walk_plan_collapses_only_the_proved_middle_step():
+    """Only Sp_4's middle step, of eps_1 + eps_2 at entry (2, 0), is
+    proved to visit one child per torus orbit below a 0 simple-root entry
+    (module docstring).  A plan built at rank 3 or 4 collapses its simple
+    roots alone, so registering `sp6` cannot switch on an unproved
+    collapse."""
+    assert SP4.plan[2] == ("always", "always", "below 0")
+    assert SL2.plan[2] == ()
+    for n in (3, 4):
+        orbits = oracle._walk_plan(n, oracle._negative_roots(n))[2]
+        assert orbits == ("always",) * n + ("never",) * (n * n - n - 1)
 
 
 def _frac_smith(m, p):
