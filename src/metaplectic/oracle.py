@@ -96,7 +96,8 @@ from itertools import combinations
 
 from .hecke import TorusHeckeElement, metaplectic_satake_T2lambda, parity_filter, t2lambda_base
 from .rootdata import (
-    Cocharacter, RootDatumError, antidominant_above, is_antidominant, leq, pairing, positive_roots
+    Cocharacter, RootDatumError, antidominant_above, coroot_of, is_antidominant, leq, pairing,
+    positive_roots,
 )
 
 
@@ -141,13 +142,14 @@ class NegativeRootCoordinate:
 
 def _negative_roots(n: int) -> tuple[NegativeRootCoordinate, ...]:
     """One coordinate per positive root alpha of Sp_2n, stably sorted by
-    the height <alpha, 2 rho^vee>, 2 rho^vee = (2n - 1, 2n - 3, ..., 1).
-    With i' = 2n - 1 - i the root vector of -(eps_i - eps_j) is
-    E_ji - E_i'j', that of -(eps_i + eps_j) is E_j'i + E_i'j, and that of
-    -2 eps_i is E_i'i; each is windowed by column i."""
-    two_rho = Cocharacter(tuple(range(2 * n - 1, 0, -2)))
+    the height <alpha, 2 rho^vee>, 2 rho^vee = (2n - 1, ..., 1) the sum of
+    the coroots.  With i' = 2n - 1 - i the root vector of -(eps_i - eps_j)
+    is E_ji - E_i'j', that of -(eps_i + eps_j) is E_j'i + E_i'j, and that
+    of -2 eps_i is E_i'i; each is windowed by column i."""
+    pos = positive_roots(n)
+    two_rho = sum(map(coroot_of, pos), Cocharacter((0,) * n))
     out = []
-    for alpha in sorted(positive_roots(n), key=lambda a: pairing(a, two_rho)):
+    for alpha in sorted(pos, key=lambda a: pairing(a, two_rho)):
         i, *rest = (k for k, c in enumerate(alpha.coords) if c)
         j = rest[0] if rest else i
         ip, jp = 2 * n - 1 - i, 2 * n - 1 - j

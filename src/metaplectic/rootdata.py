@@ -8,12 +8,12 @@ the dot product.  Simple roots are
     alpha_i = eps_i - eps_{i+1}   (1 <= i < n,  short),
     alpha_n = 2 eps_n             (long),
 
-with coroots alpha_i^vee = e_i - e_{i+1} and alpha_n^vee = e_n.  Unwinding
-the recursive bases 2*chi_n = alpha_n, chi_i = alpha_i + chi_{i+1} and
-lambda_n = alpha_n^vee, lambda_i = alpha_i^vee + lambda_{i+1} gives
-chi_i = eps_i and lambda_i = e_i, so "coordinates in the chi/lambda basis"
-coincide with the eps/e coordinates.  (The recursion for lambda_i is read
-with alpha_i^vee, forced by types; see the ledger.)
+with coroots alpha^vee = 2 alpha / (alpha, alpha) (`coroot_of`), so
+alpha_i^vee = e_i - e_{i+1} and alpha_n^vee = e_n; the coroots of C_n are
+the roots of B_n, of the dual group SO_{2n+1}.  Unwinding the recursive
+bases 2*chi_n = alpha_n, chi_i = alpha_i + chi_{i+1} and lambda_n =
+alpha_n^vee, lambda_i = alpha_i^vee + lambda_{i+1} gives chi_i = eps_i and
+lambda_i = e_i: the chi/lambda coordinates are the eps/e coordinates.
 
 The Weyl group is the group of signed permutations of the coordinates.
 A cocharacter is antidominant when its coordinates are ascending and the
@@ -177,28 +177,38 @@ def parabolic_subset(n: int, roots: frozenset) -> ParabolicSubset:
     return ParabolicSubset(n, roots)
 
 
+def _root(n: int, i: int, j: int, s: int) -> Character:
+    """eps_{i+1} + s eps_{j+1} at rank n, which is 2 eps_{i+1} at j = i."""
+    coords = [0] * n
+    coords[i] += 1
+    coords[j] += s
+    return Character(tuple(coords))
+
+
 def simple_root(i: int, n: int) -> Character:
     """alpha_i in eps coordinates; alpha_n = 2 eps_n is the long one."""
     if not 1 <= i <= n:
         raise RootDatumError(f"simple root index {i} out of range 1..{n}")
-    coords = [0] * n
-    if i < n:
-        coords[i - 1], coords[i] = 1, -1
-    else:
-        coords[n - 1] = 2
-    return Character(tuple(coords))
+    return _root(n, i - 1, i, -1) if i < n else _root(n, n - 1, n - 1, 1)
+
+
+def coroot_of(alpha: Character) -> Cocharacter:
+    """2 alpha / (alpha, alpha) for a root of type B_n or C_n: a root
+    +-eps_i +- eps_j, told apart by one count of its zeros, is its own
+    coroot, and a eps_i with a in {+-1, +-2} goes to (2 / a) e_i."""
+    c = alpha.coords
+    if len(c) - c.count(0) == 2:
+        return Cocharacter(c)
+    a = sum(c)
+    k = c.index(a)
+    return Cocharacter(c[:k] + (2 // a,) + c[k + 1:])
 
 
 def coroot(i: int, n: int) -> Cocharacter:
     """alpha_i^vee = e_i - e_{i+1} for i < n, alpha_n^vee = e_n."""
     if not 1 <= i <= n:
         raise RootDatumError(f"coroot index {i} out of range 1..{n}")
-    coords = [0] * n
-    if i < n:
-        coords[i - 1], coords[i] = 1, -1
-    else:
-        coords[n - 1] = 1
-    return Cocharacter(tuple(coords))
+    return coroot_of(simple_root(i, n))
 
 
 def fundamental_weight(i: int, n: int) -> Character:
@@ -309,18 +319,6 @@ def antidominant_above(lam: Cocharacter) -> set[Cocharacter]:
 
 
 def positive_roots(n: int) -> list[Character]:
-    """eps_i - eps_j and eps_i + eps_j for i < j, and 2 eps_i."""
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            short_minus = [0] * n
-            short_minus[i], short_minus[j] = 1, -1
-            out.append(Character(tuple(short_minus)))
-            short_plus = [0] * n
-            short_plus[i], short_plus[j] = 1, 1
-            out.append(Character(tuple(short_plus)))
-    for i in range(n):
-        long = [0] * n
-        long[i] = 2
-        out.append(Character(tuple(long)))
-    return out
+    """eps_i - eps_j and eps_i + eps_j for i < j, then 2 eps_i."""
+    short = ((i, j, s) for i, j in itertools.combinations(range(n), 2) for s in (-1, 1))
+    return [_root(n, *ijs) for ijs in itertools.chain(short, ((i, i, 1) for i in range(n)))]

@@ -38,6 +38,20 @@ def antidominant_rep(lam: Cocharacter) -> Cocharacter:
     return Cocharacter(tuple(sorted((-abs(c) for c in lam.coords))))
 
 
+def b_positive_roots(n: int) -> list[Cocharacter]:
+    """The positive roots of B_n, of SO_{2n+1}, written by hand in e
+    coordinates: e_i - e_j and e_i + e_j for i < j, then e_i."""
+
+    def root(*entries):
+        coords = [0] * n
+        for k, v in entries:
+            coords[k] += v
+        return Cocharacter(tuple(coords))
+
+    long = [root((i, 1), (j, s)) for i in range(n) for j in range(i + 1, n) for s in (-1, 1)]
+    return long + [root((i, 1)) for i in range(n)]
+
+
 def cartan_matrix(n: int) -> list[list[int]]:
     """C[j][k] = <alpha_j, alpha_k^vee> (0-indexed rows/cols for roots 1..n)."""
     return [

@@ -10,6 +10,7 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 
 import jsonschema
@@ -263,18 +264,22 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
 def _main_in_child(argv, stdin, **env):
     """`main(argv)` reading the open file `stdin`, in a child process with
     at most 1 GiB of address space, killed after 20 s; `env` adds to the
-    child's environment."""
-    script = "import sys\nfrom metaplectic.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    child's environment.  `argv` reaches the child as a JSON file, since
+    one command-line argument may hold at most 128 KiB on Linux."""
+    script = "import json, sys\nfrom metaplectic.cli import main\nsys.exit(main(json.load(open(sys.argv[1]))))\n"
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *argv],
-        stdin=stdin,
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=package_root, **env),
-        timeout=20,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
-    )
+    with tempfile.NamedTemporaryFile("w", suffix=".json") as args:
+        json.dump(list(argv), args)
+        args.flush()
+        proc = subprocess.run(
+            [sys.executable, "-c", script, args.name],
+            stdin=stdin,
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=package_root, **env),
+            timeout=20,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -1089,10 +1094,15 @@ def _levi_datum(n, flagged):
         (["classify", "--n", "28"], {**_levi_datum(28, 13), "label": "x" * 2**19}),
     ],
 )
-def test_over_budget_jobs_exit_at_once(argv, doc):
-    start = time.perf_counter()
-    code, out, err = run_captured(argv, "" if doc is None else json.dumps(doc))
-    assert time.perf_counter() - start < 1.0
+def test_over_budget_jobs_exit_at_once(argv, doc, tmp_path):
+    # in a child under 1 GiB of address space, so that a refusal that no
+    # longer holds fails its row instead of building gigabytes here
+    path = tmp_path / "doc.json"
+    path.write_text("" if doc is None else json.dumps(doc))
+    with open(path) as fh:
+        start = time.perf_counter()
+        code, out, err = _main_in_child(argv, fh)
+        assert time.perf_counter() - start < 1.0
     assert code == 2 and out == "" and "Traceback" not in err
     assert err.startswith("error:") and "over its limit" in err
 

@@ -95,6 +95,18 @@ def test_generated_tables_match_hand_tables():
         assert [(g.units, g.entry, g.window_col) for g in neg] == table
 
 
+def test_walk_plans_match_hand_plans():
+    # the columns final after s generators (the last column is never
+    # written), every minor, and the torus-orbit rule of each step but the last
+    for tag, closing, orbits in (
+        ("sl2", [[1], [0]], ()),
+        ("sp4", [[3], [2], [], [1], [0]], ("always", "always", "below 0")),
+    ):
+        realization = ChevalleyRealization(tag)
+        n = realization.rank
+        assert realization.plan == (closing, oracle._minor_indices(2 * n, n), orbits)
+
+
 def test_generated_root_vectors_preserve_form_to_rank_4():
     for n in (1, 2, 3, 4):
         neg = oracle._negative_roots(n)

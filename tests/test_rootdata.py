@@ -12,6 +12,7 @@ from metaplectic.rootdata import (
     antidominant_above,
     cartan_inverse,
     coroot,
+    coroot_of,
     coroot_pairings,
     fundamental_weight,
     is_antidominant,
@@ -20,7 +21,7 @@ from metaplectic.rootdata import (
     positive_roots,
     simple_root,
 )
-from _reference import antidominant_rep, cartan_matrix
+from _reference import antidominant_rep, b_positive_roots, cartan_matrix
 
 
 def test_simple_root_values():
@@ -39,6 +40,86 @@ def test_coroot_values():
     for n in range(1, 7):
         expected = tuple(0 for _ in range(n - 1)) + (1,)
         assert coroot(n, n).coords == expected
+
+
+def _short(i, n):
+    """eps_i - eps_{i+1} at rank n, written out."""
+    return (0,) * (i - 1) + (1, -1) + (0,) * (n - i - 1)
+
+
+def test_root_rule_reproduces_the_hand_formulas():
+    """simple_root, coroot and positive_roots equal the formulas they were
+    written as before coroot_of, element for element and in order: alpha_n
+    = 2 eps_n and alpha_n^vee = e_n; eps_i - eps_j and eps_i + eps_j for
+    i < j in order, then 2 eps_i."""
+
+    def unit(n, *entries):
+        coords = [0] * n
+        for k, v in entries:
+            coords[k] += v
+        return tuple(coords)
+
+    for n in range(1, 9):
+        for i in range(1, n):
+            assert simple_root(i, n).coords == coroot(i, n).coords == _short(i, n)
+        assert simple_root(n, n).coords == (0,) * (n - 1) + (2,)
+        assert coroot(n, n).coords == (0,) * (n - 1) + (1,)
+        if n <= 7:
+            want = [unit(n, (i, 1), (j, s)) for i in range(n) for j in range(i + 1, n) for s in (-1, 1)]
+            want += [unit(n, (i, 2)) for i in range(n)]
+            assert [a.coords for a in positive_roots(n)] == want
+    for f, name in ((simple_root, "simple root"), (coroot, "coroot")):
+        with pytest.raises(RootDatumError, match=f"^{name} index 3 out of range 1..2$"):
+            f(3, 2)
+
+
+def test_root_rule_at_the_satake_rank_limit():
+    # a short root comes back as the same tuple: one count of its zeros
+    n = 1_200_000
+    for i in (1, n - 1):
+        assert simple_root(i, n).coords == coroot(i, n).coords == _short(i, n)
+    alpha = simple_root(1, n)
+    assert coroot_of(alpha).coords is alpha.coords
+    assert simple_root(n, n).coords == (0,) * (n - 1) + (2,)
+    assert coroot(n, n).coords == (0,) * (n - 1) + (1,)
+
+
+def test_coroots_of_c_are_the_roots_of_b():
+    """2 alpha / (alpha, alpha) takes the positive roots of C_n to those of
+    B_n, written by hand, in order, and back; their sum is 2 rho^vee."""
+    for n in range(1, 8):
+        c_roots, b_roots = positive_roots(n), b_positive_roots(n)
+        assert [coroot_of(a) for a in c_roots] == b_roots
+        assert [coroot_of(Character(b.coords)).coords for b in b_roots] == [a.coords for a in c_roots]
+        assert sum(b_roots, Cocharacter((0,) * n)).coords == tuple(range(2 * n - 1, 0, -2))
+
+
+def _weyl_dimension(roots, lam):
+    """dim V_lam = prod over the positive roots alpha of (lam + rho,
+    alpha^vee) / (rho, alpha^vee), read at 2 lam and 2 rho, the sum of the
+    positive roots, so that every factor is an integer."""
+    two_rho = [sum(col) for col in zip(*roots)]
+    num = den = 1
+    for alpha in roots:
+        co = coroot_of(Character(alpha)).coords
+        num *= sum((2 * a + r) * c for a, r, c in zip(lam, two_rho, co))
+        den *= sum(r * c for r, c in zip(two_rho, co))
+    assert num % den == 0
+    return num // den
+
+
+def test_weyl_dimensions_of_the_standard_and_adjoint_modules():
+    # Sp_2n on its 2n-dimensional space and on sym^2 = its Lie algebra;
+    # SO_{2n+1} on its (2n + 1)-dimensional space and on its Lie algebra
+    for n in range(1, 5):
+        c_roots = [a.coords for a in positive_roots(n)]
+        b_roots = [b.coords for b in b_positive_roots(n)]
+        first, zeros = (1,) + (0,) * (n - 1), (0,) * (n - 2)
+        assert _weyl_dimension(c_roots, first) == 2 * n
+        assert _weyl_dimension(c_roots, (2,) + first[1:]) == n * (2 * n + 1)
+        assert _weyl_dimension(b_roots, first) == 2 * n + 1
+        if n >= 2:
+            assert _weyl_dimension(b_roots, (1, 1) + zeros) == n * (2 * n + 1)
 
 
 @given(st.lists(st.integers(-50, 50), max_size=6), st.integers(-3, 3))
