@@ -3,6 +3,10 @@
 Subcommands: hilbert, cover, satake, aset, weights, classify, oracle,
 selftest.  Each `cmd_*(args, config)` returns `(payload, exit_code)`;
 `main` resolves the config before calling it and then emits the payload.
+When argv names a subcommand, `main` hands the rest of argv straight to
+that subcommand's parser, as argparse's top-level pass would after
+reading the command word; help, usage errors and exit codes are
+argparse's, unchanged.
 Output is JSON (sorted keys, byte-stable for a fixed config and seed);
 every payload is validated against the draft-07 schema in SCHEMAS named
 after its subcommand before printing.  Each schema's one validator is
@@ -1020,7 +1024,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if argv and argv[0] in sub.choices:
+        # the top-level pass would only read the command word and hand the
+        # rest to its parser; leftovers get the top-level error it prints
+        args, extra = sub.choices[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = parser.parse_args(argv)
     try:
         payload, code = args.func(args, resolve_config(args))
         if payload is not None:

@@ -135,7 +135,15 @@ def test_parser_reuse_after_usage_error(capsys):
     """The parser is built once per process; an argparse usage error
     (exit 2) must not change what the next request prints."""
     argv = ("aset", "--i", "2", "--n", "3")
-    for bad in (["aset", "--i", "x"], ["aset", "--lam"], ["bogus"], []):
+    # the last row's error is raised after main has handed argv to the
+    # command's own parser
+    for bad in (
+        ["aset", "--i", "x"],
+        ["aset", "--lam"],
+        ["bogus"],
+        [],
+        ["hilbert", "pi", "pi", "--bogus", "1"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(bad)
         assert exc.value.code == 2
@@ -331,14 +339,15 @@ def test_selftest_command(capsys):
     assert "criterion 8 PASS" in err
 
 
-def run_captured(argv, stdin=""):
-    """main() with stdin given; returns (exit code, stdout, stderr)."""
+def run_captured(argv, stdin="", run=main):
+    """run(argv), main by default, with stdin given; returns (exit code,
+    stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(argv))
+            code = run(list(argv))
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
@@ -998,6 +1007,76 @@ def test_command_refuses_flags_it_does_not_read(command, key):
             main(argv)
     assert exc.value.code == 2 and out.getvalue() == ""
     assert "unrecognized arguments" in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+def _top_level_main(argv):
+    """What main did before it handed argv to the command's own parser:
+    argparse's top-level pass, then the same command."""
+    args = build_parser().parse_args(argv)
+    try:
+        payload, code = args.func(args, cli.resolve_config(args))
+        if payload is not None:
+            emit(payload, args.command)
+        return code
+    except (ValueError, OSError, KeyError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return cli.EXIT_USAGE
+
+
+def _exit_code(run):
+    """run, with argparse's SystemExit read as the exit code it carries."""
+
+    def call(argv):
+        try:
+            return run(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    return call
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["-h"],
+        ["--p", "3", "hilbert", "pi", "pi"],
+        ["hilbert", "-h"],
+        ["hilbert", "pi"],
+        ["hilbert", "pi", "pi", "extra"],
+        ["hilbert", "pi", "pi", "--bogus", "1"],
+        ["cover", "--N", "3"],
+        ["satake", "--i", "x"],
+        ["hilbert", "--", "pi", "pi"],
+        *_VALID.values(),
+    ],
+)
+def test_main_prints_what_the_top_level_pass_prints(argv):
+    """Exit code, stdout and stderr of main equal argparse's top-level
+    pass byte for byte, compared in one process so that help text is
+    wrapped at the same width."""
+    assert run_captured(argv, run=_exit_code(main)) == run_captured(
+        argv, run=_exit_code(_top_level_main)
+    )
+
+
+class _Parsed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command", sorted(_VALID))
+def test_main_parses_what_the_top_level_pass_parses(command, monkeypatch):
+    """For each command's valid argv, main's namespace equals the one
+    argparse's top-level pass builds."""
+
+    def stop(args):
+        raise _Parsed(vars(args))
+
+    monkeypatch.setattr(cli, "resolve_config", stop)
+    with pytest.raises(_Parsed) as exc:
+        main(list(_VALID[command]))
+    assert exc.value.args[0] == vars(build_parser().parse_args(_VALID[command]))
 
 
 @pytest.mark.parametrize(
