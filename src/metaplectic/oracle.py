@@ -83,6 +83,17 @@ I - z' E_21, which adds -z' y1 = 0 to entry (2, 0), so y3 goes to ab y3
 exactly, and a free reaches every unit.  If y2 = 0, b is free; reducing
 a y1 changes only rows 1 and 3, and moves (3, 1) by z y2 = 0.  So the
 walk collapses that step too when the prefix has a 0 simple-root entry.
+
+When y1 and y2 are both nonzero, of pole orders v1, v2 >= 1, the middle
+step collapses to translation classes instead.  Take b in 1 + p^v O, v =
+max(v1, v2), and a = 1/b.  Then a y1 = y1 and b y2 = y2 mod O, reducing
+a y1 changes only rows 1 and 3, and ab = 1 leaves y3 as it is; putting
+b y2 back into canonical form adds -z' y1 to entry (2, 0), z' = (b - 1)
+y2, and as b varies these shifts fill all of p^(-m) O, m = min(v1, v2).  So the count below a middle child depends
+only on its entry mod p^(-m) O, and at window w the walk visits y in
+range(p^(w - k)), k = min(m, w), weighting each by the p^k children of
+its class.  The walk carries m as `pole`: the least pole order of the
+prefix's simple-root entries, 0 when one of them is 0.
 The proof covers Sp_4's one middle coordinate only (_PROVED_MIDDLE): a
 middle coordinate at Sp_6 must be proved before it joins.  The walk plan
 (`_walk_plan`) holds the rule as one `orbits` entry per coordinate but
@@ -178,8 +189,9 @@ def _minor_indices(size: int, rank: int):
     return out
 
 
-# (rank, entry) of the middle coordinates proved to collapse below a 0
-# simple-root entry (module docstring): Sp_4's eps_1 + eps_2 alone
+# (rank, entry) of the middle coordinates proved to collapse, to torus
+# orbits below a 0 simple-root entry and to translation classes below
+# nonzero ones (module docstring): Sp_4's eps_1 + eps_2 alone
 _PROVED_MIDDLE = {(2, (2, 0))}
 
 
@@ -188,10 +200,11 @@ def _walk_plan(n: int, neg) -> tuple:
     is final once the last generator writing it is applied: closing[s]
     holds the columns final after s generators, the columns the walk
     checks at a node of depth s.  orbits[s], for each coordinate s but the
-    last, says when the walk visits one child per torus orbit there:
-    "always" at the simple roots, "below 0" at a middle coordinate in
-    _PROVED_MIDDLE, when the prefix has a 0 simple-root entry, and "never"
-    at the others."""
+    last, says how the walk collapses the children there: "always" to one
+    per torus orbit, at the simple roots; "middle" at a middle coordinate
+    in _PROVED_MIDDLE, to one per torus orbit when the prefix has a 0
+    simple-root entry and one per translation class when it has none; and
+    "never" at the others."""
     last_write = {}
     for step, gen in enumerate(neg, 1):
         for (_, b), _ in gen.units:
@@ -200,7 +213,7 @@ def _walk_plan(n: int, neg) -> tuple:
     for j in range(2 * n):
         closing[last_write.get(j, 0)].append(j)
     orbits = tuple(
-        "always" if step < n else "below 0" if (n, gen.entry) in _PROVED_MIDDLE else "never"
+        "always" if step < n else "middle" if (n, gen.entry) in _PROVED_MIDDLE else "never"
         for step, gen in enumerate(neg[:-1])
     )
     return closing, _minor_indices(2 * n, n), orbits
@@ -444,7 +457,7 @@ def _count_in_cell(group, mu, lam, windows, p) -> int:
                 h[i][j] = x // base
         return True
 
-    def walk(step, m, zero=False) -> int:  # zero: the prefix has a 0 simple-root entry
+    def walk(step, m, pole) -> int:  # pole: as in the module docstring
         gen = group.neg[step]
         units, (i, j), w = gen.units, gen.entry, windows[step]
         c0 = -(m[i][j] // qread)  # the coordinate of the child with entry 0
@@ -461,50 +474,56 @@ def _count_in_cell(group, mu, lam, windows, p) -> int:
             # column 2n - 1 of every prefix product is q^n e_(2n - 1)
             return _leaf_hits(h, dx * qread * scale[0] // base, p**w, p, divisors, minors)
         rule = orbits[step]
-        if rule == "always" or zero and rule == "below 0":
+        if rule == "always" or rule == "middle" and not pole:
             # one child per torus orbit: y = p^j standing for the
-            # (p - 1) p^(w - j - 1) children of valuation j
-            others = [(p**j, (p - 1) * p ** (w - j - 1)) for j in range(w)]
-        else:
-            others = [(y, 1) for y in range(1, p**w)]
-        hits = walk(step + 1, child, zero or rule == "always")
-        for y, orbit in others:
+            # (p - 1) p^(w - j - 1) children of valuation j, of pole w - j
+            hits = walk(step + 1, child, 0)
+            others = [(p**j, (p - 1) * p ** (w - j - 1), min(pole, w - j)) for j in range(w)]
+        else:  # one child per class mod p^(-k) O, of p^k children; k = 0 where "never"
+            orbit = p ** min(pole, w) if rule == "middle" else 1
+            hits = orbit * walk(step + 1, child, pole)
+            others = [(y, orbit, pole) for y in range(1, p**w // orbit)]
+        for y, orbit, below in others:
             child = [row[:] for row in m]
             group.right_multiply_generator(child, units, c0 + y * dx, q)
             close(step + 1, child)  # integral, as the entry-0 child's are
-            hits += orbit * walk(step + 1, child, zero)
+            hits += orbit * walk(step + 1, child, below)
         return hits
 
     root = group.identity(q**n)
-    return walk(0, root) if close(0, root) else 0
+    # no simple-root entry is set yet, and width bounds every pole order
+    return walk(0, root, width) if close(0, root) else 0
 
 
 # Most nodes the walks of one cell may visit (`_walk_nodes`), set at about
 # 3 s of work for the slowest walk it admits (timings on one 2-vCPU Xeon
-# core).  sp4's largest cells on the CLI's rows, mu = (0, 0), may visit
-# 4p^2 + p + 21 nodes at depth 1 and 4p^2 + 15 at depths 2-4: 119,910 at
-# p = 173, the last prime admitted, whose rows count in 0.5-0.7 s, and
-# 128,364 at p = 179, refused.  The slowest admitted walk measured over
-# lam in -12..0, depths 1-8 and every admitted prime (the worst cell of
-# each window pattern), lam = (-12, -12), mu = (-11, -3) at depth 8 and
-# p = 7,043 (119,773 nodes), took 2.9-3.4 s.
+# core), before the middle step collapsed to translation classes.  sp4's
+# largest cells on the CLI's rows, mu = (0, 0), may visit 4p^2 + p + 21
+# nodes at depth 1 and 4p^2 + 15 at depths 2-4: 119,910 at p = 173, the
+# last prime admitted, whose rows now count in 3-5 ms, and 128,364 at
+# p = 179, refused.  The slowest admitted walk measured over lam in
+# -12..0, depths 1-8 and every admitted prime (the worst cell of each
+# window pattern), lam = (-12, -12), mu = (-11, -3) at depth 8 and
+# p = 7,043 (119,773 nodes), took 2.9-3.4 s then.
 # sl2 has one coordinate, so each of its walks is one node and every sl2 row
 # is admitted.
 ORACLE_NODE_LIMIT = 120_000
 
 
 def _walk_nodes(group, windows, p) -> int:
-    """The most nodes setting the last coordinate that a walk at `windows`
-    visits, the plan's `orbits` unpruned: a step of window w has w + 1
-    children where it collapses and p^w where not, and `_leaf_hits`
-    decides the last coordinate's leaves at once.  `zero` counts the
-    prefixes with a 0 simple-root entry, `rest` the others.  At Sp_4 this
-    is (w0 + w1 + 1)(w2 + 1) + w0 w1 p^w2."""
+    """A bound on the nodes setting the last coordinate that a walk at
+    `windows` visits, the plan's `orbits` unpruned: a step of window w has
+    w + 1 children where it collapses to torus orbits and p^w where not,
+    and `_leaf_hits` decides the last coordinate's leaves at once.  `zero`
+    counts the prefixes with a 0 simple-root entry, `rest` the others.  A
+    "middle" step is charged p^w below a nonzero prefix, an upper bound on
+    its p^(w - min(pole, w)) translation classes.  At Sp_4 this is
+    (w0 + w1 + 1)(w2 + 1) + w0 w1 p^w2."""
     rest, zero = 1, 0
     for rule, w in zip(group.plan[2], windows):
         if rule == "always":
             rest, zero = rest * w, rest + zero * (w + 1)
-        elif rule == "below 0":
+        elif rule == "middle":
             rest, zero = rest * p**w, zero * (w + 1)
         else:
             rest, zero = rest * p**w, zero * p**w

@@ -100,7 +100,7 @@ def test_walk_plans_match_hand_plans():
     # written), every minor, and the torus-orbit rule of each step but the last
     for tag, closing, orbits in (
         ("sl2", [[1], [0]], ()),
-        ("sp4", [[3], [2], [], [1], [0]], ("always", "always", "below 0")),
+        ("sp4", [[3], [2], [], [1], [0]], ("always", "always", "middle")),
     ):
         realization = ChevalleyRealization(tag)
         n = realization.rank
@@ -698,20 +698,73 @@ def test_orbit_weights_are_lossless_sp4_p5_depth1():
             assert oracle._count_in_cell(SP4, mu, lam, windows, 5) == want, (lam, mu)
 
 
-@pytest.mark.parametrize("p, want", ((3, 24), (5, 40)))
+@pytest.mark.parametrize("p, want", ((3, 18), (5, 20)))
 def test_middle_coordinate_walks_one_child_per_orbit_below_a_zero_simple_root(monkeypatch, p, want):
     """The mu = (0, 0) cells have windows (2, 2, 2, 2).  The simple-root
     steps walk 3 orbits each, and 6 of the 9 prefixes pass pruning, 5 of
     them with a 0 entry.  Below those 5 the middle step walks 3 orbits,
-    and below the other all p^2 children, one `_leaf_hits` call each:
-    15 + p^2 calls, not 6 p^2."""
+    and below the other, whose simple-root entries have least pole order
+    1, one child per class mod p^(-1) O, p of them; one `_leaf_hits` call
+    each: 15 + p calls, not 6 p^2."""
     calls = []
     real = oracle._leaf_hits
     monkeypatch.setattr(oracle, "_leaf_hits", lambda *args: calls.append(1) or real(*args))
     for lam in ((-2, 0), (-2, -2)):
         calls.clear()
         count_cosets(Cocharacter((0, 0)), Cocharacter(lam), 4, "sp4", p)
-        assert len(calls) == want == 15 + p**2, lam
+        assert len(calls) == want == 15 + p, lam
+
+
+def _uncollapsed_sp4(monkeypatch):
+    """An sp4 realization whose plan walks every child of the middle step:
+    its entry is "never"."""
+    plain = ChevalleyRealization("sp4")
+    closing, minors, orbits = plain.plan
+    monkeypatch.setattr(plain, "plan", (closing, minors, orbits[:-1] + ("never",)))
+    return plain
+
+
+def test_middle_collapse_keeps_every_count(monkeypatch):
+    """The collapsed middle step, to torus orbits below a 0 simple-root
+    entry and to translation classes below nonzero ones, counts what the
+    child-by-child walk counts: every walk of every cell over lam in -4..0,
+    mu >= lam, p in {3, 5, 7} and depths 1-4, clipped and unclipped."""
+    plain = _uncollapsed_sp4(monkeypatch)
+    lams = [Cocharacter(c) for c in itertools.product(range(-4, 1), repeat=2) if c[0] <= c[1]]
+    seen = set()
+    for lam, p, depth in itertools.product(lams, (3, 5, 7), (1, 2, 3, 4)):
+        for mu in antidominant_above(lam):
+            for windows in oracle._cell_walks(SP4, mu, lam, depth, p):
+                if (lam, mu, p, windows) not in seen:
+                    seen.add((lam, mu, p, windows))
+                    want = oracle._count_in_cell(plain, mu, lam, windows, p)
+                    assert oracle._count_in_cell(SP4, mu, lam, windows, p) == want, (lam, mu, p, windows)
+    assert len(seen) == 879
+
+
+@given(
+    st.sampled_from((3, 5, 7, 11, 13)),
+    st.tuples(st.integers(-6, 0), st.integers(-6, 0)).map(sorted),
+    st.integers(1, 6),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_middle_collapse_keeps_drawn_counts(p, lam, depth, data):
+    """The same on drawn cells, lam in -6..0 and p <= 13, clipped at the
+    deepest depth up to the one drawn whose child-by-child walk may visit
+    at most 5,000 nodes (`_walk_nodes`)."""
+    lam = Cocharacter(tuple(lam))
+    mu = data.draw(st.sampled_from(sorted(antidominant_above(lam), key=lambda m: m.coords)))
+    full = oracle._coordinate_windows(SP4, mu, lam)
+    with pytest.MonkeyPatch.context() as patch:
+        plain = _uncollapsed_sp4(patch)
+        while True:
+            windows = tuple(min(depth, w) for w in full)
+            if depth == 1 or oracle._walk_nodes(plain, windows, p) <= 5_000:
+                break
+            depth -= 1
+        want = oracle._count_in_cell(plain, mu, lam, windows, p)
+    assert oracle._count_in_cell(SP4, mu, lam, windows, p) == want, windows
 
 
 def test_node_budget_bounds_the_walk(monkeypatch):
@@ -745,10 +798,10 @@ def test_node_budget_bounds_the_walk(monkeypatch):
 def test_walk_plan_collapses_only_the_proved_middle_step():
     """Only Sp_4's middle step, of eps_1 + eps_2 at entry (2, 0), is
     proved to visit one child per torus orbit below a 0 simple-root entry
-    (module docstring).  A plan built at rank 3 or 4 collapses its simple
-    roots alone, so registering `sp6` cannot switch on an unproved
-    collapse."""
-    assert SP4.plan[2] == ("always", "always", "below 0")
+    and one per translation class below nonzero ones (module docstring).
+    A plan built at rank 3 or 4 collapses its simple roots alone, so
+    registering `sp6` cannot switch on an unproved collapse."""
+    assert SP4.plan[2] == ("always", "always", "middle")
     assert SL2.plan[2] == ()
     for n in (3, 4):
         orbits = oracle._walk_plan(n, oracle._negative_roots(n))[2]
@@ -802,6 +855,45 @@ def test_similitude_torus_conjugation_keeps_windowed_boxes(p):
                     want = divisors(u)
                     assert divisors(conj) == want
                     assert divisors(_frac_unipotent(SP4.neg, 4, image)) == want
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_similitude_torus_translates_the_middle_entry_below_nonzero_simple_roots(p):
+    """With simple-root entries y1, y2 of pole orders v1, v2 >= 1,
+    conjugation by d = diag(b, 1, b, 1), b in 1 + p^max(v1, v2) O, fixes
+    y1 and y2, moves the middle entry y3 by -(b - 1) y2 y1 mod O and keeps
+    the elementary divisors of u mu(pi); over b these moves fill
+    p^(-m) O / O, m = min(v1, v2): the walk's translation classes."""
+    rng = random.Random(p)
+    for lam in BRUTE_FORCE_LAMS:
+        for mu in antidominant_above(lam):
+            windows = oracle._cell_walks(SP4, mu, lam, 2, p)[0]
+            if min(windows[:2]) == 0:
+                continue  # no prefix with two nonzero simple-root entries
+            torus = [Fraction(p) ** e for e in SP4.torus_exponents(mu)]
+
+            def divisors(u):
+                return _frac_smith([[x * t for x, t in zip(row, torus)] for row in u], p)
+
+            for _ in range(4):
+                coords = [Fraction(rng.randrange(p**w), p**w) for w in windows]
+                coords[:2] = (Fraction(rng.randrange(1, p**w), p**w) for w in windows[:2])
+                v1, v2 = (_vp(y.denominator, p) for y in coords[:2])
+                u = _frac_unipotent(SP4.neg, 4, coords)
+                want = divisors(u)
+                moves = set()
+                for t in range(p ** min(v1, v2)):
+                    b = 1 + p ** max(v1, v2) * t
+                    d = (b, 1, b, 1)
+                    conj = [[d[i] * x / d[j] for j, x in enumerate(row)] for i, row in enumerate(u)]
+                    image = _frac_coset_reduce(SP4, conj, p)
+                    assert all((x * p**w).denominator == 1 for x, w in zip(image, windows))
+                    assert image[:2] == tuple(coords[:2])
+                    move = _canonical_fraction(image[2] - coords[2], p)
+                    assert move == _canonical_fraction(-(b - 1) * coords[1] * coords[0], p)
+                    assert divisors(conj) == want
+                    moves.add(move)
+                assert moves == {Fraction(a, p ** min(v1, v2)) for a in range(p ** min(v1, v2))}
 
 
 def test_closing_columns_read_an_unwritten_column_to_rank_7():
