@@ -7,7 +7,7 @@ When argv names a subcommand, `main` hands the rest of argv straight to
 that subcommand's parser, as argparse's top-level pass would after
 reading the command word; help, usage errors and exit codes are
 argparse's, unchanged.
-Output is JSON (sorted keys, byte-stable for a fixed config and seed);
+Output is JSON (sorted keys, byte-stable for a fixed config);
 every payload is validated against the draft-07 schema in SCHEMAS named
 after its subcommand before printing.  Each schema's one validator is
 built at import.  It first tries a plain-Python predicate built from the
@@ -45,9 +45,9 @@ input is read up to INPUT_LIMIT characters and refused past it, unparsed.
 JSON nested past the recursion limit and a negative N exit 2 as well.
 
 Parameters come from flags first, then an optional key=value config
-file, then defaults (p=3, f=1, n=2, N=2(p-1), depth=4, seed=0).  Each
+file, then defaults (p=3, f=1, n=2, N=2(p-1), depth=4).  Each
 subcommand has a flag only for the keys it reads; a config file may set
-any of the six, so one file can serve several commands.  Environment
+any of the five, so one file can serve several commands.  Environment
 variables are not consulted.
 """
 
@@ -147,7 +147,6 @@ class RunConfig:
     n: int = 2
     N: int = 0  # 0 means "derive as 2(q-1)"
     depth: int = 4
-    seed: int = 0
 
     def __post_init__(self):
         # validate p and f before deriving N from p**f (0**-1 would raise)
@@ -167,7 +166,7 @@ class RunConfig:
         self.field = field
 
 
-_CONFIG_KEYS = ("p", "f", "n", "N", "depth", "seed")
+_CONFIG_KEYS = ("p", "f", "n", "N", "depth")
 
 
 def _read_bounded(fh, name: str) -> str:
@@ -362,7 +361,6 @@ SCHEMAS = {
                         "name": {"type": "string"},
                         "pass": {"type": "boolean"},
                         "detail": {"type": "string"},
-                        "skipped_parts": {"type": "string"},
                     },
                     "required": ["number", "name", "pass"],
                     "additionalProperties": False,
@@ -917,7 +915,7 @@ def cmd_oracle(args, config: RunConfig) -> tuple[dict | None, int]:
 def cmd_selftest(args, config: RunConfig) -> tuple[dict | None, int]:
     from . import selftest
 
-    results = selftest.run_all(run_sp4=args.sp4, seed=config.seed)
+    results = selftest.run_all()
     for r in results:
         print(r.line(), file=sys.stderr)
     payload = {
@@ -927,7 +925,6 @@ def cmd_selftest(args, config: RunConfig) -> tuple[dict | None, int]:
                 "name": r.name,
                 "pass": r.passed,
                 "detail": r.detail,
-                "skipped_parts": r.skipped_parts,
             }
             for r in results
         ],
@@ -952,7 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
         "n": "rank",
         "N": "value group order (even)",
         "depth": "oracle enumeration depth",
-        "seed": "seed for randomized sweeps",
     }
 
     def add_config_flags(sp, *keys):
@@ -1013,10 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("selftest", help="run the acceptance criteria")
-    sp.add_argument(
-        "--sp4", action="store_true", help="include the Sp_4 oracle runs (slower)"
-    )
-    add_config_flags(sp, "seed")
+    add_config_flags(sp)
     sp.set_defaults(func=cmd_selftest)
 
     return parser

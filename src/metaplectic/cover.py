@@ -124,14 +124,14 @@ class LocalFieldDescriptor:
         """Quadratic character of -1: +1 iff q = 1 mod 4."""
         return 1 if self.q % 4 == 1 else -1
 
-    def square_class_of(self, x: int, val: int = 0) -> SquareClass:
-        """Class of x * pi^val for a nonzero integer x prime to p (f = 1)."""
+    def square_class_of(self, x: int) -> SquareClass:
+        """Class of a nonzero integer x prime to p (f = 1)."""
         if self.f != 1:
             raise CoverError("integer reduction only available for f = 1")
         if x % self.p == 0:
             raise CoverError("unit part must be prime to p")
         nonsq = pow(x, (self.p - 1) // 2, self.p) == self.p - 1
-        return SquareClass(val % 2, nonsq)
+        return SquareClass(0, nonsq)
 
 
 def eval_Q(lam: Cocharacter) -> int:

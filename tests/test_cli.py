@@ -331,12 +331,14 @@ def test_byte_stability(capsys):
 
 
 def test_selftest_command(capsys):
-    code, out, err = run(capsys, "selftest", "--seed", "0")
+    code, out, err = run(capsys, "selftest")
     assert code == 0
     payload = json.loads(out)
     assert payload["all_pass"] is True
     assert [c["number"] for c in payload["criteria"]] == list(range(1, 9))
     assert "criterion 8 PASS" in err
+    # every criterion sweeps a fixed finite space, so two runs can be diffed
+    assert run(capsys, "selftest") == (code, out, err)
 
 
 def run_captured(argv, stdin="", run=main):
@@ -976,8 +978,9 @@ _READS = {
     "weights": {"n", "p", "f"},
     "classify": {"n", "p", "f", "N", "emit"},
     "oracle": {"p", "f", "depth"},
-    "selftest": {"seed"},
+    "selftest": set(),
 }
+# seed is a key no command reads, so every command must refuse --seed
 _FLAG_VALUES = {"p": "5", "f": "1", "n": "2", "N": "4", "depth": "3", "seed": "1", "emit": "json"}
 
 
@@ -991,7 +994,7 @@ def test_each_command_takes_the_configuration_flags_it_reads():
         got = {a.dest for a in sp._actions if a.dest in {*_FLAG_VALUES, "config"}}
         assert got == _READS[name] | {"config"}
         slots += len(got)
-    assert slots == 28
+    assert slots == 27
 
 
 @pytest.mark.parametrize(
@@ -1369,8 +1372,9 @@ def test_oracle_flag_fuzz_exits_cleanly(command):
 
 
 # each invalid configuration value, given to a command that reads its
-# key, and a depth at which the Satake oracle's counts are not proved
-# complete; selftest runs without --sp4, so it runs only the quick criteria
+# key, a config file that never ends, given to selftest, which reads only
+# --config, and a depth at which the Satake oracle's counts are not proved
+# complete
 @pytest.mark.parametrize(
     "flags",
     [
@@ -1382,7 +1386,7 @@ def test_oracle_flag_fuzz_exits_cleanly(command):
         ["classify", "--N", "6"],
         ["cover", "--n", "0"],
         ["oracle", "satake", "--group", "sl2", "--i", "1", "--depth", "0"],
-        ["selftest", "--seed", "-1"],
+        ["selftest", "--config", "/dev/zero"],
         ["classify", "--N=-4"],
         ["satake", "--i", "1", "--n", "1", "--oracle", "--depth", "1"],
         ["satake", "--i", "2", "--n", "2", "--oracle", "--depth", "1"],
@@ -1391,4 +1395,16 @@ def test_oracle_flag_fuzz_exits_cleanly(command):
 def test_selftest_flags_exit_cleanly(flags):
     code, out, err = run_captured(flags, '{"levi": [1]}')
     _assert_clean_exit(code, out, err)
-    assert code == (0 if flags[0] == "selftest" else 2)
+    assert code == 2
+
+
+def test_selftest_refuses_its_removed_options(tmp_path):
+    """selftest takes no option but --config: --sp4, --seed and a seed
+    key in a config file each exit 2."""
+    for argv in (["selftest", "--sp4"], ["selftest", "--seed", "0"]):
+        code, out, err = run_captured(argv, run=_exit_code(main))
+        assert code == 2 and out == "" and "unrecognized arguments" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=0\n")
+    code, out, err = run_captured(["selftest", "--config", str(cfg)])
+    assert (code, out) == (2, "") and f"error: {cfg}:1: unknown key 'seed'" in err
