@@ -32,7 +32,7 @@ coordinates may be windowed to p^{-(mu_col - min lam)} O / O with no
 loss.  So a count whose windows the depth does not clip is complete, and
 `stabilized` says a count is proved so (`count_cosets`).  The windows
 are known before any walk starts, and so is the number of nodes a walk
-may visit (`_cell_walks`); a cell whose walks may visit more than
+may visit (`_plan_cell`); a cell whose walks may visit more than
 ORACLE_NODE_LIMIT nodes is refused with OracleError instead of counted.
 Inside its window box the walk sets the coordinates in order and shares
 every prefix product; a column of the matrix is final once the last
@@ -89,11 +89,12 @@ step collapses to translation classes instead.  Take b in 1 + p^v O, v =
 max(v1, v2), and a = 1/b.  Then a y1 = y1 and b y2 = y2 mod O, reducing
 a y1 changes only rows 1 and 3, and ab = 1 leaves y3 as it is; putting
 b y2 back into canonical form adds -z' y1 to entry (2, 0), z' = (b - 1)
-y2, and as b varies these shifts fill all of p^(-m) O, m = min(v1, v2).  So the count below a middle child depends
-only on its entry mod p^(-m) O, and at window w the walk visits y in
-range(p^(w - k)), k = min(m, w), weighting each by the p^k children of
-its class.  The walk carries m as `pole`: the least pole order of the
-prefix's simple-root entries, 0 when one of them is 0.
+y2, and as b varies these shifts fill all of p^(-m) O, m = min(v1, v2).
+So the count below a middle child depends only on its entry mod p^(-m)
+O, and at window w the walk visits y in range(p^(w - k)), k = min(m,
+w), weighting each by the p^k children of its class.  The walk carries m
+as `pole`: the least pole order of the prefix's simple-root entries, 0
+when one of them is 0.
 The proof covers Sp_4's one middle coordinate only (_PROVED_MIDDLE): a
 middle coordinate at Sp_6 must be proved before it joins.  The walk plan
 (`_walk_plan`) holds the rule as one `orbits` entry per coordinate but
@@ -104,6 +105,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .hecke import TorusHeckeElement, metaplectic_satake_T2lambda, parity_filter, t2lambda_base
 from .rootdata import (
@@ -327,19 +329,6 @@ class CosetCountResult:
     stabilized: bool
 
 
-def _coordinate_windows(group: ChevalleyRealization, mu: Cocharacter, lam: Cocharacter):
-    """Unclipped enumeration window per canonical entry coordinate.
-
-    Each coordinate is a bare entry of u at its designated position, so
-    the corresponding entry of u mu(pi) is the coordinate times
-    p^(column exponent); for the product to lie in the lam cell every
-    entry needs valuation at least min(lam).  Entries deeper than that
-    cannot contribute, losslessly shrinking the box.
-    """
-    exps, floor = group.torus_exponents(mu), min(lam.coords)
-    return tuple(max(0, exps[gen.window_col] - floor) for gen in group.neg)
-
-
 def _progression(pairs, p: int, e: int):
     """The integers y with a + y b = 0 mod p^e for every pair (a, b), as
     (y0, step) for the progression y = y0 mod step, 0 <= y0 < step, with
@@ -420,10 +409,10 @@ def _leaf_hits(h, slope, leaves, p, divisors, minors) -> int:
     return hits
 
 
-def _count_in_cell(group, mu, lam, windows, p) -> int:
+def _count_in_cell(plan, windows) -> int:  # the walk of plan's cell at windows
+    group, p, exps, floor, divisors = plan.group, plan.p, plan.exps, plan.floor, plan.divisors
     width = max(windows)
     n, size = len(group.neg), group.size
-    floor = min(lam.coords)
     # Entries are canonical fractions a / p^w with w <= width, carried as
     # numerators over q = p^(2 width).  With U = q^n u as `walk` builds it
     # from q^n I and mu(pi) = p^low T, T the diagonal of the
@@ -435,7 +424,6 @@ def _count_in_cell(group, mu, lam, windows, p) -> int:
     # division by q^(n - 1) in `walk` is exact.
     q = p ** (2 * width)
     qread = q ** (n - 1)
-    exps = group.torus_exponents(mu)
     low = min(exps)
     e = 2 * width * n - low + floor
     scale = [p ** (x - low + max(0, -e)) for x in exps]
@@ -444,8 +432,6 @@ def _count_in_cell(group, mu, lam, windows, p) -> int:
     # and fills in h column by column as they close (module docstring).
     closing, minors, orbits = group.plan
     h = [[0] * size for _ in range(size)]
-    # h's divisor valuations are those of u mu(pi) minus floor
-    divisors = [v - floor for v in sorted(lam.coords)]
 
     def close(step, m) -> bool:  # fill in the columns of h final at step: integral?
         for j in closing[step]:
@@ -457,11 +443,14 @@ def _count_in_cell(group, mu, lam, windows, p) -> int:
                 h[i][j] = x // base
         return True
 
+    # Each call owns its matrix m, built for it alone: a call with one child
+    # (window 0, or the last step, whose child only fills in h) hands m
+    # itself to the child, and one with siblings gives each its own copy.
     def walk(step, m, pole) -> int:  # pole: as in the module docstring
         gen = group.neg[step]
         units, (i, j), w = gen.units, gen.entry, windows[step]
         c0 = -(m[i][j] // qread)  # the coordinate of the child with entry 0
-        child = [row[:] for row in m]
+        child = m if not w or step + 1 == n else [row[:] for row in m]
         group.right_multiply_generator(child, units, c0, q)
         # the child with entry 0 decides for its siblings (module docstring)
         if not close(step + 1, child):
@@ -530,37 +519,46 @@ def _walk_nodes(group, windows, p) -> int:
     return rest + zero
 
 
-def _cell_walks(group, mu, lam, depth, p) -> list[tuple]:
-    """The windows of each walk one cell runs: those clipped at the depth,
-    then the unclipped ones if they are one step deeper, the only second
-    walk that can prove the first complete.  Refused with OracleError when
-    the walks' nodes (`_walk_nodes`) sum past ORACLE_NODE_LIMIT."""
-    full = _coordinate_windows(group, mu, lam)
-    walks = [tuple(min(depth, w) for w in full)] + ([full] if max(full) == depth + 1 else [])
-    nodes = sum(_walk_nodes(group, windows, p) for windows in walks)
+class _CellPlan(NamedTuple):
+    """What counting one cell reads, derived once (`_plan_cell`)."""
+
+    group: ChevalleyRealization
+    mu: Cocharacter
+    p: int
+    exps: tuple  # the torus exponents of mu
+    floor: int  # min lam
+    divisors: list  # h's divisor valuations: those of u mu(pi) minus floor
+    full: tuple  # the unclipped windows
+    walks: list  # the windows of each walk
+
+
+def _plan_cell(group, mu, lam, depth, p) -> _CellPlan:
+    """The plan of a valid cell.  It walks at the windows (module docstring)
+    clipped at the depth, then at the unclipped ones if they are one step
+    deeper, the only second walk that can prove the first complete, and is
+    refused with OracleError when the walks' nodes (`_walk_nodes`) sum past
+    ORACLE_NODE_LIMIT."""
+    exps, floor = group.torus_exponents(mu), lam.coords[0]  # lam ascends
+    full = tuple([max(0, exps[gen.window_col] - floor) for gen in group.neg])
+    walks = [tuple([min(depth, w) for w in full])] + ([full] if max(full) == depth + 1 else [])
+    nodes = sum([_walk_nodes(group, windows, p) for windows in walks])
     if nodes > ORACLE_NODE_LIMIT:
         raise OracleError(
             f"oracle cell mu={mu.coords} at p = {p}, depth {depth} may visit"
             f" {nodes:,} nodes, over its limit of {ORACLE_NODE_LIMIT:,}"
         )
-    return walks
+    divisors = [v - floor for v in lam.coords]
+    return _CellPlan(group, mu, p, exps, floor, divisors, full, walks)
 
 
-def count_cosets(
-    mu: Cocharacter,
-    lam: Cocharacter,
-    depth: int,
-    group: str,
-    p: int,
-) -> CosetCountResult:
-    """|S_{mu, lam}| at the given enumeration depth, with its mod-p class.
+def _count_planned(plan) -> CosetCountResult:
+    first, *proof = plan.walks
+    raw = _count_in_cell(plan, first)
+    stabilized = first == plan.full or any(_count_in_cell(plan, w) == raw for w in proof)
+    return CosetCountResult(plan.mu, raw, raw % plan.p, stabilized)
 
-    `stabilized` says the count is proved complete: the depth clips no
-    window, or the unclipped windows are one step deeper and their walk
-    gives the same count.  A cell whose walks may visit more than
-    ORACLE_NODE_LIMIT nodes is refused before any walk.
-    """
-    realization = ChevalleyRealization(group)
+
+def _check_cell(mu, lam, depth) -> None:
     if depth < 1:
         raise OracleError("depth must be >= 1")
     if not is_antidominant(lam):
@@ -571,22 +569,32 @@ def count_cosets(
         above = False
     if not (above and is_antidominant(mu)):
         raise OracleError("mu must be antidominant and >= lam")
-    first, *proof = _cell_walks(realization, mu, lam, depth, p)
-    raw = _count_in_cell(realization, mu, lam, first, p)
-    stabilized = first == _coordinate_windows(realization, mu, lam) or any(
-        _count_in_cell(realization, mu, lam, windows, p) == raw for windows in proof
-    )
-    return CosetCountResult(mu, raw, raw % p, stabilized)
+
+
+def count_cosets(
+    mu: Cocharacter, lam: Cocharacter, depth: int, group: str, p: int
+) -> CosetCountResult:
+    """|S_{mu, lam}| at the given enumeration depth, with its mod-p class.
+
+    `stabilized` says the count is proved complete: the depth clips no
+    window, or the unclipped windows are one step deeper and their walk
+    gives the same count.  A cell whose walks may visit more than
+    ORACLE_NODE_LIMIT nodes is refused before any walk.
+    """
+    realization = ChevalleyRealization(group)
+    _check_cell(mu, lam, depth)
+    return _count_planned(_plan_cell(realization, mu, lam, depth, p))
 
 
 def oracle_rows(lam: Cocharacter, depth: int, group: str, p: int):
     """Raw and mod-p counts for every mu in the support window, for the CLI.
-    Every cell's budget is checked before any cell is counted."""
+    Every cell is planned, so its budget checked, before any is counted."""
     mus = sorted(antidominant_above(lam), key=lambda m: m.coords)
     realization = ChevalleyRealization(group)
+    plans = [_plan_cell(realization, mu, lam, depth, p) for mu in mus]
     for mu in mus:
-        _cell_walks(realization, mu, lam, depth, p)
-    return [count_cosets(mu, lam, depth, group, p) for mu in mus]
+        _check_cell(mu, lam, depth)
+    return [_count_planned(plan) for plan in plans]
 
 
 def reductive_satake_row(

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -102,21 +103,6 @@ class Cocharacter:
         return Cocharacter(tuple(k * a for a in self.coords), k * self.gsp)
 
     __rmul__ = __mul__
-
-    def coroot_coordinates(self) -> tuple[int, ...]:
-        """Coordinates in the coroot basis (exists and is unique since
-        X_*(T) = sum Z alpha_i^vee for the simply connected group).
-
-        With alpha_i^vee = e_i - e_{i+1} and alpha_n^vee = e_n these are
-        the prefix sums of the e coordinates.
-        """
-        if self.gsp != 0:
-            raise RootDatumError("similitude part has no coroot coordinates")
-        acc, out = 0, []
-        for c in self.coords:
-            acc += c
-            out.append(acc)
-        return tuple(out)
 
 
 def _check_rank(a, b):
@@ -266,9 +252,12 @@ def cartan_inverse(n: int, J=None) -> tuple[tuple[Fraction, ...], ...]:
 
 def leq(lam: Cocharacter, mu: Cocharacter) -> bool:
     """mu - lam a nonnegative integer combination of the simple coroots,
-    that is, every coroot coordinate (prefix sum) of mu - lam is >= 0."""
+    that is, every coroot coordinate (prefix sum) of mu - lam is >= 0; read
+    off the coordinates up to the first negative prefix sum."""
     _check_rank(lam, mu)
-    return all(c >= 0 for c in (mu - lam).coroot_coordinates())
+    if mu.gsp != lam.gsp:
+        raise RootDatumError("similitude part has no coroot coordinates")
+    return all(s >= 0 for s in itertools.accumulate(map(operator.sub, mu.coords, lam.coords)))
 
 
 def is_antidominant(lam: Cocharacter) -> bool:

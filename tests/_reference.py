@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from metaplectic.characters import CharacterError, GenuineTorusCharacter, SmoothCharacterFx
 from metaplectic.hecke import ASet, HeckeError
 from metaplectic.oracle import ChevalleyRealization
-from metaplectic.rootdata import Cocharacter, coroot, pairing, simple_root
+from metaplectic.rootdata import Cocharacter, RootDatumError, coroot, pairing, simple_root
 
 
 def restrict_short_coroot(sigma: GenuineTorusCharacter, i: int) -> SmoothCharacterFx:
@@ -51,6 +51,21 @@ def b_positive_roots(n: int) -> list[Cocharacter]:
     long = [root((i, 1), (j, s)) for i in range(n) for j in range(i + 1, n) for s in (-1, 1)]
     return long + [root((i, 1)) for i in range(n)]
 
+
+def coroot_coordinates(mu: Cocharacter) -> tuple[int, ...]:
+    """Coordinates in the coroot basis (exists and is unique since
+    X_*(T) = sum Z alpha_i^vee for the simply connected group).
+
+    With alpha_i^vee = e_i - e_{i+1} and alpha_n^vee = e_n these are
+    the prefix sums of the e coordinates.
+    """
+    if mu.gsp != 0:
+        raise RootDatumError("similitude part has no coroot coordinates")
+    acc, out = 0, []
+    for c in mu.coords:
+        acc += c
+        out.append(acc)
+    return tuple(out)
 
 def cartan_matrix(n: int) -> list[list[int]]:
     """C[j][k] = <alpha_j, alpha_k^vee> (0-indexed rows/cols for roots 1..n)."""

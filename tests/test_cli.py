@@ -77,6 +77,11 @@ def test_oracle_command(capsys):
     assert payload["target"] == [-2, -2][0:1]
 
 
+
+def test_oracle_depth_below_one_exits_2(capsys):
+    code, out, err = run(capsys, "oracle", "satake", "--group", "sp4", "--i", "1", "--depth", "0")
+    assert (code, out, err) == (2, "", "error: depth must be >= 1\n")
+
 def _aset_reference(base, i):
     """The stdout of `aset`, built from the dense definition of the A-set
     (a box scan against the Cartan rows, `test_hecke._dense_A`), which

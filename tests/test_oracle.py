@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -19,7 +20,7 @@ from metaplectic.oracle import (
     smith_valuations,
     verify_metaplectic_pipeline,
 )
-from metaplectic.rootdata import Cocharacter, antidominant_above, pairing
+from metaplectic.rootdata import Cocharacter, RootDatumError, antidominant_above, pairing
 from _reference import antidominant_rep, torus_matrix, unipotent_from_entries
 
 P = 3
@@ -426,6 +427,19 @@ def test_count_cosets_validation():
         count_cosets(Cocharacter((-1,)), Cocharacter((-2,), gsp=1), 2, "sl2", 3)
 
 
+
+def test_oracle_rows_errors_keep_their_order():
+    """A base that is not antidominant is refused before the group tag is
+    read, and an unknown group tag before the depth."""
+    with pytest.raises(RootDatumError, match="^base point must be antidominant$"):
+        oracle_rows(Cocharacter((0, 1)), 0, "sp5", 3)
+    with pytest.raises(OracleError, match="^unknown group tag 'sp5'; use sl2 or sp4$"):
+        oracle_rows(Cocharacter((-2, 0)), 0, "sp5", 3)
+    for lam, group in (((-2, 0), "sp4"), ((-2,), "sl2")):
+        with pytest.raises(OracleError, match="^depth must be >= 1$") as err:
+            oracle_rows(Cocharacter(lam), 0, group, 3)
+        assert not isinstance(err.value, RootDatumError)
+
 def test_node_estimate_admits_p173_and_refuses_p179():
     assert 4 * 173**2 + 173 + 21 <= ORACLE_NODE_LIMIT < 4 * 179**2 + 15
     zero = Cocharacter((0, 0))
@@ -436,16 +450,16 @@ def test_node_estimate_admits_p173_and_refuses_p179():
         # unclipped walk, which can prove its count complete; a walk at
         # windows (w, w, w, w) may visit (2w + 1)(w + 1) + w^2 p^w nodes
         # (`_walk_nodes`), and the last window adds none
-        assert oracle._cell_walks(SP4, zero, lam, 1, 173) == [(1, 1, 1, 1), (2, 2, 2, 2)]
+        assert oracle._plan_cell(SP4, zero, lam, 1, 173).walks == [(1, 1, 1, 1), (2, 2, 2, 2)]
         with pytest.raises(OracleError, match=f" {4 * 179**2 + 179 + 21:,} nodes, over its limit"):
-            oracle._cell_walks(SP4, zero, lam, 1, 179)
+            oracle._plan_cell(SP4, zero, lam, 1, 179)
         for depth in (2, 3, 4):
-            assert oracle._cell_walks(SP4, zero, lam, depth, 173) == [(2, 2, 2, 2)]
+            assert oracle._plan_cell(SP4, zero, lam, depth, 173).walks == [(2, 2, 2, 2)]
             with pytest.raises(OracleError, match=f" {4 * 179**2 + 15:,} nodes, over its limit"):
-                oracle._cell_walks(SP4, zero, lam, depth, 179)
+                oracle._plan_cell(SP4, zero, lam, depth, 179)
         for depth in (1, 2, 3, 4):
             for mu in antidominant_above(lam):  # every cell at p = 173 is admitted
-                oracle._cell_walks(SP4, mu, lam, depth, 173)
+                oracle._plan_cell(SP4, mu, lam, depth, 173)
 
 
 def test_over_budget_row_is_refused_before_counting(monkeypatch):
@@ -467,9 +481,38 @@ def test_over_budget_row_is_refused_before_counting(monkeypatch):
     for depth in (1, 2, 3, 4):
         for mu in ((-2,), (-1,), (0,)):
             cell = (SL2, Cocharacter(mu), Cocharacter((-2,)), depth, 2**31 - 1)
-            walks = oracle._cell_walks(*cell)
+            walks = oracle._plan_cell(*cell).walks
             assert 1 <= len(walks) <= 2 and all(len(windows) == 1 for windows in walks)
 
+
+
+def test_each_cell_reads_its_exponents_and_plans_once(monkeypatch):
+    """count_cosets reads mu's torus exponents once and plans its cell once,
+    one budgeted walk per count; an oracle_rows row plans each cell once and
+    budgets every walk of every cell before it counts the first."""
+    log = []
+
+    def logged(name, real):
+        return lambda *args: log.append(name) or real(*args)
+
+    real = ChevalleyRealization.torus_exponents
+    monkeypatch.setattr(ChevalleyRealization, "torus_exponents", logged("exps", real))
+    for name in ("_plan_cell", "_walk_nodes", "_count_in_cell"):
+        monkeypatch.setattr(oracle, name, logged(name, getattr(oracle, name)))
+    for group, lam in (("sp4", (-2, -2)), ("sp4", (-2, 0)), ("sl2", (-2,))):
+        lam = Cocharacter(lam)
+        for p, depth in itertools.product((3, 5), (1, 2, 4)):
+            for mu in antidominant_above(lam):
+                log.clear()
+                count_cosets(mu, lam, depth, group, p)
+                assert log.count("exps") == log.count("_plan_cell") == 1, log
+                assert 1 <= log.count("_walk_nodes") == log.count("_count_in_cell") <= 2, log
+            log.clear()
+            rows = oracle_rows(lam, depth, group, p)
+            first = log.index("_count_in_cell")
+            assert log.count("exps") == log.count("_plan_cell") == len(rows), log
+            assert log[first:].count("_walk_nodes") == 0 and log.count("_walk_nodes") >= len(rows)
+            assert log.count("_count_in_cell") == log.count("_walk_nodes"), log
 
 def test_sl2_row_at_a_large_prime_is_counted():
     # its leaves are decided at once, so the row is the closed form
@@ -683,8 +726,8 @@ def test_pruning_is_lossless_sp4_small_depth():
     for lam in BRUTE_FORCE_LAMS:
         for mu in antidominant_above(lam):
             want = _brute_force_count(mu, lam, 2, 3)
-            windows = oracle._cell_walks(SP4, mu, lam, 2, 3)[0]
-            assert oracle._count_in_cell(SP4, mu, lam, windows, 3) == want, (lam, mu)
+            plan = oracle._plan_cell(SP4, mu, lam, 2, 3)
+            assert oracle._count_in_cell(plan, plan.walks[0]) == want, (lam, mu)
 
 
 def test_orbit_weights_are_lossless_sp4_p5_depth1():
@@ -694,8 +737,8 @@ def test_orbit_weights_are_lossless_sp4_p5_depth1():
     for lam in BRUTE_FORCE_LAMS:
         for mu in antidominant_above(lam):
             want = _brute_force_count(mu, lam, 1, 5)
-            windows = oracle._cell_walks(SP4, mu, lam, 1, 5)[0]
-            assert oracle._count_in_cell(SP4, mu, lam, windows, 5) == want, (lam, mu)
+            plan = oracle._plan_cell(SP4, mu, lam, 1, 5)
+            assert oracle._count_in_cell(plan, plan.walks[0]) == want, (lam, mu)
 
 
 @pytest.mark.parametrize("p, want", ((3, 18), (5, 20)))
@@ -734,11 +777,12 @@ def test_middle_collapse_keeps_every_count(monkeypatch):
     seen = set()
     for lam, p, depth in itertools.product(lams, (3, 5, 7), (1, 2, 3, 4)):
         for mu in antidominant_above(lam):
-            for windows in oracle._cell_walks(SP4, mu, lam, depth, p):
+            plan = oracle._plan_cell(SP4, mu, lam, depth, p)
+            for windows in plan.walks:
                 if (lam, mu, p, windows) not in seen:
                     seen.add((lam, mu, p, windows))
-                    want = oracle._count_in_cell(plain, mu, lam, windows, p)
-                    assert oracle._count_in_cell(SP4, mu, lam, windows, p) == want, (lam, mu, p, windows)
+                    want = oracle._count_in_cell(plan._replace(group=plain), windows)
+                    assert oracle._count_in_cell(plan, windows) == want, (lam, mu, p, windows)
     assert len(seen) == 879
 
 
@@ -755,16 +799,16 @@ def test_middle_collapse_keeps_drawn_counts(p, lam, depth, data):
     at most 5,000 nodes (`_walk_nodes`)."""
     lam = Cocharacter(tuple(lam))
     mu = data.draw(st.sampled_from(sorted(antidominant_above(lam), key=lambda m: m.coords)))
-    full = oracle._coordinate_windows(SP4, mu, lam)
+    plan = oracle._plan_cell(SP4, mu, lam, 1, p)
     with pytest.MonkeyPatch.context() as patch:
         plain = _uncollapsed_sp4(patch)
         while True:
-            windows = tuple(min(depth, w) for w in full)
+            windows = tuple(min(depth, w) for w in plan.full)
             if depth == 1 or oracle._walk_nodes(plain, windows, p) <= 5_000:
                 break
             depth -= 1
-        want = oracle._count_in_cell(plain, mu, lam, windows, p)
-    assert oracle._count_in_cell(SP4, mu, lam, windows, p) == want, windows
+        want = oracle._count_in_cell(plan._replace(group=plain), windows)
+    assert oracle._count_in_cell(plan, windows) == want, windows
 
 
 def test_node_budget_bounds_the_walk(monkeypatch):
@@ -782,12 +826,13 @@ def test_node_budget_bounds_the_walk(monkeypatch):
     seen = set()
     for lam, p, depth in itertools.product(lams, (3, 5, 7), (1, 2, 3, 4)):
         for mu in antidominant_above(lam):
-            for windows in oracle._cell_walks(SP4, mu, lam, depth, p):
+            plan = oracle._plan_cell(SP4, mu, lam, depth, p)
+            for windows in plan.walks:
                 if (lam, mu, p, windows) in seen:
                     continue  # depths past the windows repeat a walk
                 seen.add((lam, mu, p, windows))
                 calls.clear()
-                oracle._count_in_cell(SP4, mu, lam, windows, p)
+                oracle._count_in_cell(plan, windows)
                 w0, w1, w2, _ = windows
                 nodes = oracle._walk_nodes(SP4, windows, p)
                 assert nodes == (w0 + w1 + 1) * (w2 + 1) + w0 * w1 * p**w2
@@ -833,7 +878,7 @@ def test_similitude_torus_conjugation_keeps_windowed_boxes(p):
                 return _frac_smith([[x * t for x, t in zip(row, torus)] for row in u], p)
 
             for depth in (1, 2):
-                windows = oracle._cell_walks(SP4, mu, lam, depth, p)[0]
+                windows = oracle._plan_cell(SP4, mu, lam, depth, p).walks[0]
                 for _, zero in itertools.product(range(4), (None, 0, 1)):
                     coords = [Fraction(rng.randrange(p**w), p**w) for w in windows]
                     t1, t2, nu = (rng.choice(units) for _ in range(3))
@@ -867,7 +912,7 @@ def test_similitude_torus_translates_the_middle_entry_below_nonzero_simple_roots
     rng = random.Random(p)
     for lam in BRUTE_FORCE_LAMS:
         for mu in antidominant_above(lam):
-            windows = oracle._cell_walks(SP4, mu, lam, 2, p)[0]
+            windows = oracle._plan_cell(SP4, mu, lam, 2, p).walks[0]
             if min(windows[:2]) == 0:
                 continue  # no prefix with two nonzero simple-root entries
             torus = [Fraction(p) ** e for e in SP4.torus_exponents(mu)]
@@ -936,7 +981,7 @@ def test_counts_clipped_past_depth_plus_one_are_not_stabilized(p):
         lam, mu = Cocharacter((lam,)), Cocharacter((mu,))
         res = count_cosets(mu, lam, 4, "sl2", p)
         assert not res.stabilized, (lam, mu)
-        exact = count_cosets(mu, lam, max(oracle._coordinate_windows(SL2, mu, lam)), "sl2", p)
+        exact = count_cosets(mu, lam, max(oracle._plan_cell(SL2, mu, lam, 1, p).full), "sl2", p)
         assert exact.stabilized and exact.raw_count != res.raw_count
 
 
@@ -947,7 +992,7 @@ def test_stabilized_means_proved_complete_sp4():
     lams = [Cocharacter(c) for c in itertools.product(range(-3, 1), repeat=2) if c[0] <= c[1]]
     for lam in lams:
         for mu in antidominant_above(lam):
-            full = oracle._coordinate_windows(SP4, mu, lam)
+            full = oracle._plan_cell(SP4, mu, lam, 1, 3).full
             exact = count_cosets(mu, lam, max(1, max(full)), "sp4", 3)
             assert exact.stabilized
             for depth in (1, 2, 3):
@@ -957,6 +1002,65 @@ def test_stabilized_means_proved_complete_sp4():
                 else:
                     assert not res.stabilized, (lam, mu, depth)
 
+
+
+# sha256 of every count on the regression grid per base, recorded before the
+# oracle planned each cell once: a regression pin of the code's own output,
+# not a fixed point (those are the p = 7 and p = 11 rows)
+GRID_DIGESTS = {
+    ("sp4", (-4, -4)): "225279ea65a36487c98e1c971f45f3e9416c3ce448805facfec6543cdc8a8c32",
+    ("sp4", (-4, -3)): "3a07b16fe59a6c6fbe97ec940a36d27eb813b09da39a15724eab87b2b1b00988",
+    ("sp4", (-4, -2)): "77baebadbada3a5ea0187eb9883afa77d3a20b06fbcc102f3111cfe6f0397e8e",
+    ("sp4", (-4, -1)): "8850fee1fb206109de7c1a7fce15b33b51db753baa9e172cbb32e3fe611f30f9",
+    ("sp4", (-4, 0)): "4d18b5d372ea030164eb86b01ac2f84ef225101079efb5288ed2726e58cdb778",
+    ("sp4", (-3, -3)): "d2572d0050bf653514e6c09cf7cca6bc777dc81b53410cc19cacbb88719d76e2",
+    ("sp4", (-3, -2)): "4090c6b95bb1a6cbb273343c646973bf147e0fc530e9144ff17169d280474a75",
+    ("sp4", (-3, -1)): "7c0e35cf1594e30f935b48dc1fd0ab9c3d27a2ccfc9cc7872c48155a571b36be",
+    ("sp4", (-3, 0)): "256ad708794a050ce0672ed7b193dc23f7f5e617e8bf761c0fd290b0a256fb1a",
+    ("sp4", (-2, -2)): "1948a52be7b7e984d724d0f48a431ce2d3fd6a7b87a1aeeaca860c87678a58dc",
+    ("sp4", (-2, -1)): "488f4dd0b0a43636f69c492029a5751b9d15796e4347464758f7f4a903e5477b",
+    ("sp4", (-2, 0)): "a30b26626339fcb6227eb1640945cd2a89adbee608a90d111492363376625a46",
+    ("sp4", (-1, -1)): "852f6f24c51a090d129448f151209b12dcbca229b0f8f040ae29730a88c87300",
+    ("sp4", (-1, 0)): "7c6888f4314e90dc128978843cf61433a2c8ee12098c22278ad340f0b266e6d8",
+    ("sp4", (0, 0)): "b00614b2c981f6cdafe89da0f85b5977b0cee3db386ceb2f2637568574b53212",
+    ("sl2", (0,)): "2bc1b8516a9b9204f3a4b5a6015fd985591dbcbba671352ed14d30f25a7fd34a",
+    ("sl2", (-1,)): "939e82071a3360acc9f8ebf853eea0c7c7eb859023985fb4662d0dfb2493784c",
+    ("sl2", (-2,)): "d12b690df0fcea2f1f58e9090c4269154f1fae2984893f0b9f4589af85b8e42c",
+    ("sl2", (-3,)): "c8fa0bea66e7cd15b5d6aeb50e29e8019f2dc9e4989ae3c1e2d3df92ea20b639",
+    ("sl2", (-4,)): "89908bc6d7dab656aac1b925d5bbb47be5f13b8a4db59a46329081e87913d4e8",
+    ("sl2", (-5,)): "3f5432f15d0ab93a011cdbfb773aa4c659262c723f5f3d97f15fccbc6077385e",
+    ("sl2", (-6,)): "4fe6745eba4ea808b7697fc4812bc0f87791d4a7f33b48c6cf95fbe4eb7d7b1d",
+    ("sl2", (-7,)): "f714f12c49d5187cb00b3adca51b8f1ec8a0d8d1e8595b3b9472b9e89045e391",
+    ("sl2", (-8,)): "a67cbcb6c322cd6ffba44fbd673234b190d5f87d5ab418343c541f0ff028a795",
+}
+
+
+def test_regression_grid_counts_are_pinned():
+    """Every raw count, `stabilized` flag and refusal on the grid: sp4 with
+    lam antidominant in -4..0 at p in {3, 5, 7, 11, 13} and depths 1-4, sl2
+    with lam = (-k,), k <= 8, at p in {3, 5, 7, 11, 13, 101} and depths 1,
+    4 and 8, every antidominant mu >= lam; 3,130 cells, 20 of them refused
+    by the node budget.  A failure names the bases whose digest moved."""
+    sp4 = [c for c in itertools.product(range(-4, 1), repeat=2) if c[0] <= c[1]]
+    grid = [("sp4", c, (3, 5, 7, 11, 13), (1, 2, 3, 4)) for c in sp4]
+    grid += [("sl2", (-k,), (3, 5, 7, 11, 13, 101), (1, 4, 8)) for k in range(9)]
+    got, cells, refused = {}, 0, 0
+    for group, coords, primes, depths in grid:
+        lam = Cocharacter(coords)
+        digest = hashlib.sha256()
+        mus = sorted(antidominant_above(lam), key=lambda m: m.coords)
+        for p, depth, mu in itertools.product(primes, depths, mus):
+            try:
+                res = count_cosets(mu, lam, depth, group, p)
+                line = f"{p} {depth} {mu.coords} {res.raw_count} {res.stabilized}\n"
+            except OracleError as err:
+                line = f"{p} {depth} {mu.coords} {err}\n"
+                refused += 1
+            cells += 1
+            digest.update(line.encode())
+        got[group, coords] = digest.hexdigest()
+    assert (cells, refused) == (3130, 20)
+    assert [base for base in GRID_DIGESTS if got[base] != GRID_DIGESTS[base]] == []
 
 def test_reductive_satake_row_sl2():
     row = reductive_satake_row(Cocharacter((-2,)), 4, "sl2", 3)

@@ -21,7 +21,7 @@ from metaplectic.rootdata import (
     positive_roots,
     simple_root,
 )
-from _reference import antidominant_rep, b_positive_roots, cartan_matrix
+from _reference import antidominant_rep, b_positive_roots, cartan_matrix, coroot_coordinates
 
 
 def test_simple_root_values():
@@ -205,6 +205,27 @@ def test_leq_examples():
     assert not leq(lam, Cocharacter((-3, -1)))  # prefix sums (-1, 0)
 
 
+
+def test_leq_errors():
+    with pytest.raises(RootDatumError, match=r"^rank mismatch: 2 != 1$"):
+        leq(Cocharacter((-1, 0)), Cocharacter((0,)))
+    # mu - lam has a similitude part: 1 - 0, then 1 - 2
+    for lam, mu in ((Cocharacter((0,)), Cocharacter((1,), gsp=1)),
+                    (Cocharacter((0,), gsp=2), Cocharacter((0,), gsp=1))):
+        with pytest.raises(RootDatumError, match="^similitude part has no coroot coordinates$"):
+            leq(lam, mu)
+    assert leq(Cocharacter((0,), 1), Cocharacter((1,), 1))  # equal similitude parts cancel
+
+
+def test_leq_agrees_with_coroot_coordinates():
+    """leq stops at the first negative prefix sum; it answers as the
+    reference coroot coordinates of mu - lam do, on every pair of
+    cocharacters with coordinates in -2..2 at ranks 1-3."""
+    for n in (1, 2, 3):
+        points = [Cocharacter(c) for c in itertools.product(range(-2, 3), repeat=n)]
+        for lam, mu in itertools.product(points, repeat=2):
+            assert leq(lam, mu) == all(c >= 0 for c in coroot_coordinates(mu - lam)), (lam, mu)
+
 @st.composite
 def cochar_pairs(draw):
     n = draw(st.integers(min_value=1, max_value=6))
@@ -376,13 +397,13 @@ def test_fundamental_weights_dual_to_coroots():
 def test_coroot_coordinates_roundtrip():
     for coords in itertools.product(range(-2, 3), repeat=3):
         lam = Cocharacter(coords)
-        cs = lam.coroot_coordinates()
+        cs = coroot_coordinates(lam)
         # the e coordinates are the successive differences of the prefix sums
         assert tuple(b - a for a, b in zip((0,) + cs, cs)) == coords
     # alpha_i^vee has coroot coordinates e_i
     for n in range(1, 5):
         for i in range(1, n + 1):
-            cs = coroot(i, n).coroot_coordinates()
+            cs = coroot_coordinates(coroot(i, n))
             assert cs == tuple(1 if k == i - 1 else 0 for k in range(n))
 
 
