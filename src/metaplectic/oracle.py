@@ -58,6 +58,21 @@ there, affinely in the leaf's coordinate, and so does every minor;
 Leaf y's column 0 is the entry-0 leaf's plus y times a slope that is
 zero off row 2n - 1 (above).  A last window of 0 leaves one leaf, which
 `smith_valuations` decides.
+Only the minors through one pivot are needed.  Let e = h[pi][pj] be an
+entry of h of least valuation.  Clearing its row and column is
+invertible over Z_(p) and takes h to e + S' (a direct sum), where S'_ab
+= h_ab - h_(a,pj) h_(pi,b) / e and every entry of S' has valuation >=
+v(e).  So I_k(h), the k-th determinantal ideal, is e I_(k-1)(S') +
+I_k(S') = e I_(k-1)(S'), as each elementary divisor of S' is divisible
+by e.  Each k x k minor of h through row pi and column pj is +-e times a
+(k - 1)-minor of S', as those row and column operations keep it, so
+those minors alone give the least valuation s_k of I_k(h), at every
+rank.  Each holds the moving entry (2n - 1, 0) at most once, so it is
+still a + t b in the leaf t.  The k = 1 scan of the entries picks the
+pivot: the first entry off (2n - 1, 0) whose valuation is s_1 at every
+leaf, else (2n - 1, 0) itself.  A leaf at which that entry is not of
+valuation s_1 fails k = 1, and inclusion-exclusion drops it whatever the
+minors through it say.
 
 Torus orbits: the first `rank` coordinates are the simple roots, the
 only roots of height 2, at the subdiagonal entries (i + 1, i).  For
@@ -191,6 +206,19 @@ def _minor_indices(size: int, rank: int):
     return out
 
 
+def _pivot_minors(size: int, rank: int):
+    """(entries, through) for `_leaf_hits`: the entries (i, j) of a
+    lower-triangular matrix that need not vanish, those off column 0 first,
+    and through[(i, j)], for k = 2 .. rank, the `_minor_indices` k x k
+    minors holding row i and column j, in their order."""
+    entries, *larger = _minor_indices(size, rank)
+    through = {
+        (i, j): [[m for m in index if i in m[:k] and j in m[k:]] for k, index in enumerate(larger, 2)]
+        for i, j in entries
+    }
+    return entries, through
+
+
 # (rank, entry) of the middle coordinates proved to collapse, to torus
 # orbits below a 0 simple-root entry and to translation classes below
 # nonzero ones (module docstring): Sp_4's eps_1 + eps_2 alone
@@ -218,7 +246,7 @@ def _walk_plan(n: int, neg) -> tuple:
         "always" if step < n else "middle" if (n, gen.entry) in _PROVED_MIDDLE else "never"
         for step, gen in enumerate(neg[:-1])
     )
-    return closing, _minor_indices(2 * n, n), orbits
+    return closing, _pivot_minors(2 * n, n), orbits
 
 
 # (rank, negative root coordinates, walk plan) by tag, built at import rather
@@ -249,7 +277,10 @@ class ChevalleyRealization:
     # -- matrix builders ----------------------------------------------
     def identity(self, scale: int = 1):
         """scale times the identity matrix."""
-        return [[scale if i == j else 0 for j in range(self.size)] for i in range(self.size)]
+        m = [[0] * self.size for _ in range(self.size)]
+        for i, row in enumerate(m):
+            row[i] = scale
+        return m
 
     def right_multiply_generator(self, m, units, num: int, den: int):
         """m <- m * (I + (num / den) * sum sign E_ab): column b += sign *
@@ -364,21 +395,25 @@ def _leaf_hits(h, slope, leaves, p, divisors, minors) -> int:
     matrix h with t slope added to the last entry of its column 0, in the
     cell whose first elementary divisors over Z_(p) have the ascending
     valuations `divisors` (rank <= 2); `minors` is
-    `_minor_indices(len(h), rank)`.
+    `_pivot_minors(len(h), rank)`.
 
     h_t hits when, for each k, its k x k minors a + t b are all 0 mod
     p^(s_k), s_k the sum of the first k divisors, and one is not mod
-    p^(s_k + 1).  Constant minors decide this for every leaf or meet its
-    second part; the others give congruences on t lifted to mod p^top:
-    `hold`, and per k the `misses`, where they all vanish mod p^(s_k + 1).
-    The leaves in `hold` and in no miss are counted by inclusion-exclusion."""
+    p^(s_k + 1).  Past k = 1 only the minors through the pivot are read:
+    the first fixed entry the k = 1 scan finds of valuation exactly s_1,
+    else the moving entry (module docstring).  Constant minors decide this
+    for every leaf or meet its second part; the others give congruences
+    on t lifted to mod p^top: `hold`, and per k the `misses`, where they
+    all vanish mod p^(s_k + 1).  The leaves in `hold` and in no miss are
+    counted by inclusion-exclusion."""
+    entries, through = minors
     top, last = sum(divisors) + 1, len(h) - 1
-    hold, misses, need = [], [], 0
-    for k, (v, index) in enumerate(zip(divisors, minors), 1):
+    hold, misses, need, pivot = [], [], 0, None
+    for k, v in enumerate(divisors, 1):
         need += v
         pe, pt = p**need, p ** (need + 1)
-        exact, slopes = False, []
-        for minor in index:  # the minors off column 0 come first
+        exact, slopes = None, []  # exact: the first constant minor of valuation need
+        for minor in entries if k == 1 else through[pivot][k - 2]:  # off column 0 first
             if exact and not need:
                 break  # every leaf meets this k
             if k == 1:
@@ -393,8 +428,10 @@ def _leaf_hits(h, slope, leaves, p, divisors, minors) -> int:
                 slopes.append((a, b))
             elif a % pe:
                 return 0
-            elif a:
-                exact = True
+            elif a and not exact:
+                exact = minor
+        if k == 1:
+            pivot = exact or (last, 0)
         scale = p ** (top - need - 1)  # lifts mod p^(need + 1) to mod p^top
         if need:  # mod p^0 every leaf holds
             hold += [(a * scale * p, b * scale * p) for a, b in slopes]
@@ -588,12 +625,13 @@ def count_cosets(
 
 def oracle_rows(lam: Cocharacter, depth: int, group: str, p: int):
     """Raw and mod-p counts for every mu in the support window, for the CLI.
-    Every cell is planned, so its budget checked, before any is counted."""
+    Every cell is checked, then every cell planned, so its budget checked,
+    before any is counted."""
     mus = sorted(antidominant_above(lam), key=lambda m: m.coords)
     realization = ChevalleyRealization(group)
-    plans = [_plan_cell(realization, mu, lam, depth, p) for mu in mus]
     for mu in mus:
         _check_cell(mu, lam, depth)
+    plans = [_plan_cell(realization, mu, lam, depth, p) for mu in mus]
     return [_count_planned(plan) for plan in plans]
 
 

@@ -105,7 +105,7 @@ def test_walk_plans_match_hand_plans():
     ):
         realization = ChevalleyRealization(tag)
         n = realization.rank
-        assert realization.plan == (closing, oracle._minor_indices(2 * n, n), orbits)
+        assert realization.plan == (closing, oracle._pivot_minors(2 * n, n), orbits)
 
 
 def test_generated_root_vectors_preserve_form_to_rank_4():
@@ -435,9 +435,10 @@ def test_oracle_rows_errors_keep_their_order():
         oracle_rows(Cocharacter((0, 1)), 0, "sp5", 3)
     with pytest.raises(OracleError, match="^unknown group tag 'sp5'; use sl2 or sp4$"):
         oracle_rows(Cocharacter((-2, 0)), 0, "sp5", 3)
-    for lam, group in (((-2, 0), "sp4"), ((-2,), "sl2")):
+    for lam, group, p in (((-2, 0), "sp4", 3), ((-2,), "sl2", 3), ((-2, 0), "sp4", 1000003)):
+        # the depth before the node budget, which p = 1000003 would exceed
         with pytest.raises(OracleError, match="^depth must be >= 1$") as err:
-            oracle_rows(Cocharacter(lam), 0, group, 3)
+            oracle_rows(Cocharacter(lam), 0, group, p)
         assert not isinstance(err.value, RootDatumError)
 
 def test_node_estimate_admits_p173_and_refuses_p179():
@@ -639,27 +640,33 @@ def test_progression_examples():
     assert oracle._progression([(3, 3), (0, 1)], 3, 2) is None
 
 
-@given(st.sampled_from((3, 5)), st.sampled_from((2, 4)), st.integers(0, 2), st.data())
-@settings(max_examples=400, deadline=None)
+@given(st.sampled_from((3, 5)), st.sampled_from((2, 4)), st.integers(0, 3), st.data())
+@settings(max_examples=530, deadline=None)
 def test_leaf_hits_match_smith_per_leaf(p, size, mode, data):
     """The determinantal rule against a Smith step on every leaf.  h is
     lower triangular with a nonzero diagonal, and at leaf t its column 0
     is c with t slope added to the last entry.  In mode 0 every entry
     outside column 0 is divisible by p, so the first divisor's unit has
     to come from column 0; in mode 2 column 0 is divisible by p^gap, the
-    gap between the two divisors, so the 2 x 2 minors off column 0 decide."""
+    gap between the two divisors, so the 2 x 2 minors off column 0 decide;
+    in mode 3 every entry but the moving one is divisible by p^(first + 1),
+    so only the moving entry can be the pivot."""
     rank = size // 2
     first, gap = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 2))
     divisors = [first, first + gap][:rank]
     num = st.builds(lambda u, v: u * p**v, st.integers(-20, 20), st.integers(0, 2))
     nonzero = num.filter(bool)
-    lift, sink = (p, 1) if mode == 0 else (1, p**gap if mode == 2 else 1)
+    # factors of the entries off column 0, of column 0 above the last row,
+    # and of the last row's column-0 entry and its slope
+    deep = p ** (first + 1)
+    lift, sink, moving = ((p, 1, 1), (1, 1, 1), (1, p**gap, p**gap), (deep, deep, 1))[mode]
     h = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(1, i + 1):
             h[i][j] = lift * data.draw(nonzero if i == j else num)
-    c = [sink * data.draw(nonzero)] + [sink * data.draw(num) for _ in range(size - 1)]
-    slope = sink * data.draw(num)
+    c = [sink * data.draw(nonzero)] + [sink * data.draw(num) for _ in range(size - 2)]
+    c.append(moving * data.draw(num))
+    slope = moving * data.draw(num)
     leaves = data.draw(st.integers(1, 2 * p * p))
     for i in range(size):
         h[i][0] = c[i]
@@ -668,7 +675,7 @@ def test_leaf_hits_match_smith_per_leaf(p, size, mode, data):
         h[-1][0] = c[-1] + t * slope
         want += smith_valuations(h, p, 0, expect=divisors) is not None
     h[-1][0] = c[-1]
-    minors = oracle._minor_indices(size, rank)
+    minors = oracle._pivot_minors(size, rank)
     assert oracle._leaf_hits(h, slope, leaves, p, divisors, minors) == want
 
 
@@ -694,6 +701,29 @@ def test_minor_indices_are_the_minors_of_a_generic_lower_triangular_matrix(size)
         ]
         # the same minors in the same order, with those off column 0 first
         assert got == sorted(nonzero, key=lambda minor: minor[k] == 0), (size, k)
+
+
+@pytest.mark.parametrize("size", [2, 4, 6])
+def test_pivot_minors_are_the_minors_through_each_entry(size):
+    """Each entry's list for k = 2 .. rank is the k x k minors of a generic
+    lower-triangular matrix that hold its row and column and are nonzero,
+    in `_minor_indices` order, those off column 0 first."""
+    rng = random.Random(size)
+    h = [[rng.randint(1, 10**6) if j <= i else 0 for j in range(size)] for i in range(size)]
+    rank = size // 2
+    entries, through = oracle._pivot_minors(size, rank)
+    assert entries == oracle._minor_indices(size, rank)[0]
+    assert sorted(through) == sorted(entries) == [(i, j) for i in range(size) for j in range(i + 1)]
+    for (i, j), lists in through.items():
+        assert len(lists) == rank - 1
+        for k, got in enumerate(lists, 2):
+            want = [
+                rows + cols
+                for rows in itertools.combinations(range(size), k)
+                for cols in itertools.combinations(range(size), k)
+                if i in rows and j in cols and _det([[h[a][b] for b in cols] for a in rows])
+            ]
+            assert got == sorted(want, key=lambda minor: minor[k] == 0), (size, i, j, k)
 
 
 # lam = (-1, 0) has a nonzero second expected divisor, which the
