@@ -32,8 +32,9 @@ coordinates may be windowed to p^{-(mu_col - min lam)} O / O with no
 loss.  So a count whose windows the depth does not clip is complete, and
 `stabilized` says a count is proved so (`count_cosets`).  The windows
 are known before any walk starts, and so is the number of nodes a walk
-may visit (`_plan_cell`); a cell whose walks may visit more than
-ORACLE_NODE_LIMIT nodes is refused with OracleError instead of counted.
+visits with nothing pruned, counted exactly from the plan the walk reads
+(`_walk_nodes`); a cell whose walks may visit more than ORACLE_NODE_LIMIT
+nodes is refused with OracleError instead of counted (`_plan_cell`).
 Inside its window box the walk sets the coordinates in order and shares
 every prefix product; a column of the matrix is final once the last
 generator writing it is applied, and it must then be integral after
@@ -522,38 +523,53 @@ def _count_in_cell(plan, windows) -> int:  # the walk of plan's cell at windows
 
 
 # Most nodes the walks of one cell may visit (`_walk_nodes`), set at about
-# 3 s of work for the slowest walk it admits (timings on one 2-vCPU Xeon
-# core), before the middle step collapsed to translation classes.  sp4's
-# largest cells on the CLI's rows, mu = (0, 0), may visit 4p^2 + p + 21
-# nodes at depth 1 and 4p^2 + 15 at depths 2-4: 119,910 at p = 173, the
-# last prime admitted, whose rows now count in 3-5 ms, and 128,364 at
-# p = 179, refused.  The slowest admitted walk measured over lam in
-# -12..0, depths 1-8 and every admitted prime (the worst cell of each
-# window pattern), lam = (-12, -12), mu = (-11, -3) at depth 8 and
-# p = 7,043 (119,773 nodes), took 2.9-3.4 s then.
+# 3 s of work for the slowest walk it admits.  Timed on one 2-vCPU Xeon
+# core: for each window pattern at depths 1-8, the slowest of a sample of
+# its cells at the largest prime it admits, or at p = 2^31 - 1 when its
+# count does not grow with p (at most 0.06 s):
+#
+#     lam              slowest admitted walk                      time
+#     in -12..0        (2, 2, 2, 2) at p = 3,989, 11,996 nodes    0.21 s
+#     (-100, -100)     (2, 2, 2, 2) at p = 3,989, 11,996 nodes    0.50 s
+#     (-400, -400)     (2, 2, 2, 2) at p = 3,989, 11,996 nodes    3.1-3.2 s
+#
+# A node costs more as lam's floor deepens, as the entries grow: about 8
+# times as much at lam = (-400, -400) as at (-12, -12).  sp4's largest
+# cells on the CLI's rows, mu = (0, 0), may visit 3p + 43 nodes at depth 1
+# and 3p + 29 at depths 2-4: 12,010 at p = 3,989, the last prime admitted,
+# whose rows count in about 0.04 s, and 12,032 at p = 4,001, refused.
 # sl2 has one coordinate, so each of its walks is one node and every sl2 row
 # is admitted.
-ORACLE_NODE_LIMIT = 120_000
+ORACLE_NODE_LIMIT = 12_030
 
 
 def _walk_nodes(group, windows, p) -> int:
-    """A bound on the nodes setting the last coordinate that a walk at
-    `windows` visits, the plan's `orbits` unpruned: a step of window w has
-    w + 1 children where it collapses to torus orbits and p^w where not,
-    and `_leaf_hits` decides the last coordinate's leaves at once.  `zero`
-    counts the prefixes with a 0 simple-root entry, `rest` the others.  A
-    "middle" step is charged p^w below a nonzero prefix, an upper bound on
-    its p^(w - min(pole, w)) translation classes.  At Sp_4 this is
-    (w0 + w1 + 1)(w2 + 1) + w0 w1 p^w2."""
-    rest, zero = 1, 0
+    """The `walk` calls of a walk at `windows` with nothing pruned: one per
+    prefix it sets, from the empty root prefix of pole max(windows) to
+    those setting all but the last coordinate, whose leaves `_leaf_hits`
+    decides at once.  The prefixes are tallied by `pole` step by step,
+    reading the `orbits` entry the walk reads: where a step of window w
+    collapses to torus orbits, a prefix of pole m has the child 0, of pole
+    0, and one child of pole min(m, w - j) for each j < w; at a "middle"
+    step below pole m > 0 it has p^(w - min(m, w)) children, one per
+    translation class, of pole m; at a "never" step it has p^w children
+    of pole m.  So every sl2 walk is one node."""
+    width = max(windows)
+    prefixes, nodes = [0] * width + [1], 1  # prefixes[m]: those of pole m
     for rule, w in zip(group.plan[2], windows):
-        if rule == "always":
-            rest, zero = rest * w, rest + zero * (w + 1)
-        elif rule == "middle":
-            rest, zero = rest * p**w, zero * (w + 1)
-        else:
-            rest, zero = rest * p**w, zero * p**w
-    return rest + zero
+        after = [0] * (width + 1)
+        for m, count in enumerate(prefixes):
+            if not count:
+                continue
+            if rule == "always" or rule == "middle" and not m:
+                after[0] += count
+                for j in range(w):
+                    after[min(m, w - j)] += count
+            else:
+                after[m] += count * p ** (w - min(m, w) if rule == "middle" else w)
+        prefixes = after
+        nodes += sum(after)
+    return nodes
 
 
 class _CellPlan(NamedTuple):

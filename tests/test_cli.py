@@ -1108,13 +1108,13 @@ def test_large_field_parameters_answer_at_once(argv, stdin, code):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["oracle", "satake", "--group", "sp4", "--i", "2", "--p", "179"],
-        ["satake", "--i", "2", "--n", "2", "--oracle", "--p", "179"],
+        ["oracle", "satake", "--group", "sp4", "--i", "2", "--p", "4001"],
+        ["satake", "--i", "2", "--n", "2", "--oracle", "--p", "4001"],
     ],
 )
 def test_over_budget_oracle_exits_at_once(argv):
-    # the mu = (0, 0) cell at depth 4: windows (2, 2, 2, 2), 4 p^2 + 15 nodes
-    _assert_refused_at_once(argv, 4 * 179**2 + 15)
+    # the mu = (0, 0) cell at depth 4: windows (2, 2, 2, 2), 3p + 29 nodes
+    _assert_refused_at_once(argv, 3 * 4001 + 29)
 
 
 def test_sl2_row_at_a_large_prime_answers_at_once():

@@ -1,7 +1,9 @@
+import collections
 import hashlib
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -441,26 +443,27 @@ def test_oracle_rows_errors_keep_their_order():
             oracle_rows(Cocharacter(lam), 0, group, p)
         assert not isinstance(err.value, RootDatumError)
 
-def test_node_estimate_admits_p173_and_refuses_p179():
-    assert 4 * 173**2 + 173 + 21 <= ORACLE_NODE_LIMIT < 4 * 179**2 + 15
+def test_node_estimate_admits_p3989_and_refuses_p4001():
+    assert 3 * 3989 + 43 <= ORACLE_NODE_LIMIT < 3 * 4001 + 29
     zero = Cocharacter((0, 0))
     for i in (1, 2):
         lam = 2 * t2lambda_base(i, 2)
         # the mu = (0, 0) cell has windows (1, 1, 1, 1) at depth 1 and
         # (2, 2, 2, 2) unclipped, one step past depth 1, so depth 1 adds the
-        # unclipped walk, which can prove its count complete; a walk at
-        # windows (w, w, w, w) may visit (2w + 1)(w + 1) + w^2 p^w nodes
-        # (`_walk_nodes`), and the last window adds none
-        assert oracle._plan_cell(SP4, zero, lam, 1, 173).walks == [(1, 1, 1, 1), (2, 2, 2, 2)]
-        with pytest.raises(OracleError, match=f" {4 * 179**2 + 179 + 21:,} nodes, over its limit"):
-            oracle._plan_cell(SP4, zero, lam, 1, 179)
+        # unclipped walk, which can prove its count complete; the walk at
+        # (1, 1, 1, 1) visits 14 nodes, and the one at (2, 2, 2, 2) 3p + 29
+        # (`_walk_nodes`), 3p of them below the middle step's translation
+        # classes at pole 1
+        assert oracle._plan_cell(SP4, zero, lam, 1, 3989).walks == [(1, 1, 1, 1), (2, 2, 2, 2)]
+        with pytest.raises(OracleError, match=f" {3 * 4001 + 43:,} nodes, over its limit"):
+            oracle._plan_cell(SP4, zero, lam, 1, 4001)
         for depth in (2, 3, 4):
-            assert oracle._plan_cell(SP4, zero, lam, depth, 173).walks == [(2, 2, 2, 2)]
-            with pytest.raises(OracleError, match=f" {4 * 179**2 + 15:,} nodes, over its limit"):
-                oracle._plan_cell(SP4, zero, lam, depth, 179)
+            assert oracle._plan_cell(SP4, zero, lam, depth, 3989).walks == [(2, 2, 2, 2)]
+            with pytest.raises(OracleError, match=f" {3 * 4001 + 29:,} nodes, over its limit"):
+                oracle._plan_cell(SP4, zero, lam, depth, 4001)
         for depth in (1, 2, 3, 4):
-            for mu in antidominant_above(lam):  # every cell at p = 173 is admitted
-                oracle._plan_cell(SP4, mu, lam, depth, 173)
+            for mu in antidominant_above(lam):  # every cell at p = 3,989 is admitted
+                oracle._plan_cell(SP4, mu, lam, depth, 3989)
 
 
 def test_over_budget_row_is_refused_before_counting(monkeypatch):
@@ -469,10 +472,10 @@ def test_over_budget_row_is_refused_before_counting(monkeypatch):
 
     monkeypatch.setattr(oracle, "_count_in_cell", no_walk)
     lam = 2 * t2lambda_base(2, 2)
-    for p in (179, 1009):
+    for p in (4001, 1000003):
         with pytest.raises(OracleError) as err:
             oracle_rows(lam, 4, "sp4", p)
-        assert f"{4 * p**2 + 15:,} nodes" in str(err.value)
+        assert f"{3 * p + 29:,} nodes" in str(err.value)
         with pytest.raises(OracleError):
             count_cosets(Cocharacter((0, 0)), lam, 4, "sp4", p)
         with pytest.raises(OracleError):
@@ -841,33 +844,51 @@ def test_middle_collapse_keeps_drawn_counts(p, lam, depth, data):
     assert oracle._count_in_cell(plan, windows) == want, windows
 
 
-def test_node_budget_bounds_the_walk(monkeypatch):
-    """The nodes setting the last coordinate that a walk visits, one
-    `_leaf_hits` or `smith_valuations` call each, are at most the budget's
-    count (w0 + w1 + 1)(w2 + 1) + w0 w1 p^w2, itself at most the product
-    (w0 + 1)(w1 + 1) p^w2 that charged the middle step p^w2 throughout;
-    over lam in -4..0, every mu >= lam, p in {3, 5, 7} and depths 1-4
-    (879 distinct walks)."""
+def _walk_calls(plan, windows) -> int:
+    """How many times `_count_in_cell(plan, windows)` enters its `walk`."""
     calls = []
-    for name in ("_leaf_hits", "smith_valuations"):
-        real = getattr(oracle, name)
-        monkeypatch.setattr(oracle, name, lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
-    lams = [Cocharacter(c) for c in itertools.product(range(-4, 1), repeat=2) if c[0] <= c[1]]
+
+    def trace(frame, event, arg):  # called at each new frame; traces no lines
+        if frame.f_code.co_name == "walk" and frame.f_globals is vars(oracle):
+            calls.append(1)
+
+    tracing = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        oracle._count_in_cell(plan, windows)
+    finally:
+        sys.settrace(tracing)
+    return len(calls)
+
+
+def test_node_budget_bounds_the_walk(monkeypatch):
+    """The budget `_walk_nodes` is exactly the `walk` calls of the walk with
+    its pruning off, and the walk itself makes at most that many: sp4 over
+    lam in -4..0, every mu >= lam, p in {3, 5, 7} and depths 1-4 (879
+    distinct walks), and sl2 over lam = (-k,), k <= 8, at the same primes
+    and depths 1, 4 and 8 (249 walks), one call each.  A floor of
+    min(exps) - 2 width n, n the coordinates, makes every column integral
+    at every node, so nothing is pruned; it changes no window.  The leaf
+    decisions are stubbed out: no call depends on what they return."""
+    monkeypatch.setattr(oracle, "_leaf_hits", lambda *args: 0)
+    monkeypatch.setattr(oracle, "smith_valuations", lambda *args, **kwargs: None)
+    cells = [(SP4, c, (1, 2, 3, 4)) for c in itertools.product(range(-4, 1), repeat=2) if c[0] <= c[1]]
+    cells += [(SL2, (-k,), (1, 4, 8)) for k in range(9)]
     seen = set()
-    for lam, p, depth in itertools.product(lams, (3, 5, 7), (1, 2, 3, 4)):
-        for mu in antidominant_above(lam):
-            plan = oracle._plan_cell(SP4, mu, lam, depth, p)
+    for group, coords, depths in cells:
+        lam = Cocharacter(coords)
+        for p, depth, mu in itertools.product((3, 5, 7), depths, antidominant_above(lam)):
+            plan = oracle._plan_cell(group, mu, lam, depth, p)
             for windows in plan.walks:
-                if (lam, mu, p, windows) in seen:
+                if (group.tag, lam, mu, p, windows) in seen:
                     continue  # depths past the windows repeat a walk
-                seen.add((lam, mu, p, windows))
-                calls.clear()
-                oracle._count_in_cell(plan, windows)
-                w0, w1, w2, _ = windows
-                nodes = oracle._walk_nodes(SP4, windows, p)
-                assert nodes == (w0 + w1 + 1) * (w2 + 1) + w0 * w1 * p**w2
-                assert len(calls) <= nodes <= (w0 + 1) * (w1 + 1) * p**w2, (lam, mu, p, windows)
-    assert len(seen) == 879
+                seen.add((group.tag, lam, mu, p, windows))
+                unpruned = plan._replace(floor=min(plan.exps) - 2 * max(windows) * len(group.neg))
+                nodes = oracle._walk_nodes(group, windows, p)
+                assert _walk_calls(unpruned, windows) == nodes, (lam, mu, p, windows)
+                assert _walk_calls(plan, windows) <= nodes, (lam, mu, p, windows)
+                assert group is SP4 or nodes == 1
+    assert sorted(collections.Counter(key[0] for key in seen).items()) == [("sl2", 249), ("sp4", 879)]
 
 
 def test_walk_plan_collapses_only_the_proved_middle_step():
@@ -1038,11 +1059,11 @@ def test_stabilized_means_proved_complete_sp4():
 # oracle planned each cell once: a regression pin of the code's own output,
 # not a fixed point (those are the p = 7 and p = 11 rows)
 GRID_DIGESTS = {
-    ("sp4", (-4, -4)): "225279ea65a36487c98e1c971f45f3e9416c3ce448805facfec6543cdc8a8c32",
-    ("sp4", (-4, -3)): "3a07b16fe59a6c6fbe97ec940a36d27eb813b09da39a15724eab87b2b1b00988",
-    ("sp4", (-4, -2)): "77baebadbada3a5ea0187eb9883afa77d3a20b06fbcc102f3111cfe6f0397e8e",
-    ("sp4", (-4, -1)): "8850fee1fb206109de7c1a7fce15b33b51db753baa9e172cbb32e3fe611f30f9",
-    ("sp4", (-4, 0)): "4d18b5d372ea030164eb86b01ac2f84ef225101079efb5288ed2726e58cdb778",
+    ("sp4", (-4, -4)): "15949ac5a7c3724c664faf32d7461605747a03201da41ca359a41fcca0e9919b",
+    ("sp4", (-4, -3)): "571cdcf84f369c6ac8cd4dadde67a1b87750d102e62023b16d43fc41d90e00d2",
+    ("sp4", (-4, -2)): "086470a08cc1de765e57698caef2389558183cc8c56da7f4a9d62a8dd32a1aec",
+    ("sp4", (-4, -1)): "133839c2e856c2cdd3cbfdeba6161692873d2e6767750befc23c3628f14edc27",
+    ("sp4", (-4, 0)): "5294f5e3a862baf9e5efd727488e456f77ee093a6567928fe536b8cfc75af2d4",
     ("sp4", (-3, -3)): "d2572d0050bf653514e6c09cf7cca6bc777dc81b53410cc19cacbb88719d76e2",
     ("sp4", (-3, -2)): "4090c6b95bb1a6cbb273343c646973bf147e0fc530e9144ff17169d280474a75",
     ("sp4", (-3, -1)): "7c0e35cf1594e30f935b48dc1fd0ab9c3d27a2ccfc9cc7872c48155a571b36be",
@@ -1069,7 +1090,7 @@ def test_regression_grid_counts_are_pinned():
     """Every raw count, `stabilized` flag and refusal on the grid: sp4 with
     lam antidominant in -4..0 at p in {3, 5, 7, 11, 13} and depths 1-4, sl2
     with lam = (-k,), k <= 8, at p in {3, 5, 7, 11, 13, 101} and depths 1,
-    4 and 8, every antidominant mu >= lam; 3,130 cells, 20 of them refused
+    4 and 8, every antidominant mu >= lam; 3,130 cells, 10 of them refused
     by the node budget.  A failure names the bases whose digest moved."""
     sp4 = [c for c in itertools.product(range(-4, 1), repeat=2) if c[0] <= c[1]]
     grid = [("sp4", c, (3, 5, 7, 11, 13), (1, 2, 3, 4)) for c in sp4]
@@ -1089,7 +1110,7 @@ def test_regression_grid_counts_are_pinned():
             cells += 1
             digest.update(line.encode())
         got[group, coords] = digest.hexdigest()
-    assert (cells, refused) == (3130, 20)
+    assert (cells, refused) == (3130, 10)
     assert [base for base in GRID_DIGESTS if got[base] != GRID_DIGESTS[base]] == []
 
 def test_reductive_satake_row_sl2():
