@@ -40,15 +40,14 @@ its factor count times the rank is over CLASSIFY_SIZE_LIMIT, or times
 the bytes of one triple (each repeats the label) over
 CLASSIFY_OUTPUT_LIMIT.  Every classify input prints at least one
 triple (a `--siegel` triple exactly one), so its rank alone is checked
-against that limit before the input is read.  A config file or classify
-input is read up to INPUT_LIMIT characters and refused past it, unparsed.
+against that limit before the input is read.  A classify input is read
+up to INPUT_LIMIT characters and refused past it, unparsed.
 JSON nested past the recursion limit and a negative N exit 2 as well.
 
-Parameters come from flags first, then an optional key=value config
-file, then defaults (p=3, f=1, n=2, N=2(p-1), depth=4).  Each
-subcommand has a flag only for the keys it reads; a config file may set
-any of the five, so one file can serve several commands.  Environment
-variables are not consulted.
+Parameters come from flags alone, with defaults p=3, f=1, n=2,
+N=2(p-1), depth=4, and q=3 for `weights`.  Each subcommand has a flag
+only for the parameters it reads.  Environment variables are not
+consulted.
 """
 
 from __future__ import annotations
@@ -133,7 +132,7 @@ WEIGHTS_RANK_LIMIT = 400_000
 ASET_SIZE_LIMIT = 1_400_000  # elements of the up-set times (rank + 8)
 CLASSIFY_SIZE_LIMIT = 7 * 2**15  # composition factors times the rank
 CLASSIFY_OUTPUT_LIMIT = 2**25  # composition factors times the bytes of one triple
-INPUT_LIMIT = 4 * 2**20  # characters of a config file or classify input
+INPUT_LIMIT = 4 * 2**20  # characters of a classify input
 
 
 class UsageError(ValueError):
@@ -178,36 +177,10 @@ def _read_bounded(fh, name: str) -> str:
     return text
 
 
-def load_config(path: str) -> dict:
-    out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(io.StringIO(_read_bounded(fh, path)), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in out:
-                raise UsageError(f"{path}:{lineno}: key {key!r} is set twice")
-            try:
-                out[key] = int(value)
-            except ValueError:
-                raise UsageError(f"{path}:{lineno}: {key}={value} is not an integer") from None
-    return out
-
-
 def resolve_config(args) -> RunConfig:
-    values = {}
-    if args.config:
-        values.update(load_config(args.config))
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    return RunConfig(**values)
+    """The flags the command took, and defaults for the rest."""
+    flags = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
+    return RunConfig(**{key: v for key, v in flags.items() if v is not None})
 
 
 # ---------------------------------------------------------------------
@@ -612,8 +585,8 @@ def cmd_satake(args, config: RunConfig) -> tuple[dict | None, int]:
     }
     mismatch = False
     if args.oracle:
-        if config.n > 2 or config.f != 1:
-            raise UsageError("the oracle runs at n <= 2, f = 1")
+        if config.n > 2:
+            raise UsageError("the oracle runs at n <= 2")
         from . import oracle
 
         agree = oracle.verify_metaplectic_pipeline(
@@ -668,7 +641,7 @@ def cmd_weights(args, config: RunConfig) -> tuple[dict | None, int]:
     n = config.n
     _refuse_rank("weights", n, WEIGHTS_RANK_LIMIT)
     nu = rootdata.Character(_parse_ints(args.nu, n))
-    w = weights.QRestrictedWeight(nu, config.field.q if args.q is None else args.q)
+    w = weights.QRestrictedWeight(nu, args.q)
     payload = {
         "nu": list(nu.coords),
         "q": w.q,
@@ -889,8 +862,6 @@ def cmd_oracle(args, config: RunConfig) -> tuple[dict | None, int]:
     n = oracle.ChevalleyRealization(group).rank
     if not 1 <= args.i <= n:
         raise UsageError(f"i must lie in 1..{n} for {group}")
-    if config.f != 1:
-        raise UsageError("the oracle runs over Q_p (f = 1)")
     lam = 2 * hecke.t2lambda_base(args.i, n)
     rows = oracle.oracle_rows(lam, config.depth, group, config.p)
     payload = {
@@ -952,8 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
     }
 
     def add_config_flags(sp, *keys):
-        """--config, and a flag for each configuration key the command reads."""
-        sp.add_argument("--config", help="key=value config file")
+        """A flag for each configuration key the command reads."""
         for key in keys:
             sp.add_argument(f"--{key}", type=int, help=config_help[key])
 
@@ -973,7 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--oracle", action="store_true", help="verify against the counting oracle"
     )
-    add_config_flags(sp, "n", "p", "f", "depth")
+    add_config_flags(sp, "n", "p", "depth")
     sp.set_defaults(func=cmd_satake)
 
     sp = sub.add_parser("aset", help="enumerate the antidominance exponent set")
@@ -984,10 +954,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("weights", help="q-restricted weight bookkeeping")
     sp.add_argument("--nu", required=True, help="weight coordinates, comma separated")
-    sp.add_argument("--q", type=int, help="residue field size attached to the weight")
+    sp.add_argument("--q", type=int, default=3, help="residue field size attached to the weight")
     sp.add_argument("--i", type=int, help="change-of-weight index")
     sp.add_argument("--levi", help="Levi subset for the regularity test")
-    add_config_flags(sp, "n", "p", "f")
+    add_config_flags(sp, "n")
     sp.set_defaults(func=cmd_weights)
 
     sp = sub.add_parser("classify", help="composition factors of a datum")
@@ -1005,11 +975,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("action", choices=("satake",))
     sp.add_argument("--group", choices=("sl2", "sp4"), required=True)
     sp.add_argument("--i", type=int, required=True)
-    add_config_flags(sp, "p", "f", "depth")
+    add_config_flags(sp, "p", "depth")
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("selftest", help="run the acceptance criteria")
-    add_config_flags(sp)
     sp.set_defaults(func=cmd_selftest)
 
     return parser

@@ -30,7 +30,9 @@ Pruning: each coordinate is a bare entry of the unipotent matrix, and
 every entry of a matrix in the lam-cell has valuation >= min(lam), so
 coordinates may be windowed to p^{-(mu_col - min lam)} O / O with no
 loss.  So a count whose windows the depth does not clip is complete, and
-`stabilized` says a count is proved so (`count_cosets`).  The windows
+`stabilized` says a count is proved so (`count_cosets`).  A box whose
+entries are too shallow to reach min lam holds no coset of the cell and
+counts 0 before its walk (`_count_in_cell`).  The windows
 are known before any walk starts, and so is the number of nodes a walk
 visits with nothing pruned, counted exactly from the plan the walk reads
 (`_walk_nodes`); a cell whose walks may visit more than ORACLE_NODE_LIMIT
@@ -46,8 +48,8 @@ strictly lower triangular), and each write that closes a column b reads
 it: the last root to write b is 2 eps_1 or some eps_1 +- eps_i, of
 window column 0 (the tests check n = 1..7).  So B is nonzero only in
 row 2n - 1, where B / p^e = +-p^(exps[b] - min lam - w) at window w,
-whatever the sign of e, and w <= exps[0] - min lam <= exps[b] - min lam,
-as the exponents (mu_1..mu_n, -mu_n..-mu_1) ascend for antidominant mu.
+and w <= exps[0] - min lam <= exps[b] - min lam, as the exponents
+(mu_1..mu_n, -mu_n..-mu_1) ascend for antidominant mu.
 So a node's children are all integral or none is: each node checks its
 child with entry 0, whose columns are the intercepts A, and counts 0 if
 it fails.
@@ -459,13 +461,18 @@ def _count_in_cell(plan, windows) -> int:  # the walk of plan's cell at windows
     # mu(pi) = p^(-e) U T is integral; the cell is then decided on the
     # small integers of h.  The prefix read of an entry is at most a
     # product of two entries at rank <= 2, so an integer over q: its
-    # division by q^(n - 1) in `walk` is exact.
+    # division by q^(n - 1) in `walk` is exact.  If e < 0, every entry of
+    # u mu(pi) has valuation >= low - 2 width n > floor, as U and T are
+    # integral; its least elementary divisor, the least entry valuation,
+    # is then not lam's least, so the box holds no coset of the cell.
     q = p ** (2 * width)
     qread = q ** (n - 1)
     low = min(exps)
     e = 2 * width * n - low + floor
-    scale = [p ** (x - low + max(0, -e)) for x in exps]
-    base = p ** max(0, e)
+    if e < 0:
+        return 0
+    scale = [p ** (x - low) for x in exps]
+    base = p**e
     # The walk sets the coordinates in order, sharing each prefix product,
     # and fills in h column by column as they close (module docstring).
     closing, minors, orbits = group.plan
@@ -523,18 +530,22 @@ def _count_in_cell(plan, windows) -> int:  # the walk of plan's cell at windows
 
 
 # Most nodes the walks of one cell may visit (`_walk_nodes`), set at about
-# 3 s of work for the slowest walk it admits.  Timed on one 2-vCPU Xeon
+# 3 s of work for the slowest walk it admitted while boxes too shallow to
+# reach lam's floor were still walked, and kept.  Timed on one 2-vCPU Xeon
 # core: for each window pattern at depths 1-8, the slowest of a sample of
 # its cells at the largest prime it admits, or at p = 2^31 - 1 when its
 # count does not grow with p (at most 0.06 s):
 #
 #     lam              slowest admitted walk                      time
-#     in -12..0        (2, 2, 2, 2) at p = 3,989, 11,996 nodes    0.21 s
-#     (-100, -100)     (2, 2, 2, 2) at p = 3,989, 11,996 nodes    0.50 s
-#     (-400, -400)     (2, 2, 2, 2) at p = 3,989, 11,996 nodes    3.1-3.2 s
+#     in -12..0        (2, 2, 2, 2) at p = 3,989, 11,996 nodes    0.3-0.4 s
+#     (-100, -100)     (2, 2, 2, 2) at p = 3,989, 11,996 nodes    0.5 s
+#     (-400, -400)     (2, 2, 2, 2) at p = 3,989, 11,996 nodes    0.9-1.0 s
 #
-# A node costs more as lam's floor deepens, as the entries grow: about 8
-# times as much at lam = (-400, -400) as at (-12, -12).  sp4's largest
+# Such a box counts 0 before its walk (`_count_in_cell`), so the
+# slowest walks at a deep floor are those of mu_1 within 2 width n of it,
+# such as mu = (-396, 0) at (-400, -400), timed over every such mu_1.
+# Their nodes cost more as the floor deepens, as the entries grow: about
+# 3 times as much at lam = (-400, -400) as at (-12, -12).  sp4's largest
 # cells on the CLI's rows, mu = (0, 0), may visit 3p + 43 nodes at depth 1
 # and 3p + 29 at depths 2-4: 12,010 at p = 3,989, the last prime admitted,
 # whose rows count in about 0.04 s, and 12,032 at p = 4,001, refused.

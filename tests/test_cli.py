@@ -165,7 +165,7 @@ def test_weights_command(capsys):
     assert payload["pi_nu"] == [1, 2]
     assert payload["companion"]["nu"] == [2, 0]
     assert payload["companion"]["pairings"] == [2, 0]
-    # an explicit --q 0 is checked, not replaced by the configured q
+    # an explicit --q 0 is checked, not replaced by the default q
     code, out, err = run(capsys, "weights", "--nu", "0,0", "--q", "0")
     assert (code, out, err) == (2, "", "error: q must be at least 2\n")
 
@@ -253,27 +253,6 @@ def test_classify_schema_error(capsys, tmp_path):
     assert code == 2
 
 
-def test_config_file_and_precedence(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("p = 5\nn = 1\n# comment\ndepth = 3\n")
-    code, out, _ = run(capsys, "hilbert", "pi", "pi", "--config", str(cfg))
-    assert json.loads(out)["symbol"] == 1  # p = 5 from the file
-    code, out, _ = run(capsys, "hilbert", "pi", "pi", "--config", str(cfg), "--p", "3")
-    assert json.loads(out)["symbol"] == -1  # flag wins
-
-
-def test_config_rejects_unknown_key(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("shrubbery = 1\n")
-    code, _, err = run(capsys, "hilbert", "pi", "pi", "--config", str(cfg))
-    assert code == 2 and "unknown key" in err
-    # a key set twice, or a value that is not an integer, names its line
-    for text, what in (("p = 3\np = 5\n", "set twice"), ("p = 3\ndepth = x\n", "not an integer")):
-        cfg.write_text(text)
-        code, out, err = run(capsys, "hilbert", "pi", "pi", "--config", str(cfg))
-        assert code == 2 and out == "" and f"{cfg}:2: " in err and what in err
-
-
 def _main_in_child(argv, stdin, **env):
     """`main(argv)` reading the open file `stdin`, in a child process with
     at most 1 GiB of address space, killed after 20 s; `env` adds to the
@@ -296,17 +275,14 @@ def _main_in_child(argv, stdin, **env):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-@pytest.mark.parametrize("case", ["config-file", "stdin", "config-dev-zero", "input-dev-zero", "stdin-dev-zero"])
+@pytest.mark.parametrize("case", ["stdin", "input-dev-zero", "stdin-dev-zero"])
 def test_inputs_over_the_limit_are_refused_unparsed(case, tmp_path):
-    # the long config file and stdin are well-formed, so only their length
-    # refuses them; /dev/zero never ends
-    cfg, doc = tmp_path / "long.cfg", tmp_path / "long.json"
-    cfg.write_text("p = 5\n" + "#" * cli.INPUT_LIMIT)
+    # the long stdin is well-formed, so only its length refuses it;
+    # /dev/zero never ends
+    doc = tmp_path / "long.json"
     doc.write_text(json.dumps({"levi": [1]}) + " " * cli.INPUT_LIMIT)
     argv, stdin, name = {
-        "config-file": (["hilbert", "pi", "pi", "--config", str(cfg)], os.devnull, str(cfg)),
         "stdin": (["classify"], doc, "classify input"),
-        "config-dev-zero": (["hilbert", "pi", "pi", "--config", "/dev/zero"], os.devnull, "/dev/zero"),
         "input-dev-zero": (["classify", "--input", "/dev/zero"], os.devnull, "/dev/zero"),
         "stdin-dev-zero": (["classify"], "/dev/zero", "classify input"),
     }[case]
@@ -316,11 +292,7 @@ def test_inputs_over_the_limit_are_refused_unparsed(case, tmp_path):
     assert err == f"error: {name} is over the input limit of {cli.INPUT_LIMIT:,} characters\n"
 
 
-def test_inputs_at_the_limit_are_read(capsys, tmp_path):
-    cfg = tmp_path / "long.cfg"
-    cfg.write_text("p = 5\n" + "#" * (cli.INPUT_LIMIT - 6))
-    code, out, _ = run(capsys, "hilbert", "pi", "pi", "--config", str(cfg))
-    assert code == 0 and json.loads(out)["symbol"] == 1
+def test_inputs_at_the_limit_are_read():
     doc = json.dumps({"levi": [1]})
     code, out, _ = run_captured(["classify"], doc + " " * (cli.INPUT_LIMIT - len(doc)))
     assert code == 0 and json.loads(out)["triples"]
@@ -928,7 +900,6 @@ _COMMANDS = st.one_of(
         _SMALL.map(lambda i: ["satake", f"--i={i}"]),
         _N,
         _P,
-        _F,
         _flag("--depth", st.integers(-1, 5)),
     ),
     _argv(st.just(["aset"]), _flag("--i", _SMALL), _flag("--lam", _INT_LIST), _N),
@@ -939,8 +910,6 @@ _COMMANDS = st.one_of(
         _flag("--i", _SMALL),
         _flag("--levi", _INT_LIST),
         _N,
-        _P,
-        _F,
     ),
 )
 
@@ -978,15 +947,17 @@ _VALID = {
 _READS = {
     "hilbert": {"p", "f"},
     "cover": {"n"},
-    "satake": {"n", "p", "f", "depth"},
+    "satake": {"n", "p", "depth"},
     "aset": {"n"},
-    "weights": {"n", "p", "f"},
+    "weights": {"n"},
     "classify": {"n", "p", "f", "N", "emit"},
-    "oracle": {"p", "f", "depth"},
+    "oracle": {"p", "depth"},
     "selftest": set(),
 }
-# seed is a key no command reads, so every command must refuse --seed
-_FLAG_VALUES = {"p": "5", "f": "1", "n": "2", "N": "4", "depth": "3", "seed": "1", "emit": "json"}
+# no command reads seed or config, so every command must refuse --seed and --config
+_FLAG_VALUES = {
+    "p": "5", "f": "1", "n": "2", "N": "4", "depth": "3", "seed": "1", "emit": "json", "config": "/dev/zero",
+}
 
 
 def test_each_command_takes_the_configuration_flags_it_reads():
@@ -996,10 +967,10 @@ def test_each_command_takes_the_configuration_flags_it_reads():
     assert sorted(sub.choices) == sorted(SCHEMAS)
     slots = 0
     for name, sp in sub.choices.items():
-        got = {a.dest for a in sp._actions if a.dest in {*_FLAG_VALUES, "config"}}
-        assert got == _READS[name] | {"config"}
+        got = {a.dest for a in sp._actions if a.dest in _FLAG_VALUES}
+        assert got == _READS[name]
         slots += len(got)
-    assert slots == 27
+    assert slots == 15
 
 
 @pytest.mark.parametrize(
@@ -1348,13 +1319,13 @@ def _assert_refused_at_once(argv, nodes):
     assert err.startswith("error:") and f"{nodes:,} nodes" in err
 
 
-def _oracle_argv(group, p, i, depth, f, via_satake):
+def _oracle_argv(group, p, i, depth, via_satake):
     """`oracle satake` names the group; `satake --oracle` gives its rank."""
     if via_satake:
         head = ["satake", "--oracle", f"--n={1 if group == 'sl2' else 2}"]
     else:
         head = ["oracle", "satake", f"--group={group}"]
-    return head + [f"--p={p}", f"--i={i}"] + depth + f
+    return head + [f"--p={p}", f"--i={i}"] + depth
 
 
 # sp4 only at p <= 3 and depth <= 2, so that no example counts for long
@@ -1365,7 +1336,6 @@ _ORACLE_COMMANDS = st.tuples(
     ),
     _SMALL,
     _flag("--depth", st.integers(-1, 2)),
-    _flag("--f", st.integers(-1, 2)),
     st.booleans(),
 ).map(lambda t: _oracle_argv(*t[0], *t[1:]))
 
@@ -1377,8 +1347,7 @@ def test_oracle_flag_fuzz_exits_cleanly(command):
 
 
 # each invalid configuration value, given to a command that reads its
-# key, a config file that never ends, given to selftest, which reads only
-# --config, and a depth at which the Satake oracle's counts are not proved
+# key, and a depth at which the Satake oracle's counts are not proved
 # complete
 @pytest.mark.parametrize(
     "flags",
@@ -1391,7 +1360,6 @@ def test_oracle_flag_fuzz_exits_cleanly(command):
         ["classify", "--N", "6"],
         ["cover", "--n", "0"],
         ["oracle", "satake", "--group", "sl2", "--i", "1", "--depth", "0"],
-        ["selftest", "--config", "/dev/zero"],
         ["classify", "--N=-4"],
         ["satake", "--i", "1", "--n", "1", "--oracle", "--depth", "1"],
         ["satake", "--i", "2", "--n", "2", "--oracle", "--depth", "1"],
@@ -1403,13 +1371,8 @@ def test_selftest_flags_exit_cleanly(flags):
     assert code == 2
 
 
-def test_selftest_refuses_its_removed_options(tmp_path):
-    """selftest takes no option but --config: --sp4, --seed and a seed
-    key in a config file each exit 2."""
-    for argv in (["selftest", "--sp4"], ["selftest", "--seed", "0"]):
+def test_selftest_refuses_its_removed_options():
+    """selftest takes no option: --sp4, --seed and --config each exit 2."""
+    for argv in (["selftest", "--sp4"], ["selftest", "--seed", "0"], ["selftest", "--config", "/dev/zero"]):
         code, out, err = run_captured(argv, run=_exit_code(main))
         assert code == 2 and out == "" and "unrecognized arguments" in err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed=0\n")
-    code, out, err = run_captured(["selftest", "--config", str(cfg)])
-    assert (code, out) == (2, "") and f"error: {cfg}:1: unknown key 'seed'" in err

@@ -774,6 +774,41 @@ def test_orbit_weights_are_lossless_sp4_p5_depth1():
             assert oracle._count_in_cell(plan, plan.walks[0]) == want, (lam, mu)
 
 
+def _below_floor(plan, windows) -> bool:
+    """Whether `_count_in_cell(plan, windows)` finds e < 0: every entry of
+    u mu(pi) has valuation above lam's floor, so the box is empty."""
+    return 2 * max(windows) * len(plan.group.neg) - min(plan.exps) + plan.floor < 0
+
+
+def test_boxes_below_the_floor_hold_no_coset():
+    """At p = 3 and depths 1-2, the brute-force count of every cell whose
+    box cannot reach lam's floor is 0, as `_count_in_cell` returns."""
+    cells = 0
+    for depth, floor in ((1, -10), (2, -17)):
+        for lam in (Cocharacter((floor, floor)), Cocharacter((floor, 0))):
+            for mu in antidominant_above(lam):
+                plan = oracle._plan_cell(SP4, mu, lam, depth, 3)
+                if _below_floor(plan, plan.walks[0]):
+                    cells += 1
+                    assert _brute_force_count(mu, lam, depth, 3) == 0, (lam, mu)
+                    assert oracle._count_in_cell(plan, plan.walks[0]) == 0
+    assert cells == 8
+
+
+def test_box_below_the_floor_counts_zero_before_its_walk(monkeypatch):
+    """The cell of mu = (-4, -2) under lam = (-400, -100) at depth 2 is
+    empty, and counted without applying a generator."""
+
+    def no_walk(*args):
+        raise AssertionError("walked an empty box")
+
+    monkeypatch.setattr(ChevalleyRealization, "right_multiply_generator", no_walk)
+    mu, lam = Cocharacter((-4, -2)), Cocharacter((-400, -100))
+    plan = oracle._plan_cell(SP4, mu, lam, 2, 1009)
+    assert _below_floor(plan, plan.walks[0])
+    assert count_cosets(mu, lam, 2, "sp4", 1009).raw_count == 0
+
+
 @pytest.mark.parametrize("p, want", ((3, 18), (5, 20)))
 def test_middle_coordinate_walks_one_child_per_orbit_below_a_zero_simple_root(monkeypatch, p, want):
     """The mu = (0, 0) cells have windows (2, 2, 2, 2).  The simple-root
