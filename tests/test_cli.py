@@ -1347,7 +1347,8 @@ def test_oracle_flag_fuzz_exits_cleanly(command):
 
 
 # each invalid configuration value, given to a command that reads its
-# key, and a depth at which the Satake oracle's counts are not proved
+# key, an input file that never ends, given to classify, which reads
+# it, and a depth at which the Satake oracle's counts are not proved
 # complete
 @pytest.mark.parametrize(
     "flags",
@@ -1360,6 +1361,7 @@ def test_oracle_flag_fuzz_exits_cleanly(command):
         ["classify", "--N", "6"],
         ["cover", "--n", "0"],
         ["oracle", "satake", "--group", "sl2", "--i", "1", "--depth", "0"],
+        ["classify", "--input", "/dev/zero"],
         ["classify", "--N=-4"],
         ["satake", "--i", "1", "--n", "1", "--oracle", "--depth", "1"],
         ["satake", "--i", "2", "--n", "2", "--oracle", "--depth", "1"],
