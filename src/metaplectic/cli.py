@@ -1,13 +1,13 @@
 """Command-line interface.
 
 Subcommands: hilbert, cover, satake, aset, weights, classify, oracle,
-selftest.  Each `cmd_*(args, config)` returns `(payload, exit_code)`;
-`main` resolves the config before calling it and then emits the payload.
+selftest.  Each `cmd_*(args)` checks the parameters it reads and returns
+`(payload, exit_code)`; `main` calls it and then emits the payload.
 When argv names a subcommand, `main` hands the rest of argv straight to
 that subcommand's parser, as argparse's top-level pass would after
 reading the command word; help, usage errors and exit codes are
 argparse's, unchanged.
-Output is JSON (sorted keys, byte-stable for a fixed config);
+Output is JSON (sorted keys, byte-stable for fixed parameters);
 every payload is validated against the draft-07 schema in SCHEMAS named
 after its subcommand before printing.  Each schema's one validator is
 built at import.  It first tries a plain-Python predicate built from the
@@ -44,10 +44,11 @@ against that limit before the input is read.  A classify input is read
 up to INPUT_LIMIT characters and refused past it, unparsed.
 JSON nested past the recursion limit and a negative N exit 2 as well.
 
-Parameters come from flags alone, with defaults p=3, f=1, n=2,
-N=2(p-1), depth=4, and q=3 for `weights`.  Each subcommand has a flag
-only for the parameters it reads.  Environment variables are not
-consulted.
+Parameters come from flags alone, with defaults p=3, f=1, n=2, N=0,
+depth=4, and q=3 for `weights`; N=0 derives N=2(q-1) with q=p^f.  Each
+subcommand has a flag only for the parameters it reads, and checks them
+in one order: p and f, then N, depth and n, then its own inputs.
+Environment variables are not consulted.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 
@@ -139,35 +139,6 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    p: int = 3
-    f: int = 1
-    n: int = 2
-    N: int = 0  # 0 means "derive as 2(q-1)"
-    depth: int = 4
-
-    def __post_init__(self):
-        # validate p and f before deriving N from p**f (0**-1 would raise)
-        field = cover.LocalFieldDescriptor(self.p, self.f)
-        if self.N < 0:
-            raise UsageError("N must be positive, or 0 to derive 2(q-1)")
-        if self.N == 0:
-            self.N = 2 * (self.p**self.f - 1)
-        if self.N % 2 != 0:
-            raise UsageError("N must be even")
-        if self.N % self.p == 0:
-            raise UsageError("N must be coprime to p")
-        if self.depth < 1:
-            raise UsageError("depth must be >= 1")
-        if self.n < 1:
-            raise UsageError("n must be >= 1")
-        self.field = field
-
-
-_CONFIG_KEYS = ("p", "f", "n", "N", "depth")
-
-
 def _read_bounded(fh, name: str) -> str:
     """The text of `fh`, refused once it runs past INPUT_LIMIT characters,
     so that an endless stream is never read to its end."""
@@ -175,12 +146,6 @@ def _read_bounded(fh, name: str) -> str:
     if len(text) > INPUT_LIMIT:
         raise UsageError(f"{name} is over the input limit of {INPUT_LIMIT:,} characters")
     return text
-
-
-def resolve_config(args) -> RunConfig:
-    """The flags the command took, and defaults for the rest."""
-    flags = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
-    return RunConfig(**{key: v for key, v in flags.items() if v is not None})
 
 
 # ---------------------------------------------------------------------
@@ -503,8 +468,10 @@ def emit(payload: dict, schema: str) -> None:
 # subcommands
 
 
-def _refuse_rank(command: str, n: int, limit: int) -> None:
-    if n > limit:
+def _refuse_rank(command: str, n: int, limit: int | None = None) -> None:
+    if n < 1:
+        raise UsageError("n must be >= 1")
+    if limit is not None and n > limit:
         raise UsageError(f"{command} at rank {n} is over its limit of rank {limit}")
 
 
@@ -530,26 +497,27 @@ def _refuse_aset_size(n: int, lam_1: int) -> None:
         )
 
 
-def cmd_hilbert(args, config: RunConfig) -> tuple[dict | None, int]:
+def cmd_hilbert(args) -> tuple[dict | None, int]:
+    field = cover.LocalFieldDescriptor(args.p, args.f)
     x = cover.SquareClass.from_name(args.x)
     y = cover.SquareClass.from_name(args.y)
-    symbol = cover.hilbert(x, y, config.field)
+    symbol = cover.hilbert(x, y, field)
     payload = {
         "x": x.name,
         "y": y.name,
-        "p": config.p,
-        "f": config.f,
+        "p": args.p,
+        "f": args.f,
         "symbol": symbol,
     }
     if args.verify:
-        payload["verified"] = cover.hilbert_solvable(x, y, config.field) == symbol
+        payload["verified"] = cover.hilbert_solvable(x, y, field) == symbol
     return payload, EXIT_MISMATCH if args.verify and not payload["verified"] else EXIT_OK
 
 
-def cmd_cover(args, config: RunConfig) -> tuple[dict | None, int]:
+def cmd_cover(args) -> tuple[dict | None, int]:
     from . import rootdata
 
-    n = config.n
+    n = args.n
     _refuse_rank("cover", n, COVER_RANK_LIMIT)
     basis = [
         rootdata.Cocharacter(tuple(1 if k == j else 0 for k in range(n)))
@@ -570,37 +538,40 @@ def cmd_cover(args, config: RunConfig) -> tuple[dict | None, int]:
     return payload, EXIT_OK
 
 
-def cmd_satake(args, config: RunConfig) -> tuple[dict | None, int]:
+def cmd_satake(args) -> tuple[dict | None, int]:
     from . import hecke
 
-    _refuse_rank("satake", config.n, SATAKE_RANK_LIMIT)
-    if not 1 <= args.i <= config.n:
-        raise UsageError(f"i must lie in 1..{config.n}")
-    element = hecke.metaplectic_satake_T2lambda(args.i, config.n, config.p)
+    n = args.n
+    cover.LocalFieldDescriptor(args.p)  # checks p
+    if args.depth < 1:
+        raise UsageError("depth must be >= 1")
+    _refuse_rank("satake", n, SATAKE_RANK_LIMIT)
+    if not 1 <= args.i <= n:
+        raise UsageError(f"i must lie in 1..{n}")
+    element = hecke.metaplectic_satake_T2lambda(args.i, n, args.p)
     payload = {
         "i": args.i,
-        "n": config.n,
-        "p": config.p,
+        "n": n,
+        "p": args.p,
         "terms": [{"mu": list(mu), "c": c} for mu, c in element.terms()],
     }
     mismatch = False
     if args.oracle:
-        if config.n > 2:
+        if n > 2:
             raise UsageError("the oracle runs at n <= 2")
         from . import oracle
 
-        agree = oracle.verify_metaplectic_pipeline(
-            args.i, config.n, config.p, config.depth
-        )
+        agree = oracle.verify_metaplectic_pipeline(args.i, n, args.p, args.depth)
         payload["oracle"] = "agree" if agree else "disagree"
         mismatch = not agree
     return payload, EXIT_MISMATCH if mismatch else EXIT_OK
 
 
-def cmd_aset(args, config: RunConfig) -> tuple[dict | None, int]:
+def cmd_aset(args) -> tuple[dict | None, int]:
     from . import hecke, rootdata
 
-    n = config.n
+    n = args.n
+    _refuse_rank("aset", n)
     if args.lam is not None:
         if args.i is not None:
             raise UsageError("give --lam or --i, not both")
@@ -635,10 +606,10 @@ def cmd_aset(args, config: RunConfig) -> tuple[dict | None, int]:
     return payload, EXIT_OK
 
 
-def cmd_weights(args, config: RunConfig) -> tuple[dict | None, int]:
+def cmd_weights(args) -> tuple[dict | None, int]:
     from . import rootdata, weights
 
-    n = config.n
+    n = args.n
     _refuse_rank("weights", n, WEIGHTS_RANK_LIMIT)
     nu = rootdata.Character(_parse_ints(args.nu, n))
     w = weights.QRestrictedWeight(nu, args.q)
@@ -714,17 +685,17 @@ def _parse_flags(data: dict) -> dict:
     return {int(k): v for k, v in flags.items()}
 
 
-def _parse_torus_character(data: dict, config: RunConfig) -> characters.GenuineTorusCharacter:
+def _parse_torus_character(data: dict, n: int, q: int, N: int) -> characters.GenuineTorusCharacter:
     from . import characters
 
     pairs = _json_field(data, "xi", list, None)
-    if len(pairs) != config.n:  # before any entry is parsed
-        raise UsageError(f"character rank {len(pairs)} != configured n = {config.n}")
+    if len(pairs) != n:  # before any entry is parsed
+        raise UsageError(f"character rank {len(pairs)} != configured n = {n}")
     xi = []
     for pair in pairs:
         if len(_json_ints(pair, "xi entries")) != 2:
             raise UsageError("xi entries are [unit_exp, pi_val] pairs")
-        xi.append(characters.SmoothCharacterFx(config.field.q, config.N, pair[0], pair[1]))
+        xi.append(characters.SmoothCharacterFx(q, N, pair[0], pair[1]))
     psi = cover.SquareClass.from_name(_json_field(data, "psi_class", str, "1"))
     return characters.GenuineTorusCharacter(tuple(xi), psi)
 
@@ -776,10 +747,20 @@ def _triple_payload(t: classify.SupersingularTriple) -> dict:
     return {"P": sorted(t.P.roots), "Q": sorted(t.Q.roots), "sigma": sigma}
 
 
-def cmd_classify(args, config: RunConfig) -> tuple[dict | None, int]:
+def cmd_classify(args) -> tuple[dict | None, int]:
     from . import classify, rootdata
 
-    n = config.n
+    n, N = args.n, args.N
+    # p and f before N is derived from q = p^f (0**-1 would raise)
+    field = cover.LocalFieldDescriptor(args.p, args.f)
+    if N < 0:
+        raise UsageError("N must be positive, or 0 to derive 2(q-1)")
+    if N == 0:
+        N = 2 * (field.q - 1)
+    if N % 2 != 0:
+        raise UsageError("N must be even")
+    if N % args.p == 0:
+        raise UsageError("N must be coprime to p")
     # every datum has at least one factor and a Siegel lift prints one
     # triple, so any input costs at least 1 factor times the rank
     _refuse_rank("classify", n, CLASSIFY_SIZE_LIMIT)
@@ -805,7 +786,7 @@ def cmd_classify(args, config: RunConfig) -> tuple[dict | None, int]:
         )
         payload["triples"] = [_triple_payload(triple)]
     elif "xi" in data:
-        sigma = _parse_torus_character(data, config)
+        sigma = _parse_torus_character(data, n, field.q, N)
         datum = classify.torus_datum(sigma)
         _refuse_factors(datum)
         factors = classify.composition_factors(datum)
@@ -855,20 +836,23 @@ def _print_classify_csv(triples: list[dict]) -> None:
     sys.stdout.write(out.getvalue())
 
 
-def cmd_oracle(args, config: RunConfig) -> tuple[dict | None, int]:
+def cmd_oracle(args) -> tuple[dict | None, int]:
     from . import hecke, oracle
 
+    cover.LocalFieldDescriptor(args.p)  # checks p, which the oracle does not
+    if args.depth < 1:
+        raise UsageError("depth must be >= 1")
     group = args.group
     n = oracle.ChevalleyRealization(group).rank
     if not 1 <= args.i <= n:
         raise UsageError(f"i must lie in 1..{n} for {group}")
     lam = 2 * hecke.t2lambda_base(args.i, n)
-    rows = oracle.oracle_rows(lam, config.depth, group, config.p)
+    rows = oracle.oracle_rows(lam, args.depth, group, args.p)
     payload = {
         "group": group,
         "i": args.i,
-        "p": config.p,
-        "depth": config.depth,
+        "p": args.p,
+        "depth": args.depth,
         "target": list(lam.coords),
         "rows": [
             {
@@ -883,7 +867,7 @@ def cmd_oracle(args, config: RunConfig) -> tuple[dict | None, int]:
     return payload, EXIT_OK
 
 
-def cmd_selftest(args, config: RunConfig) -> tuple[dict | None, int]:
+def cmd_selftest(args) -> tuple[dict | None, int]:
     from . import selftest
 
     results = selftest.run_all()
@@ -914,28 +898,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    config_help = {
-        "p": "odd residue characteristic",
-        "f": "residue extension degree",
-        "n": "rank",
-        "N": "value group order (even)",
-        "depth": "oracle enumeration depth",
+    parameters = {  # each parameter's default and help
+        "p": (3, "odd residue characteristic"),
+        "f": (1, "residue extension degree"),
+        "n": (2, "rank"),
+        "N": (0, "value group order, even and prime to p; 0 derives 2(q-1), q = p^f"),
+        "depth": (4, "oracle enumeration depth"),
     }
 
-    def add_config_flags(sp, *keys):
-        """A flag for each configuration key the command reads."""
+    def add_parameter_flags(sp, *keys):
+        """A flag for each parameter the command reads."""
         for key in keys:
-            sp.add_argument(f"--{key}", type=int, help=config_help[key])
+            default, text = parameters[key]
+            sp.add_argument(f"--{key}", type=int, default=default, help=text)
 
     sp = sub.add_parser("hilbert", help="quadratic Hilbert symbol on square classes")
     sp.add_argument("x", help="square class: 1|u|pi|upi")
     sp.add_argument("y", help="square class: 1|u|pi|upi")
     sp.add_argument("--verify", action="store_true", help="cross-check by solvability")
-    add_config_flags(sp, "p", "f")
+    add_parameter_flags(sp, "p", "f")
     sp.set_defaults(func=cmd_hilbert)
 
     sp = sub.add_parser("cover", help="quadratic form, bilinear form, splitting table")
-    add_config_flags(sp, "n")
+    add_parameter_flags(sp, "n")
     sp.set_defaults(func=cmd_cover)
 
     sp = sub.add_parser("satake", help="metaplectic Satake value of T_{2 lambda}")
@@ -943,13 +928,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--oracle", action="store_true", help="verify against the counting oracle"
     )
-    add_config_flags(sp, "n", "p", "depth")
+    add_parameter_flags(sp, "n", "p", "depth")
     sp.set_defaults(func=cmd_satake)
 
     sp = sub.add_parser("aset", help="enumerate the antidominance exponent set")
     sp.add_argument("--i", type=int, help="simple root index for the base")
     sp.add_argument("--lam", help="explicit antidominant base, comma separated")
-    add_config_flags(sp, "n")
+    add_parameter_flags(sp, "n")
     sp.set_defaults(func=cmd_aset)
 
     sp = sub.add_parser("weights", help="q-restricted weight bookkeeping")
@@ -957,7 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, default=3, help="residue field size attached to the weight")
     sp.add_argument("--i", type=int, help="change-of-weight index")
     sp.add_argument("--levi", help="Levi subset for the regularity test")
-    add_config_flags(sp, "n")
+    add_parameter_flags(sp, "n")
     sp.set_defaults(func=cmd_weights)
 
     sp = sub.add_parser("classify", help="composition factors of a datum")
@@ -965,7 +950,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--siegel", action="store_true", help="input is a reductive Siegel triple"
     )
-    add_config_flags(sp, "n", "p", "f", "N")
+    add_parameter_flags(sp, "n", "p", "f", "N")
     sp.add_argument(
         "--emit", choices=("json", "csv"), default="json", help="output format"
     )
@@ -975,7 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("action", choices=("satake",))
     sp.add_argument("--group", choices=("sl2", "sp4"), required=True)
     sp.add_argument("--i", type=int, required=True)
-    add_config_flags(sp, "p", "depth")
+    add_parameter_flags(sp, "p", "depth")
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("selftest", help="run the acceptance criteria")
@@ -999,7 +984,7 @@ def main(argv=None) -> int:
     else:
         args = parser.parse_args(argv)
     try:
-        payload, code = args.func(args, resolve_config(args))
+        payload, code = args.func(args)
         if payload is not None:
             emit(payload, args.command)
         return code

@@ -478,6 +478,63 @@ def test_config_checks_field_before_deriving_N(capsys):
     assert (code, out, err) == (2, "", "error: f must be >= 1\n")
 
 
+_P_ERROR = "error: p must be an odd prime, got {}\n"
+
+
+class _UnreadStdin(io.StringIO):
+    """A valid classify input that fails the test if it is read."""
+
+    def read(self, *args):
+        raise AssertionError("stdin was read")
+
+
+# p and f first, then N, then depth, then n, then the command's own checks
+_FIRST_ERRORS = [
+    (["satake", "--i", "9", "--n", "0", "--p", "9"], _P_ERROR.format(9)),
+    (["satake", "--i", "9", "--n", "0", "--depth", "0"], "error: depth must be >= 1\n"),
+    (["satake", "--i", "9", "--n", "0"], "error: n must be >= 1\n"),
+    (["satake", "--i", "1", "--depth", "0"], "error: depth must be >= 1\n"),
+    (["oracle", "satake", "--group", "sp4", "--i", "3", "--depth", "0"], "error: depth must be >= 1\n"),
+    (["oracle", "satake", "--group", "sp4", "--i", "3", "--depth", "0", "--p", "9"], _P_ERROR.format(9)),
+    (["oracle", "satake", "--group", "sl2", "--i", "2", "--p", "4"], _P_ERROR.format(4)),
+    (["hilbert", "bogus", "pi", "--p", "4"], _P_ERROR.format(4)),
+    (["hilbert", "bogus", "pi", "--f", "0"], "error: f must be >= 1\n"),
+    (["classify", "--N", "3", "--n", "0"], "error: N must be even\n"),
+    (["classify", "--N", "3", "--p", "4"], _P_ERROR.format(4)),
+    (["classify", "--N", "3", "--f", "0"], "error: f must be >= 1\n"),
+    (["classify", "--N=-2", "--n", "0"], "error: N must be positive, or 0 to derive 2(q-1)\n"),
+    (["classify", "--N", "6", "--n", "0"], "error: N must be coprime to p\n"),
+    (["classify", "--siegel", "--N", "3"], "error: N must be even\n"),
+    (["classify", "--n", "0"], "error: n must be >= 1\n"),
+    (["cover", "--n", "0"], "error: n must be >= 1\n"),
+    (["weights", "--nu=", "--n", "0"], "error: n must be >= 1\n"),
+    (["aset", "--i", "1", "--n", "0"], "error: n must be >= 1\n"),
+    (["aset", "--i", "1", "--lam", "0", "--n", "0"], "error: n must be >= 1\n"),
+]
+
+
+@pytest.mark.parametrize("argv, err", _FIRST_ERRORS, ids=[" ".join(argv) for argv, _ in _FIRST_ERRORS])
+def test_first_error_line_is_unchanged(argv, err, monkeypatch):
+    """Where a command line holds several bad values, the first refusal
+    is the one reported; a classify refused by its flags never reads its
+    input."""
+    monkeypatch.setattr(sys, "stdin", _UnreadStdin('{"levi": [1]}'))
+    out, got = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(got):
+        code = main(argv)
+    assert (code, out.getvalue(), got.getvalue()) == (2, "", err)
+
+
+def test_classify_derives_N_from_q():
+    """--N 0, the default, derives N = 2(q-1) with q = p^f: 16 at p = 3,
+    f = 2, not 2(p-1) = 4, so a pi exponent of 5 is read mod 16."""
+    for flags, xi in (([], [0, 5]), (["--N", "0"], [0, 5]), (["--N", "16"], [0, 5]), (["--N", "4"], [0, 1])):
+        argv = ["classify", "--n", "1", "--p", "3", "--f", "2", *flags]
+        code, out, err = run_captured(argv, '{"xi": [[0, 5]]}')
+        assert (code, err) == (0, "")
+        assert json.loads(out)["triples"][0]["sigma"]["torus_character"]["xi"] == [xi]
+
+
 def test_emit_rejects_payload_outside_its_schema(capsys, monkeypatch):
     with pytest.raises(UsageError, match="output failed its schema"):
         emit({"x": "pi", "y": "pi", "p": 3, "f": 1, "symbol": 2}, "hilbert")
@@ -892,7 +949,7 @@ def _argv(*parts):
 
 
 # the commands that run no counting oracle, each with its own flags and
-# the configuration flags it reads
+# the parameter flags it reads
 _COMMANDS = st.one_of(
     _argv(st.just(["hilbert"]), st.lists(_CLASSES, min_size=2, max_size=2), _VERIFY, _P, _F),
     _argv(st.just(["cover"]), _N),
@@ -943,7 +1000,7 @@ _VALID = {
     "oracle": ["oracle", "satake", "--group", "sl2", "--i", "1"],
     "selftest": ["selftest"],
 }
-# the configuration keys each command reads, and the output option
+# the parameter flags each command reads, and the output option
 _READS = {
     "hilbert": {"p", "f"},
     "cover": {"n"},
@@ -993,7 +1050,7 @@ def _top_level_main(argv):
     argparse's top-level pass, then the same command."""
     args = build_parser().parse_args(argv)
     try:
-        payload, code = args.func(args, cli.resolve_config(args))
+        payload, code = args.func(args)
         if payload is not None:
             emit(payload, args.command)
         return code
@@ -1047,15 +1104,21 @@ class _Parsed(Exception):
 @pytest.mark.parametrize("command", sorted(_VALID))
 def test_main_parses_what_the_top_level_pass_parses(command, monkeypatch):
     """For each command's valid argv, main's namespace equals the one
-    argparse's top-level pass builds."""
+    argparse's top-level pass builds.  build_parser binds each cmd_* when
+    it builds, so its cache is cleared around the patched command."""
 
     def stop(args):
         raise _Parsed(vars(args))
 
-    monkeypatch.setattr(cli, "resolve_config", stop)
-    with pytest.raises(_Parsed) as exc:
-        main(list(_VALID[command]))
-    assert exc.value.args[0] == vars(build_parser().parse_args(_VALID[command]))
+    monkeypatch.setattr(cli, f"cmd_{command}", stop)
+    build_parser.cache_clear()
+    try:
+        with pytest.raises(_Parsed) as exc:
+            main(list(_VALID[command]))
+        assert exc.value.args[0] == vars(build_parser().parse_args(_VALID[command]))
+    finally:
+        monkeypatch.undo()
+        build_parser.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -1346,7 +1409,7 @@ def test_oracle_flag_fuzz_exits_cleanly(command):
     _assert_clean_exit(*run_captured(command))
 
 
-# each invalid configuration value, given to a command that reads its
+# each invalid parameter value, given to a command that reads its
 # key, an input file that never ends, given to classify, which reads
 # it, and a depth at which the Satake oracle's counts are not proved
 # complete
