@@ -47,8 +47,8 @@ JSON nested past the recursion limit and a negative N exit 2 as well.
 Parameters come from flags alone, with defaults p=3, f=1, n=2, N=0,
 depth=4, and q=3 for `weights`; N=0 derives N=2(q-1) with q=p^f.  Each
 subcommand has a flag only for the parameters it reads, and checks them
-in one order: p and f, then N, depth and n, then its own inputs.
-Environment variables are not consulted.
+in one order: p and f, then N, depth and n, then its own inputs; `satake`
+reads depth only with `--oracle`.  Environment variables are ignored.
 """
 
 from __future__ import annotations
@@ -543,11 +543,13 @@ def cmd_satake(args) -> tuple[dict | None, int]:
 
     n = args.n
     cover.LocalFieldDescriptor(args.p)  # checks p
-    if args.depth < 1:
+    if args.oracle and args.depth < 1:
         raise UsageError("depth must be >= 1")
     _refuse_rank("satake", n, SATAKE_RANK_LIMIT)
     if not 1 <= args.i <= n:
         raise UsageError(f"i must lie in 1..{n}")
+    if args.oracle and n > 2:
+        raise UsageError("the oracle runs at n <= 2")
     element = hecke.metaplectic_satake_T2lambda(args.i, n, args.p)
     payload = {
         "i": args.i,
@@ -557,8 +559,6 @@ def cmd_satake(args) -> tuple[dict | None, int]:
     }
     mismatch = False
     if args.oracle:
-        if n > 2:
-            raise UsageError("the oracle runs at n <= 2")
         from . import oracle
 
         agree = oracle.verify_metaplectic_pipeline(args.i, n, args.p, args.depth)

@@ -87,10 +87,9 @@ the simple root alpha_i, which mod O is an invariant of the coset, by
 t_(i+1)/t_i, and that of the long root by nu/t_n^2; these n units range
 over all of (O^x)^n, independently.  So every child of a simple-root
 node with a given valuation has the same count below it, and the walk
-visits y = 0 and one y = p^j per valuation j < w, weighting the count
-below by the (p - 1) p^(w - j - 1) children of valuation j; pruning
-keeps all of a node's children or none (above).  SL_2's one coordinate
-is the last and is decided by `_leaf_hits` instead.
+visits one child per valuation (`_children`); pruning keeps all of a
+node's children or none (above).  SL_2's one coordinate is the last and
+is decided by `_leaf_hits` instead.
 
 At Sp_4 the same holds at the middle coordinate, of alpha_1 + alpha_2 =
 eps_1 + eps_2 at entry (2, 0), when the alpha_1 entry y1 or the alpha_2
@@ -109,19 +108,20 @@ a y1 changes only rows 1 and 3, and ab = 1 leaves y3 as it is; putting
 b y2 back into canonical form adds -z' y1 to entry (2, 0), z' = (b - 1)
 y2, and as b varies these shifts fill all of p^(-m) O, m = min(v1, v2).
 So the count below a middle child depends only on its entry mod p^(-m)
-O, and at window w the walk visits y in range(p^(w - k)), k = min(m,
-w), weighting each by the p^k children of its class.  The walk carries m
-as `pole`: the least pole order of the prefix's simple-root entries, 0
-when one of them is 0.
+O, and the walk visits one child per class (`_children`).  The walk
+carries m as `pole`: the least pole order of the prefix's simple-root
+entries, 0 when one of them is 0.
 The proof covers Sp_4's one middle coordinate only (_PROVED_MIDDLE): a
 middle coordinate at Sp_6 must be proved before it joins.  The walk plan
-(`_walk_plan`) holds the rule as one `orbits` entry per coordinate but
-the last, which the walk and its node budget (`_walk_nodes`) both read.
+(`_walk_plan`) names the rule of each coordinate but the last, and
+`_children` states each rule once, for the walk and its node budget
+(`_walk_nodes`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -233,11 +233,9 @@ def _walk_plan(n: int, neg) -> tuple:
     is final once the last generator writing it is applied: closing[s]
     holds the columns final after s generators, the columns the walk
     checks at a node of depth s.  orbits[s], for each coordinate s but the
-    last, says how the walk collapses the children there: "always" to one
-    per torus orbit, at the simple roots; "middle" at a middle coordinate
-    in _PROVED_MIDDLE, to one per torus orbit when the prefix has a 0
-    simple-root entry and one per translation class when it has none; and
-    "never" at the others."""
+    last, names the rule `_children` applies there: "always" at the simple
+    roots, "middle" at a middle coordinate in _PROVED_MIDDLE and "never" at
+    the others."""
     last_write = {}
     for step, gen in enumerate(neg, 1):
         for (_, b), _ in gen.units:
@@ -250,6 +248,30 @@ def _walk_plan(n: int, neg) -> tuple:
         for step, gen in enumerate(neg[:-1])
     )
     return closing, _pivot_minors(2 * n, n), orbits
+
+
+@lru_cache(maxsize=256)
+def _children(rule: str, w: int, pole: int, p: int) -> tuple:
+    """The children of a prefix of pole order `pole` (module docstring) at a
+    step of window w with `orbits` entry `rule`, which `walk` visits and
+    `_walk_nodes` counts: ((weight, below), siblings), the child with entry
+    0 standing for `weight` children, of pole `below`, and for each (first,
+    number, weight, below) in siblings the children y = first, ..., first +
+    number - 1, each standing for `weight` children, of pole `below`.
+
+    "always", and "middle" at pole 0, keep one child per torus orbit: 0,
+    and y = p^j for the (p - 1) p^(w - j - 1) children of valuation j, of
+    pole min(pole, w - j).  "middle" at pole > 0 keeps one child per class
+    mod p^(-k) O, k = min(pole, w), of p^k children, and "never" every
+    child, k = 0; both keep the prefix's pole.  A run reads few of these."""
+    if rule == "always" or rule == "middle" and not pole:
+        if not pole:
+            return (1, 0), tuple((p**j, 1, (p - 1) * p ** (w - j - 1), 0) for j in range(w))
+        # pole 0's children with poles raised, so the cache holds each p^j once
+        _, orbits = _children(rule, w, 0, p)
+        return (1, 0), tuple((y, 1, weight, min(pole, w - j)) for j, (y, _, weight, _) in enumerate(orbits))
+    orbit = p ** min(pole, w) if rule == "middle" else 1
+    return (orbit, pole), ((1, p**w // orbit - 1, orbit, pole),)
 
 
 # (rank, negative root coordinates, walk plan) by tag, built at import rather
@@ -294,7 +316,6 @@ class ChevalleyRealization:
             for row in m:
                 if row[a]:
                     row[b] += sign * num * (row[a] // den)
-
 
 
 def smith_valuations(entries, p: int, shift: int, expect=None):
@@ -507,21 +528,14 @@ def _count_in_cell(plan, windows) -> int:  # the walk of plan's cell at windows
             # leaf y adds y dx q^(n - 1) to the last row of column 0, as
             # column 2n - 1 of every prefix product is q^n e_(2n - 1)
             return _leaf_hits(h, dx * qread * scale[0] // base, p**w, p, divisors, minors)
-        rule = orbits[step]
-        if rule == "always" or rule == "middle" and not pole:
-            # one child per torus orbit: y = p^j standing for the
-            # (p - 1) p^(w - j - 1) children of valuation j, of pole w - j
-            hits = walk(step + 1, child, 0)
-            others = [(p**j, (p - 1) * p ** (w - j - 1), min(pole, w - j)) for j in range(w)]
-        else:  # one child per class mod p^(-k) O, of p^k children; k = 0 where "never"
-            orbit = p ** min(pole, w) if rule == "middle" else 1
-            hits = orbit * walk(step + 1, child, pole)
-            others = [(y, orbit, pole) for y in range(1, p**w // orbit)]
-        for y, orbit, below in others:
-            child = [row[:] for row in m]
-            group.right_multiply_generator(child, units, c0 + y * dx, q)
-            close(step + 1, child)  # integral, as the entry-0 child's are
-            hits += orbit * walk(step + 1, child, below)
+        (weight, below), siblings = _children(orbits[step], w, pole, p)
+        hits = weight * walk(step + 1, child, below)
+        for first, number, weight, below in siblings:
+            for y in range(first, first + number):
+                child = [row[:] for row in m]
+                group.right_multiply_generator(child, units, c0 + y * dx, q)
+                close(step + 1, child)  # integral, as the entry-0 child's are
+                hits += weight * walk(step + 1, child, below)
         return hits
 
     root = group.identity(q**n)
@@ -558,26 +572,18 @@ def _walk_nodes(group, windows, p) -> int:
     """The `walk` calls of a walk at `windows` with nothing pruned: one per
     prefix it sets, from the empty root prefix of pole max(windows) to
     those setting all but the last coordinate, whose leaves `_leaf_hits`
-    decides at once.  The prefixes are tallied by `pole` step by step,
-    reading the `orbits` entry the walk reads: where a step of window w
-    collapses to torus orbits, a prefix of pole m has the child 0, of pole
-    0, and one child of pole min(m, w - j) for each j < w; at a "middle"
-    step below pole m > 0 it has p^(w - min(m, w)) children, one per
-    translation class, of pole m; at a "never" step it has p^w children
-    of pole m.  So every sl2 walk is one node."""
+    decides at once, tallied by pole step by step from the children
+    `_children` gives the walk.  So every sl2 walk is one node."""
     width = max(windows)
     prefixes, nodes = [0] * width + [1], 1  # prefixes[m]: those of pole m
     for rule, w in zip(group.plan[2], windows):
         after = [0] * (width + 1)
         for m, count in enumerate(prefixes):
-            if not count:
-                continue
-            if rule == "always" or rule == "middle" and not m:
-                after[0] += count
-                for j in range(w):
-                    after[min(m, w - j)] += count
-            else:
-                after[m] += count * p ** (w - min(m, w) if rule == "middle" else w)
+            if count:
+                (_, below), siblings = _children(rule, w, m, p)
+                after[below] += count
+                for _, number, _, below in siblings:
+                    after[below] += count * number
         prefixes = after
         nodes += sum(after)
     return nodes
@@ -597,11 +603,22 @@ class _CellPlan(NamedTuple):
 
 
 def _plan_cell(group, mu, lam, depth, p) -> _CellPlan:
-    """The plan of a valid cell.  It walks at the windows (module docstring)
-    clipped at the depth, then at the unclipped ones if they are one step
-    deeper, the only second walk that can prove the first complete, and is
-    refused with OracleError when the walks' nodes (`_walk_nodes`) sum past
+    """The plan of a cell, refused with OracleError unless depth >= 1 and
+    lam and mu are antidominant with mu >= lam.  It walks at the windows
+    (module docstring) clipped at the depth, then at the unclipped ones if
+    they are one step deeper, the only second walk that can prove the first
+    complete, and is refused when their nodes (`_walk_nodes`) sum past
     ORACLE_NODE_LIMIT."""
+    if depth < 1:
+        raise OracleError("depth must be >= 1")
+    if not is_antidominant(lam):
+        raise OracleError("target cell must be antidominant")
+    try:
+        above = leq(lam, mu)
+    except RootDatumError:  # rank mismatch, or a similitude part in mu - lam
+        above = False
+    if not (above and is_antidominant(mu)):
+        raise OracleError("mu must be antidominant and >= lam")
     exps, floor = group.torus_exponents(mu), lam.coords[0]  # lam ascends
     full = tuple([max(0, exps[gen.window_col] - floor) for gen in group.neg])
     walks = [tuple([min(depth, w) for w in full])] + ([full] if max(full) == depth + 1 else [])
@@ -622,19 +639,6 @@ def _count_planned(plan) -> CosetCountResult:
     return CosetCountResult(plan.mu, raw, raw % plan.p, stabilized)
 
 
-def _check_cell(mu, lam, depth) -> None:
-    if depth < 1:
-        raise OracleError("depth must be >= 1")
-    if not is_antidominant(lam):
-        raise OracleError("target cell must be antidominant")
-    try:
-        above = leq(lam, mu)
-    except RootDatumError:  # rank mismatch, or a similitude part in mu - lam
-        above = False
-    if not (above and is_antidominant(mu)):
-        raise OracleError("mu must be antidominant and >= lam")
-
-
 def count_cosets(
     mu: Cocharacter, lam: Cocharacter, depth: int, group: str, p: int
 ) -> CosetCountResult:
@@ -645,19 +649,15 @@ def count_cosets(
     gives the same count.  A cell whose walks may visit more than
     ORACLE_NODE_LIMIT nodes is refused before any walk.
     """
-    realization = ChevalleyRealization(group)
-    _check_cell(mu, lam, depth)
-    return _count_planned(_plan_cell(realization, mu, lam, depth, p))
+    return _count_planned(_plan_cell(ChevalleyRealization(group), mu, lam, depth, p))
 
 
 def oracle_rows(lam: Cocharacter, depth: int, group: str, p: int):
     """Raw and mod-p counts for every mu in the support window, for the CLI.
-    Every cell is checked, then every cell planned, so its budget checked,
-    before any is counted."""
+    Every cell is planned, so checked and its budget checked, before any
+    is counted."""
     mus = sorted(antidominant_above(lam), key=lambda m: m.coords)
     realization = ChevalleyRealization(group)
-    for mu in mus:
-        _check_cell(mu, lam, depth)
     plans = [_plan_cell(realization, mu, lam, depth, p) for mu in mus]
     return [_count_planned(plan) for plan in plans]
 

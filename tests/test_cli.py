@@ -66,6 +66,23 @@ def test_satake_oracle_flag(capsys):
     assert json.loads(out)["oracle"] == "agree"
 
 
+def test_satake_reads_depth_only_with_oracle(capsys):
+    """Without --oracle the payload never depends on the depth, so
+    --depth 0 is not checked and prints the --depth 4 bytes."""
+    code, out, err = run(capsys, "satake", "--i", "1", "--depth", "0")
+    assert (code, err) == (0, "")
+    assert (0, out, "") == run(capsys, "satake", "--i", "1", "--depth", "4")
+
+
+def test_satake_oracle_refuses_its_rank_before_the_symbolic_value(capsys, monkeypatch):
+    def no_value(*args):
+        raise AssertionError("built the symbolic value")
+
+    monkeypatch.setattr(hecke, "metaplectic_satake_T2lambda", no_value)
+    code, out, err = run(capsys, "satake", "--i", "1", "--n", str(cli.SATAKE_RANK_LIMIT), "--oracle")
+    assert (code, out, err) == (2, "", "error: the oracle runs at n <= 2\n")
+
+
 def test_oracle_command(capsys):
     code, out, _ = run(
         capsys, "oracle", "satake", "--group", "sl2", "--i", "1", "--p", "3", "--depth", "4"
@@ -491,9 +508,10 @@ class _UnreadStdin(io.StringIO):
 # p and f first, then N, then depth, then n, then the command's own checks
 _FIRST_ERRORS = [
     (["satake", "--i", "9", "--n", "0", "--p", "9"], _P_ERROR.format(9)),
-    (["satake", "--i", "9", "--n", "0", "--depth", "0"], "error: depth must be >= 1\n"),
+    (["satake", "--i", "9", "--n", "0", "--oracle", "--depth", "0"], "error: depth must be >= 1\n"),
+    (["satake", "--i", "9", "--n", "0", "--depth", "0"], "error: n must be >= 1\n"),
     (["satake", "--i", "9", "--n", "0"], "error: n must be >= 1\n"),
-    (["satake", "--i", "1", "--depth", "0"], "error: depth must be >= 1\n"),
+    (["satake", "--i", "1", "--oracle", "--depth", "0"], "error: depth must be >= 1\n"),
     (["oracle", "satake", "--group", "sp4", "--i", "3", "--depth", "0"], "error: depth must be >= 1\n"),
     (["oracle", "satake", "--group", "sp4", "--i", "3", "--depth", "0", "--p", "9"], _P_ERROR.format(9)),
     (["oracle", "satake", "--group", "sl2", "--i", "2", "--p", "4"], _P_ERROR.format(4)),

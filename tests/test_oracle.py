@@ -900,30 +900,38 @@ def test_node_budget_bounds_the_walk(monkeypatch):
     """The budget `_walk_nodes` is exactly the `walk` calls of the walk with
     its pruning off, and the walk itself makes at most that many: sp4 over
     lam in -4..0, every mu >= lam, p in {3, 5, 7} and depths 1-4 (879
-    distinct walks), and sl2 over lam = (-k,), k <= 8, at the same primes
-    and depths 1, 4 and 8 (249 walks), one call each.  A floor of
-    min(exps) - 2 width n, n the coordinates, makes every column integral
-    at every node, so nothing is pruned; it changes no window.  The leaf
-    decisions are stubbed out: no call depends on what they return."""
+    distinct walks), sl2 over lam = (-k,), k <= 8, at the same primes
+    and depths 1, 4 and 8 (249 walks), one call each, and sp4 with its
+    middle step "never" (`_uncollapsed_sp4`) over lam in -2..0, p in
+    {3, 5} and depths 1-2 (60 walks), so every branch of `_children` is
+    read by both.  A floor of min(exps) - 2 width n, n the coordinates,
+    makes every column integral at every node, so nothing is pruned; it
+    changes no window.  The leaf decisions are stubbed out: no call
+    depends on what they return."""
     monkeypatch.setattr(oracle, "_leaf_hits", lambda *args: 0)
     monkeypatch.setattr(oracle, "smith_valuations", lambda *args, **kwargs: None)
-    cells = [(SP4, c, (1, 2, 3, 4)) for c in itertools.product(range(-4, 1), repeat=2) if c[0] <= c[1]]
-    cells += [(SL2, (-k,), (1, 4, 8)) for k in range(9)]
+    plain = _uncollapsed_sp4(monkeypatch)
+    sp4 = [c for c in itertools.product(range(-4, 1), repeat=2) if c[0] <= c[1]]
+    cells = [("sp4", SP4, c, (3, 5, 7), (1, 2, 3, 4)) for c in sp4]
+    cells += [("sl2", SL2, (-k,), (3, 5, 7), (1, 4, 8)) for k in range(9)]
+    cells += [("never", plain, c, (3, 5), (1, 2)) for c in sp4 if min(c) >= -2]
     seen = set()
-    for group, coords, depths in cells:
+    for rule, group, coords, primes, depths in cells:
         lam = Cocharacter(coords)
-        for p, depth, mu in itertools.product((3, 5, 7), depths, antidominant_above(lam)):
+        for p, depth, mu in itertools.product(primes, depths, antidominant_above(lam)):
             plan = oracle._plan_cell(group, mu, lam, depth, p)
             for windows in plan.walks:
-                if (group.tag, lam, mu, p, windows) in seen:
+                if (rule, lam, mu, p, windows) in seen:
                     continue  # depths past the windows repeat a walk
-                seen.add((group.tag, lam, mu, p, windows))
+                seen.add((rule, lam, mu, p, windows))
                 unpruned = plan._replace(floor=min(plan.exps) - 2 * max(windows) * len(group.neg))
                 nodes = oracle._walk_nodes(group, windows, p)
-                assert _walk_calls(unpruned, windows) == nodes, (lam, mu, p, windows)
-                assert _walk_calls(plan, windows) <= nodes, (lam, mu, p, windows)
-                assert group is SP4 or nodes == 1
-    assert sorted(collections.Counter(key[0] for key in seen).items()) == [("sl2", 249), ("sp4", 879)]
+                assert _walk_calls(unpruned, windows) == nodes, (rule, lam, mu, p, windows)
+                assert _walk_calls(plan, windows) <= nodes, (rule, lam, mu, p, windows)
+                assert group is not SL2 or nodes == 1
+    assert sorted(collections.Counter(key[0] for key in seen).items()) == [
+        ("never", 60), ("sl2", 249), ("sp4", 879)
+    ]
 
 
 def test_walk_plan_collapses_only_the_proved_middle_step():
