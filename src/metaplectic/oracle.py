@@ -29,14 +29,16 @@ root datum (`_negative_roots`).
 Pruning: each coordinate is a bare entry of the unipotent matrix, and
 every entry of a matrix in the lam-cell has valuation >= min(lam), so
 coordinates may be windowed to p^{-(mu_col - min lam)} O / O with no
-loss.  So a count whose windows the depth does not clip is complete, and
-`stabilized` says a count is proved so (`count_cosets`).  A box whose
-entries are too shallow to reach min lam holds no coset of the cell and
-counts 0 before its walk (`_count_in_cell`).  The windows
-are known before any walk starts, and so is the number of nodes a walk
-visits with nothing pruned, counted exactly from the plan the walk reads
-(`_walk_nodes`); a cell whose walks may visit more than ORACLE_NODE_LIMIT
-nodes is refused with OracleError instead of counted (`_plan_cell`).
+loss.  So a count at the unclipped windows is complete.  Each cell is
+walked once: at those windows, or at the windows clipped at the depth
+when they are two or more steps past it; `stabilized` says which
+(`count_cosets`).  A box whose entries are too shallow to reach min lam
+holds no coset of the cell and counts 0 before its walk
+(`_count_in_cell`).  The windows are known before the walk starts, and
+so is the number of nodes it visits with nothing pruned, counted exactly
+from the plan the walk reads (`_walk_nodes`); a cell whose walk may
+visit more than ORACLE_NODE_LIMIT nodes is refused with OracleError
+instead of counted (`_plan_cell`).
 Inside its window box the walk sets the coordinates in order and shares
 every prefix product; a column of the matrix is final once the last
 generator writing it is applied, and it must then be integral after
@@ -543,7 +545,7 @@ def _count_in_cell(plan, windows) -> int:  # the walk of plan's cell at windows
     return walk(0, root, width) if close(0, root) else 0
 
 
-# Most nodes the walks of one cell may visit (`_walk_nodes`), set at about
+# Most nodes the walk of one cell may visit (`_walk_nodes`), set at about
 # 3 s of work for the slowest walk it admitted while boxes too shallow to
 # reach lam's floor were still walked, and kept.  Timed on one 2-vCPU Xeon
 # core: for each window pattern at depths 1-8, the slowest of a sample of
@@ -560,9 +562,9 @@ def _count_in_cell(plan, windows) -> int:  # the walk of plan's cell at windows
 # such as mu = (-396, 0) at (-400, -400), timed over every such mu_1.
 # Their nodes cost more as the floor deepens, as the entries grow: about
 # 3 times as much at lam = (-400, -400) as at (-12, -12).  sp4's largest
-# cells on the CLI's rows, mu = (0, 0), may visit 3p + 43 nodes at depth 1
-# and 3p + 29 at depths 2-4: 12,010 at p = 3,989, the last prime admitted,
-# whose rows count in about 0.04 s, and 12,032 at p = 4,001, refused.
+# cells on the CLI's rows, mu = (0, 0), walk windows (2, 2, 2, 2) at every
+# depth, 3p + 29 nodes: 11,996 at p = 3,989, the last prime admitted, whose
+# rows count in about 0.04 s, and 12,032 at p = 4,001, refused.
 # sl2 has one coordinate, so each of its walks is one node and every sl2 row
 # is admitted.
 ORACLE_NODE_LIMIT = 12_030
@@ -599,16 +601,14 @@ class _CellPlan(NamedTuple):
     floor: int  # min lam
     divisors: list  # h's divisor valuations: those of u mu(pi) minus floor
     full: tuple  # the unclipped windows
-    walks: list  # the windows of each walk
+    windows: tuple  # the windows of its one walk
 
 
 def _plan_cell(group, mu, lam, depth, p) -> _CellPlan:
     """The plan of a cell, refused with OracleError unless depth >= 1 and
-    lam and mu are antidominant with mu >= lam.  It walks at the windows
-    (module docstring) clipped at the depth, then at the unclipped ones if
-    they are one step deeper, the only second walk that can prove the first
-    complete, and is refused when their nodes (`_walk_nodes`) sum past
-    ORACLE_NODE_LIMIT."""
+    lam and mu are antidominant with mu >= lam, or when its one walk
+    (module docstring) may visit more than ORACLE_NODE_LIMIT nodes
+    (`_walk_nodes`); a budget too long to print gives its bit length."""
     if depth < 1:
         raise OracleError("depth must be >= 1")
     if not is_antidominant(lam):
@@ -621,22 +621,21 @@ def _plan_cell(group, mu, lam, depth, p) -> _CellPlan:
         raise OracleError("mu must be antidominant and >= lam")
     exps, floor = group.torus_exponents(mu), lam.coords[0]  # lam ascends
     full = tuple([max(0, exps[gen.window_col] - floor) for gen in group.neg])
-    walks = [tuple([min(depth, w) for w in full])] + ([full] if max(full) == depth + 1 else [])
-    nodes = sum([_walk_nodes(group, windows, p) for windows in walks])
+    windows = full if max(full) <= depth + 1 else tuple([min(depth, w) for w in full])
+    nodes = _walk_nodes(group, windows, p)
     if nodes > ORACLE_NODE_LIMIT:
+        shown = f"{nodes:,}" if nodes.bit_length() < 4_000 else f"2^{nodes.bit_length() - 1} or more"
         raise OracleError(
             f"oracle cell mu={mu.coords} at p = {p}, depth {depth} may visit"
-            f" {nodes:,} nodes, over its limit of {ORACLE_NODE_LIMIT:,}"
+            f" {shown} nodes, over its limit of {ORACLE_NODE_LIMIT:,}"
         )
     divisors = [v - floor for v in lam.coords]
-    return _CellPlan(group, mu, p, exps, floor, divisors, full, walks)
+    return _CellPlan(group, mu, p, exps, floor, divisors, full, windows)
 
 
 def _count_planned(plan) -> CosetCountResult:
-    first, *proof = plan.walks
-    raw = _count_in_cell(plan, first)
-    stabilized = first == plan.full or any(_count_in_cell(plan, w) == raw for w in proof)
-    return CosetCountResult(plan.mu, raw, raw % plan.p, stabilized)
+    raw = _count_in_cell(plan, plan.windows)
+    return CosetCountResult(plan.mu, raw, raw % plan.p, plan.windows == plan.full)
 
 
 def count_cosets(
@@ -644,10 +643,10 @@ def count_cosets(
 ) -> CosetCountResult:
     """|S_{mu, lam}| at the given enumeration depth, with its mod-p class.
 
-    `stabilized` says the count is proved complete: the depth clips no
-    window, or the unclipped windows are one step deeper and their walk
-    gives the same count.  A cell whose walks may visit more than
-    ORACLE_NODE_LIMIT nodes is refused before any walk.
+    `stabilized` says the count is complete: its one walk was at the
+    unclipped windows, which it is unless they are two or more steps past
+    the depth.  A cell whose walk may visit more than ORACLE_NODE_LIMIT
+    nodes is refused before it.
     """
     return _count_planned(_plan_cell(ChevalleyRealization(group), mu, lam, depth, p))
 
@@ -666,8 +665,8 @@ def reductive_satake_row(
     lam: Cocharacter, depth: int, group: str, p: int
 ) -> TorusHeckeElement:
     """The trivial-weight Satake row of T_lam: mod-p coset counts against
-    every antidominant mu >= lam.  Raises StabilizationError if any count
-    is not proved complete at this depth."""
+    every antidominant mu >= lam.  Raises StabilizationError if a count is
+    clipped, its windows two or more steps past the depth."""
     coeffs = {}
     for res in oracle_rows(lam, depth, group, p):
         if not res.stabilized:

@@ -166,3 +166,24 @@ def test_torus_character_validation():
                 xi[k] = other
                 with pytest.raises(CharacterError, match="mixed"):
                     GenuineTorusCharacter(tuple(xi), ONE_CLASS)
+
+
+def _torus_character(rank):
+    return GenuineTorusCharacter((SmoothCharacterFx(3, 4, 0, 0),) * rank, ONE_CLASS)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SmoothCharacterFx(4, 2, 0, 0), "q must be an odd prime power >= 3"),
+        (
+            lambda: genuine_equal(_torus_character(1), _torus_character(2), LocalFieldDescriptor(3)),
+            "rank mismatch",
+        ),
+    ],
+    ids=["even-q", "genuine-equal-ranks"],
+)
+def test_character_refusals_name_their_cause(build, message):
+    with pytest.raises(CharacterError) as err:
+        build()
+    assert str(err.value) == message

@@ -366,3 +366,11 @@ def test_parabolic_subsets_are_shared():
     assert all(s.Q is t.Q and s.P is t.P for s, t in zip(a, b))
     assert pi_sigma(a[0].sigma) is pi_sigma(b[0].sigma)
     assert pi_sigma(a[0].sigma) == ParabolicSubset(n, frozenset({1, 2, 3}))
+
+
+def test_torus_character_of_another_rank_is_refused():
+    sigma = GenuineTorusCharacter((SmoothCharacterFx(3, 4, 0, 0),) * 2, ONE_CLASS)
+    flags = {1: False, 2: False, 3: False}
+    with pytest.raises(ClassifyError) as err:
+        SupersingularDatum(ParabolicSubset.empty(3), flags, "xi", sigma)
+    assert str(err.value) == "torus character rank mismatch"

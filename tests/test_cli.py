@@ -66,6 +66,15 @@ def test_satake_oracle_flag(capsys):
     assert json.loads(out)["oracle"] == "agree"
 
 
+@pytest.mark.parametrize("i, n", ((1, 1), (1, 2), (2, 2)))
+@pytest.mark.parametrize("p", ("3", "5"))
+def test_satake_oracle_agrees_at_depth_1(capsys, i, n, p):
+    """The CLI's cells have windows of at most 2, one step past depth 1,
+    so each is walked at them and counted complete."""
+    code, out, _ = run(capsys, "satake", "--i", str(i), "--n", str(n), "--oracle", "--depth", "1", "--p", p)
+    assert (code, json.loads(out)["oracle"]) == (0, "agree")
+
+
 def test_satake_reads_depth_only_with_oracle(capsys):
     """Without --oracle the payload never depends on the depth, so
     --depth 0 is not checked and prints the --depth 4 bytes."""
@@ -1429,8 +1438,7 @@ def test_oracle_flag_fuzz_exits_cleanly(command):
 
 # each invalid parameter value, given to a command that reads its
 # key, an input file that never ends, given to classify, which reads
-# it, and a depth at which the Satake oracle's counts are not proved
-# complete
+# it, and a Satake oracle check past its rank or its node budget
 @pytest.mark.parametrize(
     "flags",
     [
@@ -1444,8 +1452,8 @@ def test_oracle_flag_fuzz_exits_cleanly(command):
         ["oracle", "satake", "--group", "sl2", "--i", "1", "--depth", "0"],
         ["classify", "--input", "/dev/zero"],
         ["classify", "--N=-4"],
-        ["satake", "--i", "1", "--n", "1", "--oracle", "--depth", "1"],
-        ["satake", "--i", "2", "--n", "2", "--oracle", "--depth", "1"],
+        ["satake", "--i", "1", "--n", "3", "--oracle", "--depth", "1"],
+        ["satake", "--i", "2", "--n", "2", "--oracle", "--depth", "1", "--p", "4001"],
     ],
 )
 def test_selftest_flags_exit_cleanly(flags):

@@ -252,3 +252,18 @@ def test_splits_over_Mprime():
             assert splits_over_Mprime(i, n) == (eval_Q(coroot(i, n)) % 2 == 0)
     with pytest.raises(CoverError):
         splits_over_Mprime(0, 2)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SquareClass(2, False), "pi_parity must be 0 or 1"),
+        (lambda: LocalFieldDescriptor(3, 2).square_class_of(2), "integer reduction only available for f = 1"),
+        (lambda: LocalFieldDescriptor(3).square_class_of(3), "unit part must be prime to p"),
+    ],
+    ids=["pi-parity", "square-class-f2", "square-class-of-p"],
+)
+def test_square_class_refusals_name_their_cause(build, message):
+    with pytest.raises(CoverError) as err:
+        build()
+    assert str(err.value) == message

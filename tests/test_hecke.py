@@ -327,3 +327,21 @@ def test_t2lambda_base():
                     assert v == 0
                 else:
                     assert v == (-1 if i < n else -2)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: t2lambda_base(0, 2), "index 0 out of range 1..2"),
+        (lambda: HeckeCharacter.from_face({1}, (0,), 2, 4), "need one exponent per coordinate"),
+        (
+            lambda: change_of_weight_decision(3, HeckeCharacter.from_face(set(), (0, 0), 2, 4)),
+            "index 3 out of range 1..2",
+        ),
+    ],
+    ids=["t2lambda-base-index", "from-face-exponents", "change-of-weight-index"],
+)
+def test_hecke_refusals_name_their_cause(build, message):
+    with pytest.raises(HeckeError) as err:
+        build()
+    assert str(err.value) == message

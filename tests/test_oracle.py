@@ -444,21 +444,16 @@ def test_oracle_rows_errors_keep_their_order():
         assert not isinstance(err.value, RootDatumError)
 
 def test_node_estimate_admits_p3989_and_refuses_p4001():
-    assert 3 * 3989 + 43 <= ORACLE_NODE_LIMIT < 3 * 4001 + 29
+    assert 3 * 3989 + 29 <= ORACLE_NODE_LIMIT < 3 * 4001 + 29
     zero = Cocharacter((0, 0))
     for i in (1, 2):
         lam = 2 * t2lambda_base(i, 2)
-        # the mu = (0, 0) cell has windows (1, 1, 1, 1) at depth 1 and
-        # (2, 2, 2, 2) unclipped, one step past depth 1, so depth 1 adds the
-        # unclipped walk, which can prove its count complete; the walk at
-        # (1, 1, 1, 1) visits 14 nodes, and the one at (2, 2, 2, 2) 3p + 29
+        # the mu = (0, 0) cell's unclipped windows (2, 2, 2, 2) are at most
+        # one step past every depth, so it walks them alone, 3p + 29 nodes
         # (`_walk_nodes`), 3p of them below the middle step's translation
         # classes at pole 1
-        assert oracle._plan_cell(SP4, zero, lam, 1, 3989).walks == [(1, 1, 1, 1), (2, 2, 2, 2)]
-        with pytest.raises(OracleError, match=f" {3 * 4001 + 43:,} nodes, over its limit"):
-            oracle._plan_cell(SP4, zero, lam, 1, 4001)
-        for depth in (2, 3, 4):
-            assert oracle._plan_cell(SP4, zero, lam, depth, 3989).walks == [(2, 2, 2, 2)]
+        for depth in (1, 2, 3, 4):
+            assert oracle._plan_cell(SP4, zero, lam, depth, 3989).windows == (2, 2, 2, 2)
             with pytest.raises(OracleError, match=f" {3 * 4001 + 29:,} nodes, over its limit"):
                 oracle._plan_cell(SP4, zero, lam, depth, 4001)
         for depth in (1, 2, 3, 4):
@@ -480,20 +475,19 @@ def test_over_budget_row_is_refused_before_counting(monkeypatch):
             count_cosets(Cocharacter((0, 0)), lam, 4, "sp4", p)
         with pytest.raises(OracleError):
             verify_metaplectic_pipeline(2, 2, p)
-    # an sl2 cell has one coordinate, so each of its walks is one node:
-    # nothing is refused, up to the largest prime below 2^31
+    # an sl2 cell has one coordinate, so its walk is one node: nothing is
+    # refused, up to the largest prime below 2^31
     for depth in (1, 2, 3, 4):
         for mu in ((-2,), (-1,), (0,)):
             cell = (SL2, Cocharacter(mu), Cocharacter((-2,)), depth, 2**31 - 1)
-            walks = oracle._plan_cell(*cell).walks
-            assert 1 <= len(walks) <= 2 and all(len(windows) == 1 for windows in walks)
+            assert len(oracle._plan_cell(*cell).windows) == 1
 
 
 
 def test_each_cell_reads_its_exponents_and_plans_once(monkeypatch):
     """count_cosets reads mu's torus exponents once and plans its cell once,
     one budgeted walk per count; an oracle_rows row plans each cell once and
-    budgets every walk of every cell before it counts the first."""
+    budgets the walk of every cell before it counts the first."""
     log = []
 
     def logged(name, real):
@@ -510,13 +504,13 @@ def test_each_cell_reads_its_exponents_and_plans_once(monkeypatch):
                 log.clear()
                 count_cosets(mu, lam, depth, group, p)
                 assert log.count("exps") == log.count("_plan_cell") == 1, log
-                assert 1 <= log.count("_walk_nodes") == log.count("_count_in_cell") <= 2, log
+                assert log.count("_walk_nodes") == log.count("_count_in_cell") == 1, log
             log.clear()
             rows = oracle_rows(lam, depth, group, p)
             first = log.index("_count_in_cell")
             assert log.count("exps") == log.count("_plan_cell") == len(rows), log
-            assert log[first:].count("_walk_nodes") == 0 and log.count("_walk_nodes") >= len(rows)
-            assert log.count("_count_in_cell") == log.count("_walk_nodes"), log
+            assert log[first:].count("_walk_nodes") == 0
+            assert log.count("_count_in_cell") == log.count("_walk_nodes") == len(rows), log
 
 def test_sl2_row_at_a_large_prime_is_counted():
     # its leaves are decided at once, so the row is the closed form
@@ -754,13 +748,18 @@ def _brute_force_count(mu, lam, depth, p):
     return count
 
 
+def _clipped(plan, depth) -> tuple:
+    """The windows of `plan`'s cell clipped at the depth."""
+    return tuple(min(depth, w) for w in plan.full)
+
+
 def test_pruning_is_lossless_sp4_small_depth():
     # brute force with fully open windows agrees with the pruned count
     for lam in BRUTE_FORCE_LAMS:
         for mu in antidominant_above(lam):
             want = _brute_force_count(mu, lam, 2, 3)
             plan = oracle._plan_cell(SP4, mu, lam, 2, 3)
-            assert oracle._count_in_cell(plan, plan.walks[0]) == want, (lam, mu)
+            assert oracle._count_in_cell(plan, _clipped(plan, 2)) == want, (lam, mu)
 
 
 def test_orbit_weights_are_lossless_sp4_p5_depth1():
@@ -771,7 +770,7 @@ def test_orbit_weights_are_lossless_sp4_p5_depth1():
         for mu in antidominant_above(lam):
             want = _brute_force_count(mu, lam, 1, 5)
             plan = oracle._plan_cell(SP4, mu, lam, 1, 5)
-            assert oracle._count_in_cell(plan, plan.walks[0]) == want, (lam, mu)
+            assert oracle._count_in_cell(plan, _clipped(plan, 1)) == want, (lam, mu)
 
 
 def _below_floor(plan, windows) -> bool:
@@ -788,10 +787,10 @@ def test_boxes_below_the_floor_hold_no_coset():
         for lam in (Cocharacter((floor, floor)), Cocharacter((floor, 0))):
             for mu in antidominant_above(lam):
                 plan = oracle._plan_cell(SP4, mu, lam, depth, 3)
-                if _below_floor(plan, plan.walks[0]):
+                if _below_floor(plan, _clipped(plan, depth)):
                     cells += 1
                     assert _brute_force_count(mu, lam, depth, 3) == 0, (lam, mu)
-                    assert oracle._count_in_cell(plan, plan.walks[0]) == 0
+                    assert oracle._count_in_cell(plan, _clipped(plan, depth)) == 0
     assert cells == 8
 
 
@@ -805,7 +804,7 @@ def test_box_below_the_floor_counts_zero_before_its_walk(monkeypatch):
     monkeypatch.setattr(ChevalleyRealization, "right_multiply_generator", no_walk)
     mu, lam = Cocharacter((-4, -2)), Cocharacter((-400, -100))
     plan = oracle._plan_cell(SP4, mu, lam, 2, 1009)
-    assert _below_floor(plan, plan.walks[0])
+    assert _below_floor(plan, plan.windows)
     assert count_cosets(mu, lam, 2, "sp4", 1009).raw_count == 0
 
 
@@ -838,15 +837,16 @@ def _uncollapsed_sp4(monkeypatch):
 def test_middle_collapse_keeps_every_count(monkeypatch):
     """The collapsed middle step, to torus orbits below a 0 simple-root
     entry and to translation classes below nonzero ones, counts what the
-    child-by-child walk counts: every walk of every cell over lam in -4..0,
-    mu >= lam, p in {3, 5, 7} and depths 1-4, clipped and unclipped."""
+    child-by-child walk counts: every cell over lam in -4..0, mu >= lam,
+    p in {3, 5, 7} and depths 1-4, at the windows it walks and at those
+    clipped at the depth."""
     plain = _uncollapsed_sp4(monkeypatch)
     lams = [Cocharacter(c) for c in itertools.product(range(-4, 1), repeat=2) if c[0] <= c[1]]
     seen = set()
     for lam, p, depth in itertools.product(lams, (3, 5, 7), (1, 2, 3, 4)):
         for mu in antidominant_above(lam):
             plan = oracle._plan_cell(SP4, mu, lam, depth, p)
-            for windows in plan.walks:
+            for windows in (_clipped(plan, depth), plan.windows):
                 if (lam, mu, p, windows) not in seen:
                     seen.add((lam, mu, p, windows))
                     want = oracle._count_in_cell(plan._replace(group=plain), windows)
@@ -871,7 +871,7 @@ def test_middle_collapse_keeps_drawn_counts(p, lam, depth, data):
     with pytest.MonkeyPatch.context() as patch:
         plain = _uncollapsed_sp4(patch)
         while True:
-            windows = tuple(min(depth, w) for w in plan.full)
+            windows = _clipped(plan, depth)
             if depth == 1 or oracle._walk_nodes(plain, windows, p) <= 5_000:
                 break
             depth -= 1
@@ -898,9 +898,10 @@ def _walk_calls(plan, windows) -> int:
 
 def test_node_budget_bounds_the_walk(monkeypatch):
     """The budget `_walk_nodes` is exactly the `walk` calls of the walk with
-    its pruning off, and the walk itself makes at most that many: sp4 over
-    lam in -4..0, every mu >= lam, p in {3, 5, 7} and depths 1-4 (879
-    distinct walks), sl2 over lam = (-k,), k <= 8, at the same primes
+    its pruning off, and the walk itself makes at most that many, at each
+    cell's windows and at those clipped at the depth: sp4 over lam in
+    -4..0, every mu >= lam, p in {3, 5, 7} and depths 1-4 (879 distinct
+    walks), sl2 over lam = (-k,), k <= 8, at the same primes
     and depths 1, 4 and 8 (249 walks), one call each, and sp4 with its
     middle step "never" (`_uncollapsed_sp4`) over lam in -2..0, p in
     {3, 5} and depths 1-2 (60 walks), so every branch of `_children` is
@@ -920,7 +921,7 @@ def test_node_budget_bounds_the_walk(monkeypatch):
         lam = Cocharacter(coords)
         for p, depth, mu in itertools.product(primes, depths, antidominant_above(lam)):
             plan = oracle._plan_cell(group, mu, lam, depth, p)
-            for windows in plan.walks:
+            for windows in (_clipped(plan, depth), plan.windows):
                 if (rule, lam, mu, p, windows) in seen:
                     continue  # depths past the windows repeat a walk
                 seen.add((rule, lam, mu, p, windows))
@@ -972,7 +973,7 @@ def test_similitude_torus_conjugation_keeps_windowed_boxes(p):
                 return _frac_smith([[x * t for x, t in zip(row, torus)] for row in u], p)
 
             for depth in (1, 2):
-                windows = oracle._plan_cell(SP4, mu, lam, depth, p).walks[0]
+                windows = _clipped(oracle._plan_cell(SP4, mu, lam, depth, p), depth)
                 for _, zero in itertools.product(range(4), (None, 0, 1)):
                     coords = [Fraction(rng.randrange(p**w), p**w) for w in windows]
                     t1, t2, nu = (rng.choice(units) for _ in range(3))
@@ -1006,7 +1007,7 @@ def test_similitude_torus_translates_the_middle_entry_below_nonzero_simple_roots
     rng = random.Random(p)
     for lam in BRUTE_FORCE_LAMS:
         for mu in antidominant_above(lam):
-            windows = oracle._plan_cell(SP4, mu, lam, 2, p).walks[0]
+            windows = _clipped(oracle._plan_cell(SP4, mu, lam, 2, p), 2)
             if min(windows[:2]) == 0:
                 continue  # no prefix with two nonzero simple-root entries
             torus = [Fraction(p) ** e for e in SP4.torus_exponents(mu)]
@@ -1058,12 +1059,13 @@ def test_closing_columns_read_an_unwritten_column_to_rank_7():
 
 
 def test_stabilization_reported_when_depth_too_small():
-    lam2 = Cocharacter((-2,))
-    res = count_cosets(Cocharacter((0,)), lam2, 1, "sl2", 3)
-    assert res.raw_count == 0  # the depth-1 box misses all valuation -2 points
-    assert not res.stabilized
+    # the mu = (0,) window of lam = (-2,) is 2, one step past depth 1, so
+    # the cell is walked at it: the complete p^2 - p
+    res = count_cosets(Cocharacter((0,)), Cocharacter((-2,)), 1, "sl2", 3)
+    assert (res.raw_count, res.stabilized) == (6, True)
+    # at lam = (-3,) that window is 3, two steps past depth 1, so it is clipped
     with pytest.raises(StabilizationError, match=r"mu=\(0,\) not proved complete at depth 1"):
-        reductive_satake_row(lam2, 1, "sl2", 3)
+        reductive_satake_row(Cocharacter((-3,)), 1, "sl2", 3)
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101))
@@ -1081,8 +1083,8 @@ def test_counts_clipped_past_depth_plus_one_are_not_stabilized(p):
 
 def test_stabilized_means_proved_complete_sp4():
     """A stabilized count equals the count at the unclipped windows; with
-    those windows at most one step past the depth the flag is exactly that
-    equality, and deeper clipping leaves every count unproved."""
+    those windows at most one step past the depth every count is
+    stabilized, and deeper clipping leaves every count unproved."""
     lams = [Cocharacter(c) for c in itertools.product(range(-3, 1), repeat=2) if c[0] <= c[1]]
     for lam in lams:
         for mu in antidominant_above(lam):
@@ -1092,40 +1094,43 @@ def test_stabilized_means_proved_complete_sp4():
             for depth in (1, 2, 3):
                 res = count_cosets(mu, lam, depth, "sp4", 3)
                 if max(full) <= depth + 1:
-                    assert res.stabilized == (res.raw_count == exact.raw_count), (lam, mu, depth)
+                    assert res.stabilized and res.raw_count == exact.raw_count, (lam, mu, depth)
                 else:
                     assert not res.stabilized, (lam, mu, depth)
 
 
 
-# sha256 of every count on the regression grid per base, recorded before the
-# oracle planned each cell once: a regression pin of the code's own output,
-# not a fixed point (those are the p = 7 and p = 11 rows)
+# sha256 of every count on the regression grid per base: a regression pin of
+# the code's own output, not a fixed point (those are the p = 7 and p = 11
+# rows).  The 19 bases holding a cell whose unclipped windows are one step
+# past its depth were re-recorded when such a cell came to walk them alone:
+# 346 of their counts became that walk's complete count, and 5 refusals of
+# the (-4, *) bases now charge one walk.
 GRID_DIGESTS = {
-    ("sp4", (-4, -4)): "15949ac5a7c3724c664faf32d7461605747a03201da41ca359a41fcca0e9919b",
-    ("sp4", (-4, -3)): "571cdcf84f369c6ac8cd4dadde67a1b87750d102e62023b16d43fc41d90e00d2",
-    ("sp4", (-4, -2)): "086470a08cc1de765e57698caef2389558183cc8c56da7f4a9d62a8dd32a1aec",
-    ("sp4", (-4, -1)): "133839c2e856c2cdd3cbfdeba6161692873d2e6767750befc23c3628f14edc27",
-    ("sp4", (-4, 0)): "5294f5e3a862baf9e5efd727488e456f77ee093a6567928fe536b8cfc75af2d4",
-    ("sp4", (-3, -3)): "d2572d0050bf653514e6c09cf7cca6bc777dc81b53410cc19cacbb88719d76e2",
-    ("sp4", (-3, -2)): "4090c6b95bb1a6cbb273343c646973bf147e0fc530e9144ff17169d280474a75",
-    ("sp4", (-3, -1)): "7c0e35cf1594e30f935b48dc1fd0ab9c3d27a2ccfc9cc7872c48155a571b36be",
-    ("sp4", (-3, 0)): "256ad708794a050ce0672ed7b193dc23f7f5e617e8bf761c0fd290b0a256fb1a",
-    ("sp4", (-2, -2)): "1948a52be7b7e984d724d0f48a431ce2d3fd6a7b87a1aeeaca860c87678a58dc",
-    ("sp4", (-2, -1)): "488f4dd0b0a43636f69c492029a5751b9d15796e4347464758f7f4a903e5477b",
-    ("sp4", (-2, 0)): "a30b26626339fcb6227eb1640945cd2a89adbee608a90d111492363376625a46",
+    ("sp4", (-4, -4)): "c4cf59591b8b434cd92df32f2db34b6acaacc83d54527372b64e11d54b1a6977",
+    ("sp4", (-4, -3)): "00cada7a3f2a06f861236cd18dc1fb4fb3ebc8bf61eec8ef76a351d2574d13cc",
+    ("sp4", (-4, -2)): "7f34fb11b10caba93706c931e470b13130b2218e83150f6f903d5547715f2f02",
+    ("sp4", (-4, -1)): "c58cb0ae8e79c37f0f03784b0a4a32310ae95eaf7c625e7022b9cd8765cd4531",
+    ("sp4", (-4, 0)): "ab2b68fe8fa815d1f6bdfd6ca53946276f5a9196c96c4ad8fe20785cc27beedd",
+    ("sp4", (-3, -3)): "2845939e43b444a490d3e3855ce52b3f45fe18479a618ecb5f2acecee95d3a22",
+    ("sp4", (-3, -2)): "559e008943f411e7cccd675f53eb32ec4977374224548fe083b75122c85a3b21",
+    ("sp4", (-3, -1)): "e4fc4a6c4ee9f9ba50f5d184492875ad54ca913c3de085f30873f0dbc1131db2",
+    ("sp4", (-3, 0)): "46e6d9e2df9777b2d41d7167bf18eeec810445cba89b570de9fe39ccc418642d",
+    ("sp4", (-2, -2)): "f27ceaad94bd8ab2d5eec37a1e58add299ae5b2b5a833458eaaa84395b0c26b4",
+    ("sp4", (-2, -1)): "efa58876a772982192f2e7993bb2a1d661de001e66b2f08294c19624580dadd8",
+    ("sp4", (-2, 0)): "25ae34473454f11ea5b045044b59173aa9327a430c74d2d658a25812555208ea",
     ("sp4", (-1, -1)): "852f6f24c51a090d129448f151209b12dcbca229b0f8f040ae29730a88c87300",
     ("sp4", (-1, 0)): "7c6888f4314e90dc128978843cf61433a2c8ee12098c22278ad340f0b266e6d8",
     ("sp4", (0, 0)): "b00614b2c981f6cdafe89da0f85b5977b0cee3db386ceb2f2637568574b53212",
     ("sl2", (0,)): "2bc1b8516a9b9204f3a4b5a6015fd985591dbcbba671352ed14d30f25a7fd34a",
     ("sl2", (-1,)): "939e82071a3360acc9f8ebf853eea0c7c7eb859023985fb4662d0dfb2493784c",
-    ("sl2", (-2,)): "d12b690df0fcea2f1f58e9090c4269154f1fae2984893f0b9f4589af85b8e42c",
-    ("sl2", (-3,)): "c8fa0bea66e7cd15b5d6aeb50e29e8019f2dc9e4989ae3c1e2d3df92ea20b639",
-    ("sl2", (-4,)): "89908bc6d7dab656aac1b925d5bbb47be5f13b8a4db59a46329081e87913d4e8",
-    ("sl2", (-5,)): "3f5432f15d0ab93a011cdbfb773aa4c659262c723f5f3d97f15fccbc6077385e",
-    ("sl2", (-6,)): "4fe6745eba4ea808b7697fc4812bc0f87791d4a7f33b48c6cf95fbe4eb7d7b1d",
-    ("sl2", (-7,)): "f714f12c49d5187cb00b3adca51b8f1ec8a0d8d1e8595b3b9472b9e89045e391",
-    ("sl2", (-8,)): "a67cbcb6c322cd6ffba44fbd673234b190d5f87d5ab418343c541f0ff028a795",
+    ("sl2", (-2,)): "5143e53a49237c2adcbf064404f957d97f05cc260e6436b62a0270b51fffbf1e",
+    ("sl2", (-3,)): "ce5700d7cb5e0d5c4f4056e159621b227fb4e82507f0252dfcf1ab2e2d5cd07b",
+    ("sl2", (-4,)): "08759327d66f91594f1ab873425d508811df7d0809adb9bd8a23a9c66a7c2036",
+    ("sl2", (-5,)): "ca6aef62e081e14b47cf62df4b7d883b3666c2996c5b03540c131c42a6dc3626",
+    ("sl2", (-6,)): "6da4979af4a811cadc9473034ef2f747634bae85e14749b96078849cc265f159",
+    ("sl2", (-7,)): "74c44353b231d9d664b1938a17cf1b82b2e212a533c297092b946bd12013ce7a",
+    ("sl2", (-8,)): "7756746f292c1f6dc9520a665ae4ccd9b53d03bb67d1b31984d5acd0987def17",
 }
 
 
@@ -1180,6 +1185,29 @@ def test_pipeline_p3():
 def test_pipeline_rejects_large_rank():
     with pytest.raises(OracleError):
         verify_metaplectic_pipeline(1, 3, 3)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: count_cosets(Cocharacter((0, 0)), Cocharacter((-2, -2)), 4, "sl2", 3),
+            "sl2 expects rank 1",
+        ),
+        (lambda: verify_metaplectic_pipeline(3, 2, 3), "index 3 out of range 1..2"),
+        # a budget past 10^4300 nodes, more digits than Python prints, gives its bit length
+        (
+            lambda: count_cosets(Cocharacter((0, 0)), Cocharacter((-500, -500)), 500, "sp4", 2**31 - 1),
+            "oracle cell mu=(0, 0) at p = 2147483647, depth 500 may visit 2^15478 or more nodes,"
+            " over its limit of 12,030",
+        ),
+    ],
+    ids=["sl2-rank", "pipeline-index", "budget-past-printable-digits"],
+)
+def test_oracle_refusals_name_their_cause(build, message):
+    with pytest.raises(OracleError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_determinism():

@@ -426,3 +426,17 @@ def test_parabolic_subset_range_messages():
     assert ParabolicSubset(0, ()).roots == frozenset()
     # any iterable of indices is stored as a frozenset
     assert ParabolicSubset(3, [3, 1, 3]).roots == frozenset({1, 3})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: fundamental_weight(0, 2), "index 0 out of range 1..2"),
+        (lambda: cartan_inverse(2, [3]), "indices out of range 1..2: [3]"),
+    ],
+    ids=["fundamental-weight-index", "cartan-inverse-indices"],
+)
+def test_index_refusals_name_their_cause(build, message):
+    with pytest.raises(RootDatumError) as err:
+        build()
+    assert str(err.value) == message
