@@ -47,8 +47,9 @@ JSON nested past the recursion limit and a negative N exit 2 as well.
 Parameters come from flags alone, with defaults p=3, f=1, n=2, N=0,
 depth=4, and q=3 for `weights`; N=0 derives N=2(q-1) with q=p^f.  Each
 subcommand has a flag only for the parameters it reads, and checks them
-in one order: p and f, then N, depth and n, then its own inputs; `satake`
-reads depth only with `--oracle`.  Environment variables are ignored.
+in one order: p and f, then N, depth and n, then its own inputs.  Only
+`oracle` reads depth: `satake --oracle` checks rows whose counts are
+complete at every depth.  Environment variables are ignored.
 """
 
 from __future__ import annotations
@@ -543,8 +544,6 @@ def cmd_satake(args) -> tuple[dict | None, int]:
 
     n = args.n
     cover.LocalFieldDescriptor(args.p)  # checks p
-    if args.oracle and args.depth < 1:
-        raise UsageError("depth must be >= 1")
     _refuse_rank("satake", n, SATAKE_RANK_LIMIT)
     if not 1 <= args.i <= n:
         raise UsageError(f"i must lie in 1..{n}")
@@ -561,7 +560,7 @@ def cmd_satake(args) -> tuple[dict | None, int]:
     if args.oracle:
         from . import oracle
 
-        agree = oracle.verify_metaplectic_pipeline(args.i, n, args.p, args.depth)
+        agree = oracle.verify_metaplectic_pipeline(args.i, n, args.p)
         payload["oracle"] = "agree" if agree else "disagree"
         mismatch = not agree
     return payload, EXIT_MISMATCH if mismatch else EXIT_OK
@@ -928,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--oracle", action="store_true", help="verify against the counting oracle"
     )
-    add_parameter_flags(sp, "n", "p", "depth")
+    add_parameter_flags(sp, "n", "p")
     sp.set_defaults(func=cmd_satake)
 
     sp = sub.add_parser("aset", help="enumerate the antidominance exponent set")

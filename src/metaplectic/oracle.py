@@ -138,10 +138,6 @@ class OracleError(ValueError):
     pass
 
 
-class StabilizationError(OracleError):
-    """A coset count is not proved complete at the depth asked for."""
-
-
 # ---------------------------------------------------------------------
 # matrix realizations
 
@@ -652,7 +648,8 @@ def count_cosets(
 
 
 def oracle_rows(lam: Cocharacter, depth: int, group: str, p: int):
-    """Raw and mod-p counts for every mu in the support window, for the CLI.
+    """Raw and mod-p counts for every mu in the support window, for
+    `oracle satake` and the Satake check (`verify_metaplectic_pipeline`).
     Every cell is planned, so checked and its budget checked, before any
     is counted."""
     mus = sorted(antidominant_above(lam), key=lambda m: m.coords)
@@ -661,23 +658,7 @@ def oracle_rows(lam: Cocharacter, depth: int, group: str, p: int):
     return [_count_planned(plan) for plan in plans]
 
 
-def reductive_satake_row(
-    lam: Cocharacter, depth: int, group: str, p: int
-) -> TorusHeckeElement:
-    """The trivial-weight Satake row of T_lam: mod-p coset counts against
-    every antidominant mu >= lam.  Raises StabilizationError if a count is
-    clipped, its windows two or more steps past the depth."""
-    coeffs = {}
-    for res in oracle_rows(lam, depth, group, p):
-        if not res.stabilized:
-            raise StabilizationError(
-                f"count at mu={res.mu.coords} not proved complete at depth {depth}"
-            )
-        coeffs[res.mu.coords] = res.count_mod_p
-    return TorusHeckeElement(p, coeffs)
-
-
-def verify_metaplectic_pipeline(i: int, n: int, p: int, depth: int = 4) -> bool:
+def verify_metaplectic_pipeline(i: int, n: int, p: int) -> bool:
     """Reductive counts, then the parity filter for the long root, against
     the symbolically computed metaplectic Satake value of T_{2 lam}.
 
@@ -685,15 +666,22 @@ def verify_metaplectic_pipeline(i: int, n: int, p: int, depth: int = 4) -> bool:
     filter would remove nothing: the shifted support differs by a short
     coroot, of coordinate sum zero).  For i = n the filter implements the
     cover's parity constraint and must cut the row down to tau_{2 lam}.
+
+    The row is read at depth 4 with no depth of its own to choose: 2 lam
+    has coordinates -2 and 0, so every antidominant mu >= 2 lam has
+    coordinates in [-2, 0] and every window mu_col + 2 is at most 2.
+    `_plan_cell` clips only windows two or more steps past the depth, so
+    the count, its `stabilized` flag and its node budget are the same at
+    every depth >= 1: each count is complete.  Depth 4, the default of
+    `oracle --depth`, is the depth the budget's refusal messages name.
     """
     if n not in (1, 2):
         raise OracleError("the counting oracle runs at desk scale: n in {1, 2}")
     if not 1 <= i <= n:
         raise OracleError(f"index {i} out of range 1..{n}")
     group = "sl2" if n == 1 else "sp4"
-    lam = t2lambda_base(i, n)
-    two_lam = 2 * lam
-    row = reductive_satake_row(two_lam, depth, group, p)
+    two_lam = 2 * t2lambda_base(i, n)
+    row = TorusHeckeElement(p, {r.mu.coords: r.count_mod_p for r in oracle_rows(two_lam, 4, group, p)})
     target = metaplectic_satake_T2lambda(i, n, p)
     if i == n:
         return parity_filter(row, two_lam) == target

@@ -35,10 +35,10 @@ def criterion_1_satake_identities() -> CriterionResult:
     failures = []
     lam = 2 * hecke.t2lambda_base(2, 2)
     for p in (3, 5):
-        if not oracle.verify_metaplectic_pipeline(1, 1, p, depth=4):
+        if not oracle.verify_metaplectic_pipeline(1, 1, p):
             failures.append(f"sl2 i=1 p={p}")
         for i in (1, 2):
-            if not oracle.verify_metaplectic_pipeline(i, 2, p, depth=4):
+            if not oracle.verify_metaplectic_pipeline(i, 2, p):
                 failures.append(f"sp4 i={i} p={p}")
         for point in ((-2, 0), (-1, -1)):
             res = oracle.count_cosets(Cocharacter(point), lam, 4, "sp4", p)

@@ -69,18 +69,11 @@ def test_satake_oracle_flag(capsys):
 @pytest.mark.parametrize("i, n", ((1, 1), (1, 2), (2, 2)))
 @pytest.mark.parametrize("p", ("3", "5"))
 def test_satake_oracle_agrees_at_depth_1(capsys, i, n, p):
-    """The CLI's cells have windows of at most 2, one step past depth 1,
-    so each is walked at them and counted complete."""
-    code, out, _ = run(capsys, "satake", "--i", str(i), "--n", str(n), "--oracle", "--depth", "1", "--p", p)
+    """The Satake check's cells have windows of at most 2, one step past
+    depth 1, so every depth >= 1 counts them complete and `satake` takes no
+    depth."""
+    code, out, _ = run(capsys, "satake", "--i", str(i), "--n", str(n), "--oracle", "--p", p)
     assert (code, json.loads(out)["oracle"]) == (0, "agree")
-
-
-def test_satake_reads_depth_only_with_oracle(capsys):
-    """Without --oracle the payload never depends on the depth, so
-    --depth 0 is not checked and prints the --depth 4 bytes."""
-    code, out, err = run(capsys, "satake", "--i", "1", "--depth", "0")
-    assert (code, err) == (0, "")
-    assert (0, out, "") == run(capsys, "satake", "--i", "1", "--depth", "4")
 
 
 def test_satake_oracle_refuses_its_rank_before_the_symbolic_value(capsys, monkeypatch):
@@ -517,10 +510,7 @@ class _UnreadStdin(io.StringIO):
 # p and f first, then N, then depth, then n, then the command's own checks
 _FIRST_ERRORS = [
     (["satake", "--i", "9", "--n", "0", "--p", "9"], _P_ERROR.format(9)),
-    (["satake", "--i", "9", "--n", "0", "--oracle", "--depth", "0"], "error: depth must be >= 1\n"),
-    (["satake", "--i", "9", "--n", "0", "--depth", "0"], "error: n must be >= 1\n"),
     (["satake", "--i", "9", "--n", "0"], "error: n must be >= 1\n"),
-    (["satake", "--i", "1", "--oracle", "--depth", "0"], "error: depth must be >= 1\n"),
     (["oracle", "satake", "--group", "sp4", "--i", "3", "--depth", "0"], "error: depth must be >= 1\n"),
     (["oracle", "satake", "--group", "sp4", "--i", "3", "--depth", "0", "--p", "9"], _P_ERROR.format(9)),
     (["oracle", "satake", "--group", "sl2", "--i", "2", "--p", "4"], _P_ERROR.format(4)),
@@ -980,12 +970,7 @@ def _argv(*parts):
 _COMMANDS = st.one_of(
     _argv(st.just(["hilbert"]), st.lists(_CLASSES, min_size=2, max_size=2), _VERIFY, _P, _F),
     _argv(st.just(["cover"]), _N),
-    _argv(
-        _SMALL.map(lambda i: ["satake", f"--i={i}"]),
-        _N,
-        _P,
-        _flag("--depth", st.integers(-1, 5)),
-    ),
+    _argv(_SMALL.map(lambda i: ["satake", f"--i={i}"]), _N, _P),
     _argv(st.just(["aset"]), _flag("--i", _SMALL), _flag("--lam", _INT_LIST), _N),
     _argv(
         st.just(["weights"]),
@@ -1031,7 +1016,7 @@ _VALID = {
 _READS = {
     "hilbert": {"p", "f"},
     "cover": {"n"},
-    "satake": {"n", "p", "depth"},
+    "satake": {"n", "p"},
     "aset": {"n"},
     "weights": {"n"},
     "classify": {"n", "p", "f", "N", "emit"},
@@ -1054,7 +1039,7 @@ def test_each_command_takes_the_configuration_flags_it_reads():
         got = {a.dest for a in sp._actions if a.dest in _FLAG_VALUES}
         assert got == _READS[name]
         slots += len(got)
-    assert slots == 15
+    assert slots == 14
 
 
 @pytest.mark.parametrize(
@@ -1410,12 +1395,11 @@ def _assert_refused_at_once(argv, nodes):
 
 
 def _oracle_argv(group, p, i, depth, via_satake):
-    """`oracle satake` names the group; `satake --oracle` gives its rank."""
+    """`oracle satake` names the group and reads the depth; `satake
+    --oracle` gives its rank and takes no depth."""
     if via_satake:
-        head = ["satake", "--oracle", f"--n={1 if group == 'sl2' else 2}"]
-    else:
-        head = ["oracle", "satake", f"--group={group}"]
-    return head + [f"--p={p}", f"--i={i}"] + depth
+        return ["satake", "--oracle", f"--n={1 if group == 'sl2' else 2}", f"--p={p}", f"--i={i}"]
+    return ["oracle", "satake", f"--group={group}", f"--p={p}", f"--i={i}"] + depth
 
 
 # sp4 only at p <= 3 and depth <= 2, so that no example counts for long
@@ -1452,8 +1436,8 @@ def test_oracle_flag_fuzz_exits_cleanly(command):
         ["oracle", "satake", "--group", "sl2", "--i", "1", "--depth", "0"],
         ["classify", "--input", "/dev/zero"],
         ["classify", "--N=-4"],
-        ["satake", "--i", "1", "--n", "3", "--oracle", "--depth", "1"],
-        ["satake", "--i", "2", "--n", "2", "--oracle", "--depth", "1", "--p", "4001"],
+        ["satake", "--i", "1", "--n", "3", "--oracle"],
+        ["satake", "--i", "2", "--n", "2", "--oracle", "--p", "4001"],
     ],
 )
 def test_selftest_flags_exit_cleanly(flags):

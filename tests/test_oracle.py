@@ -15,10 +15,8 @@ from metaplectic.oracle import (
     ORACLE_NODE_LIMIT,
     ChevalleyRealization,
     OracleError,
-    StabilizationError,
     count_cosets,
     oracle_rows,
-    reductive_satake_row,
     smith_valuations,
     verify_metaplectic_pipeline,
 )
@@ -948,6 +946,44 @@ def test_walk_plan_collapses_only_the_proved_middle_step():
         assert orbits == ("always",) * n + ("never",) * (n * n - n - 1)
 
 
+@pytest.mark.parametrize("rule", ("always", "middle", "never"))
+@pytest.mark.parametrize("p", (3, 5))
+def test_children_follow_the_collapse_rule(rule, p):
+    """Each child `_children` gives, entry 0 and its siblings alike, stands
+    for the children y' in 0..p^w - 1 that the module docstring's rule
+    puts with it, found here by brute force: every one at "never", those
+    of its valuation at "always" and at "middle" of pole 0, and those of
+    its class mod p^(w - k), k = min(pole, w), at "middle" of pole > 0.
+    Its weight is their number, and these groups cover each y' once.  Its
+    pole below is min(pole, the pole order w - v(y) of its entry, 0 at y =
+    0) at a torus-orbit step, and the prefix's pole otherwise."""
+    for w in range(1, 4):
+        for pole in range(w + 2):
+            (weight, below), siblings = oracle._children(rule, w, pole, p)
+            children = [(0, weight, below)] + [
+                (first + k, size, pole_below)
+                for first, number, size, pole_below in siblings
+                for k in range(number)
+            ]
+
+            def order(y):
+                return w - _vp(y, p) if y else 0
+
+            orbits = rule == "always" or rule == "middle" and pole == 0
+            if orbits:
+                group = {y: [z for z in range(p**w) if order(z) == order(y)] for y, _, _ in children}
+            elif rule == "middle":
+                step = p ** (w - min(pole, w))
+                group = {y: [z for z in range(p**w) if z % step == y % step] for y, _, _ in children}
+            else:
+                group = {y: [y] for y, _, _ in children}
+            assert sorted(z for y in group for z in group[y]) == list(range(p**w)), (w, pole)
+            assert sum(weight for _, weight, _ in children) == p**w, (w, pole)
+            for y, weight, below in children:
+                assert weight == len(group[y]), (w, pole, y)
+                assert below == (min(pole, order(y)) if orbits else pole), (w, pole, y)
+
+
 def _frac_smith(m, p):
     """Elementary divisor valuations of a rational matrix whose
     denominators are p-powers times units."""
@@ -1064,8 +1100,7 @@ def test_stabilization_reported_when_depth_too_small():
     res = count_cosets(Cocharacter((0,)), Cocharacter((-2,)), 1, "sl2", 3)
     assert (res.raw_count, res.stabilized) == (6, True)
     # at lam = (-3,) that window is 3, two steps past depth 1, so it is clipped
-    with pytest.raises(StabilizationError, match=r"mu=\(0,\) not proved complete at depth 1"):
-        reductive_satake_row(Cocharacter((-3,)), 1, "sl2", 3)
+    assert not count_cosets(Cocharacter((0,)), Cocharacter((-3,)), 1, "sl2", 3).stabilized
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101))
@@ -1161,19 +1196,37 @@ def test_regression_grid_counts_are_pinned():
     assert (cells, refused) == (3130, 10)
     assert [base for base in GRID_DIGESTS if got[base] != GRID_DIGESTS[base]] == []
 
-def test_reductive_satake_row_sl2():
-    row = reductive_satake_row(Cocharacter((-2,)), 4, "sl2", 3)
-    assert row == TorusHeckeElement(3, {(-2,): 1, (-1,): -1})
-    row5 = reductive_satake_row(Cocharacter((-2,)), 4, "sl2", 5)
-    assert row5 == TorusHeckeElement(5, {(-2,): 1, (-1,): -1})
+
+def _satake_row(lam, group, p):
+    """The trivial-weight Satake row of T_lam, as the Satake check reads
+    it: the mod-p counts of `oracle_rows` at depth 4."""
+    return TorusHeckeElement(p, {r.mu.coords: r.count_mod_p for r in oracle_rows(lam, 4, group, p)})
 
 
-def test_reductive_satake_row_sp4_p3():
+def test_satake_row_counts_sl2():
+    for p in (3, 5):
+        assert _satake_row(Cocharacter((-2,)), "sl2", p) == TorusHeckeElement(p, {(-2,): 1, (-1,): -1})
+
+
+def test_satake_row_counts_sp4_p3():
+    """Both rows before the parity filter, which the i = 2 check of
+    `verify_metaplectic_pipeline` applies."""
     for i in (1, 2):
         lam = 2 * t2lambda_base(i, 2)
-        row = reductive_satake_row(lam, 4, "sp4", 3)
         shifted = lam + Cocharacter((1, -1) if i == 1 else (0, 1))
-        assert row == TorusHeckeElement(3, {lam.coords: 1, shifted.coords: -1})
+        assert _satake_row(lam, "sp4", 3) == TorusHeckeElement(3, {lam.coords: 1, shifted.coords: -1})
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 3989))
+def test_satake_check_rows_are_complete_at_every_depth(p):
+    """Every cell of every row the Satake check reads has windows of at
+    most 2, so it is stabilized, with the same raw count, at depths 1 and
+    4: the check needs no depth and no refusal of a clipped count."""
+    for i, n in ((1, 1), (1, 2), (2, 2)):
+        lam, group = 2 * t2lambda_base(i, n), "sl2" if n == 1 else "sp4"
+        shallow, deep = oracle_rows(lam, 1, group, p), oracle_rows(lam, 4, group, p)
+        assert all(r.stabilized for r in shallow + deep), (i, n)
+        assert [(r.mu, r.raw_count) for r in shallow] == [(r.mu, r.raw_count) for r in deep], (i, n)
 
 
 def test_pipeline_p3():
