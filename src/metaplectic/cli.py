@@ -48,8 +48,8 @@ Parameters come from flags alone, with defaults p=3, f=1, n=2, N=0,
 depth=4, and q=3 for `weights`; N=0 derives N=2(q-1) with q=p^f.  Each
 subcommand has a flag only for the parameters it reads, and checks them
 in one order: p and f, then N, depth and n, then its own inputs.  Only
-`oracle` reads depth: `satake --oracle` checks rows whose counts are
-complete at every depth.  Environment variables are ignored.
+`oracle` reads depth, which it checks and echoes: every oracle count is
+complete, so depth changes none.  Environment variables are ignored.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ _TRIPLE = {
                 "levi": {"type": "array", "items": {"type": "integer"}},
                 "flags": {"type": "object"},
                 "label": {"type": "string"},
-                "torus_character": {"type": ["object", "null"]},
+                "torus_character": {"type": "object"},
             },
             "required": ["levi", "flags", "label"],
         },
@@ -241,10 +241,10 @@ SCHEMAS = {
         "properties": {
             "nu": {"type": "array", "items": {"type": "integer"}},
             "q": {"type": "integer"},
-            "levi": {"type": ["array", "null"]},
+            "levi": {"type": "array"},
             "pi_nu": {"type": "array", "items": {"type": "integer"}},
-            "M_regular": {"type": ["boolean", "null"]},
-            "companion": {"type": ["object", "null"]},
+            "M_regular": {"type": "boolean"},
+            "companion": {"type": "object"},
         },
         "required": ["nu", "q", "pi_nu"],
         "additionalProperties": False,
@@ -846,7 +846,7 @@ def cmd_oracle(args) -> tuple[dict | None, int]:
     if not 1 <= args.i <= n:
         raise UsageError(f"i must lie in 1..{n} for {group}")
     lam = 2 * hecke.t2lambda_base(args.i, n)
-    rows = oracle.oracle_rows(lam, args.depth, group, args.p)
+    rows = oracle.oracle_rows(lam, group, args.p)
     payload = {
         "group": group,
         "i": args.i,
@@ -902,7 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
         "f": (1, "residue extension degree"),
         "n": (2, "rank"),
         "N": (0, "value group order, even and prime to p; 0 derives 2(q-1), q = p^f"),
-        "depth": (4, "oracle enumeration depth"),
+        "depth": (4, "oracle depth, checked and echoed; it changes no count"),
     }
 
     def add_parameter_flags(sp, *keys):

@@ -9,9 +9,10 @@ of
 
 Cosets are parametrized by negative-root coordinates in a fixed order,
 realized as the designated matrix entries of the canonical (greedily
-left-reduced) representative, running over p^{-depth} O / O; membership
-in the Cartan cell is decided through elementary divisor valuations of
-the matrix u mu(pi), computed by Smith-style pivoting over Z_(p).
+left-reduced) representative, each running over p^{-w} O / O for its
+window w (below); membership in the Cartan cell is decided through
+elementary divisor valuations of the matrix u mu(pi), computed by
+Smith-style pivoting over Z_(p).
 
 All arithmetic is exact.  Every coordinate is a fraction a / p^w, so
 every matrix here has entries in Z[1/p] and is carried as an integer
@@ -29,16 +30,12 @@ root datum (`_negative_roots`).
 Pruning: each coordinate is a bare entry of the unipotent matrix, and
 every entry of a matrix in the lam-cell has valuation >= min(lam), so
 coordinates may be windowed to p^{-(mu_col - min lam)} O / O with no
-loss.  So a count at the unclipped windows is complete.  Each cell is
-walked once: at those windows, or at the windows clipped at the depth
-when they are two or more steps past it; `stabilized` says which
-(`count_cosets`).  A box whose entries are too shallow to reach min lam
-holds no coset of the cell and counts 0 before its walk
-(`_count_in_cell`).  The windows are known before the walk starts, and
-so is the number of nodes it visits with nothing pruned, counted exactly
-from the plan the walk reads (`_walk_nodes`); a cell whose walk may
-visit more than ORACLE_NODE_LIMIT nodes is refused with OracleError
-instead of counted (`_plan_cell`).
+loss.  Each cell is walked once, at those windows, so every count is
+complete.  The windows are known before the walk starts, and so is the
+number of nodes it visits with nothing pruned, counted exactly from the
+plan the walk reads (`_walk_nodes`); a cell whose walk may visit more
+than ORACLE_NODE_LIMIT nodes is refused with OracleError instead of
+counted (`_plan_cell`).
 Inside its window box the walk sets the coordinates in order and shares
 every prefix product; a column of the matrix is final once the last
 generator writing it is applied, and it must then be integral after
@@ -230,10 +227,10 @@ def _walk_plan(n: int, neg) -> tuple:
     """(closing, minors, orbits) for `_count_in_cell` on Sp_2n.  A column
     is final once the last generator writing it is applied: closing[s]
     holds the columns final after s generators, the columns the walk
-    checks at a node of depth s.  orbits[s], for each coordinate s but the
-    last, names the rule `_children` applies there: "always" at the simple
-    roots, "middle" at a middle coordinate in _PROVED_MIDDLE and "never" at
-    the others."""
+    checks at a node s steps below the root.  orbits[s], for each
+    coordinate s but the last, names the rule `_children` applies there:
+    "always" at the simple roots, "middle" at a middle coordinate in
+    _PROVED_MIDDLE and "never" at the others."""
     last_write = {}
     for step, gen in enumerate(neg, 1):
         for (_, b), _ in gen.units:
@@ -379,7 +376,7 @@ class CosetCountResult:
     mu: Cocharacter
     raw_count: int
     count_mod_p: int
-    stabilized: bool
+    stabilized = True  # every cell is counted at its unclipped windows
 
 
 def _progression(pairs, p: int, e: int):
@@ -468,8 +465,10 @@ def _leaf_hits(h, slope, leaves, p, divisors, minors) -> int:
     return hits
 
 
-def _count_in_cell(plan, windows) -> int:  # the walk of plan's cell at windows
-    group, p, exps, floor, divisors = plan.group, plan.p, plan.exps, plan.floor, plan.divisors
+def _count_in_cell(plan) -> int:  # the walk of plan's cell
+    group, p, exps, floor, divisors, windows = (
+        plan.group, plan.p, plan.exps, plan.floor, plan.divisors, plan.windows
+    )
     width = max(windows)
     n, size = len(group.neg), group.size
     # Entries are canonical fractions a / p^w with w <= width, carried as
@@ -480,16 +479,12 @@ def _count_in_cell(plan, windows) -> int:  # the walk of plan's cell at windows
     # mu(pi) = p^(-e) U T is integral; the cell is then decided on the
     # small integers of h.  The prefix read of an entry is at most a
     # product of two entries at rank <= 2, so an integer over q: its
-    # division by q^(n - 1) in `walk` is exact.  If e < 0, every entry of
-    # u mu(pi) has valuation >= low - 2 width n > floor, as U and T are
-    # integral; its least elementary divisor, the least entry valuation,
-    # is then not lam's least, so the box holds no coset of the cell.
+    # division by q^(n - 1) in `walk` is exact.  Column 0's window is
+    # low - floor, so width >= low - floor and e >= (2n - 1) width >= 0.
     q = p ** (2 * width)
     qread = q ** (n - 1)
     low = min(exps)
     e = 2 * width * n - low + floor
-    if e < 0:
-        return 0
     scale = [p ** (x - low) for x in exps]
     base = p**e
     # The walk sets the coordinates in order, sharing each prefix product,
@@ -544,25 +539,25 @@ def _count_in_cell(plan, windows) -> int:  # the walk of plan's cell at windows
 # Most nodes the walk of one cell may visit (`_walk_nodes`), set at about
 # 3 s of work for the slowest walk it admitted while boxes too shallow to
 # reach lam's floor were still walked, and kept.  Timed on one 2-vCPU Xeon
-# core: for each window pattern at depths 1-8, the slowest of a sample of
-# its cells at the largest prime it admits, or at p = 2^31 - 1 when its
-# count does not grow with p (at most 0.06 s):
+# core, each cell at its windows: for each window pattern, the slowest of a
+# sample of its cells at the largest prime it admits, or at p = 2^31 - 1
+# when its node count does not grow with p (at lam = (-400, -400), 13
+# values of mu_2 for each mu_1 in -400..-397):
 #
-#     lam              slowest admitted walk                      time
-#     in -12..0        (2, 2, 2, 2) at p = 3,989, 11,996 nodes    0.3-0.4 s
-#     (-100, -100)     (2, 2, 2, 2) at p = 3,989, 11,996 nodes    0.5 s
-#     (-400, -400)     (2, 2, 2, 2) at p = 3,989, 11,996 nodes    0.9-1.0 s
+#     lam              slowest admitted walk                          time
+#     in -12..0        (2, 12, 2, 2) at p = 911, 11,942 nodes         0.3 s
+#     (-100, -100)     (2, 96, 2, 2) at p = 113, 11,648 nodes         1.7-2.1 s
+#     (-400, -400)     (1, 396, 1, 1) at p = 2^31 - 1, 1,989 nodes   21-23 s
 #
-# Such a box counts 0 before its walk (`_count_in_cell`), so the
-# slowest walks at a deep floor are those of mu_1 within 2 width n of it,
-# such as mu = (-396, 0) at (-400, -400), timed over every such mu_1.
-# Their nodes cost more as the floor deepens, as the entries grow: about
-# 3 times as much at lam = (-400, -400) as at (-12, -12).  sp4's largest
-# cells on the CLI's rows, mu = (0, 0), walk windows (2, 2, 2, 2) at every
-# depth, 3p + 29 nodes: 11,996 at p = 3,989, the last prime admitted, whose
-# rows count in about 0.04 s, and 12,032 at p = 4,001, refused.
-# sl2 has one coordinate, so each of its walks is one node and every sl2 row
-# is admitted.
+# So the limit bounds time only near the CLI's floors: a node's integers
+# grow with the windows and p, which the node count does not charge, and a
+# node of mu = (-399, -4) at (-400, -400) costs about 12 ms.  A cell far
+# above a deep floor, such as mu = (-396, 0) at (-400, -400), is refused at
+# once.  sp4's largest cells on the CLI's rows, mu = (0, 0), walk windows
+# (2, 2, 2, 2), 3p + 29 nodes: 11,996 at p = 3,989, the last prime
+# admitted, whose rows count in about 0.04 s, and 12,032 at p = 4,001,
+# refused.  sl2 has one coordinate, so each of its walks is one node and
+# every sl2 row is admitted.
 ORACLE_NODE_LIMIT = 12_030
 
 
@@ -596,17 +591,14 @@ class _CellPlan(NamedTuple):
     exps: tuple  # the torus exponents of mu
     floor: int  # min lam
     divisors: list  # h's divisor valuations: those of u mu(pi) minus floor
-    full: tuple  # the unclipped windows
-    windows: tuple  # the windows of its one walk
+    windows: tuple  # the unclipped windows, which its one walk reads
 
 
-def _plan_cell(group, mu, lam, depth, p) -> _CellPlan:
-    """The plan of a cell, refused with OracleError unless depth >= 1 and
-    lam and mu are antidominant with mu >= lam, or when its one walk
-    (module docstring) may visit more than ORACLE_NODE_LIMIT nodes
-    (`_walk_nodes`); a budget too long to print gives its bit length."""
-    if depth < 1:
-        raise OracleError("depth must be >= 1")
+def _plan_cell(group, mu, lam, p) -> _CellPlan:
+    """The plan of a cell, refused with OracleError unless lam and mu are
+    antidominant with mu >= lam, or when its one walk (module docstring)
+    may visit more than ORACLE_NODE_LIMIT nodes (`_walk_nodes`); a budget
+    too long to print gives its bit length."""
     if not is_antidominant(lam):
         raise OracleError("target cell must be antidominant")
     try:
@@ -616,45 +608,46 @@ def _plan_cell(group, mu, lam, depth, p) -> _CellPlan:
     if not (above and is_antidominant(mu)):
         raise OracleError("mu must be antidominant and >= lam")
     exps, floor = group.torus_exponents(mu), lam.coords[0]  # lam ascends
-    full = tuple([max(0, exps[gen.window_col] - floor) for gen in group.neg])
-    windows = full if max(full) <= depth + 1 else tuple([min(depth, w) for w in full])
+    windows = tuple([max(0, exps[gen.window_col] - floor) for gen in group.neg])
     nodes = _walk_nodes(group, windows, p)
     if nodes > ORACLE_NODE_LIMIT:
         shown = f"{nodes:,}" if nodes.bit_length() < 4_000 else f"2^{nodes.bit_length() - 1} or more"
         raise OracleError(
-            f"oracle cell mu={mu.coords} at p = {p}, depth {depth} may visit"
+            f"oracle cell mu={mu.coords} at p = {p} may visit"
             f" {shown} nodes, over its limit of {ORACLE_NODE_LIMIT:,}"
         )
     divisors = [v - floor for v in lam.coords]
-    return _CellPlan(group, mu, p, exps, floor, divisors, full, windows)
+    return _CellPlan(group, mu, p, exps, floor, divisors, windows)
 
 
 def _count_planned(plan) -> CosetCountResult:
-    raw = _count_in_cell(plan, plan.windows)
-    return CosetCountResult(plan.mu, raw, raw % plan.p, plan.windows == plan.full)
+    raw = _count_in_cell(plan)
+    return CosetCountResult(plan.mu, raw, raw % plan.p)
 
 
 def count_cosets(
     mu: Cocharacter, lam: Cocharacter, depth: int, group: str, p: int
 ) -> CosetCountResult:
-    """|S_{mu, lam}| at the given enumeration depth, with its mod-p class.
+    """|S_{mu, lam}|, complete, with its mod-p class.
 
-    `stabilized` says the count is complete: its one walk was at the
-    unclipped windows, which it is unless they are two or more steps past
-    the depth.  A cell whose walk may visit more than ORACLE_NODE_LIMIT
-    nodes is refused before it.
+    The depth must be >= 1 and changes no count: the cell is walked once at
+    its unclipped windows, so `stabilized` is always true.  A cell whose
+    walk may visit more than ORACLE_NODE_LIMIT nodes is refused before it.
     """
-    return _count_planned(_plan_cell(ChevalleyRealization(group), mu, lam, depth, p))
+    realization = ChevalleyRealization(group)
+    if depth < 1:
+        raise OracleError("depth must be >= 1")
+    return _count_planned(_plan_cell(realization, mu, lam, p))
 
 
-def oracle_rows(lam: Cocharacter, depth: int, group: str, p: int):
-    """Raw and mod-p counts for every mu in the support window, for
-    `oracle satake` and the Satake check (`verify_metaplectic_pipeline`).
-    Every cell is planned, so checked and its budget checked, before any
-    is counted."""
+def oracle_rows(lam: Cocharacter, group: str, p: int):
+    """Raw and mod-p counts, each complete, for every mu in the support
+    window, for `oracle satake` and the Satake check
+    (`verify_metaplectic_pipeline`).  Every cell is planned, so checked
+    and its budget checked, before any is counted."""
     mus = sorted(antidominant_above(lam), key=lambda m: m.coords)
     realization = ChevalleyRealization(group)
-    plans = [_plan_cell(realization, mu, lam, depth, p) for mu in mus]
+    plans = [_plan_cell(realization, mu, lam, p) for mu in mus]
     return [_count_planned(plan) for plan in plans]
 
 
@@ -666,14 +659,7 @@ def verify_metaplectic_pipeline(i: int, n: int, p: int) -> bool:
     filter would remove nothing: the shifted support differs by a short
     coroot, of coordinate sum zero).  For i = n the filter implements the
     cover's parity constraint and must cut the row down to tau_{2 lam}.
-
-    The row is read at depth 4 with no depth of its own to choose: 2 lam
-    has coordinates -2 and 0, so every antidominant mu >= 2 lam has
-    coordinates in [-2, 0] and every window mu_col + 2 is at most 2.
-    `_plan_cell` clips only windows two or more steps past the depth, so
-    the count, its `stabilized` flag and its node budget are the same at
-    every depth >= 1: each count is complete.  Depth 4, the default of
-    `oracle --depth`, is the depth the budget's refusal messages name.
+    Every count of the row is complete (`oracle_rows`).
     """
     if n not in (1, 2):
         raise OracleError("the counting oracle runs at desk scale: n in {1, 2}")
@@ -681,7 +667,7 @@ def verify_metaplectic_pipeline(i: int, n: int, p: int) -> bool:
         raise OracleError(f"index {i} out of range 1..{n}")
     group = "sl2" if n == 1 else "sp4"
     two_lam = 2 * t2lambda_base(i, n)
-    row = TorusHeckeElement(p, {r.mu.coords: r.count_mod_p for r in oracle_rows(two_lam, 4, group, p)})
+    row = TorusHeckeElement(p, {r.mu.coords: r.count_mod_p for r in oracle_rows(two_lam, group, p)})
     target = metaplectic_satake_T2lambda(i, n, p)
     if i == n:
         return parity_filter(row, two_lam) == target

@@ -69,8 +69,7 @@ def test_satake_oracle_flag(capsys):
 @pytest.mark.parametrize("i, n", ((1, 1), (1, 2), (2, 2)))
 @pytest.mark.parametrize("p", ("3", "5"))
 def test_satake_oracle_agrees_at_depth_1(capsys, i, n, p):
-    """The Satake check's cells have windows of at most 2, one step past
-    depth 1, so every depth >= 1 counts them complete and `satake` takes no
+    """The Satake check's counts are complete, so `satake` takes no
     depth."""
     code, out, _ = run(capsys, "satake", "--i", str(i), "--n", str(n), "--oracle", "--p", p)
     assert (code, json.loads(out)["oracle"]) == (0, "agree")
@@ -1159,7 +1158,7 @@ def test_large_field_parameters_answer_at_once(argv, stdin, code):
     ],
 )
 def test_over_budget_oracle_exits_at_once(argv):
-    # the mu = (0, 0) cell at depth 4: windows (2, 2, 2, 2), 3p + 29 nodes
+    # the mu = (0, 0) cell: windows (2, 2, 2, 2), 3p + 29 nodes
     _assert_refused_at_once(argv, 3 * 4001 + 29)
 
 

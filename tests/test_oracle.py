@@ -425,38 +425,35 @@ def test_count_cosets_validation():
         count_cosets(Cocharacter((-1,), gsp=1), lam2, 2, "sl2", 3)  # mu has a gsp part
     with pytest.raises(OracleError):
         count_cosets(Cocharacter((-1,)), Cocharacter((-2,), gsp=1), 2, "sl2", 3)
+    for lam, group, p in (((-2, 0), "sp4", 3), ((-2,), "sl2", 3), ((-2, 0), "sp4", 1000003)):
+        # the depth before the cell and its node budget, which p = 1000003 would exceed
+        with pytest.raises(OracleError, match="^depth must be >= 1$"):
+            count_cosets(Cocharacter((0,) * len(lam)), Cocharacter(lam), 0, group, p)
 
 
 
 def test_oracle_rows_errors_keep_their_order():
     """A base that is not antidominant is refused before the group tag is
-    read, and an unknown group tag before the depth."""
+    read."""
     with pytest.raises(RootDatumError, match="^base point must be antidominant$"):
-        oracle_rows(Cocharacter((0, 1)), 0, "sp5", 3)
-    with pytest.raises(OracleError, match="^unknown group tag 'sp5'; use sl2 or sp4$"):
-        oracle_rows(Cocharacter((-2, 0)), 0, "sp5", 3)
-    for lam, group, p in (((-2, 0), "sp4", 3), ((-2,), "sl2", 3), ((-2, 0), "sp4", 1000003)):
-        # the depth before the node budget, which p = 1000003 would exceed
-        with pytest.raises(OracleError, match="^depth must be >= 1$") as err:
-            oracle_rows(Cocharacter(lam), 0, group, p)
-        assert not isinstance(err.value, RootDatumError)
+        oracle_rows(Cocharacter((0, 1)), "sp5", 3)
+    with pytest.raises(OracleError, match="^unknown group tag 'sp5'; use sl2 or sp4$") as err:
+        oracle_rows(Cocharacter((-2, 0)), "sp5", 3)
+    assert not isinstance(err.value, RootDatumError)
 
 def test_node_estimate_admits_p3989_and_refuses_p4001():
     assert 3 * 3989 + 29 <= ORACLE_NODE_LIMIT < 3 * 4001 + 29
     zero = Cocharacter((0, 0))
     for i in (1, 2):
         lam = 2 * t2lambda_base(i, 2)
-        # the mu = (0, 0) cell's unclipped windows (2, 2, 2, 2) are at most
-        # one step past every depth, so it walks them alone, 3p + 29 nodes
+        # the mu = (0, 0) cell walks its windows (2, 2, 2, 2), 3p + 29 nodes
         # (`_walk_nodes`), 3p of them below the middle step's translation
         # classes at pole 1
-        for depth in (1, 2, 3, 4):
-            assert oracle._plan_cell(SP4, zero, lam, depth, 3989).windows == (2, 2, 2, 2)
-            with pytest.raises(OracleError, match=f" {3 * 4001 + 29:,} nodes, over its limit"):
-                oracle._plan_cell(SP4, zero, lam, depth, 4001)
-        for depth in (1, 2, 3, 4):
-            for mu in antidominant_above(lam):  # every cell at p = 3,989 is admitted
-                oracle._plan_cell(SP4, mu, lam, depth, 3989)
+        assert oracle._plan_cell(SP4, zero, lam, 3989).windows == (2, 2, 2, 2)
+        with pytest.raises(OracleError, match=f" {3 * 4001 + 29:,} nodes, over its limit"):
+            oracle._plan_cell(SP4, zero, lam, 4001)
+        for mu in antidominant_above(lam):  # every cell at p = 3,989 is admitted
+            oracle._plan_cell(SP4, mu, lam, 3989)
 
 
 def test_over_budget_row_is_refused_before_counting(monkeypatch):
@@ -467,7 +464,7 @@ def test_over_budget_row_is_refused_before_counting(monkeypatch):
     lam = 2 * t2lambda_base(2, 2)
     for p in (4001, 1000003):
         with pytest.raises(OracleError) as err:
-            oracle_rows(lam, 4, "sp4", p)
+            oracle_rows(lam, "sp4", p)
         assert f"{3 * p + 29:,} nodes" in str(err.value)
         with pytest.raises(OracleError):
             count_cosets(Cocharacter((0, 0)), lam, 4, "sp4", p)
@@ -475,10 +472,9 @@ def test_over_budget_row_is_refused_before_counting(monkeypatch):
             verify_metaplectic_pipeline(2, 2, p)
     # an sl2 cell has one coordinate, so its walk is one node: nothing is
     # refused, up to the largest prime below 2^31
-    for depth in (1, 2, 3, 4):
-        for mu in ((-2,), (-1,), (0,)):
-            cell = (SL2, Cocharacter(mu), Cocharacter((-2,)), depth, 2**31 - 1)
-            assert len(oracle._plan_cell(*cell).windows) == 1
+    for mu in ((-2,), (-1,), (0,)):
+        cell = (SL2, Cocharacter(mu), Cocharacter((-2,)), 2**31 - 1)
+        assert len(oracle._plan_cell(*cell).windows) == 1
 
 
 
@@ -497,29 +493,35 @@ def test_each_cell_reads_its_exponents_and_plans_once(monkeypatch):
         monkeypatch.setattr(oracle, name, logged(name, getattr(oracle, name)))
     for group, lam in (("sp4", (-2, -2)), ("sp4", (-2, 0)), ("sl2", (-2,))):
         lam = Cocharacter(lam)
-        for p, depth in itertools.product((3, 5), (1, 2, 4)):
-            for mu in antidominant_above(lam):
+        for p in (3, 5):
+            for depth, mu in itertools.product((1, 2, 4), antidominant_above(lam)):
                 log.clear()
                 count_cosets(mu, lam, depth, group, p)
                 assert log.count("exps") == log.count("_plan_cell") == 1, log
                 assert log.count("_walk_nodes") == log.count("_count_in_cell") == 1, log
             log.clear()
-            rows = oracle_rows(lam, depth, group, p)
+            rows = oracle_rows(lam, group, p)
             first = log.index("_count_in_cell")
             assert log.count("exps") == log.count("_plan_cell") == len(rows), log
             assert log[first:].count("_walk_nodes") == 0
             assert log.count("_count_in_cell") == log.count("_walk_nodes") == len(rows), log
 
-def test_sl2_row_at_a_large_prime_is_counted():
-    # its leaves are decided at once, so the row is the closed form
-    # 1, p - 1, p^2 - p, ... at any p the node budget admits; at lam = (-4,)
-    # the mu = (-1,) and (0,) cells have p^4 > 2^63 leaves below one node,
-    # more than a range may hold
-    p = 2**31 - 1
-    for lam, depth in (((-2,), 2), ((-2,), 4), ((-4,), 4)):
-        rows = oracle_rows(Cocharacter(lam), depth, "sl2", p)
-        assert [r.raw_count for r in rows] == [1] + [p**k - p ** (k - 1) for k in range(1, 1 - lam[0])]
-        assert all(r.stabilized for r in rows)
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101, 2**31 - 1))
+def test_sl2_counts_are_the_closed_form(p):
+    """|S_{mu, lam}| on SL_2 is 1 at mu = lam and p^m - p^(m - 1) at m =
+    mu_1 - lam_1 >= 1: the cosets u = [[1, 0], [y, 1]] with y of exact
+    pole order m.  Every cell under lam = (-k,), k <= 8, counts that at
+    depths 1, 4 and 8, however far its window of m is past the depth; at
+    m >= 4 and p = 2^31 - 1 its p^m > 2^63 leaves below one node are more
+    than a range may hold, and are decided at once."""
+    for k in range(9):
+        lam = Cocharacter((-k,))
+        for depth, mu in itertools.product((1, 4, 8), antidominant_above(lam)):
+            m = mu.coords[0] + k
+            res = count_cosets(mu, lam, depth, "sl2", p)
+            assert res.stabilized, (lam, mu, depth)
+            assert res.raw_count == (p**m - p ** (m - 1) if m else 1), (lam, mu, depth)
 
 
 def test_sp4_shifted_cell_count_hand_value():
@@ -535,7 +537,7 @@ def test_sp4_row_regression_p3():
     # raw counts frozen from a lossless full-box run (see the pruning
     # test); the mod-p zeros away from 2 lam and 2 lam + alpha_2^vee are
     # the theory-forced values
-    rows = oracle_rows(Cocharacter((-2, -2)), 4, "sp4", 3)
+    rows = oracle_rows(Cocharacter((-2, -2)), "sp4", 3)
     table = {r.mu.coords: (r.raw_count, r.count_mod_p) for r in rows}
     assert table == {
         (-2, -2): (1, 1),
@@ -575,7 +577,7 @@ P11_ROWS = {
 
 
 def _assert_fixed_row(lam_coords, p, want):
-    rows = oracle_rows(Cocharacter(lam_coords), 4, "sp4", p)
+    rows = oracle_rows(Cocharacter(lam_coords), "sp4", p)
     assert {r.mu.coords: r.raw_count for r in rows} == want
     assert all(r.stabilized for r in rows)
 
@@ -746,9 +748,28 @@ def _brute_force_count(mu, lam, depth, p):
     return count
 
 
-def _clipped(plan, depth) -> tuple:
-    """The windows of `plan`'s cell clipped at the depth."""
-    return tuple(min(depth, w) for w in plan.full)
+def _reaches_floor(plan, depth) -> bool:
+    """Whether `plan`'s windows clipped at the depth are wide enough for
+    `_count_in_cell`: e = 2 width n - (mu_1 - lam_1) >= 0, n the
+    coordinates and width the widest clipped window.  Narrower boxes
+    cannot reach lam's floor, so they hold no coset of the cell, and no
+    unclipped walk is that narrow."""
+    return 2 * min(depth, max(plan.windows)) * len(plan.group.neg) >= min(plan.exps) - plan.floor
+
+
+def _clipped(plan, depth):
+    """`plan` walking its windows clipped at the depth: the cosets of the
+    cell over the depth box, which the tests count by other means."""
+    assert _reaches_floor(plan, depth), (plan.mu, plan.windows, depth)
+    return plan._replace(windows=tuple(min(depth, w) for w in plan.windows))
+
+
+def _plan_past_budget(group, mu, lam, p):
+    """The plan of a cell whose unclipped walk may be over the node budget,
+    for a test that walks it at clipped windows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "ORACLE_NODE_LIMIT", math.inf)
+        return oracle._plan_cell(group, mu, lam, p)
 
 
 def test_pruning_is_lossless_sp4_small_depth():
@@ -756,8 +777,8 @@ def test_pruning_is_lossless_sp4_small_depth():
     for lam in BRUTE_FORCE_LAMS:
         for mu in antidominant_above(lam):
             want = _brute_force_count(mu, lam, 2, 3)
-            plan = oracle._plan_cell(SP4, mu, lam, 2, 3)
-            assert oracle._count_in_cell(plan, _clipped(plan, 2)) == want, (lam, mu)
+            plan = oracle._plan_cell(SP4, mu, lam, 3)
+            assert oracle._count_in_cell(_clipped(plan, 2)) == want, (lam, mu)
 
 
 def test_orbit_weights_are_lossless_sp4_p5_depth1():
@@ -767,43 +788,8 @@ def test_orbit_weights_are_lossless_sp4_p5_depth1():
     for lam in BRUTE_FORCE_LAMS:
         for mu in antidominant_above(lam):
             want = _brute_force_count(mu, lam, 1, 5)
-            plan = oracle._plan_cell(SP4, mu, lam, 1, 5)
-            assert oracle._count_in_cell(plan, _clipped(plan, 1)) == want, (lam, mu)
-
-
-def _below_floor(plan, windows) -> bool:
-    """Whether `_count_in_cell(plan, windows)` finds e < 0: every entry of
-    u mu(pi) has valuation above lam's floor, so the box is empty."""
-    return 2 * max(windows) * len(plan.group.neg) - min(plan.exps) + plan.floor < 0
-
-
-def test_boxes_below_the_floor_hold_no_coset():
-    """At p = 3 and depths 1-2, the brute-force count of every cell whose
-    box cannot reach lam's floor is 0, as `_count_in_cell` returns."""
-    cells = 0
-    for depth, floor in ((1, -10), (2, -17)):
-        for lam in (Cocharacter((floor, floor)), Cocharacter((floor, 0))):
-            for mu in antidominant_above(lam):
-                plan = oracle._plan_cell(SP4, mu, lam, depth, 3)
-                if _below_floor(plan, _clipped(plan, depth)):
-                    cells += 1
-                    assert _brute_force_count(mu, lam, depth, 3) == 0, (lam, mu)
-                    assert oracle._count_in_cell(plan, _clipped(plan, depth)) == 0
-    assert cells == 8
-
-
-def test_box_below_the_floor_counts_zero_before_its_walk(monkeypatch):
-    """The cell of mu = (-4, -2) under lam = (-400, -100) at depth 2 is
-    empty, and counted without applying a generator."""
-
-    def no_walk(*args):
-        raise AssertionError("walked an empty box")
-
-    monkeypatch.setattr(ChevalleyRealization, "right_multiply_generator", no_walk)
-    mu, lam = Cocharacter((-4, -2)), Cocharacter((-400, -100))
-    plan = oracle._plan_cell(SP4, mu, lam, 2, 1009)
-    assert _below_floor(plan, plan.windows)
-    assert count_cosets(mu, lam, 2, "sp4", 1009).raw_count == 0
+            plan = oracle._plan_cell(SP4, mu, lam, 5)
+            assert oracle._count_in_cell(_clipped(plan, 1)) == want, (lam, mu)
 
 
 @pytest.mark.parametrize("p, want", ((3, 18), (5, 20)))
@@ -835,20 +821,19 @@ def _uncollapsed_sp4(monkeypatch):
 def test_middle_collapse_keeps_every_count(monkeypatch):
     """The collapsed middle step, to torus orbits below a 0 simple-root
     entry and to translation classes below nonzero ones, counts what the
-    child-by-child walk counts: every cell over lam in -4..0, mu >= lam,
-    p in {3, 5, 7} and depths 1-4, at the windows it walks and at those
-    clipped at the depth."""
+    child-by-child walk counts: every cell over lam in -4..0, mu >= lam and
+    p in {3, 5, 7}, at its windows clipped at depths 1-4, the last of
+    them its unclipped windows."""
     plain = _uncollapsed_sp4(monkeypatch)
     lams = [Cocharacter(c) for c in itertools.product(range(-4, 1), repeat=2) if c[0] <= c[1]]
     seen = set()
-    for lam, p, depth in itertools.product(lams, (3, 5, 7), (1, 2, 3, 4)):
-        for mu in antidominant_above(lam):
-            plan = oracle._plan_cell(SP4, mu, lam, depth, p)
-            for windows in (_clipped(plan, depth), plan.windows):
-                if (lam, mu, p, windows) not in seen:
-                    seen.add((lam, mu, p, windows))
-                    want = oracle._count_in_cell(plan._replace(group=plain), windows)
-                    assert oracle._count_in_cell(plan, windows) == want, (lam, mu, p, windows)
+    for lam, p in itertools.product(lams, (3, 5, 7)):
+        for mu, depth in itertools.product(antidominant_above(lam), (1, 2, 3, 4)):
+            plan = _clipped(oracle._plan_cell(SP4, mu, lam, p), depth)
+            if (lam, mu, p, plan.windows) not in seen:
+                seen.add((lam, mu, p, plan.windows))
+                want = oracle._count_in_cell(plan._replace(group=plain))
+                assert oracle._count_in_cell(plan) == want, (lam, mu, p, plan.windows)
     assert len(seen) == 879
 
 
@@ -862,23 +847,24 @@ def test_middle_collapse_keeps_every_count(monkeypatch):
 def test_middle_collapse_keeps_drawn_counts(p, lam, depth, data):
     """The same on drawn cells, lam in -6..0 and p <= 13, clipped at the
     deepest depth up to the one drawn whose child-by-child walk may visit
-    at most 5,000 nodes (`_walk_nodes`)."""
+    at most 5,000 nodes (`_walk_nodes`).  Some of these cells are over the
+    node budget unclipped, such as lam = (-6, -1) at p = 5, 41,164 nodes."""
     lam = Cocharacter(tuple(lam))
     mu = data.draw(st.sampled_from(sorted(antidominant_above(lam), key=lambda m: m.coords)))
-    plan = oracle._plan_cell(SP4, mu, lam, 1, p)
+    full = _plan_past_budget(SP4, mu, lam, p)
     with pytest.MonkeyPatch.context() as patch:
         plain = _uncollapsed_sp4(patch)
         while True:
-            windows = _clipped(plan, depth)
-            if depth == 1 or oracle._walk_nodes(plain, windows, p) <= 5_000:
+            plan = _clipped(full, depth)
+            if depth == 1 or oracle._walk_nodes(plain, plan.windows, p) <= 5_000:
                 break
             depth -= 1
-        want = oracle._count_in_cell(plan._replace(group=plain), windows)
-    assert oracle._count_in_cell(plan, windows) == want, windows
+        want = oracle._count_in_cell(plan._replace(group=plain))
+    assert oracle._count_in_cell(plan) == want, plan.windows
 
 
-def _walk_calls(plan, windows) -> int:
-    """How many times `_count_in_cell(plan, windows)` enters its `walk`."""
+def _walk_calls(plan) -> int:
+    """How many times `_count_in_cell(plan)` enters its `walk`."""
     calls = []
 
     def trace(frame, event, arg):  # called at each new frame; traces no lines
@@ -888,7 +874,7 @@ def _walk_calls(plan, windows) -> int:
     tracing = sys.gettrace()
     sys.settrace(trace)
     try:
-        oracle._count_in_cell(plan, windows)
+        oracle._count_in_cell(plan)
     finally:
         sys.settrace(tracing)
     return len(calls)
@@ -897,10 +883,11 @@ def _walk_calls(plan, windows) -> int:
 def test_node_budget_bounds_the_walk(monkeypatch):
     """The budget `_walk_nodes` is exactly the `walk` calls of the walk with
     its pruning off, and the walk itself makes at most that many, at each
-    cell's windows and at those clipped at the depth: sp4 over lam in
-    -4..0, every mu >= lam, p in {3, 5, 7} and depths 1-4 (879 distinct
-    walks), sl2 over lam = (-k,), k <= 8, at the same primes
-    and depths 1, 4 and 8 (249 walks), one call each, and sp4 with its
+    cell's windows clipped at the depths, the deepest of which leaves
+    them unclipped, wherever they reach lam's floor (`_reaches_floor`):
+    sp4 over lam in -4..0, every mu >= lam, p in {3, 5, 7} and depths 1-4
+    (879 distinct walks), sl2 over lam = (-k,), k <= 8, at the same primes
+    and depths 1, 4 and 8 (186 walks), one call each, and sp4 with its
     middle step "never" (`_uncollapsed_sp4`) over lam in -2..0, p in
     {3, 5} and depths 1-2 (60 walks), so every branch of `_children` is
     read by both.  A floor of min(exps) - 2 width n, n the coordinates,
@@ -917,19 +904,21 @@ def test_node_budget_bounds_the_walk(monkeypatch):
     seen = set()
     for rule, group, coords, primes, depths in cells:
         lam = Cocharacter(coords)
-        for p, depth, mu in itertools.product(primes, depths, antidominant_above(lam)):
-            plan = oracle._plan_cell(group, mu, lam, depth, p)
-            for windows in (_clipped(plan, depth), plan.windows):
+        for p, mu in itertools.product(primes, antidominant_above(lam)):
+            full = oracle._plan_cell(group, mu, lam, p)
+            for depth in filter(lambda depth: _reaches_floor(full, depth), depths):
+                plan = _clipped(full, depth)
+                windows = plan.windows
                 if (rule, lam, mu, p, windows) in seen:
                     continue  # depths past the windows repeat a walk
                 seen.add((rule, lam, mu, p, windows))
                 unpruned = plan._replace(floor=min(plan.exps) - 2 * max(windows) * len(group.neg))
                 nodes = oracle._walk_nodes(group, windows, p)
-                assert _walk_calls(unpruned, windows) == nodes, (rule, lam, mu, p, windows)
-                assert _walk_calls(plan, windows) <= nodes, (rule, lam, mu, p, windows)
+                assert _walk_calls(unpruned) == nodes, (rule, lam, mu, p, windows)
+                assert _walk_calls(plan) <= nodes, (rule, lam, mu, p, windows)
                 assert group is not SL2 or nodes == 1
     assert sorted(collections.Counter(key[0] for key in seen).items()) == [
-        ("never", 60), ("sl2", 249), ("sp4", 879)
+        ("never", 60), ("sl2", 186), ("sp4", 879)
     ]
 
 
@@ -1009,7 +998,7 @@ def test_similitude_torus_conjugation_keeps_windowed_boxes(p):
                 return _frac_smith([[x * t for x, t in zip(row, torus)] for row in u], p)
 
             for depth in (1, 2):
-                windows = _clipped(oracle._plan_cell(SP4, mu, lam, depth, p), depth)
+                windows = _clipped(oracle._plan_cell(SP4, mu, lam, p), depth).windows
                 for _, zero in itertools.product(range(4), (None, 0, 1)):
                     coords = [Fraction(rng.randrange(p**w), p**w) for w in windows]
                     t1, t2, nu = (rng.choice(units) for _ in range(3))
@@ -1043,7 +1032,7 @@ def test_similitude_torus_translates_the_middle_entry_below_nonzero_simple_roots
     rng = random.Random(p)
     for lam in BRUTE_FORCE_LAMS:
         for mu in antidominant_above(lam):
-            windows = _clipped(oracle._plan_cell(SP4, mu, lam, 2, p), 2)
+            windows = _clipped(oracle._plan_cell(SP4, mu, lam, p), 2).windows
             if min(windows[:2]) == 0:
                 continue  # no prefix with two nonzero simple-root entries
             torus = [Fraction(p) ** e for e in SP4.torus_exponents(mu)]
@@ -1094,113 +1083,77 @@ def test_closing_columns_read_an_unwritten_column_to_rank_7():
                     assert b >= gen.window_col, (n, gen)
 
 
-def test_stabilization_reported_when_depth_too_small():
-    # the mu = (0,) window of lam = (-2,) is 2, one step past depth 1, so
-    # the cell is walked at it: the complete p^2 - p
-    res = count_cosets(Cocharacter((0,)), Cocharacter((-2,)), 1, "sl2", 3)
-    assert (res.raw_count, res.stabilized) == (6, True)
-    # at lam = (-3,) that window is 3, two steps past depth 1, so it is clipped
-    assert not count_cosets(Cocharacter((0,)), Cocharacter((-3,)), 1, "sl2", 3).stabilized
-
-
-@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101))
-def test_counts_clipped_past_depth_plus_one_are_not_stabilized(p):
-    """These cells' windows are 6 to 8, so depth 5 clips them as depth 4
-    does: two clipped counts agreeing would prove nothing, and each
-    depth-4 count here is wrong."""
-    for lam, mu in ((-6, 0), (-7, 0), (-7, -1), (-8, 0), (-8, -1), (-8, -2)):
-        lam, mu = Cocharacter((lam,)), Cocharacter((mu,))
-        res = count_cosets(mu, lam, 4, "sl2", p)
-        assert not res.stabilized, (lam, mu)
-        exact = count_cosets(mu, lam, max(oracle._plan_cell(SL2, mu, lam, 1, p).full), "sl2", p)
-        assert exact.stabilized and exact.raw_count != res.raw_count
-
-
-def test_stabilized_means_proved_complete_sp4():
-    """A stabilized count equals the count at the unclipped windows; with
-    those windows at most one step past the depth every count is
-    stabilized, and deeper clipping leaves every count unproved."""
-    lams = [Cocharacter(c) for c in itertools.product(range(-3, 1), repeat=2) if c[0] <= c[1]]
-    for lam in lams:
-        for mu in antidominant_above(lam):
-            full = oracle._plan_cell(SP4, mu, lam, 1, 3).full
-            exact = count_cosets(mu, lam, max(1, max(full)), "sp4", 3)
-            assert exact.stabilized
-            for depth in (1, 2, 3):
-                res = count_cosets(mu, lam, depth, "sp4", 3)
-                if max(full) <= depth + 1:
-                    assert res.stabilized and res.raw_count == exact.raw_count, (lam, mu, depth)
-                else:
-                    assert not res.stabilized, (lam, mu, depth)
-
-
-
 # sha256 of every count on the regression grid per base: a regression pin of
 # the code's own output, not a fixed point (those are the p = 7 and p = 11
-# rows).  The 19 bases holding a cell whose unclipped windows are one step
-# past its depth were re-recorded when such a cell came to walk them alone:
-# 346 of their counts became that walk's complete count, and 5 refusals of
-# the (-4, *) bases now charge one walk.
+# rows).  Re-recorded when every cell came to be walked at its unclipped
+# windows at every depth, and the depth left the grid: on the old grid of
+# 3,130 (lam, mu, p, depth) cells, the 587 results once clipped at the depth
+# moved, 577 to the complete count and 10 to a refusal by the node budget;
+# no complete count and no refusal moved.
 GRID_DIGESTS = {
-    ("sp4", (-4, -4)): "c4cf59591b8b434cd92df32f2db34b6acaacc83d54527372b64e11d54b1a6977",
-    ("sp4", (-4, -3)): "00cada7a3f2a06f861236cd18dc1fb4fb3ebc8bf61eec8ef76a351d2574d13cc",
-    ("sp4", (-4, -2)): "7f34fb11b10caba93706c931e470b13130b2218e83150f6f903d5547715f2f02",
-    ("sp4", (-4, -1)): "c58cb0ae8e79c37f0f03784b0a4a32310ae95eaf7c625e7022b9cd8765cd4531",
-    ("sp4", (-4, 0)): "ab2b68fe8fa815d1f6bdfd6ca53946276f5a9196c96c4ad8fe20785cc27beedd",
-    ("sp4", (-3, -3)): "2845939e43b444a490d3e3855ce52b3f45fe18479a618ecb5f2acecee95d3a22",
-    ("sp4", (-3, -2)): "559e008943f411e7cccd675f53eb32ec4977374224548fe083b75122c85a3b21",
-    ("sp4", (-3, -1)): "e4fc4a6c4ee9f9ba50f5d184492875ad54ca913c3de085f30873f0dbc1131db2",
-    ("sp4", (-3, 0)): "46e6d9e2df9777b2d41d7167bf18eeec810445cba89b570de9fe39ccc418642d",
-    ("sp4", (-2, -2)): "f27ceaad94bd8ab2d5eec37a1e58add299ae5b2b5a833458eaaa84395b0c26b4",
-    ("sp4", (-2, -1)): "efa58876a772982192f2e7993bb2a1d661de001e66b2f08294c19624580dadd8",
-    ("sp4", (-2, 0)): "25ae34473454f11ea5b045044b59173aa9327a430c74d2d658a25812555208ea",
-    ("sp4", (-1, -1)): "852f6f24c51a090d129448f151209b12dcbca229b0f8f040ae29730a88c87300",
-    ("sp4", (-1, 0)): "7c6888f4314e90dc128978843cf61433a2c8ee12098c22278ad340f0b266e6d8",
-    ("sp4", (0, 0)): "b00614b2c981f6cdafe89da0f85b5977b0cee3db386ceb2f2637568574b53212",
-    ("sl2", (0,)): "2bc1b8516a9b9204f3a4b5a6015fd985591dbcbba671352ed14d30f25a7fd34a",
-    ("sl2", (-1,)): "939e82071a3360acc9f8ebf853eea0c7c7eb859023985fb4662d0dfb2493784c",
-    ("sl2", (-2,)): "5143e53a49237c2adcbf064404f957d97f05cc260e6436b62a0270b51fffbf1e",
-    ("sl2", (-3,)): "ce5700d7cb5e0d5c4f4056e159621b227fb4e82507f0252dfcf1ab2e2d5cd07b",
-    ("sl2", (-4,)): "08759327d66f91594f1ab873425d508811df7d0809adb9bd8a23a9c66a7c2036",
-    ("sl2", (-5,)): "ca6aef62e081e14b47cf62df4b7d883b3666c2996c5b03540c131c42a6dc3626",
-    ("sl2", (-6,)): "6da4979af4a811cadc9473034ef2f747634bae85e14749b96078849cc265f159",
-    ("sl2", (-7,)): "74c44353b231d9d664b1938a17cf1b82b2e212a533c297092b946bd12013ce7a",
-    ("sl2", (-8,)): "7756746f292c1f6dc9520a665ae4ccd9b53d03bb67d1b31984d5acd0987def17",
+    ("sp4", (-4, -4)): "3cc561d913526edc3e48852669b8a04a9e6bac33eb0dfec64facc2edf36c33af",
+    ("sp4", (-4, -3)): "5046612954e18af29aa99f36ac500d793a2bee5803bf48191382aa5d1bc1ee1d",
+    ("sp4", (-4, -2)): "5af35425994ae21d211dd8cc4b642adb2ef65fa7d733469ed1804062993f19bd",
+    ("sp4", (-4, -1)): "4d6045490f6647a31148cb6ed9aa350e6ede9739012d0532e9f155fa0e539827",
+    ("sp4", (-4, 0)): "430cb7d52616d39892cb6a19274a28666bb1b80bf669ff6bca6cdf3f8069ea2e",
+    ("sp4", (-3, -3)): "d7b65e38e5506265cc154463239d9d8d9835db25e131a35b8d3e751b36d5cf2a",
+    ("sp4", (-3, -2)): "4ace79d96f6a81afcebbf9cd3cdae65c60a90f76c5d471576378c5b81bce9b80",
+    ("sp4", (-3, -1)): "8795ae1d1493af253cd3dc9d8c730af2e2206199a939d423322562715ee8f907",
+    ("sp4", (-3, 0)): "a80e068e88016647c8ceb114d07910972b1a1e7bdea850b2f5f04620b88e043f",
+    ("sp4", (-2, -2)): "d6f254dea2bee9a80a23a082e487e55abc6b5134e69cd5cab504cab8828f424a",
+    ("sp4", (-2, -1)): "564e9c6da8d855fa85233a3c64b78ccbe75634ff19c415efdf23a6b0af602042",
+    ("sp4", (-2, 0)): "795b4374a2e7e43ff25c58f913e418309bf7cd46012a1d025c5a4cdbd6e30f45",
+    ("sp4", (-1, -1)): "3067bb27c863091429807f686ac470cc0b09c73e244c3d00dc2559091d024564",
+    ("sp4", (-1, 0)): "38186fb145c500fabbf55a9d7a621cf6853c57e70b81d7e887501715e1c9d6e4",
+    ("sp4", (0, 0)): "c01d60feda16a35ea09f4d9770944767d18a680bd957bc40aadad1d30ab2831d",
+    ("sl2", (0,)): "158ff187f46875760bedc9ceb0e4fbb7ec4d2c6800865a91745effce44e29ecc",
+    ("sl2", (-1,)): "2c04f3f21e367efc390b9eb4f8b412b9a49489c57a0d93aa1063a37cdc10d4e8",
+    ("sl2", (-2,)): "25ebcc879fb9d3d3377aef6192f1f3be19f6dc486b9f9a382e2390be9eda3a43",
+    ("sl2", (-3,)): "a1afbe08e83449373fd58714349b0cc23621714c7e08ca6d1ae70f59aa6af22f",
+    ("sl2", (-4,)): "205a9e7e5f2727dd92d703718245f81cb64cc69be8b2a906e92eedb23fee5932",
+    ("sl2", (-5,)): "38b661274ce98f6e7224338ef6f3bedf59337dc2621f9d1a0044fef889b032bf",
+    ("sl2", (-6,)): "40f8d75008e384f9ca29f5f5e40e843f8dd2a01e576910ad79316acb4b8a3c3a",
+    ("sl2", (-7,)): "ca6cb375c1141e7ebd1d86005bc3f77adb3f2ed16477a1266e86dcd153893927",
+    ("sl2", (-8,)): "a6089abfe82323f13d005395a358955d7c5dc38c88509de55ecd487a1392f947",
 }
 
 
+def _count_or_refusal(mu, lam, depth, group, p) -> str:
+    try:
+        return str(count_cosets(mu, lam, depth, group, p).raw_count)
+    except OracleError as err:
+        return str(err)
+
+
 def test_regression_grid_counts_are_pinned():
-    """Every raw count, `stabilized` flag and refusal on the grid: sp4 with
-    lam antidominant in -4..0 at p in {3, 5, 7, 11, 13} and depths 1-4, sl2
-    with lam = (-k,), k <= 8, at p in {3, 5, 7, 11, 13, 101} and depths 1,
-    4 and 8, every antidominant mu >= lam; 3,130 cells, 10 of them refused
-    by the node budget.  A failure names the bases whose digest moved."""
+    """Every raw count and refusal on the grid: sp4 with lam antidominant
+    in -4..0 at p in {3, 5, 7, 11, 13}, sl2 with lam = (-k,), k <= 8, at p
+    in {3, 5, 7, 11, 13, 101}, every antidominant mu >= lam; 850 cells, 5
+    of them refused by the node budget.  Each cell gives the same result
+    at depths 1 and 8.  A failure names the bases whose digest moved."""
     sp4 = [c for c in itertools.product(range(-4, 1), repeat=2) if c[0] <= c[1]]
-    grid = [("sp4", c, (3, 5, 7, 11, 13), (1, 2, 3, 4)) for c in sp4]
-    grid += [("sl2", (-k,), (3, 5, 7, 11, 13, 101), (1, 4, 8)) for k in range(9)]
+    grid = [("sp4", c, (3, 5, 7, 11, 13)) for c in sp4]
+    grid += [("sl2", (-k,), (3, 5, 7, 11, 13, 101)) for k in range(9)]
     got, cells, refused = {}, 0, 0
-    for group, coords, primes, depths in grid:
+    for group, coords, primes in grid:
         lam = Cocharacter(coords)
         digest = hashlib.sha256()
         mus = sorted(antidominant_above(lam), key=lambda m: m.coords)
-        for p, depth, mu in itertools.product(primes, depths, mus):
-            try:
-                res = count_cosets(mu, lam, depth, group, p)
-                line = f"{p} {depth} {mu.coords} {res.raw_count} {res.stabilized}\n"
-            except OracleError as err:
-                line = f"{p} {depth} {mu.coords} {err}\n"
-                refused += 1
+        for p, mu in itertools.product(primes, mus):
+            result = _count_or_refusal(mu, lam, 1, group, p)
+            assert _count_or_refusal(mu, lam, 8, group, p) == result, (group, lam, mu, p)
+            refused += not result.isdigit()
             cells += 1
-            digest.update(line.encode())
+            digest.update(f"{p} {mu.coords} {result}\n".encode())
         got[group, coords] = digest.hexdigest()
-    assert (cells, refused) == (3130, 10)
+    assert (cells, refused) == (850, 5)
     assert [base for base in GRID_DIGESTS if got[base] != GRID_DIGESTS[base]] == []
 
 
 def _satake_row(lam, group, p):
     """The trivial-weight Satake row of T_lam, as the Satake check reads
-    it: the mod-p counts of `oracle_rows` at depth 4."""
-    return TorusHeckeElement(p, {r.mu.coords: r.count_mod_p for r in oracle_rows(lam, 4, group, p)})
+    it: the mod-p counts of `oracle_rows`."""
+    return TorusHeckeElement(p, {r.mu.coords: r.count_mod_p for r in oracle_rows(lam, group, p)})
 
 
 def test_satake_row_counts_sl2():
@@ -1219,14 +1172,16 @@ def test_satake_row_counts_sp4_p3():
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 3989))
 def test_satake_check_rows_are_complete_at_every_depth(p):
-    """Every cell of every row the Satake check reads has windows of at
-    most 2, so it is stabilized, with the same raw count, at depths 1 and
-    4: the check needs no depth and no refusal of a clipped count."""
+    """Every cell of every row the Satake check reads is counted complete,
+    and `count_cosets` gives its raw count at depths 1 and 4: the check
+    needs no depth."""
     for i, n in ((1, 1), (1, 2), (2, 2)):
         lam, group = 2 * t2lambda_base(i, n), "sl2" if n == 1 else "sp4"
-        shallow, deep = oracle_rows(lam, 1, group, p), oracle_rows(lam, 4, group, p)
-        assert all(r.stabilized for r in shallow + deep), (i, n)
-        assert [(r.mu, r.raw_count) for r in shallow] == [(r.mu, r.raw_count) for r in deep], (i, n)
+        rows = oracle_rows(lam, group, p)
+        assert all(r.stabilized for r in rows), (i, n)
+        for depth in (1, 4):
+            counts = [count_cosets(r.mu, lam, depth, group, p).raw_count for r in rows]
+            assert counts == [r.raw_count for r in rows], (i, n, depth)
 
 
 def test_pipeline_p3():
@@ -1251,7 +1206,7 @@ def test_pipeline_rejects_large_rank():
         # a budget past 10^4300 nodes, more digits than Python prints, gives its bit length
         (
             lambda: count_cosets(Cocharacter((0, 0)), Cocharacter((-500, -500)), 500, "sp4", 2**31 - 1),
-            "oracle cell mu=(0, 0) at p = 2147483647, depth 500 may visit 2^15478 or more nodes,"
+            "oracle cell mu=(0, 0) at p = 2147483647 may visit 2^15478 or more nodes,"
             " over its limit of 12,030",
         ),
     ],
