@@ -524,6 +524,28 @@ def test_sl2_counts_are_the_closed_form(p):
             assert res.raw_count == (p**m - p ** (m - 1) if m else 1), (lam, mu, depth)
 
 
+def test_sl2_row_at_a_large_prime_is_counted():
+    # its leaves are decided at once, so the row is the closed form
+    # 1, p - 1, p^2 - p, ... at any p the node budget admits; at lam = (-4,)
+    # the mu = (-1,) and (0,) cells have p^4 > 2^63 leaves below one node,
+    # more than a range may hold
+    p = 2**31 - 1
+    for lam in ((-2,), (-4,), (-8,)):
+        rows = oracle_rows(Cocharacter(lam), "sl2", p)
+        assert [r.raw_count for r in rows] == [1] + [p**k - p ** (k - 1) for k in range(1, 1 - lam[0])]
+        assert all(r.stabilized for r in rows)
+
+
+def test_stabilization_reported_when_depth_too_small():
+    # the mu = (0,) windows of lam = (-2,) and (-3,) are 2 and 3, past
+    # depth 1; depth clips no walk, so each reports its complete
+    # p^m - p^(m - 1), stabilized
+    for lam, raw in (((-2,), 6), ((-3,), 18)):
+        res = count_cosets(Cocharacter((0,)), Cocharacter(lam), 1, "sl2", 3)
+        assert (res.raw_count, res.stabilized) == (raw, True), lam
+        assert max(oracle._plan_cell(SL2, Cocharacter((0,)), Cocharacter(lam), 3).windows) > 1
+
+
 def test_sp4_shifted_cell_count_hand_value():
     # only the -a2 coordinate has a window: v(b) = -1 exactly, p - 1 choices
     lam = Cocharacter((-2, -2))
